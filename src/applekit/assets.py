@@ -100,7 +100,7 @@ class AppleAssets:
 
     def combined(self) -> Graph:
         merged = self.taxonomy.copy()
-        for triple in self.scenario:
+        for triple in self.scenario._match():
             merged.insert(triple)
         return merged
 

@@ -77,8 +77,7 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Graph, PrefixMap]:
     prefixes = DEFAULT_PREFIXES.copy()
     if args.bundled:
         assets = load_assets()
-        for triple in assets.combined():
-            merged.insert(triple)
+        merged = assets.combined()  # a fresh graph, safe to extend
         for prefix, namespace in assets.prefixes.items():
             prefixes.bind(prefix, namespace)
     for name in args.input:
@@ -91,7 +90,7 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Graph, PrefixMap]:
             document = parse_document(text)
         except TurtleParseError as exc:
             raise CliError(exc.diagnostic.render(str(path)), EXIT_PARSE) from exc
-        for triple in document.graph:
+        for triple in document.graph._match():
             merged.insert(triple)
         for prefix, namespace in document.prefixes.items():
             prefixes.bind(prefix, namespace)

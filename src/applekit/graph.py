@@ -2,9 +2,16 @@
 
 The store keeps three nested-dict indexes (subject, predicate, object keyed
 first) so :meth:`Graph.match` can answer any bound/unbound combination of a
-triple pattern without scanning.  All read paths return results sorted by
-term order, so two graphs holding the same triples behave identically no
-matter how they were built.
+triple pattern without scanning.  Every public read (``match``,
+``subjects``, ``objects``, ``nodes``, ``predicates``, iteration) returns
+results sorted by term order, so two graphs holding the same triples behave
+identically no matter how they were built.
+
+Inside the package, evaluators that collect results into sets or sort them
+later read through :meth:`Graph._match` and :meth:`Graph._nodes` instead.
+These skip the sort, so their order is unspecified.  ``_match`` returns a
+list, a snapshot taken at call time, so a caller may insert into the graph
+while it walks the result.
 """
 
 from __future__ import annotations
@@ -63,6 +70,46 @@ class Graph:
         _index_remove(self._osp, triple.o, triple.s, triple.p)
         return True
 
+    def _match(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> list[Triple]:
+        """All triples matching the pattern, None acting as a wildcard, in no
+        particular order.
+
+        The result is a new list, so the graph may change while the caller
+        walks it.  Patterns no stored triple could ever satisfy (a literal in
+        subject position, a non-IRI predicate) match nothing rather than
+        raising, so callers can probe with arbitrary bound terms.
+        """
+        if (s is not None and s.kind == "literal") or (p is not None and p.kind != "iri"):
+            return []
+        if s is not None:
+            by_p = self._spo.get(s)
+            if by_p is None:
+                return []
+            if p is not None:
+                objects = by_p.get(p, ())
+                if o is not None:
+                    return [Triple(s, p, o)] if o in objects else []
+                return [Triple(s, p, obj) for obj in objects]
+            if o is not None:
+                return [Triple(s, pred, o) for pred in self._osp.get(o, {}).get(s, ())]
+            return [Triple(s, pred, obj) for pred, objects in by_p.items() for obj in objects]
+        if p is not None:
+            by_o = self._pos.get(p)
+            if by_o is None:
+                return []
+            if o is not None:
+                return [Triple(subj, p, o) for subj in by_o.get(o, ())]
+            return [Triple(subj, p, obj) for obj, subjects in by_o.items() for subj in subjects]
+        if o is not None:
+            return [Triple(subj, pred, o) for subj, preds in self._osp.get(o, {}).items() for pred in preds]
+        return list(self._triples)
+
+    def _nodes(self) -> set[Term]:
+        """Every IRI or blank node in subject or object position, unordered."""
+        seen = set(self._spo)
+        seen.update(term for term in self._osp if term.kind != "literal")
+        return seen
+
     def match(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> list[Triple]:
         """All triples matching the pattern, None acting as a wildcard, sorted.
 
@@ -70,45 +117,19 @@ class Graph:
         position, a non-IRI predicate) match nothing rather than raising, so
         callers can probe with arbitrary bound terms.
         """
-        if (s is not None and s.is_literal()) or (p is not None and not p.is_iri()):
-            return []
-        found: Iterable[Triple]
-        if s is not None and p is not None and o is not None:
-            candidate = Triple(s, p, o)
-            found = [candidate] if candidate in self._triples else []
-        elif s is not None:
-            by_p = self._spo.get(s, {})
-            predicates = [p] if p is not None else list(by_p)
-            found = [
-                Triple(s, pred, obj)
-                for pred in predicates
-                for obj in by_p.get(pred, ())
-                if o is None or obj == o
-            ]
-        elif p is not None:
-            by_o = self._pos.get(p, {})
-            objects = [o] if o is not None else list(by_o)
-            found = [Triple(subj, p, obj) for obj in objects for subj in by_o.get(obj, ())]
-        elif o is not None:
-            by_s = self._osp.get(o, {})
-            found = [Triple(subj, pred, o) for subj in by_s for pred in by_s[subj]]
-        else:
-            found = self._triples
-        return sorted(found, key=Triple.sort_key)
+        return sorted(self._match(s, p, o), key=Triple.sort_key)
 
     def subjects(self, p: Term | None = None, o: Term | None = None) -> list[Term]:
         """Distinct subjects of triples matching (?, p, o), sorted."""
-        return sorted({t.s for t in self.match(None, p, o)}, key=Term.sort_key)
+        return sorted({t.s for t in self._match(None, p, o)}, key=Term.sort_key)
 
     def objects(self, s: Term | None = None, p: Term | None = None) -> list[Term]:
         """Distinct objects of triples matching (s, p, ?), sorted."""
-        return sorted({t.o for t in self.match(s, p, None)}, key=Term.sort_key)
+        return sorted({t.o for t in self._match(s, p, None)}, key=Term.sort_key)
 
     def nodes(self) -> list[Term]:
         """Every IRI or blank node appearing in subject or object position, sorted."""
-        seen = set(self._spo)
-        seen.update(term for term in self._osp if not term.is_literal())
-        return sorted(seen, key=Term.sort_key)
+        return sorted(self._nodes(), key=Term.sort_key)
 
     def predicates(self) -> list[Term]:
         return sorted(self._pos, key=Term.sort_key)
@@ -128,7 +149,7 @@ class Graph:
         return len(self._triples)
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._triples, key=Triple.sort_key))
+        return iter(self.match())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -108,20 +108,23 @@ def entails(graph: Graph, triple: Triple, schema: SchemaIndex, regime: Entailmen
 def _materialize_semi_naive(graph: Graph, schema: SchemaIndex, regime: EntailmentRegime) -> Graph:
     out = graph.copy()
 
-    subclass_up = {c: schema.superclasses(c) for c in schema.classes}
-    superprops = {p: schema.superproperties(p) for p in schema.properties}
-    inverses = {p: schema.inverse_partners(p) for p in schema.properties}
+    # Every IRI a consequence can carry, built once per class or property.
+    ancestors = {c: tuple(iri(a) for a in schema.superclasses(c)) for c in schema.classes}
+    superprops = {p: tuple(iri(q) for q in schema.superproperties(p) if q != p) for p in schema.properties}
+    inverses = {p: tuple(iri(q) for q in schema.inverse_partners(p)) for p in schema.properties}
+    domains = {p: tuple(iri(c) for c in classes) for p, classes in schema.domain_of.items()}
+    ranges = {p: tuple(iri(c) for c in classes) for p, classes in schema.range_of.items()}
 
-    pending: deque[Triple] = deque(out)
+    pending: deque[Triple] = deque(out._match())
 
     if SUBCLASS_TRANSITIVITY in regime:
         # The closure of the asserted pairs, including pairs the data graph
         # itself may not carry when the schema came from a larger graph.
-        for child, parents in sorted(subclass_up.items()):
+        for child, parents in ancestors.items():
             child_term = iri(child)
-            for parent in sorted(parents):
-                if parent != child:
-                    derived = Triple(child_term, _SUBCLASS, iri(parent))
+            for parent in parents:
+                if parent.value != child:
+                    derived = Triple(child_term, _SUBCLASS, parent)
                     if out.insert(derived):
                         pending.append(derived)
 
@@ -139,26 +142,25 @@ def _materialize_semi_naive(graph: Graph, schema: SchemaIndex, regime: Entailmen
         if predicate == RDFS_SUBCLASSOF and use_subclass and triple.s.is_iri() and triple.o.is_iri():
             # A subclass edge asserted in the data graph chains through the
             # schema's closure even when the schema lacks that edge itself.
-            for ancestor in subclass_up.get(triple.o.value, ()):
-                if ancestor != triple.s.value:
-                    derived.append(Triple(triple.s, _SUBCLASS, iri(ancestor)))
+            for ancestor in ancestors.get(triple.o.value, ()):
+                if ancestor.value != triple.s.value:
+                    derived.append(Triple(triple.s, _SUBCLASS, ancestor))
         if predicate == RDF_TYPE and use_types and triple.o.is_iri():
-            for ancestor in subclass_up.get(triple.o.value, ()):
-                if ancestor != triple.o.value:
-                    derived.append(Triple(triple.s, _TYPE, iri(ancestor)))
-        if predicate in superprops and use_subprops:
-            for parent in superprops[predicate]:
-                if parent != predicate:
-                    derived.append(Triple(triple.s, iri(parent), triple.o))
+            for ancestor in ancestors.get(triple.o.value, ()):
+                if ancestor.value != triple.o.value:
+                    derived.append(Triple(triple.s, _TYPE, ancestor))
+        if use_subprops:
+            for parent in superprops.get(predicate, ()):
+                derived.append(Triple(triple.s, parent, triple.o))
         if use_domain:
-            for cls in schema.domain_of.get(predicate, ()):
-                derived.append(Triple(triple.s, _TYPE, iri(cls)))
+            for cls in domains.get(predicate, ()):
+                derived.append(Triple(triple.s, _TYPE, cls))
         if use_range and not triple.o.is_literal():
-            for cls in schema.range_of.get(predicate, ()):
-                derived.append(Triple(triple.o, _TYPE, iri(cls)))
+            for cls in ranges.get(predicate, ()):
+                derived.append(Triple(triple.o, _TYPE, cls))
         if use_inverse and not triple.o.is_literal():
             for partner in inverses.get(predicate, ()):
-                derived.append(Triple(triple.o, iri(partner), triple.s))
+                derived.append(Triple(triple.o, partner, triple.s))
         for new_triple in derived:
             if out.insert(new_triple):
                 pending.append(new_triple)

@@ -259,12 +259,12 @@ def parse_class_expression(text: str, catalog: NameCatalog | None = None) -> Cla
 
 def _extension(expr: ClassExpression, graph: Graph) -> set[Term]:
     if isinstance(expr, Named):
-        return {t.s for t in graph.match(None, _TYPE, iri(expr.iri))}
+        return {t.s for t in graph._match(None, _TYPE, iri(expr.iri))}
     if isinstance(expr, OneOf):
         # Nominals denote their members whether or not the graph mentions them.
         return {iri(value) for value in expr.iris}
     if isinstance(expr, Anything):
-        return set(graph.nodes())
+        return graph._nodes()
     if isinstance(expr, And):
         parts = [_extension(part, graph) for part in expr.parts]
         common = parts[0]
@@ -273,7 +273,7 @@ def _extension(expr: ClassExpression, graph: Graph) -> set[Term]:
         return common
     if isinstance(expr, Some):
         prop = iri(expr.path.iri)
-        edges = graph.match(None, prop, None)
+        edges = graph._match(None, prop, None)
         if expr.path.inverted:
             pairs = [(t.o, t.s) for t in edges if not t.o.is_literal()]
         else:
@@ -483,7 +483,7 @@ def select(query: SelectQuery, graph: Graph) -> list[tuple[str, ...]]:
             s = resolve_slot(pattern.s, binding)
             p = resolve_slot(pattern.p, binding)
             o = resolve_slot(pattern.o, binding)
-            for triple in graph.match(s, p, o):
+            for triple in graph._match(s, p, o):
                 extended = dict(binding)
                 ok = True
                 for slot, term in ((pattern.s, triple.s), (pattern.p, triple.p), (pattern.o, triple.o)):

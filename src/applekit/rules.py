@@ -18,6 +18,15 @@ above those it uses positively.  Rules whose negations form a cycle are
 rejected.  Evaluation runs strata in ascending order, semi-naive within a
 stratum, and records a :class:`Firing` (rule id plus variable bindings) for
 every distinct body match, so each derived triple can be replayed.
+
+Each round's new triples form a small indexed graph (the delta), so the
+next round looks up only the delta triples an atom can match.  Rule atoms
+are turned into term patterns once per evaluation.
+
+The canonical firing order, used for each verdict's firings, is by rule
+id, then by the :meth:`~applekit.terms.Term.sort_key` of each bound term
+in variable-name order.  It does not depend on evaluation order, so
+``classify`` output is the same under every ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -363,102 +372,123 @@ def _check_safety(rule_id: str, body: tuple[Atom, ...], head: Atom, line: int) -
 # Evaluation
 
 
-def _atom_pattern(atom: Atom, binding: dict[str, Term]) -> tuple[Term | None, Term, Term | None]:
-    def resolve_arg(arg: RuleArg) -> Term | None:
+# A compiled atom is a (subject, predicate, object) pattern built once per
+# evaluation.  The predicate is always a Term; the subject and object slots
+# hold a constant Term, a variable name (str), or None for the wildcard '_'.
+
+
+def _compile_atom(atom: Atom) -> tuple:
+    def slot(arg: RuleArg) -> Term | str | None:
         if arg.kind == CONST:
             return iri(arg.value)
         if arg.kind == VAR:
-            return binding.get(arg.value)
+            return arg.value
         return None
 
     if atom.is_class_atom():
-        return (resolve_arg(atom.args[0]), _TYPE, iri(atom.predicate))
-    return (resolve_arg(atom.args[0]), iri(atom.predicate), resolve_arg(atom.args[1]))
+        return (slot(atom.args[0]), _TYPE, iri(atom.predicate))
+    return (slot(atom.args[0]), iri(atom.predicate), slot(atom.args[1]))
 
 
-def _extend_binding(atom: Atom, triple: Triple, binding: dict[str, Term]) -> dict[str, Term] | None:
-    extended = dict(binding)
-    slots = [(atom.args[0], triple.s)]
-    if not atom.is_class_atom():
-        slots.append((atom.args[1], triple.o))
-    for arg, term in slots:
-        if arg.kind == VAR:
-            bound = extended.get(arg.value)
-            if bound is None:
-                extended[arg.value] = term
-            elif bound != term:
-                return None
-    return extended
+@dataclass(frozen=True)
+class _CompiledRule:
+    id: str
+    positives: tuple[tuple, ...]
+    negatives: tuple[tuple, ...]
+    head: tuple
 
 
-def _match_atom(atom: Atom, graph: Graph, binding: dict[str, Term], restrict: set[Triple] | None = None):
-    s, p, o = _atom_pattern(atom, binding)
-    if restrict is None:
-        candidates = graph.match(s, p, o)
-    else:
-        candidates = [
-            t
-            for t in restrict
-            if t.p == p and (s is None or t.s == s) and (o is None or t.o == o)
-        ]
-    for triple in candidates:
-        extended = _extend_binding(atom, triple, binding)
-        if extended is not None:
-            yield extended
+def _compile_rule(rule: Rule) -> _CompiledRule:
+    return _CompiledRule(
+        rule.id,
+        tuple(_compile_atom(atom) for atom in rule.body if not atom.negated),
+        tuple(_compile_atom(atom) for atom in rule.body if atom.negated),
+        _compile_atom(rule.head),
+    )
 
 
-def _negation_holds(atom: Atom, graph: Graph, binding: dict[str, Term]) -> bool:
-    """True when the negated atom has no match, so the binding survives."""
-    s, p, o = _atom_pattern(atom, binding)
-    return not graph.match(s, p, o)
+def _ground(pattern: tuple, binding: dict[str, Term]) -> tuple[Term | None, Term, Term | None]:
+    """The pattern with bound variables replaced by their terms."""
+    s, p, o = pattern
+    if isinstance(s, str):
+        s = binding.get(s)
+    if isinstance(o, str):
+        o = binding.get(o)
+    return s, p, o
 
 
-def _match_body(rule: Rule, graph: Graph, delta: set[Triple] | None):
-    positives = [a for a in rule.body if not a.negated]
-    negatives = [a for a in rule.body if a.negated]
+def _match_atom(pattern: tuple, source: Graph, binding: dict[str, Term]):
+    """Yield the binding extended by each triple of ``source`` matching the
+    pattern; the binding itself when the match binds nothing new."""
+    s_slot, _, o_slot = pattern
+    s, p, o = _ground(pattern, binding)
+    bind_s = s is None and isinstance(s_slot, str)
+    bind_o = o is None and isinstance(o_slot, str)
+    same_var = bind_s and bind_o and s_slot == o_slot
+    for triple in source._match(s, p, o):
+        if not (bind_s or bind_o):
+            yield binding
+            continue
+        if same_var and triple.s != triple.o:
+            continue
+        extended = dict(binding)
+        if bind_s:
+            extended[s_slot] = triple.s
+        if bind_o:
+            extended[o_slot] = triple.o
+        yield extended
 
-    def join(index: int, binding: dict[str, Term], delta_slot: int | None):
-        if index == len(positives):
-            if all(_negation_holds(a, graph, binding) for a in negatives):
+
+def _match_body(rule: _CompiledRule, graph: Graph, delta: Graph | None):
+    """Yield every binding under which the rule body holds in ``graph``.
+
+    With a delta (the triples the previous round added), yield only the
+    bindings that use at least one delta triple: for each positive atom in
+    turn, match that atom against the delta first and join the others
+    against the whole graph.  A binding using several delta triples is
+    yielded once per such atom; the caller drops the repeats.
+    """
+    negatives = rule.negatives
+
+    def join(atoms: tuple, index: int, binding: dict[str, Term], source: Graph):
+        if index == len(atoms):
+            if all(not graph._match(*_ground(atom, binding)) for atom in negatives):
                 yield binding
             return
-        restrict = delta if delta_slot == index else None
-        for extended in _match_atom(positives[index], graph, binding, restrict):
-            yield from join(index + 1, extended, delta_slot)
+        for extended in _match_atom(atoms[index], source, binding):
+            yield from join(atoms, index + 1, extended, graph)
 
-    if not positives:
-        if delta is None and all(_negation_holds(a, graph, {}) for a in negatives):
-            yield {}
-        return
+    positives = rule.positives
     if delta is None:
-        yield from join(0, {}, None)
+        yield from join(positives, 0, {}, graph)
         return
-    seen: set[tuple[tuple[str, Term], ...]] = set()
     for slot in range(len(positives)):
-        for binding in join(0, {}, slot):
-            key = tuple(sorted(binding.items()))
-            if key not in seen:
-                seen.add(key)
-                yield binding
+        atoms = (positives[slot], *positives[:slot], *positives[slot + 1:])
+        yield from join(atoms, 0, {}, delta)
 
 
-def _instantiate(head: Atom, binding: dict[str, Term]) -> Triple:
-    s, p, o = _atom_pattern(head, binding)
+def _instantiate(head: tuple, binding: dict[str, Term]) -> Triple:
+    s, p, o = _ground(head, binding)
     assert s is not None and o is not None, "safety check guarantees ground heads"
     return Triple(s, p, o)
 
 
 def evaluate_with_provenance(graph: Graph, rules: list[Rule]) -> tuple[Graph, list[Firing]]:
     """Evaluate stratified rules to fixpoint; return the extended graph and
-    one Firing per distinct (rule, binding) body match."""
+    one Firing per distinct (rule, binding) body match.
+
+    Firings come in derivation order: strata ascending, then semi-naive
+    rounds; the order within a round is unspecified.
+    """
     out = graph.copy()
     firings: list[Firing] = []
     seen: set[tuple[str, tuple[tuple[str, Term], ...]]] = set()
+    compiled = [_compile_rule(rule) for rule in rules]
     for stratum in sorted({rule.stratum for rule in rules}):
-        group = [rule for rule in rules if rule.stratum == stratum]
-        delta: set[Triple] | None = None
+        group = [c for c, rule in zip(compiled, rules) if rule.stratum == stratum]
+        delta: Graph | None = None
         while True:
-            added: set[Triple] = set()
+            added = Graph()
             for rule in group:
                 for binding in _match_body(rule, out, delta):
                     bound = tuple(sorted(binding.items()))
@@ -468,7 +498,7 @@ def evaluate_with_provenance(graph: Graph, rules: list[Rule]) -> tuple[Graph, li
                     derived = _instantiate(rule.head, binding)
                     firings.append(Firing(rule.id, bound, derived))
                     if out.insert(derived):
-                        added.add(derived)
+                        added.insert(derived)
             if not added:
                 break
             delta = added
@@ -489,28 +519,40 @@ class Verdict:
     firings: tuple[Firing, ...] = field(compare=False, default=())
 
 
+def _firing_order(firing: Firing) -> tuple:
+    return (firing.rule_id, tuple(term.sort_key() for _, term in firing.bindings))
+
+
 def classify_actions(graph: Graph, rules: list[Rule]) -> list[Verdict]:
     """Run the verdict rules and report one verdict per morally linked action.
 
     An action is morally linked when it is typed as an action and carries at
     least one upholds or violates edge.  Actions deriving into more than one
     verdict class raise :class:`VerdictConflictError`; actions matching no
-    rule are omitted from the report.
+    rule are omitted from the report.  Verdicts are sorted by action, and
+    each verdict's firings by rule id, then by the sort keys of their bound
+    terms in variable-name order.
     """
     final, firings = evaluate_with_provenance(graph, rules)
-    linked: set[Term] = set()
-    for prop in (UPHOLDS_PRINCIPLE, VIOLATES_PRINCIPLE):
-        for triple in final.match(None, iri(prop), None):
-            if Triple(triple.s, _TYPE, iri(ACTION)) in final:
-                linked.add(triple.s)
+    by_derived: dict[Triple, list[Firing]] = {}
+    for firing in firings:
+        by_derived.setdefault(firing.derived, []).append(firing)
+    action_type = iri(ACTION)
+    verdict_types = [iri(vc) for vc in VERDICT_CLASSES]
+    linked = {
+        triple.s
+        for prop in (UPHOLDS_PRINCIPLE, VIOLATES_PRINCIPLE)
+        for triple in final._match(None, iri(prop), None)
+        if Triple(triple.s, _TYPE, action_type) in final
+    }
     verdicts: list[Verdict] = []
     for action in sorted(linked, key=Term.sort_key):
-        found = [vc for vc in VERDICT_CLASSES if Triple(action, _TYPE, iri(vc)) in final]
+        found = [typed for typed in (Triple(action, _TYPE, vc) for vc in verdict_types) if typed in final]
         if len(found) > 1:
-            raise VerdictConflictError(action.value, tuple(found))
+            raise VerdictConflictError(action.value, tuple(typed.o.value for typed in found))
         if not found:
             continue
-        relevant = tuple(f for f in firings if f.derived == Triple(action, _TYPE, iri(found[0])))
+        relevant = tuple(sorted(by_derived.get(found[0], ()), key=_firing_order))
         rule_ids = tuple(sorted({f.rule_id for f in relevant}))
-        verdicts.append(Verdict(action.value, found[0], rule_ids, relevant))
+        verdicts.append(Verdict(action.value, found[0].o.value, rule_ids, relevant))
     return verdicts

@@ -19,6 +19,7 @@ to the one serialized.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from urllib.parse import urljoin
 
@@ -73,7 +74,7 @@ class ParsedDocument:
 
 
 _NAME_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_NAME_CHARS = _NAME_START | set("0123456789.-")
+_NAME_RUN = re.compile(r"[A-Za-z0-9_.\-]*")
 _STRING_ESCAPES = {
     "t": "\t",
     "b": "\b",
@@ -270,10 +271,12 @@ class _Lexer:
         raise self.error(f"bare name {prefix!r} is not valid Turtle here (missing prefix or quotes?)", line, column)
 
     def _take_name_run(self) -> str:
-        chars = []
-        while self.pos < len(self.text) and (self._peek() in _NAME_CHARS):
-            chars.append(self._advance())
-        return "".join(chars)
+        start = self.pos
+        end = _NAME_RUN.match(self.text, start).end()
+        # Name characters include no newline, so only the column moves.
+        self.pos = end
+        self.column += end - start
+        return self.text[start:end]
 
     def _strip_trailing_dots(self, name: str) -> tuple[str, int]:
         pushed = 0

@@ -206,3 +206,19 @@ def random_rules(rng: random.Random, classes: list[str], props: list[str], indiv
             head = Atom(heads[k], (var_x,))
         rules.append(Rule(f"G{k}", tuple(body), head))
     return assign_strata(rules)
+
+
+def renamed_scenario_copies(taxonomy: Graph, scenario: Graph, copies: int) -> Graph:
+    """The taxonomy plus ``copies`` copies of the scenario graph.
+
+    Copy k renames each individual that only the scenario mentions by
+    appending ``_k`` to its IRI; taxonomy terms are shared by every copy.
+    """
+    shared = {term for t in taxonomy.match() for term in (t.s, t.o)}
+    local = {t.s for t in scenario.match() if t.s not in shared}
+    out = taxonomy.copy()
+    for k in range(copies):
+        renamed = {term: iri(f"{term.value}_{k}") for term in local}
+        for t in scenario.match():
+            out.insert(Triple(renamed.get(t.s, t.s), t.p, renamed.get(t.o, t.o)))
+    return out

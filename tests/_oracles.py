@@ -109,8 +109,19 @@ def _atom_holds(atom: Atom, assignment: dict[str, Term], graph: Graph) -> bool:
     return bool(graph.match(s, p, o))
 
 
-def ground_fixpoint(graph: Graph, rules: list[Rule]) -> Graph:
-    """Evaluate stratified rules by enumerating every variable assignment."""
+def _body_assignments(rule: Rule, universe: list[Term], graph: Graph):
+    """Every assignment of the rule's variables under which its body holds."""
+    variables = sorted({v for atom in rule.body for v in atom.variables()} | set(rule.head.variables()))
+    for combo in product(universe, repeat=len(variables)):
+        assignment = dict(zip(variables, combo))
+        if all(_atom_holds(atom, assignment, graph) != atom.negated for atom in rule.body):
+            yield assignment
+
+
+def _ground_strata(graph: Graph, rules: list[Rule]):
+    """Run each stratum to its fixpoint by full grounding; yield the
+    stratum's rules, the term universe and the graph as the stratum leaves
+    it."""
     out = graph.copy()
     universe = _universe(graph, rules)
     for stratum in sorted({rule.stratum for rule in rules}):
@@ -118,20 +129,7 @@ def ground_fixpoint(graph: Graph, rules: list[Rule]) -> Graph:
         while True:
             changed = False
             for rule in group:
-                variables = sorted({v for atom in rule.body for v in atom.variables()} |
-                                   set(rule.head.variables()))
-                for combo in product(universe, repeat=len(variables)):
-                    assignment = dict(zip(variables, combo))
-                    ok = True
-                    for atom in rule.body:
-                        holds = _atom_holds(atom, assignment, out)
-                        if atom.negated:
-                            holds = not holds
-                        if not holds:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
+                for assignment in list(_body_assignments(rule, universe, out)):
                     s, p, o = _ground_atom_pattern(rule.head, assignment)
                     if s.is_literal():
                         continue
@@ -139,7 +137,26 @@ def ground_fixpoint(graph: Graph, rules: list[Rule]) -> Graph:
                         changed = True
             if not changed:
                 break
+        yield group, universe, out
+
+
+def ground_fixpoint(graph: Graph, rules: list[Rule]) -> Graph:
+    """Evaluate stratified rules by enumerating every variable assignment."""
+    out = graph.copy()
+    for _, _, out in _ground_strata(graph, rules):
+        pass
     return out
+
+
+def ground_firings(graph: Graph, rules: list[Rule]) -> set[tuple[str, tuple[tuple[str, Term], ...]]]:
+    """Every (rule id, sorted bindings) whose body holds in the graph at the
+    end of that rule's stratum."""
+    firings = set()
+    for group, universe, out in _ground_strata(graph, rules):
+        for rule in group:
+            for assignment in _body_assignments(rule, universe, out):
+                firings.add((rule.id, tuple(sorted(assignment.items()))))
+    return firings
 
 
 # ---------------------------------------------------------------------------

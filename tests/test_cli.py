@@ -309,6 +309,71 @@ def _child_env():
     return env
 
 
+def _run_in_process(argv, hash_seed, cwd):
+    """Run ``python -m applekit.cli`` from this checkout under a hash seed."""
+    env = _child_env()
+    env["PYTHONPATH"] = str(SRC_DIR)
+    env["PYTHONHASHSEED"] = hash_seed
+    return subprocess.run(
+        [sys.executable, "-m", "applekit.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+        cwd=cwd,
+    )
+
+
+HASH_SEEDS = ("0", "2")
+
+# The commands acceptance criterion 5 reruns in one process.
+CRITERION_5_COMMANDS = [
+    ("reason", "--bundled"),
+    ("classify", "--bundled"),
+    ("query", "Agent", "--bundled"),
+    ("query", "EthicalPrinciple", "--bundled", "--mode", "classes"),
+    ("query", "Deforestation resolvedBy ?x", "--bundled", "--mode", "select"),
+    ("validate", "--bundled"),
+    ("cq", "--bundled"),
+]
+
+# S2 matches the edges S1 derives only in a later semi-naive round, where
+# evaluation order follows string hashing.
+RECURSIVE_RULES = (
+    "S2: Action(?a), <http://example.org/viol>(?a, ?p) -> MorallyWrongAction(?a) .\n"
+    "S1: violatesEthicalPrinciple(?a, ?p) -> <http://example.org/viol>(?a, ?p) .\n"
+)
+
+
+class TestHashSeedIndependence:
+    """Output is byte-identical in fresh processes under different
+    ``PYTHONHASHSEED`` values, which a rerun in one process cannot show."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        CRITERION_5_COMMANDS,
+        ids=["reason", "classify", "instances", "classes", "select", "validate", "cq"],
+    )
+    def test_criterion_5_commands(self, argv, tmp_path):
+        first, second = (_run_in_process(argv, seed, tmp_path) for seed in HASH_SEEDS)
+        assert first.returncode == second.returncode == 0, first.stderr + second.stderr
+        assert first.stdout, f"{argv[0]} produced no output"
+        assert first.stdout == second.stdout
+
+    def test_recursive_rules_firing_order(self, tmp_path):
+        rules = tmp_path / "recursive.rules"
+        rules.write_text(RECURSIVE_RULES, encoding="utf-8")
+        argv = ("classify", "--bundled", "--rules", str(rules))
+        first, second = (_run_in_process(argv, seed, tmp_path) for seed in HASH_SEEDS)
+        assert first.returncode == second.returncode == 0, first.stderr + second.stderr
+        assert first.stdout == second.stdout
+        (verdict,) = json.loads(first.stdout)["verdicts"]
+        assert [f["bindings"]["p"] for f in verdict["firings"]] == [
+            APPLE + "Nonmaleficence",
+            APPLE + "Responsibility",
+        ]
+
+
 class TestConsoleScript:
     """The ``applekit`` command as packaged runs the bundled CQ suite.
 

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _gen import graph_vocabulary, random_graph, random_rules  # noqa: E402
-from _oracles import ground_fixpoint  # noqa: E402
+from _gen import graph_vocabulary, random_graph, random_rules, renamed_scenario_copies  # noqa: E402
+from _oracles import ground_firings, ground_fixpoint  # noqa: E402
 
 from applekit.assets import load_assets
 from applekit.materialize import materialize
@@ -27,7 +27,7 @@ from applekit.rules import (
     parse_rules,
 )
 from applekit.schema import NameCatalog, extract_schema
-from applekit.terms import RDF_TYPE, PrefixMap, Triple, iri
+from applekit.terms import RDF_TYPE, PrefixMap, Term, Triple, iri
 from applekit.turtle import parse_turtle
 from applekit.vocab import MORALLY_WRONG_ACTION
 
@@ -55,6 +55,14 @@ def micro():
 
 def typed(graph, cls):
     return {t.s.value for t in graph.match(None, TYPE, iri(EX + cls))}
+
+
+def instantiate(head, binding):
+    """The rule head with each variable replaced by its bound term."""
+    subject = binding[head.args[0].value]
+    if head.is_class_atom():
+        return Triple(subject, TYPE, iri(head.predicate))
+    return Triple(subject, iri(head.predicate), binding[head.args[1].value])
 
 
 class TestParsing:
@@ -289,13 +297,7 @@ class TestProvenance:
         by_id = {rule.id: rule for rule in rules}
         for firing in firings:
             assert firing.derived in out
-            head = by_id[firing.rule_id].head
-            binding = dict(firing.bindings)
-            subject = binding[head.args[0].value]
-            if head.is_class_atom():
-                assert firing.derived == Triple(subject, TYPE, iri(head.predicate))
-            else:
-                assert firing.derived == Triple(subject, iri(head.predicate), binding[head.args[1].value])
+            assert firing.derived == instantiate(by_id[firing.rule_id].head, dict(firing.bindings))
 
 
 class TestRandomEquivalence:
@@ -306,6 +308,26 @@ class TestRandomEquivalence:
             materialized = materialize(graph, extract_schema(graph))
             rules = random_rules(rng, *graph_vocabulary(graph))
             assert evaluate_rules(materialized, rules) == ground_fixpoint(materialized, rules), seed
+
+    def test_firings_match_grounding_oracle(self):
+        # More seeds than the graph sweep: only about one seed in fifteen
+        # yields a rule that matches a head derived in an earlier round.
+        for seed in range(120):
+            rng = random.Random(1000 + seed)
+            graph = random_graph(rng)
+            materialized = materialize(graph, extract_schema(graph))
+            rules = random_rules(rng, *graph_vocabulary(graph))
+            expected = ground_firings(materialized, rules)
+            heads = {rule.id: rule.head for rule in rules}
+            # Reversed, a rule runs before the rules it chains on, so its
+            # matches on their heads come only from later semi-naive rounds.
+            for ordered in (rules, rules[::-1]):
+                _, firings = evaluate_with_provenance(materialized, ordered)
+                keys = [(f.rule_id, f.bindings) for f in firings]
+                assert len(keys) == len(set(keys)), f"seed {seed}: a firing is repeated"
+                assert set(keys) == expected, seed
+                for firing in firings:
+                    assert firing.derived == instantiate(heads[firing.rule_id], dict(firing.bindings)), seed
 
 
 class TestVerdicts:
@@ -342,3 +364,30 @@ class TestVerdicts:
         rules = load_assets().rules
         assert [rule.id for rule in rules] == ["R1", "R2", "R3"]
         assert [rule.stratum for rule in rules] == [0, 1, 1]
+
+
+class TestScaling:
+    def test_classify_builds_terms_near_linearly(self, monkeypatch):
+        # Counts work rather than time: Terms built while classifying k and
+        # 4k scenario copies.  A per-action scan of every firing builds
+        # Terms quadratically in k.
+        assets = load_assets()
+        original = Term.__post_init__
+        built = [0]
+
+        def counting(term):
+            built[0] += 1
+            original(term)
+
+        def terms_built(copies):
+            graph = renamed_scenario_copies(assets.taxonomy, assets.scenario, copies)
+            materialized = materialize(graph, extract_schema(graph))
+            built[0] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(Term, "__post_init__", counting)
+                verdicts = classify_actions(materialized, assets.rules)
+            assert len(verdicts) == copies
+            return built[0]
+
+        small, large = terms_built(50), terms_built(200)
+        assert large <= 5 * small, (small, large)

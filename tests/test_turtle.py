@@ -184,6 +184,19 @@ class TestErrors:
         assert err.value.line == 2
         assert err.value.column == 11  # the '4' of the offending literal
 
+    @pytest.mark.parametrize(
+        "tail,offset",
+        [(" , 42 .", 4), ("$ .", 1), (".. .", 2)],
+        ids=["after-space", "adjacent", "after-pushed-back-dots"],
+    )
+    def test_error_column_after_long_prefixed_name(self, tail, offset):
+        # offset: 1-based position of the offending character within tail.
+        name = "ex:" + "long_name-1.part" * 20
+        line = "ex:s ex:p " + name + tail
+        with pytest.raises(TurtleParseError) as err:
+            parse_turtle(HEADER + line)
+        assert (err.value.line, err.value.column) == (2, len("ex:s ex:p " + name) + offset)
+
     def test_diagnostic_render_format(self):
         diag = ParseDiagnostic(3, 7, "boom")
         assert diag.render("file.ttl") == "file.ttl:3:7: error: boom"
