@@ -73,7 +73,7 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Graph, PrefixMap]:
     """Union of the bundled graphs (if requested) and every -i file."""
     if not args.bundled and not args.input:
         raise CliError("no inputs: pass --bundled and/or -i FILE", EXIT_CONFIG)
-    merged = Graph()
+    merged: Graph | None = None
     prefixes = DEFAULT_PREFIXES.copy()
     if args.bundled:
         assets = load_assets()
@@ -90,8 +90,11 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Graph, PrefixMap]:
             document = parse_document(text)
         except TurtleParseError as exc:
             raise CliError(exc.diagnostic.render(str(path)), EXIT_PARSE) from exc
-        for triple in document.graph._match():
-            merged.insert(triple)
+        if merged is None:
+            merged = document.graph  # the first graph is fresh: extend it in place
+        else:
+            for triple in document.graph._match():
+                merged.insert(triple)
         for prefix, namespace in document.prefixes.items():
             prefixes.bind(prefix, namespace)
     return merged, prefixes

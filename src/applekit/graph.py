@@ -2,16 +2,19 @@
 
 The store keeps three nested-dict indexes (subject, predicate, object keyed
 first) so :meth:`Graph.match` can answer any bound/unbound combination of a
-triple pattern without scanning.  Every public read (``match``,
-``subjects``, ``objects``, ``nodes``, ``predicates``, iteration) returns
-results sorted by term order, so two graphs holding the same triples behave
-identically no matter how they were built.
+triple pattern without scanning.  The innermost level of each index maps its
+last term to the stored :class:`Triple` (``_spo[s][p][o] is triple``), so
+reads hand back the stored objects and never build a new triple.  Every
+public read (``match``, ``subjects``, ``objects``, ``nodes``,
+``predicates``, iteration) returns results sorted by term order, so two
+graphs holding the same triples behave identically no matter how they were
+built.
 
 Inside the package, evaluators that collect results into sets or sort them
 later read through :meth:`Graph._match` and :meth:`Graph._nodes` instead.
 These skip the sort, so their order is unspecified.  ``_match`` returns a
-list, a snapshot taken at call time, so a caller may insert into the graph
-while it walks the result.
+new list of the stored triples, a snapshot taken at call time, so a caller
+may insert into the graph while it walks the result.
 """
 
 from __future__ import annotations
@@ -21,14 +24,14 @@ from collections.abc import Iterable, Iterator
 from .terms import Term, Triple
 
 
-def _index_add(index: dict, a: Term, b: Term, c: Term) -> None:
-    index.setdefault(a, {}).setdefault(b, set()).add(c)
+def _index_add(index: dict, a: Term, b: Term, c: Term, triple: Triple) -> None:
+    index.setdefault(a, {}).setdefault(b, {})[c] = triple
 
 
 def _index_remove(index: dict, a: Term, b: Term, c: Term) -> None:
     second = index[a]
     third = second[b]
-    third.discard(c)
+    del third[c]
     if not third:
         del second[b]
     if not second:
@@ -42,9 +45,9 @@ class Graph:
 
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
         self._triples: set[Triple] = set()
-        self._spo: dict[Term, dict[Term, set[Term]]] = {}
-        self._pos: dict[Term, dict[Term, set[Term]]] = {}
-        self._osp: dict[Term, dict[Term, set[Term]]] = {}
+        self._spo: dict[Term, dict[Term, dict[Term, Triple]]] = {}
+        self._pos: dict[Term, dict[Term, dict[Term, Triple]]] = {}
+        self._osp: dict[Term, dict[Term, dict[Term, Triple]]] = {}
         for triple in triples:
             self.insert(triple)
 
@@ -55,9 +58,9 @@ class Graph:
         if triple in self._triples:
             return False
         self._triples.add(triple)
-        _index_add(self._spo, triple.s, triple.p, triple.o)
-        _index_add(self._pos, triple.p, triple.o, triple.s)
-        _index_add(self._osp, triple.o, triple.s, triple.p)
+        _index_add(self._spo, triple.s, triple.p, triple.o, triple)
+        _index_add(self._pos, triple.p, triple.o, triple.s, triple)
+        _index_add(self._osp, triple.o, triple.s, triple.p, triple)
         return True
 
     def remove(self, triple: Triple) -> bool:
@@ -86,22 +89,23 @@ class Graph:
             if by_p is None:
                 return []
             if p is not None:
-                objects = by_p.get(p, ())
+                by_o = by_p.get(p, {})
                 if o is not None:
-                    return [Triple(s, p, o)] if o in objects else []
-                return [Triple(s, p, obj) for obj in objects]
+                    stored = by_o.get(o)
+                    return [] if stored is None else [stored]
+                return list(by_o.values())
             if o is not None:
-                return [Triple(s, pred, o) for pred in self._osp.get(o, {}).get(s, ())]
-            return [Triple(s, pred, obj) for pred, objects in by_p.items() for obj in objects]
+                return list(self._osp.get(o, {}).get(s, {}).values())
+            return [stored for by_o in by_p.values() for stored in by_o.values()]
         if p is not None:
             by_o = self._pos.get(p)
             if by_o is None:
                 return []
             if o is not None:
-                return [Triple(subj, p, o) for subj in by_o.get(o, ())]
-            return [Triple(subj, p, obj) for obj, subjects in by_o.items() for subj in subjects]
+                return list(by_o.get(o, {}).values())
+            return [stored for by_s in by_o.values() for stored in by_s.values()]
         if o is not None:
-            return [Triple(subj, pred, o) for subj, preds in self._osp.get(o, {}).items() for pred in preds]
+            return [stored for by_p in self._osp.get(o, {}).values() for stored in by_p.values()]
         return list(self._triples)
 
     def _nodes(self) -> set[Term]:
@@ -137,9 +141,9 @@ class Graph:
     def copy(self) -> "Graph":
         clone = Graph()
         clone._triples = set(self._triples)
-        clone._spo = {a: {b: set(c) for b, c in inner.items()} for a, inner in self._spo.items()}
-        clone._pos = {a: {b: set(c) for b, c in inner.items()} for a, inner in self._pos.items()}
-        clone._osp = {a: {b: set(c) for b, c in inner.items()} for a, inner in self._osp.items()}
+        clone._spo = {a: {b: dict(c) for b, c in inner.items()} for a, inner in self._spo.items()}
+        clone._pos = {a: {b: dict(c) for b, c in inner.items()} for a, inner in self._pos.items()}
+        clone._osp = {a: {b: dict(c) for b, c in inner.items()} for a, inner in self._osp.items()}
         return clone
 
     def __contains__(self, triple: Triple) -> bool:

@@ -5,12 +5,18 @@ datatype IRI or a language tag, never both).  Terms and triples are frozen
 dataclasses so they can live in sets and dict keys; every container in the
 toolkit sorts them with :func:`Term.sort_key` so output order never depends
 on insertion order.
+
+Both classes use ``__slots__`` and compute their hash once, at construction,
+into a private ``_hash`` field that takes no part in equality or ``repr``.
+A triple's hash combines the cached hashes of its three terms, so set and
+dict lookups never rehash the strings inside.  Pickling rebuilds from the
+public fields, so a hash never crosses a process boundary.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -43,6 +49,7 @@ class StructuralError(ValueError):
 
 
 _KIND_ORDER = {"blank": 0, "iri": 1, "literal": 2}
+_IRI_FORBIDDEN = re.compile('[<>" \n\t]')
 
 _LITERAL_ESCAPES = {
     "\\": "\\\\",
@@ -66,18 +73,19 @@ def escape_literal_value(value: str) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     kind: str  # "iri" | "blank" | "literal"
     value: str
     datatype: str | None = None
     lang: str | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind == "iri":
             if ":" not in self.value:
                 raise StructuralError(f"IRI is not absolute: {self.value!r}")
-            if any(ch in self.value for ch in "<>\" \n\t"):
+            if _IRI_FORBIDDEN.search(self.value):
                 raise StructuralError(f"IRI contains a forbidden character: {self.value!r}")
         elif self.kind == "blank":
             if not self.value:
@@ -89,6 +97,13 @@ class Term:
             raise StructuralError(f"unknown term kind: {self.kind!r}")
         if self.kind != "literal" and (self.datatype is not None or self.lang is not None):
             raise StructuralError(f"only literals may carry a datatype or language tag, not {self.kind}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.value, self.datatype, self.lang)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (Term, (self.kind, self.value, self.datatype, self.lang))
 
     def is_iri(self) -> bool:
         return self.kind == "iri"
@@ -128,17 +143,25 @@ def literal(value: str, datatype: str | None = None, lang: str | None = None) ->
     return Term("literal", value, datatype=datatype, lang=lang)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     s: Term
     p: Term
     o: Term
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.s.kind == "literal":
             raise StructuralError("triple subject cannot be a literal")
         if self.p.kind != "iri":
             raise StructuralError("triple predicate must be an IRI")
+        object.__setattr__(self, "_hash", hash((self.s._hash, self.p._hash, self.o._hash)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (Triple, (self.s, self.p, self.o))
 
     def sort_key(self) -> tuple:
         return (self.s.sort_key(), self.p.sort_key(), self.o.sort_key())

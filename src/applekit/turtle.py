@@ -298,6 +298,10 @@ class _Parser:
         self.prefixes = base_prefixes.copy() if base_prefixes is not None else PrefixMap()
         self.base: str | None = None
         self.graph = Graph()
+        # One Term per distinct expanded IRI in this document, so repeated
+        # names share a Term and its cached hash.  Keyed by the expanded
+        # string, never the prefixed name, since a prefix may be rebound.
+        self._iris: dict[str, Term] = {}
 
     def error(self, message: str, token: _Token | None = None) -> TurtleParseError:
         token = token or self._peek()
@@ -355,6 +359,12 @@ class _Parser:
             raise self.error(f"relative IRI <{raw}> needs a @base declaration", token)
         return resolved
 
+    def _iri(self, value: str) -> Term:
+        term = self._iris.get(value)
+        if term is None:
+            term = self._iris[value] = iri(value)
+        return term
+
     def _parse_triples(self) -> None:
         subject = self._parse_subject()
         self._parse_predicate_object_list(subject)
@@ -383,9 +393,9 @@ class _Parser:
     def _parse_subject(self) -> Term:
         token = self._next()
         if token.kind == "iriref":
-            return iri(self._resolve_iri(token))
+            return self._iri(self._resolve_iri(token))
         if token.kind == "pname":
-            return iri(self._expand_pname(token))
+            return self._iri(self._expand_pname(token))
         if token.kind == "blank":
             return blank(str(token.value))
         raise self.error(f"expected a subject (IRI, prefixed name, or blank node), found {_describe(token)}", token)
@@ -393,19 +403,19 @@ class _Parser:
     def _parse_verb(self) -> Term:
         token = self._next()
         if token.kind == "a":
-            return iri(RDF_TYPE)
+            return self._iri(RDF_TYPE)
         if token.kind == "iriref":
-            return iri(self._resolve_iri(token))
+            return self._iri(self._resolve_iri(token))
         if token.kind == "pname":
-            return iri(self._expand_pname(token))
+            return self._iri(self._expand_pname(token))
         raise self.error(f"expected a predicate (IRI, prefixed name, or 'a'), found {_describe(token)}", token)
 
     def _parse_object(self) -> Term:
         token = self._next()
         if token.kind == "iriref":
-            return iri(self._resolve_iri(token))
+            return self._iri(self._resolve_iri(token))
         if token.kind == "pname":
-            return iri(self._expand_pname(token))
+            return self._iri(self._expand_pname(token))
         if token.kind == "blank":
             return blank(str(token.value))
         if token.kind == "string":

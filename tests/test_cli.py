@@ -22,6 +22,8 @@ from applekit.assets import (
     TAXONOMY_FILE,
 )
 from applekit.cli import main
+from applekit.graph import Graph
+from applekit.turtle import parse_turtle
 from applekit.vocab import APPLE
 
 SRC_DIR = Path(applekit.__file__).resolve().parents[1]
@@ -83,6 +85,17 @@ class TestInputHandling:
         assert code == 0
         assert "ex:i a ex:A, ex:B ." in out
         assert "ex:j a ex:A, ex:B ." in out
+
+    def test_bundled_and_input_are_unioned(self, capsys, micro_ttl):
+        # The micro namespace shares no term with the bundle, so the closure
+        # of the union is the union of the two closures.
+        code, both, _ = run(capsys, "reason", "--bundled", "-i", str(micro_ttl))
+        assert code == 0
+        _, bundled, _ = run(capsys, "reason", "--bundled")
+        _, alone, _ = run(capsys, "reason", "-i", str(micro_ttl))
+        union = Graph(parse_turtle(bundled)._match() + parse_turtle(alone)._match())
+        assert parse_turtle(both) == union
+        assert "ex:i a ex:A, ex:B ." in both
 
 
 class TestReason:

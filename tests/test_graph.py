@@ -5,7 +5,10 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
+from applekit.assets import load_assets
 from applekit.graph import Graph
+from applekit.materialize import materialize
+from applekit.query import parse_class_expression, retrieve_instances
 from applekit.terms import Term, Triple, blank, iri, literal
 
 EX = "http://example.org/"
@@ -78,6 +81,21 @@ class TestSetSemantics:
         assert g.subjects() == [] and g.predicates() == []
 
 
+def triples_built(monkeypatch, read):
+    """Call ``read()``; return its result and the Triples constructed meanwhile."""
+    original = Triple.__post_init__
+    built = [0]
+
+    def counting(triple):
+        built[0] += 1
+        original(triple)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Triple, "__post_init__", counting)
+        result = read()
+    return result, built[0]
+
+
 class TestMatch:
     def test_every_bound_combination_agrees_with_scan(self):
         rng = random.Random(4)
@@ -89,10 +107,39 @@ class TestMatch:
         probes_s = SUBJECTS + [None, iri(EX + "absent")]
         probes_p = PREDICATES + [None, iri(EX + "absent")]
         probes_o = OBJECTS + [None, literal("2")]
-        for s in probes_s:
-            for p in probes_p:
-                for o in probes_o:
-                    assert g.match(s, p, o) == brute_match(triples, s, p, o), (s, p, o)
+
+        def agrees(stored):
+            for s in probes_s:
+                for p in probes_p:
+                    for o in probes_o:
+                        assert g.match(s, p, o) == brute_match(stored, s, p, o), (s, p, o)
+
+        agrees(triples)
+        # Delete in small batches, removing equal copies rather than the
+        # inserted objects, and re-check every index after each batch.
+        remaining = sorted(set(triples), key=Triple.sort_key)
+        rng.shuffle(remaining)
+        while remaining:
+            for gone in remaining[:3]:
+                assert g.remove(Triple(gone.s, gone.p, gone.o))
+            del remaining[:3]
+            agrees(remaining)
+
+    def test_index_reads_build_no_triples(self, monkeypatch):
+        # Reads hand back the stored Triples; rebuilding one per result
+        # would cost a construction and a hash per row.
+        g = Graph([t("s", "p", "o"), t("s", "p", "x"), t("s", "q", "o"), t("u", "p", "o")])
+        s, p, o = iri(EX + "s"), iri(EX + "p"), iri(EX + "o")
+        for shape in range(8):
+            probe = [s if shape & 4 else None, p if shape & 2 else None, o if shape & 1 else None]
+            hits, built = triples_built(monkeypatch, lambda: g.match(*probe))
+            assert built == 0 and hits and all(x in g for x in hits), probe
+
+        assets = load_assets()
+        materialized = materialize(assets.combined(), assets.schema)
+        agent = parse_class_expression("Agent", assets.catalog)
+        found, built = triples_built(monkeypatch, lambda: retrieve_instances(agent, materialized))
+        assert built == 0 and found
 
     def test_match_results_sorted(self):
         g = Graph([t("s", "p", "z"), t("s", "p", "a"), t("a", "p", "a")])

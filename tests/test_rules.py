@@ -302,12 +302,16 @@ class TestProvenance:
 
 class TestRandomEquivalence:
     def test_engine_matches_grounding_oracle(self):
-        for seed in range(30):
+        # The seeds and rule orders of the firing sweep below: only these
+        # reach a semi-naive delta round.
+        for seed in range(120):
             rng = random.Random(1000 + seed)
             graph = random_graph(rng)
             materialized = materialize(graph, extract_schema(graph))
             rules = random_rules(rng, *graph_vocabulary(graph))
-            assert evaluate_rules(materialized, rules) == ground_fixpoint(materialized, rules), seed
+            expected = ground_fixpoint(materialized, rules)
+            for ordered in (rules, rules[::-1]):
+                assert evaluate_rules(materialized, ordered) == expected, seed
 
     def test_firings_match_grounding_oracle(self):
         # More seeds than the graph sweep: only about one seed in fifteen
@@ -390,4 +394,4 @@ class TestScaling:
             return built[0]
 
         small, large = terms_built(50), terms_built(200)
-        assert large <= 5 * small, (small, large)
+        assert 0 < small and large <= 5 * small, (small, large)

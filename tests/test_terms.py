@@ -1,9 +1,17 @@
 """Term, Triple, and PrefixMap invariants."""
 
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import applekit
 from applekit.terms import (
     PrefixMap,
     StructuralError,
@@ -111,6 +119,67 @@ class TestTriple:
     def test_n3_line(self):
         t = Triple(iri(EX + "s"), iri(EX + "p"), literal("v", lang="en"))
         assert t.n3() == f'<{EX}s> <{EX}p> "v"@en .'
+
+
+# Keyword arguments for Term; drawn twice, they build separate equal Terms.
+iri_args = st.builds(dict, kind=st.just("iri"), value=st.sampled_from([EX + c for c in "abc"] + ["urn:x", "same:x"]))
+node_args = iri_args | st.builds(dict, kind=st.just("blank"), value=st.sampled_from(["b0", "b1", "same:x"]))
+term_args = (
+    node_args
+    | st.builds(dict, kind=st.just("literal"), value=st.text(max_size=8))
+    | st.builds(dict, kind=st.just("literal"), value=st.text(max_size=8), lang=st.sampled_from(["en", "de"]))
+    | st.builds(dict, kind=st.just("literal"), value=st.text(max_size=8), datatype=st.just(XSD_STRING))
+)
+
+
+class TestHashContract:
+    @given(term_args, term_args)
+    def test_equal_terms_hash_equal(self, a, b):
+        first, second = Term(**a), Term(**a)
+        assert first == second and hash(first) == hash(second)
+        assert (first == Term(**b)) == (a == b)
+
+    @given(node_args, iri_args, term_args)
+    def test_equal_triples_hash_equal(self, s, p, o):
+        first = Triple(Term(**s), Term(**p), Term(**o))
+        second = Triple(Term(**s), Term(**p), Term(**o))
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    @given(term_args)
+    def test_hash_is_outside_repr_and_equality(self, args):
+        term = Term(**args)
+        twin = Term(**args)
+        object.__setattr__(twin, "_hash", term._hash + 1)
+        assert twin == term
+        assert "_hash" not in repr(term)
+        triple = Triple(iri(EX + "s"), iri(EX + "p"), term)
+        assert "_hash" not in repr(triple)
+        assert triple == Triple(iri(EX + "s"), iri(EX + "p"), twin)
+
+    @pytest.mark.parametrize("value", [iri(EX + "a"), Triple(iri(EX + "s"), iri(EX + "p"), literal("v"))])
+    def test_every_field_is_frozen(self, value):
+        names = [f.name for f in fields(value)]
+        assert "_hash" in names
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
+        assert not hasattr(value, "__dict__")
+
+    def test_unpickling_recomputes_the_hash(self):
+        # String hashes differ between processes, so a pickled hash would be
+        # stale in the process that loads it.
+        code = (
+            "import pickle, sys\n"
+            "from applekit.terms import Triple, iri, literal\n"
+            f"t = Triple(iri({EX + 's'!r}), iri({EX + 'p'!r}), literal('v', lang='en'))\n"
+            "sys.stdout.write(pickle.dumps(t).hex())\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="7", PYTHONPATH=str(Path(applekit.__file__).resolve().parents[1]))
+        dumped = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        loaded = pickle.loads(bytes.fromhex(dumped.stdout))
+        local = Triple(iri(EX + "s"), iri(EX + "p"), literal("v", lang="en"))
+        assert loaded == local and hash(loaded) == hash(local) and loaded in {local}
 
 
 class TestPrefixMap:

@@ -103,6 +103,23 @@ class TestBasics:
         assert len(g) == 2
         assert iri("http://two.test/s") in {t.s for t in g}
 
+    def test_rebinding_applies_in_every_position(self):
+        # The parser reuses one Term per IRI; a rebound prefix or base must
+        # still give new IRIs in subject, predicate and object alike.
+        g = parse_turtle(
+            "@prefix ex: <http://one.test/> .\n"
+            "@base <http://one.test/> .\n"
+            "ex:s ex:p ex:o . <s> <p> <o2> .\n"
+            "@prefix ex: <http://two.test/> .\n"
+            "@base <http://two.test/> .\n"
+            "ex:s ex:p ex:o . <s> <p> <o2> .\n"
+        )
+        assert set(g) == {
+            Triple(iri(ns + "s"), iri(ns + "p"), iri(ns + o))
+            for ns in ("http://one.test/", "http://two.test/")
+            for o in ("o", "o2")
+        }
+
     def test_caller_prefixes_do_not_mutate(self):
         base = PrefixMap({"keep": EX})
         parse_turtle("@prefix keep: <http://other.test/> .\nkeep:s keep:p keep:o .", base)
