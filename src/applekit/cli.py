@@ -13,8 +13,7 @@ competency questions), 2 configuration or rule errors, 3 query errors,
 4 consistency errors (disjointness clashes, contradictory verdicts).
 
 All commands are deterministic: given the same inputs they produce byte
-identical output, and ``--seed`` is accepted for interface stability even
-though no command draws random numbers.
+identical output.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .assets import AssetError, load_assets, parse_cq_manifest
 from .cq import format_cq_table, run_cq_suite
@@ -30,7 +30,7 @@ from .graph import Graph
 from .materialize import materialize
 from .query import QueryParseError, parse_class_expression, parse_select, retrieve_classes, retrieve_instances, select
 from .rules import RuleError, VerdictConflictError, classify_actions, parse_rules
-from .schema import NameCatalog, SchemaError, extract_schema
+from .schema import NameCatalog, SchemaError, SchemaIndex, extract_schema
 from .terms import PrefixMap, StructuralError, Term
 from .turtle import TurtleParseError, parse_document, serialize_turtle
 from .validate import validate_graph
@@ -62,10 +62,6 @@ def _add_io_options(parser: argparse.ArgumentParser, formats: tuple[str, ...], d
     parser.add_argument(
         "--format", choices=formats, default=default_format,
         help=f"output format (default: {default_format})",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="accepted for interface stability; all commands are deterministic",
     )
 
 
@@ -100,6 +96,21 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Graph, PrefixMap]:
     return merged, prefixes
 
 
+class _Reasoned(NamedTuple):
+    graph: Graph
+    prefixes: PrefixMap
+    schema: SchemaIndex
+    catalog: NameCatalog
+    materialized: Graph
+
+
+def _load_and_reason(args: argparse.Namespace) -> _Reasoned:
+    """The inputs, their schema and name catalog, and their materialization."""
+    graph, prefixes = _load_inputs(args)
+    schema = extract_schema(graph)
+    return _Reasoned(graph, prefixes, schema, NameCatalog.from_graph(graph, schema), materialize(graph, schema))
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -114,33 +125,28 @@ def _render_term_string(value) -> str:
 
 
 def _cmd_reason(args: argparse.Namespace) -> int:
-    graph, prefixes = _load_inputs(args)
-    schema = extract_schema(graph)
-    materialized = materialize(graph, schema)
-    _emit(args, serialize_turtle(materialized, prefixes))
+    inputs = _load_and_reason(args)
+    _emit(args, serialize_turtle(inputs.materialized, inputs.prefixes))
     return EXIT_OK
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    graph, _ = _load_inputs(args)
-    schema = extract_schema(graph)
-    catalog = NameCatalog.from_graph(graph, schema)
+    inputs = _load_and_reason(args)
     if args.rules:
         try:
             rules_text = Path(args.rules).read_text(encoding="utf-8")
         except OSError as exc:
             raise CliError(f"cannot read rules file {args.rules}: {exc}", EXIT_CONFIG) from exc
-        rules = parse_rules(rules_text, catalog)
+        rules = parse_rules(rules_text, inputs.catalog)
     elif args.bundled:
         rules = load_assets().rules
     else:
         raise CliError("classify needs --rules FILE or --bundled", EXIT_CONFIG)
-    materialized = materialize(graph, schema)
-    verdicts = classify_actions(materialized, rules)
+    verdicts = classify_actions(inputs.materialized, rules)
     from .validate import inputs_digest
 
     payload = {
-        "inputs_digest": inputs_digest(graph),
+        "inputs_digest": inputs_digest(inputs.graph),
         "verdicts": [
             {
                 "action": v.action,
@@ -162,24 +168,21 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    graph, _ = _load_inputs(args)
-    schema = extract_schema(graph)
-    catalog = NameCatalog.from_graph(graph, schema)
-    materialized = materialize(graph, schema)
+    inputs = _load_and_reason(args)
     if args.mode == "select":
-        parsed = parse_select(args.expression, catalog)
-        rows = select(parsed, materialized)
+        parsed = parse_select(args.expression, inputs.catalog)
+        rows = select(parsed, inputs.materialized)
         if args.format == "json":
             payload = {"variables": list(parsed.variables), "rows": [list(row) for row in rows]}
             _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         else:
             _emit(args, "".join("\t".join(row) + "\n" for row in rows))
         return EXIT_OK
-    expr = parse_class_expression(args.expression, catalog)
+    expr = parse_class_expression(args.expression, inputs.catalog)
     if args.mode == "instances":
-        results = retrieve_instances(expr, materialized)
+        results = retrieve_instances(expr, inputs.materialized)
     else:
-        results = retrieve_classes(expr, schema, materialized)
+        results = retrieve_classes(expr, inputs.schema, inputs.materialized)
     if args.format == "json":
         _emit(args, json.dumps(results, indent=2, sort_keys=True) + "\n")
     else:
@@ -196,9 +199,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_cq(args: argparse.Namespace) -> int:
-    graph, _ = _load_inputs(args)
-    schema = extract_schema(graph)
-    catalog = NameCatalog.from_graph(graph, schema)
+    inputs = _load_and_reason(args)
     if args.manifest:
         try:
             cases = parse_cq_manifest(Path(args.manifest).read_text(encoding="utf-8"))
@@ -206,8 +207,7 @@ def _cmd_cq(args: argparse.Namespace) -> int:
             raise CliError(f"cannot read manifest {args.manifest}: {exc}", EXIT_CONFIG) from exc
     else:
         cases = load_assets().cq_cases
-    materialized = materialize(graph, schema)
-    results = run_cq_suite(cases, materialized, schema, catalog)
+    results = run_cq_suite(cases, inputs.materialized, inputs.schema, inputs.catalog)
     if args.format == "json":
         _emit(args, json.dumps([r.to_json() for r in results], indent=2, sort_keys=True) + "\n")
     else:

@@ -21,10 +21,8 @@ data graph, so materializing a data-only graph against a separately
 extracted schema works.  Existential obligations are never skolemized; the
 closed-world validator audits them instead.
 
-The default strategy is semi-naive (a worklist seeded with the input
-triples; each consequence is derived once).  A naive strategy, which
-re-applies every single-step rule to a snapshot until nothing changes, is
-retained as an independently-written oracle for equivalence testing.
+Evaluation is semi-naive: a worklist seeded with the input triples, so
+each consequence is derived once.
 """
 
 from __future__ import annotations
@@ -80,32 +78,11 @@ _TYPE = iri(RDF_TYPE)
 _SUBCLASS = iri(RDFS_SUBCLASSOF)
 
 
-def materialize(
-    graph: Graph,
-    schema: SchemaIndex,
-    regime: EntailmentRegime = DEFAULT_REGIME,
-    strategy: str = "semi-naive",
-) -> Graph:
+def materialize(graph: Graph, schema: SchemaIndex, regime: EntailmentRegime = DEFAULT_REGIME) -> Graph:
     """Return a new graph extended with every enabled entailment.
 
-    The input graph is never mutated.  Both strategies reach the same
-    fixpoint; "naive" exists as a test oracle and is markedly slower.
+    The input graph is never mutated.
     """
-    if strategy == "semi-naive":
-        return _materialize_semi_naive(graph, schema, regime)
-    if strategy == "naive":
-        return _materialize_naive(graph, schema, regime)
-    raise ValueError(f"unknown materialization strategy: {strategy!r}")
-
-
-def entails(graph: Graph, triple: Triple, schema: SchemaIndex, regime: EntailmentRegime = DEFAULT_REGIME) -> bool:
-    """True when the triple is asserted or derivable under the regime."""
-    if triple in graph:
-        return True
-    return triple in materialize(graph, schema, regime)
-
-
-def _materialize_semi_naive(graph: Graph, schema: SchemaIndex, regime: EntailmentRegime) -> Graph:
     out = graph.copy()
 
     # Every IRI a consequence can carry, built once per class or property.
@@ -167,49 +144,8 @@ def _materialize_semi_naive(graph: Graph, schema: SchemaIndex, regime: Entailmen
     return out
 
 
-def _materialize_naive(graph: Graph, schema: SchemaIndex, regime: EntailmentRegime) -> Graph:
-    out = graph.copy()
-
-    if SUBCLASS_TRANSITIVITY in regime:
-        for child, parent in schema.sub_class_of:
-            if child != parent:
-                out.insert(Triple(iri(child), _SUBCLASS, iri(parent)))
-
-    asserted_subclass = {(c, d) for c, d in schema.sub_class_of if c != d}
-    asserted_subprop = {(p, q) for p, q in schema.sub_property_of if p != q}
-    inverse_pairs = set(schema.inverse_of)
-
-    while True:
-        additions: list[Triple] = []
-        for triple in out:
-            predicate = triple.p.value
-            if predicate == RDFS_SUBCLASSOF and SUBCLASS_TRANSITIVITY in regime:
-                if triple.s.is_iri() and triple.o.is_iri():
-                    for child, parent in asserted_subclass:
-                        if child == triple.o.value and parent != triple.s.value:
-                            additions.append(Triple(triple.s, _SUBCLASS, iri(parent)))
-            if predicate == RDF_TYPE and TYPE_INHERITANCE in regime and triple.o.is_iri():
-                for child, parent in asserted_subclass:
-                    if child == triple.o.value:
-                        additions.append(Triple(triple.s, _TYPE, iri(parent)))
-            if SUBPROPERTY_PROPAGATION in regime:
-                for child, parent in asserted_subprop:
-                    if child == predicate:
-                        additions.append(Triple(triple.s, iri(parent), triple.o))
-            if DOMAIN_TYPING in regime:
-                for cls in schema.domain_of.get(predicate, ()):
-                    additions.append(Triple(triple.s, _TYPE, iri(cls)))
-            if RANGE_TYPING in regime and not triple.o.is_literal():
-                for cls in schema.range_of.get(predicate, ()):
-                    additions.append(Triple(triple.o, _TYPE, iri(cls)))
-            if INVERSE_PROPAGATION in regime and not triple.o.is_literal():
-                for a, b in inverse_pairs:
-                    if predicate == a:
-                        additions.append(Triple(triple.o, iri(b), triple.s))
-                    if predicate == b:
-                        additions.append(Triple(triple.o, iri(a), triple.s))
-        changed = False
-        for new_triple in additions:
-            changed = out.insert(new_triple) or changed
-        if not changed:
-            return out
+def entails(graph: Graph, triple: Triple, schema: SchemaIndex, regime: EntailmentRegime = DEFAULT_REGIME) -> bool:
+    """True when the triple is asserted or derivable under the regime."""
+    if triple in graph:
+        return True
+    return triple in materialize(graph, schema, regime)

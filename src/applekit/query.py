@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph
-from .schema import NameCatalog, SchemaIndex
+from .schema import PUNCTUATION, LexError, NameCatalog, SchemaIndex, TokenCursor, tokenize
 from .terms import RDF_TYPE, Term, Triple, iri
 
 _TYPE = iri(RDF_TYPE)
@@ -92,153 +92,84 @@ ClassExpression = Named | OneOf | Anything | Some | And
 # Expression parsing
 
 
-_PUNCT = {"(", ")", "{", "}", ","}
+_NOT_A_NAME = PUNCTUATION | {"and", "some", "inverse"}
 
 
-def _tokenize_expression(text: str) -> list[tuple[str, int]]:
-    tokens: list[tuple[str, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append((ch, i))
-            i += 1
-            continue
-        if ch == "<":
-            end = text.find(">", i)
-            if end == -1:
-                raise QueryParseError("unterminated '<' in expression", i)
-            tokens.append((text[i : end + 1], i))
-            i = end + 1
-            continue
-        if ch.isalnum() or ch in "_?:":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_:.-?"):
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-            continue
-        raise QueryParseError(f"unexpected character {ch!r} in expression", i)
-    return tokens
+def _cursor(text: str) -> TokenCursor:
+    try:
+        tokens = list(tokenize(text))
+    except LexError as exc:
+        raise QueryParseError(str(exc), exc.offset) from None
+    return TokenCursor(tokens, len(text), QueryParseError)
 
 
 class _ExpressionParser:
     def __init__(self, text: str, catalog: NameCatalog) -> None:
-        self.tokens = _tokenize_expression(text)
+        self.cursor = _cursor(text)
         self.catalog = catalog
-        self.index = 0
 
-    def peek(self) -> str | None:
-        return self.tokens[self.index][0] if self.index < len(self.tokens) else None
-
-    def position(self) -> int | None:
-        return self.tokens[self.index][1] if self.index < len(self.tokens) else None
-
-    def next(self) -> str:
-        token = self.peek()
-        if token is None:
-            raise QueryParseError("unexpected end of expression")
-        self.index += 1
-        return token
-
-    def expect(self, token: str) -> None:
-        found = self.next()
-        if found != token:
-            raise QueryParseError(f"expected {token!r}, found {found!r}", self.position())
-
-    def resolve(self, name: str, *categories: str) -> str:
-        error: KeyError | None = None
-        for category in categories:
-            try:
-                return self.catalog.resolve(name, category)
-            except KeyError as exc:
-                error = exc
-        raise QueryParseError(str(error.args[0]) if error and error.args else str(error)) from None
+    def name(self, what: str, *categories: str) -> str:
+        token = self.cursor.next()
+        if token.text in _NOT_A_NAME:
+            raise QueryParseError(f"expected {what}, found {token.text!r}", token.offset)
+        return self.cursor.resolve(token, self.catalog, *categories)
 
     def parse(self) -> ClassExpression:
         expr = self.parse_expression()
-        if self.peek() is not None:
-            raise QueryParseError(f"unexpected trailing token {self.peek()!r}", self.position())
+        if self.cursor.peek() is not None:
+            raise QueryParseError(f"unexpected trailing token {self.cursor.peek()!r}", self.cursor.offset())
         return expr
 
     def parse_expression(self) -> ClassExpression:
         parts = [self.parse_conjunct()]
-        while self.peek() == "and":
-            self.next()
+        while self.cursor.peek() == "and":
+            self.cursor.next()
             parts.append(self.parse_conjunct())
         if len(parts) == 1:
             return parts[0]
         return And(tuple(parts))
 
     def parse_conjunct(self) -> ClassExpression:
-        token = self.peek()
+        token = self.cursor.peek()
         if token is None:
-            raise QueryParseError("expected a class expression")
-        if token == "(":
-            self.next()
-            inner = self.parse_expression()
-            self.expect(")")
-            # A parenthesized primary may itself be the path of a 'some'
-            # only via the restriction form below, so just return it.
-            return inner
-        if token == "{":
-            return self.parse_nominals()
-        if token == "inverse":
-            return self.parse_restriction()
+            raise QueryParseError("expected a class expression", self.cursor.end)
         # A bare name is a restriction when followed by 'some', else a class.
-        if self.lookahead_is_restriction():
+        if token == "inverse" or self.cursor.peek(1) == "some":
             return self.parse_restriction()
-        name = self.next()
-        return Named(self.resolve(name, "class"))
-
-    def lookahead_is_restriction(self) -> bool:
-        nxt = self.index + 1
-        return nxt < len(self.tokens) and self.tokens[nxt][0] == "some"
+        return self.parse_filler()
 
     def parse_restriction(self) -> Some:
-        inverted = False
-        if self.peek() == "inverse":
-            self.next()
-            inverted = True
-        name = self.next()
-        if name in _PUNCT or name in ("and", "some", "inverse"):
-            raise QueryParseError(f"expected a property name, found {name!r}", self.position())
-        prop = self.resolve(name, "property")
-        self.expect("some")
+        inverted = self.cursor.peek() == "inverse"
+        if inverted:
+            self.cursor.next()
+        prop = self.name("a property name", "property")
+        self.cursor.expect("some")
         filler: ClassExpression = ANYTHING
-        token = self.peek()
-        if token is not None and token not in (")", "and", ","):
+        if self.cursor.peek() not in (None, ")", "and", ","):
             filler = self.parse_filler()
         return Some(PropertyPath(prop, inverted), filler)
 
     def parse_filler(self) -> ClassExpression:
-        token = self.peek()
+        token = self.cursor.peek()
         if token == "(":
-            self.next()
+            self.cursor.next()
             inner = self.parse_expression()
-            self.expect(")")
+            self.cursor.expect(")")
             return inner
         if token == "{":
             return self.parse_nominals()
-        name = self.next()
-        if name in ("and", "some", "inverse") or name in _PUNCT:
-            raise QueryParseError(f"expected a filler, found {name!r}", self.position())
-        return Named(self.resolve(name, "class"))
+        return Named(self.name("a class name", "class"))
 
     def parse_nominals(self) -> OneOf:
-        self.expect("{")
-        names = [self.next()]
-        while self.peek() == ",":
-            self.next()
-            names.append(self.next())
-        self.expect("}")
+        self.cursor.expect("{")
         # Punned class IRIs may appear as nominal members, so fall back to
         # the class table exactly as select objects and rule constants do.
-        iris = frozenset(self.resolve(name, "individual", "class") for name in names)
-        return OneOf(iris)
+        iris = {self.name("an individual name", "individual", "class")}
+        while self.cursor.peek() == ",":
+            self.cursor.next()
+            iris.add(self.name("an individual name", "individual", "class"))
+        self.cursor.expect("}")
+        return OneOf(frozenset(iris))
 
 
 def parse_class_expression(text: str, catalog: NameCatalog | None = None) -> ClassExpression:
@@ -249,7 +180,7 @@ def parse_class_expression(text: str, catalog: NameCatalog | None = None) -> Cla
 
         catalog = default_catalog()
     if not text.strip():
-        raise QueryParseError("empty class expression")
+        raise QueryParseError("empty class expression", 0)
     return _ExpressionParser(text, catalog).parse()
 
 
@@ -396,7 +327,9 @@ class SelectQuery:
 def parse_select(text: str, catalog: NameCatalog | None = None) -> SelectQuery:
     """Parse '?s p o . ?s p2 ?o2' style conjunctive patterns.
 
-    Position determines the name category: subjects and objects resolve as
+    Each pattern is three terms: ``?variables``, names or ``<iri>``s.  A
+    '.' separates patterns and may also end the query.  Position
+    determines the name category: subjects and objects resolve as
     individuals (falling back to classes, for punned IRIs), predicates as
     properties.  All patterns must share variables transitively.
     """
@@ -404,64 +337,57 @@ def parse_select(text: str, catalog: NameCatalog | None = None) -> SelectQuery:
         from .assets import default_catalog
 
         catalog = default_catalog()
-    chunks = [chunk.strip() for chunk in text.split(".")]
+    cursor = _cursor(text)
     patterns: list[TriplePattern] = []
+    starts: list[int] = []
     order: list[str] = []
-    for chunk in chunks:
-        if not chunk:
+    while cursor.peek() is not None:
+        if cursor.peek() == ".":
+            cursor.next()
             continue
-        fields = chunk.split()
+        start = cursor.offset()
+        fields = []
+        while cursor.peek() not in (None, "."):
+            fields.append(cursor.next())
         if len(fields) != 3:
-            raise QueryParseError(f"pattern must have exactly 3 terms, found {len(fields)}: {chunk!r}")
+            chunk = text[start:cursor.offset()].strip()
+            raise QueryParseError(f"pattern must have exactly 3 terms, found {len(fields)}: {chunk!r}", start)
         slots: list[str | Term] = []
-        for position, field in enumerate(fields):
-            if field.startswith("?"):
-                if len(field) < 2:
-                    raise QueryParseError("'?' must be followed by a variable name")
-                slots.append(field)
-                if field not in order:
-                    order.append(field)
-                continue
-            if position == 1:
-                if field == "a":
-                    slots.append(iri(RDF_TYPE))
-                    continue
-                categories = ("property",)
+        for position, token in enumerate(fields):
+            if token.text.startswith("?"):
+                slots.append(token.text)
+                if token.text not in order:
+                    order.append(token.text)
+            elif position == 1 and token.text == "a":
+                slots.append(_TYPE)
             else:
-                categories = ("individual", "class")
-            resolved: str | None = None
-            last: Exception | None = None
-            for category in categories:
-                try:
-                    resolved = catalog.resolve(field, category)
-                    break
-                except KeyError as exc:
-                    last = exc
-            if resolved is None:
-                raise QueryParseError(str(last.args[0]) if last and last.args else f"unknown name {field!r}")
-            slots.append(iri(resolved))
+                categories = ("property",) if position == 1 else ("individual", "class")
+                slots.append(iri(cursor.resolve(token, catalog, *categories)))
         patterns.append(TriplePattern(slots[0], slots[1], slots[2]))
+        starts.append(start)
     if not patterns:
-        raise QueryParseError("select query has no patterns")
-    _check_connected(patterns)
+        raise QueryParseError("select query has no patterns", len(text))
+    _check_connected(patterns, starts)
     return SelectQuery(tuple(patterns), tuple(order))
 
 
-def _check_connected(patterns: list[TriplePattern]) -> None:
-    with_vars = [p for p in patterns if p.variables()]
-    if len(with_vars) <= 1:
-        return
-    groups: list[set[str]] = [set(p.variables()) for p in with_vars]
-    merged = [groups[0]]
-    for group in groups[1:]:
-        hits = [m for m in merged if m & group]
-        for hit in hits:
-            group |= hit
+def _check_connected(patterns: list[TriplePattern], starts: list[int]) -> None:
+    """Raise unless the patterns' variables form one connected group; the
+    error points at the first pattern outside the first group."""
+    merged: list[tuple[int, set[str]]] = []  # (first pattern's offset, variables)
+    for start, pattern in zip(starts, patterns):
+        group = set(pattern.variables())
+        if not group:
+            continue
+        for hit in [m for m in merged if m[1] & group]:
+            group |= hit[1]
+            start = min(start, hit[0])
             merged.remove(hit)
-        merged.append(group)
+        merged.append((start, group))
     if len(merged) > 1:
-        names = " / ".join(",".join(sorted(g)) for g in merged)
-        raise QueryParseError(f"select patterns are not connected; variable groups: {names}")
+        names = " / ".join(",".join(sorted(group)) for _, group in merged)
+        second = sorted(start for start, _ in merged)[1]
+        raise QueryParseError(f"select patterns are not connected; variable groups: {names}", second)
 
 
 def select(query: SelectQuery, graph: Graph) -> list[tuple[str, ...]]:

@@ -1,7 +1,7 @@
 """Stratified datalog-style rules over the triple store, and the moral
 verdict classifier built on them.
 
-Rule files are line-oriented::
+A rule file is a sequence of '.'-terminated rules; ``#`` starts a comment::
 
     # severity gates the wrong-action verdict
     R1: Action(?a), violatesEthicalPrinciple(?a, ?p) -> MorallyWrongAction(?a) .
@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import Graph
+from .schema import PUNCTUATION, LexError, Token, TokenCursor, tokenize
 from .terms import RDF_TYPE, Term, Triple, iri
 from .vocab import ACTION, UPHOLDS_PRINCIPLE, VERDICT_CLASSES, VIOLATES_PRINCIPLE
 
@@ -113,170 +114,92 @@ class Firing:
 # Parsing
 
 
-def _split_statements(text: str) -> list[tuple[int, str]]:
-    """Split rule text into (line, statement) pairs on top-level dots."""
-    statements: list[tuple[int, str]] = []
-    current: list[str] = []
-    start_line = 1
-    line = 1
-    in_iri = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-        if ch == "#" and not in_iri:
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "<":
-            in_iri = True
-        elif ch == ">":
-            in_iri = False
-        if ch == "." and not in_iri:
-            statement = "".join(current).strip()
-            if statement:
-                statements.append((start_line, statement))
-            current = []
-            i += 1
-            continue
-        if not current:
-            # Leading whitespace is never buffered, so start_line marks the
-            # statement's first real character.
-            if ch.isspace():
-                i += 1
-                continue
-            start_line = line
-        current.append(ch)
-        i += 1
-    leftover = "".join(current).strip()
-    if leftover:
-        raise RuleError(f"line {start_line}: rule is missing its terminating '.': {leftover[:60]!r}")
-    return statements
+def _statements(text: str):
+    """Yield (line, tokens, end) for each '.'-terminated statement: the line
+    of its first token, its tokens, and the offset of its '.'."""
+    tokens: list[Token] = []
+    line, counted = 1, 0  # newlines are counted up to offset `counted`
+
+    def line_at(offset: int) -> int:
+        nonlocal line, counted
+        line += text.count("\n", counted, offset)
+        counted = offset
+        return line
+
+    try:
+        for token in tokenize(text):
+            if token.text != ".":
+                tokens.append(token)
+            elif tokens:
+                yield line_at(tokens[0].offset), tokens, token.offset
+                tokens = []
+    except LexError as exc:
+        raise RuleError(f"line {line_at((tokens[0] if tokens else exc).offset)}: {exc}") from None
+    if tokens:
+        leftover = text[tokens[0].offset:].strip()
+        raise RuleError(f"line {line_at(tokens[0].offset)}: rule is missing its terminating '.': {leftover[:60]!r}")
 
 
-_NAME_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-.")
-
-
-def _tokenize_rule(text: str, line: int) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "<":
-            end = text.find(">", i)
-            if end == -1:
-                raise RuleError(f"line {line}: unterminated '<' in rule")
-            tokens.append(text[i : end + 1])
-            i = end + 1
-            continue
-        if ch in "(),":
-            tokens.append(ch)
-            i += 1
-            continue
-        if ch == "-" and i + 1 < len(text) and text[i + 1] == ">":
-            tokens.append("->")
-            i += 2
-            continue
-        if ch == "?":
-            j = i + 1
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise RuleError(f"line {line}: '?' must be followed by a variable name")
-            tokens.append(text[i:j])
-            i = j
-            continue
-        if ch in _NAME_CHARS or ch == ":":
-            j = i
-            while j < len(text) and (text[j] in _NAME_CHARS or text[j] == ":"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        raise RuleError(f"line {line}: unexpected character {ch!r} in rule")
-    return tokens
+def _split_rule_id(tokens: list[Token]) -> tuple[str | None, list[Token]]:
+    """Split the leading 'id:' off a statement; 'R1:', 'R1 :' and
+    'R1:Action' all start rule R1.  The id is None when there is none."""
+    first, *rest = tokens
+    if ":" not in first.text and rest and rest[0].text.startswith(":"):
+        first, rest = Token(first.text + rest[0].text, first.offset), rest[1:]
+    rule_id, colon, local = first.text.partition(":")
+    if not colon or not rule_id or rule_id.startswith("<"):
+        return None, tokens
+    if local:
+        rest.insert(0, Token(local, first.offset + len(rule_id) + 1))
+    return rule_id, rest
 
 
 class _RuleParser:
-    def __init__(self, rule_id: str, tokens: list[str], line: int, catalog) -> None:
+    def __init__(self, rule_id: str, tokens: list[Token], end: int, line: int, catalog) -> None:
         self.rule_id = rule_id
-        self.tokens = tokens
         self.line = line
         self.catalog = catalog
-        self.index = 0
+        self.cursor = TokenCursor(tokens, end, self.fail)
 
-    def fail(self, message: str) -> RuleError:
+    def fail(self, message: str, offset: int | None = None) -> RuleError:
         return RuleError(f"line {self.line}: rule {self.rule_id}: {message}")
-
-    def peek(self) -> str | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def next(self) -> str:
-        token = self.peek()
-        if token is None:
-            raise self.fail("unexpected end of rule")
-        self.index += 1
-        return token
-
-    def expect(self, token: str) -> None:
-        found = self.next()
-        if found != token:
-            raise self.fail(f"expected {token!r}, found {found!r}")
 
     def parse(self) -> tuple[tuple[Atom, ...], Atom]:
         body = [self.parse_atom(allow_not=True)]
-        while self.peek() == ",":
-            self.next()
+        while self.cursor.peek() == ",":
+            self.cursor.next()
             body.append(self.parse_atom(allow_not=True))
-        self.expect("->")
+        self.cursor.expect("->")
         head = self.parse_atom(allow_not=False)
-        if self.peek() is not None:
-            raise self.fail(f"unexpected trailing token {self.peek()!r}")
+        if self.cursor.peek() is not None:
+            raise self.fail(f"unexpected trailing token {self.cursor.peek()!r}")
         return tuple(body), head
 
     def parse_atom(self, allow_not: bool) -> Atom:
-        negated = False
-        token = self.next()
-        if token == "not":
+        negated = self.cursor.peek() == "not"
+        if negated:
             if not allow_not:
                 raise self.fail("negation is not allowed in a rule head")
-            negated = True
-            token = self.next()
-        predicate_name = token
-        self.expect("(")
+            self.cursor.next()
+        predicate = self.cursor.next()
+        self.cursor.expect("(")
         args = [self.parse_arg()]
-        if self.peek() == ",":
-            self.next()
+        if self.cursor.peek() == ",":
+            self.cursor.next()
             args.append(self.parse_arg())
-        self.expect(")")
-        if len(args) == 1:
-            predicate = self.resolve(predicate_name, ("class",))
-        else:
-            predicate = self.resolve(predicate_name, ("property",))
-        return Atom(predicate, tuple(args), negated)
+        self.cursor.expect(")")
+        category = "class" if len(args) == 1 else "property"
+        return Atom(self.cursor.resolve(predicate, self.catalog, category), tuple(args), negated)
 
     def parse_arg(self) -> RuleArg:
-        token = self.next()
-        if token.startswith("?"):
-            return RuleArg(VAR, token[1:])
-        if token == "_":
+        token = self.cursor.next()
+        if token.text.startswith("?"):
+            return RuleArg(VAR, token.text[1:])
+        if token.text == "_":
             return RuleArg(ANY)
-        if token in (",", ")", "(", "->"):
-            raise self.fail(f"expected an argument, found {token!r}")
-        return RuleArg(CONST, self.resolve(token, ("individual", "class")))
-
-    def resolve(self, name: str, categories: tuple[str, ...]) -> str:
-        last_error: Exception | None = None
-        for category in categories:
-            try:
-                return self.catalog.resolve(name, category)
-            except KeyError as exc:
-                last_error = exc
-        raise self.fail(f"cannot resolve name {name!r}: {last_error}")
+        if token.text in PUNCTUATION:
+            raise self.fail(f"expected an argument, found {token.text!r}")
+        return RuleArg(CONST, self.cursor.resolve(token, self.catalog, "individual", "class"))
 
 
 def _compute_strata(rules: list[tuple[str, tuple[Atom, ...], Atom]], line_of: dict[str, int]) -> dict[str, int]:
@@ -319,15 +242,14 @@ def parse_rules(text: str, catalog=None) -> list[Rule]:
         catalog = default_catalog()
     parsed: list[tuple[str, tuple[Atom, ...], Atom]] = []
     line_of: dict[str, int] = {}
-    for line, statement in _split_statements(text):
-        head_id, sep, rest = statement.partition(":")
-        rule_id = head_id.strip()
-        if not sep or not rule_id or any(ch.isspace() for ch in rule_id):
+    for line, tokens, end in _statements(text):
+        rule_id, tokens = _split_rule_id(tokens)
+        if rule_id is None:
+            statement = text[tokens[0].offset:end].strip()
             raise RuleError(f"line {line}: rule must start with 'id:', found {statement[:40]!r}")
         if rule_id in line_of:
             raise RuleError(f"line {line}: duplicate rule id {rule_id!r}")
-        tokens = _tokenize_rule(rest, line)
-        body, head = _RuleParser(rule_id, tokens, line, catalog).parse()
+        body, head = _RuleParser(rule_id, tokens, end, line, catalog).parse()
         _check_safety(rule_id, body, head, line)
         parsed.append((rule_id, body, head))
         line_of[rule_id] = line

@@ -1,4 +1,4 @@
-"""Schema extraction: pull the axiom structure out of a graph.
+"""Schema extraction, and the names that queries and rules use.
 
 The extractor reads subclass and subproperty assertions, property domains,
 ranges and inverses, pairwise disjointness (grouped into maximal cliques),
@@ -6,12 +6,20 @@ existential obligations written as labeled-blank-node restrictions, and
 class-level statements made about class IRIs themselves (punning).  The
 result is a :class:`SchemaIndex`, the single axiom source consulted by the
 materializer, the class-expression engine, and the validator.
+
+A :class:`NameCatalog` resolves the names written in class expressions,
+select queries and rule files to IRIs.  The three languages share one
+lexer (:func:`tokenize`) and one cursor (:class:`TokenCursor`), so a name
+is spelled and resolved the same way in each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graph import Graph
 from .terms import (
@@ -31,6 +39,7 @@ from .terms import (
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
     PrefixMap,
+    StructuralError,
     Term,
     Triple,
     iri,
@@ -374,28 +383,121 @@ class NameCatalog:
                     out.setdefault(name, set()).update(iris)
         return out
 
-    def resolve(self, name: str, category: str) -> str:
+    def resolve(self, name: str, category: str, *more: str) -> str:
         """Resolve a name as written in a query or rule to an IRI.
 
         Accepts ``<absolute-iri>``, ``prefix:local``, a bare local name, or
-        a registered alias of one.  Raises KeyError with a readable message.
+        a registered alias of one.  A bare name is tried in each category
+        in turn.  Raises KeyError with a readable message: the last
+        category's for a bare name, or why an IRI is not a valid term.
         """
-        if category not in self._by_category:
-            raise ValueError(f"unknown name category: {category!r}")
+        categories = (category, *more)
+        for category in categories:
+            if category not in self._by_category:
+                raise ValueError(f"unknown name category: {category!r}")
         if name.startswith("<") and name.endswith(">"):
-            return name[1:-1]
-        if ":" in name:
+            value = name[1:-1]
+        elif ":" in name:
             prefix, _, local = name.partition(":")
-            expanded = self._prefixes.expand(prefix, local)
-            if expanded is None:
+            value = self._prefixes.expand(prefix, local)
+            if value is None:
                 raise KeyError(f"undeclared prefix '{prefix}:' in name {name!r}")
-            return expanded
-        bare = self._aliases.get(name, name)
-        table = self._by_category[category]
-        candidates = table.get(bare, set())
-        if not candidates:
-            raise KeyError(f"unknown {category} name {bare!r}")
-        if len(candidates) > 1:
-            listed = ", ".join(sorted(candidates))
-            raise KeyError(f"{category} name {bare!r} is ambiguous between: {listed}")
-        return next(iter(candidates))
+        else:
+            return self._resolve_bare(self._aliases.get(name, name), categories)
+        try:
+            iri(value)
+        except StructuralError as exc:
+            raise KeyError(str(exc)) from None
+        return value
+
+    def _resolve_bare(self, bare: str, categories: tuple[str, ...]) -> str:
+        for category in categories:
+            candidates = self._by_category[category].get(bare, set())
+            if len(candidates) == 1:
+                return next(iter(candidates))
+            if candidates:
+                listed = ", ".join(sorted(candidates))
+                error = KeyError(f"{category} name {bare!r} is ambiguous between: {listed}")
+            else:
+                error = KeyError(f"unknown {category} name {bare!r}")
+        raise error
+
+
+# ---------------------------------------------------------------------------
+# Name syntax: the one lexer and token cursor behind class expressions,
+# select queries and rule files.
+
+
+class LexError(ValueError):
+    """Query or rule text holds a character that starts no token."""
+
+    def __init__(self, message: str, offset: int) -> None:
+        super().__init__(message)
+        self.offset = offset
+
+
+class Token(NamedTuple):
+    text: str
+    offset: int
+
+
+PUNCTUATION = frozenset({"(", ")", "{", "}", ",", ".", "->"})
+
+# Each match skips whitespace and '#' comments, then takes one token, the
+# character where no token starts (second group), or the end of the text.
+# A name may contain '.' but, like a Turtle local name, not end with one, so
+# a '.' after a name ends a rule statement or a select pattern; a '-' in a
+# name never takes the '>' of a following '->'.
+_TOKEN = re.compile(
+    r"\s*(?:#[^\n]*\s*)*"
+    r"(?:(<[^>]*>|\?\w+|[\w:]+(?:(?:-(?!>)|\.+(?=[\w:]|-(?!>)))[\w:]*)*|->|[(){},.])|(\S)|\Z)"
+)
+_LEX_ERRORS = {"<": "unterminated '<'", "?": "'?' must be followed by a variable name"}
+
+
+def tokenize(text: str) -> Iterator[Token]:
+    """Yield the tokens of query or rule text in order: ``<iri>``,
+    ``?variable``, names, ``->`` and ``( ) { } , .``.  Whitespace and ``#``
+    comments are skipped.  Raises :class:`LexError` where no token starts."""
+    for match in _TOKEN.finditer(text):
+        token, bad = match.groups()
+        if bad is not None:
+            raise LexError(_LEX_ERRORS.get(bad, f"unexpected character {bad!r}"), match.start(2))
+        if token is not None:
+            yield Token(token, match.start(1))
+
+
+class TokenCursor:
+    """A read position in a token list.  ``fail(message, offset)`` builds the
+    caller's exception; ``end`` is the offset reported past the last token."""
+
+    def __init__(self, tokens: list[Token], end: int, fail: Callable[[str, int], Exception]) -> None:
+        self.tokens = tokens
+        self.end = end
+        self.fail = fail
+        self.index = 0
+
+    def peek(self, ahead: int = 0) -> str | None:
+        index = self.index + ahead
+        return self.tokens[index].text if index < len(self.tokens) else None
+
+    def offset(self) -> int:
+        return self.tokens[self.index].offset if self.index < len(self.tokens) else self.end
+
+    def next(self) -> Token:
+        if self.index == len(self.tokens):
+            raise self.fail("unexpected end of input", self.end)
+        self.index += 1
+        return self.tokens[self.index - 1]
+
+    def expect(self, text: str) -> None:
+        token = self.next()
+        if token.text != text:
+            raise self.fail(f"expected {text!r}, found {token.text!r}", token.offset)
+
+    def resolve(self, token: Token, catalog: NameCatalog, *categories: str) -> str:
+        """The IRI the token names, tried in each category in turn."""
+        try:
+            return catalog.resolve(token.text, *categories)
+        except KeyError as exc:
+            raise self.fail(f"cannot resolve name {token.text!r}: {exc.args[0]}", token.offset) from None

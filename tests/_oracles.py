@@ -11,11 +11,23 @@ from __future__ import annotations
 from itertools import product
 
 from applekit.graph import Graph
+from applekit.materialize import (
+    DEFAULT_REGIME,
+    DOMAIN_TYPING,
+    INVERSE_PROPAGATION,
+    RANGE_TYPING,
+    SUBCLASS_TRANSITIVITY,
+    SUBPROPERTY_PROPAGATION,
+    TYPE_INHERITANCE,
+    EntailmentRegime,
+)
 from applekit.query import And, Anything, Named, OneOf, SelectQuery, Some
 from applekit.rules import ANY, CONST, VAR, Atom, Rule
-from applekit.terms import RDF_TYPE, Term, Triple, iri
+from applekit.schema import SchemaIndex
+from applekit.terms import RDF_TYPE, RDFS_SUBCLASSOF, Term, Triple, iri
 
 _TYPE = iri(RDF_TYPE)
+_SUBCLASS = iri(RDFS_SUBCLASSOF)
 
 
 def render_node(term: Term) -> str:
@@ -187,3 +199,57 @@ def brute_select(query: SelectQuery, graph: Graph) -> list[tuple[str, ...]]:
         if ok:
             rows.add(tuple(render_node(assignment[v]) for v in query.variables))
     return sorted(rows)
+
+
+# ---------------------------------------------------------------------------
+# Materialization by naive re-application to a snapshot
+
+
+def naive_materialize(graph: Graph, schema: SchemaIndex, regime: EntailmentRegime = DEFAULT_REGIME) -> Graph:
+    """Materialize by re-applying every single-step entailment to the whole
+    graph until nothing changes."""
+    out = graph.copy()
+
+    if SUBCLASS_TRANSITIVITY in regime:
+        for child, parent in schema.sub_class_of:
+            if child != parent:
+                out.insert(Triple(iri(child), _SUBCLASS, iri(parent)))
+
+    asserted_subclass = {(c, d) for c, d in schema.sub_class_of if c != d}
+    asserted_subprop = {(p, q) for p, q in schema.sub_property_of if p != q}
+    inverse_pairs = set(schema.inverse_of)
+
+    while True:
+        additions: list[Triple] = []
+        for triple in out:
+            predicate = triple.p.value
+            if predicate == RDFS_SUBCLASSOF and SUBCLASS_TRANSITIVITY in regime:
+                if triple.s.is_iri() and triple.o.is_iri():
+                    for child, parent in asserted_subclass:
+                        if child == triple.o.value and parent != triple.s.value:
+                            additions.append(Triple(triple.s, _SUBCLASS, iri(parent)))
+            if predicate == RDF_TYPE and TYPE_INHERITANCE in regime and triple.o.is_iri():
+                for child, parent in asserted_subclass:
+                    if child == triple.o.value:
+                        additions.append(Triple(triple.s, _TYPE, iri(parent)))
+            if SUBPROPERTY_PROPAGATION in regime:
+                for child, parent in asserted_subprop:
+                    if child == predicate:
+                        additions.append(Triple(triple.s, iri(parent), triple.o))
+            if DOMAIN_TYPING in regime:
+                for cls in schema.domain_of.get(predicate, ()):
+                    additions.append(Triple(triple.s, _TYPE, iri(cls)))
+            if RANGE_TYPING in regime and not triple.o.is_literal():
+                for cls in schema.range_of.get(predicate, ()):
+                    additions.append(Triple(triple.o, _TYPE, iri(cls)))
+            if INVERSE_PROPAGATION in regime and not triple.o.is_literal():
+                for a, b in inverse_pairs:
+                    if predicate == a:
+                        additions.append(Triple(triple.o, iri(b), triple.s))
+                    if predicate == b:
+                        additions.append(Triple(triple.o, iri(a), triple.s))
+        changed = False
+        for new_triple in additions:
+            changed = out.insert(new_triple) or changed
+        if not changed:
+            return out

@@ -114,7 +114,7 @@ class TestReason:
 
     def test_byte_identical_across_runs(self, capsys, micro_ttl):
         _, first, _ = run(capsys, "reason", "-i", str(micro_ttl))
-        _, second, _ = run(capsys, "reason", "-i", str(micro_ttl), "--seed", "99")
+        _, second, _ = run(capsys, "reason", "-i", str(micro_ttl))
         assert first == second
 
 
@@ -167,9 +167,24 @@ class TestQuery:
         assert code == 3
         assert "exactly 3" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("<foo>",), ("?x a <foo>", "--mode", "select")], ids=["expression", "select"]
+    )
+    def test_relative_iri_is_query_error(self, capsys, argv):
+        code, _, err = run(capsys, "query", *argv, "--bundled")
+        assert code == 3
+        assert "not absolute" in err and "offset" in err
+
+    def test_select_with_absolute_iri(self, capsys):
+        code, out, _ = run(
+            capsys, "query", "?x a <http://schema.org/Action>", "--bundled", "--mode", "select"
+        )
+        assert code == 0
+        assert json.loads(out)["rows"] == [[APPLE + "PrescribeOpioidPainkiller"]]
+
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "query", "Agent", "--bundled")
-        _, second, _ = run(capsys, "query", "Agent", "--bundled", "--seed", "5")
+        _, second, _ = run(capsys, "query", "Agent", "--bundled")
         assert first == second
 
 
@@ -201,6 +216,13 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--bundled", "--rules", str(rules))
         assert code == 2
         assert "not bound" in err
+
+    def test_relative_iri_in_rule_is_rule_error(self, capsys, tmp_path):
+        rules = tmp_path / "relative.rules"
+        rules.write_text("R: Action(?a) -> <foo>(?a) .\n")
+        code, _, err = run(capsys, "classify", "--bundled", "--rules", str(rules))
+        assert code == 2
+        assert "line 1" in err and "not absolute" in err
 
     def test_conflicting_verdicts_exit_consistency(self, capsys, tmp_path):
         rules = tmp_path / "conflict.rules"

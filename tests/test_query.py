@@ -146,12 +146,15 @@ class TestExpressionParsing:
             "A %",
             "<http://unterminated",
             "p some ,",
+            "<foo>",
+            "p some <http://example.org/a b>",
         ],
     )
     def test_parse_errors(self, micro, text):
         _, _, catalog = micro
-        with pytest.raises(QueryParseError):
+        with pytest.raises(QueryParseError) as err:
             parse(text, catalog)
+        assert err.value.position is not None
 
     def test_error_position_reported(self, micro):
         _, _, catalog = micro
@@ -311,12 +314,39 @@ class TestSelectParsing:
             ("?s nosuch ?o", "unknown property"),
             ("?s p ?o . ?a q ?b", "not connected"),
             ("? p ?o", "variable name"),
+            ("?s a <foo>", "not absolute"),
+            ("?s <http://example.org/a b> ?o", "forbidden character"),
+            ("?s p ?o ; ?o q x", "unexpected character"),
         ],
     )
     def test_parse_errors(self, micro, text, needle):
         _, _, catalog = micro
-        with pytest.raises(QueryParseError, match=needle):
+        with pytest.raises(QueryParseError, match=needle) as err:
             parse_select(text, catalog)
+        assert err.value.position is not None
+
+    def test_trailing_dot_and_comments(self, micro):
+        _, _, catalog = micro
+        expected = parse_select("?s p ?o . ?o q x", catalog)
+        assert parse_select("?s p ?o . ?o q x .", catalog) == expected
+        assert parse_select("?s p ?o . # one. <two\n?o q x", catalog) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        ["?x a <http://schema.org/Action>", "?x <http://xmlns.com/foaf/0.1/knows> ?y"],
+    )
+    def test_absolute_iris_match_oracle(self, text):
+        # A '.' inside <...> belongs to the IRI, never to the pattern list.
+        graph = parse_turtle(
+            "@prefix schema: <http://schema.org/> .\n"
+            "@prefix foaf: <http://xmlns.com/foaf/0.1/> .\n"
+            f"@prefix ex: <{EX}> .\n"
+            "ex:a a schema:Action ; foaf:knows ex:b . ex:b a schema:Person .\n"
+            "ex:c a schema:Action ; foaf:knows ex:a, ex:b .\n"
+        )
+        query = parse_select(text, NameCatalog.from_graph(graph))
+        rows = select(query, graph)
+        assert rows and rows == brute_select(query, graph)
 
     def test_shared_constant_does_not_connect(self, micro):
         _, _, catalog = micro

@@ -95,13 +95,21 @@ class TestParsing:
 
     def test_comments_and_blank_lines_ignored(self, micro):
         _, catalog = micro
-        text = "# header\nR1: C(?x) -> D(?x) .\n\n# more\nR2: E(?x) -> F(?x) .\n"
+        text = "# header. <not an iri\nR1: C(?x) -> D(?x) .\n\n# more.\nR2: E(?x) -> F(?x) . # R3: G(?x)"
         assert [r.id for r in parse_rules(text, catalog)] == ["R1", "R2"]
+
+    @pytest.mark.parametrize("text", ["R1:C(?x) -> D(?x) .", "R1 : C(?x) -> D(?x).", "R1:ex:C(?x) -> D(?x) ."])
+    def test_rule_id_colon_spacing(self, micro, text):
+        _, catalog = micro
+        (rule,) = parse_rules(text, catalog)
+        assert rule.id == "R1"
+        assert rule.body == (Atom(EX + "C", (RuleArg(VAR, "x"),)),)
 
     def test_dots_inside_iris_do_not_split(self, micro):
         _, catalog = micro
-        (rule,) = parse_rules(f"R: p(?x, <{EX}v1.2>) -> D(?x) .", catalog)
-        assert rule.body[0].args[1].value == EX + "v1.2"
+        for name in (f"<{EX}v1.2>", "ex:v1.2"):
+            (rule,) = parse_rules(f"R: p(?x, {name}) -> D(?x) .", catalog)
+            assert rule.body[0].args[1].value == EX + "v1.2"
 
     @pytest.mark.parametrize(
         "text,needle",
@@ -116,10 +124,14 @@ class TestParsing:
             ("R: C(?x, ?y, ?z) -> D(?x) .", "expected"),
             ("R: C(?) -> D(?x) .", "'?' must be followed"),
             ("R: C(?x) -> D(?x) @ .", "unexpected character"),
+            ("R: C(?x) -> <foo>(?x) .", "not absolute"),
+            ("R: C(?x), p(?x, <http://example.org/a b>) -> D(?x) .", "forbidden character"),
+            ("R: C(?x) -> D(<http://example.org/x .", "unterminated '<'"),
         ],
         ids=[
             "no-id", "dup-id", "no-dot", "negated-head", "two-heads",
             "missing-arrow", "unknown-name", "arity", "bare-qmark", "bad-char",
+            "relative-iri", "iri-with-space", "unterminated-iri",
         ],
     )
     def test_grammar_errors(self, micro, text, needle):
@@ -135,6 +147,12 @@ class TestParsing:
         _, catalog = micro
         with pytest.raises(RuleError, match="line 3"):
             parse_rules("# one\nR1: C(?x) -> D(?x) .\nR2: C(?x) -> Nope(?x) .", catalog)
+
+    @pytest.mark.parametrize("bad", ["Nope(?x)", "D(?x) @"])
+    def test_error_reports_line_of_statement(self, micro, bad):
+        _, catalog = micro
+        with pytest.raises(RuleError, match="^line 2:"):
+            parse_rules(f"R1: C(?x) -> D(?x) .\nR2: C(?x),\n  E(?x)\n  -> {bad} .", catalog)
 
 
 class TestSafety:

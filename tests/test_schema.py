@@ -5,11 +5,13 @@ import random
 import pytest
 
 from applekit.schema import (
+    LexError,
     NameCatalog,
     Obligation,
     SchemaError,
     extract_schema,
     local_name,
+    tokenize,
 )
 from applekit.terms import PrefixMap, Triple, iri, literal
 from applekit.turtle import parse_turtle
@@ -272,6 +274,19 @@ class TestNameCatalog:
         with pytest.raises(ValueError, match="category"):
             self.catalog.resolve("x", "nope")
 
+    def test_categories_tried_in_order(self):
+        assert self.catalog.resolve("alice", "class", "individual") == EX + "alice"
+        with pytest.raises(KeyError, match="unknown individual name 'nobody'"):
+            self.catalog.resolve("nobody", "class", "individual")
+
+    @pytest.mark.parametrize(
+        "name,needle",
+        [("<foo>", "not absolute"), (f"<{EX}a b>", "forbidden character"), ("<>", "not absolute")],
+    )
+    def test_invalid_iris_are_key_errors(self, name, needle):
+        with pytest.raises(KeyError, match=needle):
+            self.catalog.resolve(name, "class")
+
     def test_punned_class_not_listed_as_individual(self):
         graph = parse_turtle(HEADER + "ex:C a owl:Class ; ex:p ex:D .\nex:i a ex:C .")
         catalog = NameCatalog.from_graph(graph)
@@ -294,3 +309,30 @@ class TestNameCatalog:
             {"Person": {EX + "Person"}}, {}, {}, PrefixMap({"ex": EX}), {"People": "Person"}
         )
         assert aliased.resolve("People", "class") == EX + "Person"
+
+
+class TestTokenize:
+    @pytest.mark.parametrize(
+        "text,tokens",
+        [
+            ("R1:Action(?a)->b.", ["R1:Action", "(", "?a", ")", "->", "b", "."]),
+            ("ex:v1.2 x. a.->b", ["ex:v1.2", "x", ".", "a", ".", "->", "b"]),
+            ("<http://e.org/a.b> . {x, y-z}", ["<http://e.org/a.b>", ".", "{", "x", ",", "y-z", "}"]),
+            ("a # one. <two\nb # three", ["a", "b"]),
+            ("  # only a comment", []),
+        ],
+    )
+    def test_tokens(self, text, tokens):
+        assert [token.text for token in tokenize(text)] == tokens
+
+    def test_offsets(self):
+        assert [token.offset for token in tokenize("?x  p\n <i:j>")] == [0, 4, 7]
+
+    @pytest.mark.parametrize(
+        "text,needle,offset",
+        [("a %", "unexpected character '%'", 2), ("a <b c", "unterminated '<'", 2), ("a ? b", "'?' must be", 2)],
+    )
+    def test_errors_carry_offset(self, text, needle, offset):
+        with pytest.raises(LexError, match=needle) as err:
+            list(tokenize(text))
+        assert err.value.offset == offset
