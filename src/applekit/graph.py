@@ -25,7 +25,16 @@ from .terms import Term, Triple
 
 
 def _index_add(index: dict, a: Term, b: Term, c: Term, triple: Triple) -> None:
-    index.setdefault(a, {}).setdefault(b, {})[c] = triple
+    # get, not setdefault: setdefault would build two throwaway dicts per call.
+    second = index.get(a)
+    if second is None:
+        index[a] = {b: {c: triple}}
+        return
+    third = second.get(b)
+    if third is None:
+        second[b] = {c: triple}
+    else:
+        third[c] = triple
 
 
 def _index_remove(index: dict, a: Term, b: Term, c: Term) -> None:

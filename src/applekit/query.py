@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph
-from .schema import PUNCTUATION, LexError, NameCatalog, SchemaIndex, TokenCursor, tokenize
+from .schema import PUNCTUATION, LexError, NameCatalog, SchemaIndex, Token, TokenCursor, tokenize
 from .terms import RDF_TYPE, Term, Triple, iri
 
 _TYPE = iri(RDF_TYPE)
@@ -97,7 +97,7 @@ _NOT_A_NAME = PUNCTUATION | {"and", "some", "inverse"}
 
 def _cursor(text: str) -> TokenCursor:
     try:
-        tokens = list(tokenize(text))
+        tokens = tokenize(text)
     except LexError as exc:
         raise QueryParseError(str(exc), exc.offset) from None
     return TokenCursor(tokens, len(text), QueryParseError)
@@ -341,30 +341,33 @@ def parse_select(text: str, catalog: NameCatalog | None = None) -> SelectQuery:
     patterns: list[TriplePattern] = []
     starts: list[int] = []
     order: list[str] = []
-    while cursor.peek() is not None:
-        if cursor.peek() == ".":
-            cursor.next()
+
+    def slot(token: Token, *categories: str) -> str | Term:
+        if token.text[0] == "?":
+            if token.text not in order:
+                order.append(token.text)
+            return token.text
+        return iri(cursor.resolve(token, catalog, *categories))
+
+    fields: list[Token] = []
+    for token in [*cursor.tokens, Token((".", len(text)))]:
+        if token.text != ".":
+            fields.append(token)
             continue
-        start = cursor.offset()
-        fields = []
-        while cursor.peek() not in (None, "."):
-            fields.append(cursor.next())
+        if not fields:
+            continue
+        start = fields[0].offset
         if len(fields) != 3:
-            chunk = text[start:cursor.offset()].strip()
+            chunk = text[start:token.offset].strip()
             raise QueryParseError(f"pattern must have exactly 3 terms, found {len(fields)}: {chunk!r}", start)
-        slots: list[str | Term] = []
-        for position, token in enumerate(fields):
-            if token.text.startswith("?"):
-                slots.append(token.text)
-                if token.text not in order:
-                    order.append(token.text)
-            elif position == 1 and token.text == "a":
-                slots.append(_TYPE)
-            else:
-                categories = ("property",) if position == 1 else ("individual", "class")
-                slots.append(iri(cursor.resolve(token, catalog, *categories)))
-        patterns.append(TriplePattern(slots[0], slots[1], slots[2]))
+        s, p, o = fields
+        patterns.append(TriplePattern(
+            slot(s, "individual", "class"),
+            _TYPE if p.text == "a" else slot(p, "property"),
+            slot(o, "individual", "class"),
+        ))
         starts.append(start)
+        fields = []
     if not patterns:
         raise QueryParseError("select query has no patterns", len(text))
     _check_connected(patterns, starts)

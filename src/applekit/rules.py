@@ -127,14 +127,18 @@ def _statements(text: str):
         return line
 
     try:
-        for token in tokenize(text):
-            if token.text != ".":
-                tokens.append(token)
-            elif tokens:
-                yield line_at(tokens[0].offset), tokens, token.offset
-                tokens = []
+        found, error = tokenize(text), None
     except LexError as exc:
-        raise RuleError(f"line {line_at((tokens[0] if tokens else exc).offset)}: {exc}") from None
+        found, error = exc.tokens, exc
+    # Statements before a lexer error are parsed, and fail, first.
+    for token in found:
+        if token.text != ".":
+            tokens.append(token)
+        elif tokens:
+            yield line_at(tokens[0].offset), tokens, token.offset
+            tokens = []
+    if error is not None:
+        raise RuleError(f"line {line_at((tokens[0] if tokens else error).offset)}: {error}")
     if tokens:
         leftover = text[tokens[0].offset:].strip()
         raise RuleError(f"line {line_at(tokens[0].offset)}: rule is missing its terminating '.': {leftover[:60]!r}")
@@ -145,12 +149,12 @@ def _split_rule_id(tokens: list[Token]) -> tuple[str | None, list[Token]]:
     'R1:Action' all start rule R1.  The id is None when there is none."""
     first, *rest = tokens
     if ":" not in first.text and rest and rest[0].text.startswith(":"):
-        first, rest = Token(first.text + rest[0].text, first.offset), rest[1:]
+        first, rest = Token((first.text + rest[0].text, first.offset)), rest[1:]
     rule_id, colon, local = first.text.partition(":")
     if not colon or not rule_id or rule_id.startswith("<"):
         return None, tokens
     if local:
-        rest.insert(0, Token(local, first.offset + len(rule_id) + 1))
+        rest.insert(0, Token((local, first.offset + len(rule_id) + 1)))
     return rule_id, rest
 
 
@@ -370,23 +374,27 @@ def _match_body(rule: _CompiledRule, graph: Graph, delta: Graph | None):
     against the whole graph.  A binding using several delta triples is
     yielded once per such atom; the caller drops the repeats.
     """
-    negatives = rule.negatives
-
-    def join(atoms: tuple, index: int, binding: dict[str, Term], source: Graph):
-        if index == len(atoms):
-            if all(not graph._match(*_ground(atom, binding)) for atom in negatives):
-                yield binding
-            return
-        for extended in _match_atom(atoms[index], source, binding):
-            yield from join(atoms, index + 1, extended, graph)
-
     positives = rule.positives
     if delta is None:
-        yield from join(positives, 0, {}, graph)
+        yield from _join(positives, 0, {}, graph, graph, rule.negatives)
         return
     for slot in range(len(positives)):
         atoms = (positives[slot], *positives[:slot], *positives[slot + 1:])
-        yield from join(atoms, 0, {}, delta)
+        yield from _join(atoms, 0, {}, delta, graph, rule.negatives)
+
+
+def _join(atoms: tuple, index: int, binding: dict[str, Term], source: Graph, graph: Graph, negatives: tuple):
+    """Extend ``binding`` through ``atoms[index:]``, the first matched in
+    ``source`` and the rest in ``graph``; yield those no negative atom
+    blocks.  A module function, not a closure: a recursive closure is a
+    reference cycle that would keep ``graph`` alive until the collector
+    runs."""
+    if index == len(atoms):
+        if all(not graph._match(*_ground(atom, binding)) for atom in negatives):
+            yield binding
+        return
+    for extended in _match_atom(atoms[index], source, binding):
+        yield from _join(atoms, index + 1, extended, graph, graph, negatives)
 
 
 def _instantiate(head: tuple, binding: dict[str, Term]) -> Triple:

@@ -16,10 +16,10 @@ is spelled and resolved the same way in each.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from operator import itemgetter
 
 from .graph import Graph
 from .terms import (
@@ -211,7 +211,7 @@ def extract_schema(graph: Graph) -> SchemaIndex:
     classes: set[str] = set()
     properties: set[str] = set()
 
-    for t in graph.match(None, type_iri, None):
+    for t in graph._match(None, type_iri, None):
         if not t.o.is_iri():
             continue
         if t.o.value == OWL_CLASS and t.s.is_iri():
@@ -222,12 +222,12 @@ def extract_schema(graph: Graph) -> SchemaIndex:
             classes.add(t.o.value)
 
     restriction_nodes = {
-        t.s for t in graph.match(None, type_iri, iri(OWL_RESTRICTION)) if t.s.is_blank()
+        t.s for t in graph._match(None, type_iri, iri(OWL_RESTRICTION)) if t.s.is_blank()
     }
 
     sub_class_pairs: set[tuple[str, str]] = set()
     restriction_supers: dict[Term, list[str]] = {}
-    for t in graph.match(None, iri(RDFS_SUBCLASSOF), None):
+    for t in graph.match(None, iri(RDFS_SUBCLASSOF), None):  # sorted: decides the first error
         if t.s.is_iri() and t.o.is_iri():
             sub_class_pairs.add((t.s.value, t.o.value))
             classes.add(t.s.value)
@@ -241,21 +241,21 @@ def extract_schema(graph: Graph) -> SchemaIndex:
             classes.add(t.s.value)
 
     sub_property_pairs: set[tuple[str, str]] = set()
-    for t in graph.match(None, iri(RDFS_SUBPROPERTYOF), None):
+    for t in graph._match(None, iri(RDFS_SUBPROPERTYOF), None):
         if t.s.is_iri() and t.o.is_iri():
             sub_property_pairs.add((t.s.value, t.o.value))
             properties.add(t.s.value)
             properties.add(t.o.value)
 
     domain_of: dict[str, set[str]] = {}
-    for t in graph.match(None, iri(RDFS_DOMAIN), None):
+    for t in graph._match(None, iri(RDFS_DOMAIN), None):
         if t.s.is_iri() and t.o.is_iri():
             domain_of.setdefault(t.s.value, set()).add(t.o.value)
             properties.add(t.s.value)
             classes.add(t.o.value)
 
     range_of: dict[str, set[str]] = {}
-    for t in graph.match(None, iri(RDFS_RANGE), None):
+    for t in graph._match(None, iri(RDFS_RANGE), None):
         if t.s.is_iri() and t.o.is_iri():
             if _is_builtin(t.o.value):
                 continue  # datatype ranges carry no instance typing
@@ -264,7 +264,7 @@ def extract_schema(graph: Graph) -> SchemaIndex:
             classes.add(t.o.value)
 
     inverse_pairs: set[tuple[str, str]] = set()
-    for t in graph.match(None, iri(OWL_INVERSE_OF), None):
+    for t in graph._match(None, iri(OWL_INVERSE_OF), None):
         if t.s.is_iri() and t.o.is_iri():
             pair = tuple(sorted((t.s.value, t.o.value)))
             inverse_pairs.add((pair[0], pair[1]))
@@ -273,7 +273,7 @@ def extract_schema(graph: Graph) -> SchemaIndex:
 
     disjoint_edges: set[frozenset[str]] = set()
     disjoint_nodes: set[str] = set()
-    for t in graph.match(None, iri(OWL_DISJOINT_WITH), None):
+    for t in graph._match(None, iri(OWL_DISJOINT_WITH), None):
         if t.s.is_iri() and t.o.is_iri() and t.s.value != t.o.value:
             disjoint_edges.add(frozenset((t.s.value, t.o.value)))
             disjoint_nodes.update((t.s.value, t.o.value))
@@ -282,8 +282,8 @@ def extract_schema(graph: Graph) -> SchemaIndex:
 
     obligations: list[Obligation] = []
     for node in sorted(restriction_nodes, key=Term.sort_key):
-        on_property = [t.o for t in graph.match(node, iri(OWL_ON_PROPERTY), None) if t.o.is_iri()]
-        fillers = [t.o for t in graph.match(node, iri(OWL_SOME_VALUES_FROM), None) if t.o.is_iri()]
+        on_property = [t.o for t in graph._match(node, iri(OWL_ON_PROPERTY), None) if t.o.is_iri()]
+        fillers = [t.o for t in graph._match(node, iri(OWL_SOME_VALUES_FROM), None) if t.o.is_iri()]
         if len(on_property) != 1 or len(fillers) != 1:
             raise SchemaError(
                 f"restriction _:{node.value} needs exactly one owl:onProperty and one owl:someValuesFrom"
@@ -300,11 +300,9 @@ def extract_schema(graph: Graph) -> SchemaIndex:
     if cycle:
         raise SchemaError("subclass cycle detected: " + " < ".join(cycle))
 
-    class_terms = {iri(c) for c in classes}
-    class_level: list[Triple] = []
-    for t in graph:
-        if t.s in class_terms and not _is_builtin(t.p.value):
-            class_level.append(t)
+    class_level = [
+        t for c in classes for t in graph._match(iri(c)) if not _is_builtin(t.p.value)
+    ]
 
     for ob in obligations:
         if ob.property not in properties:
@@ -412,7 +410,7 @@ class NameCatalog:
 
     def _resolve_bare(self, bare: str, categories: tuple[str, ...]) -> str:
         for category in categories:
-            candidates = self._by_category[category].get(bare, set())
+            candidates = self._by_category[category].get(bare, ())
             if len(candidates) == 1:
                 return next(iter(candidates))
             if candidates:
@@ -429,42 +427,52 @@ class NameCatalog:
 
 
 class LexError(ValueError):
-    """Query or rule text holds a character that starts no token."""
+    """Query or rule text holds a character that starts no token.
+    ``tokens`` are the tokens before it."""
 
-    def __init__(self, message: str, offset: int) -> None:
+    def __init__(self, message: str, offset: int, tokens: list[Token]) -> None:
         super().__init__(message)
         self.offset = offset
+        self.tokens = tokens
 
 
-class Token(NamedTuple):
-    text: str
-    offset: int
+class Token(tuple):
+    """A token, the pair ``(text, offset)``.  It is built from that pair,
+    so the lexer makes one without a Python-level constructor."""
+
+    __slots__ = ()
+    text = property(itemgetter(0))
+    offset = property(itemgetter(1))
 
 
 PUNCTUATION = frozenset({"(", ")", "{", "}", ",", ".", "->"})
 
-# Each match skips whitespace and '#' comments, then takes one token, the
-# character where no token starts (second group), or the end of the text.
-# A name may contain '.' but, like a Turtle local name, not end with one, so
-# a '.' after a name ends a rule statement or a select pattern; a '-' in a
-# name never takes the '>' of a following '->'.
+# Each match skips whitespace and '#' comments (group 1), then takes one
+# token (group 2), the end of the text, or the character where no token
+# starts (group 3) together with the rest of the text.  A name may contain
+# '.' but, like a Turtle local name, not end with one, so a '.' after a name
+# ends a rule statement or a select pattern; a '-' in a name never takes the
+# '>' of a following '->'.
 _TOKEN = re.compile(
-    r"\s*(?:#[^\n]*\s*)*"
-    r"(?:(<[^>]*>|\?\w+|[\w:]+(?:(?:-(?!>)|\.+(?=[\w:]|-(?!>)))[\w:]*)*|->|[(){},.])|(\S)|\Z)"
+    r"(\s*(?:#[^\n]*\s*)*)"
+    r"(?:(<[^>]*>|\?\w+|[\w:]+(?:(?:-(?!>)|\.+(?=[\w:]|-(?!>)))[\w:]*)*|->|[(){},.])|\Z|(\S)[\s\S]*)"
 )
 _LEX_ERRORS = {"<": "unterminated '<'", "?": "'?' must be followed by a variable name"}
 
 
-def tokenize(text: str) -> Iterator[Token]:
-    """Yield the tokens of query or rule text in order: ``<iri>``,
-    ``?variable``, names, ``->`` and ``( ) { } , .``.  Whitespace and ``#``
-    comments are skipped.  Raises :class:`LexError` where no token starts."""
-    for match in _TOKEN.finditer(text):
-        token, bad = match.groups()
-        if bad is not None:
-            raise LexError(_LEX_ERRORS.get(bad, f"unexpected character {bad!r}"), match.start(2))
-        if token is not None:
-            yield Token(token, match.start(1))
+def tokenize(text: str) -> list[Token]:
+    """The tokens of query or rule text in order: ``<iri>``, ``?variable``,
+    names, ``->`` and ``( ) { } , .``.  Whitespace and ``#`` comments are
+    skipped.  Raises :class:`LexError` where no token starts."""
+    tokens = [Token((match[2], match.end(1))) for match in _TOKEN.finditer(text)]
+    # The matches without a token come last: where no token starts, if
+    # anywhere, then the end of the text, once or twice.
+    while tokens and tokens[-1][0] is None:
+        offset = tokens.pop()[1]
+        if offset < len(text):
+            bad = text[offset]
+            raise LexError(_LEX_ERRORS.get(bad, f"unexpected character {bad!r}"), offset, tokens)
+    return tokens
 
 
 class TokenCursor:
@@ -479,7 +487,7 @@ class TokenCursor:
 
     def peek(self, ahead: int = 0) -> str | None:
         index = self.index + ahead
-        return self.tokens[index].text if index < len(self.tokens) else None
+        return self.tokens[index][0] if index < len(self.tokens) else None
 
     def offset(self) -> int:
         return self.tokens[self.index].offset if self.index < len(self.tokens) else self.end

@@ -11,6 +11,11 @@ anonymous blank nodes ``[ ]``, collections ``( )``, quoted triples ``<< >>``,
 triple-quoted strings, single-quoted strings, and bare numeric or boolean
 literals.
 
+The lexer is one compiled master regex: each match skips whitespace and
+comments, then takes one token.  Tokens carry only their offset; a line and
+column are counted only when an error is reported.  Where no token starts,
+a second look at that spot names the malformed or unsupported construct.
+
 The writer is deterministic: prefixes, subjects, predicates, and objects are
 all emitted in sorted order, with ``rdf:type`` rendered as ``a`` and sorted
 first.  Parsing the output of :func:`serialize_turtle` yields a graph equal
@@ -73,8 +78,6 @@ class ParsedDocument:
     diagnostics: list[ParseDiagnostic] = field(default_factory=list)
 
 
-_NAME_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_NAME_RUN = re.compile(r"[A-Za-z0-9_.\-]*")
 _STRING_ESCAPES = {
     "t": "\t",
     "b": "\b",
@@ -86,214 +89,153 @@ _STRING_ESCAPES = {
     "\\": "\\",
 }
 
+# A string body up to its closing quote: any character but a quote, a
+# backslash or a newline, and only well-formed escapes.
+_STRING_BODY = r"""[^"\\\n]*(?:\\(?:[tbnrf"'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^"\\\n]*)*"""
+_IRI_BODY = r"""[^<>"{}|^`\\ \n\t\r]*"""
+# A name run never ends with '.': trailing dots are left for the next token.
+_NAME = r"[A-Za-z0-9_\-]*(?:\.+[A-Za-z0-9_\-]+)*"
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: object
-    line: int
-    column: int
+# Each match skips whitespace and comments (group 1), then takes one token,
+# or the end of the text.  It takes nothing where a malformed or unsupported
+# construct starts, and _fail explains that spot.  A prefix label, unlike a
+# local name, keeps its trailing dots ('ex.:a' has the prefix 'ex.').
+_TOKEN = re.compile(
+    r"([ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*)"
+    r"(?:(?P<pname>(?!_:)(?P<prefix>[A-Za-z_][A-Za-z0-9_.\-]*|):(?P<local>" + _NAME + r"))"
+    r"|(?P<dot>\.)|(?P<semi>;)|(?P<comma>,)"
+    r'|"(?!"")(?P<string>' + _STRING_BODY + r')"'
+    r"|<(?P<iriref>" + _IRI_BODY + r")>"
+    r"|_:(?P<blank>" + _NAME + r")"
+    r"|(?P<bare>[A-Za-z_]" + _NAME + r")"
+    r"|@(?P<at>" + _NAME + r")"
+    r"|(?P<caret>\^\^)"
+    r"|(?P<eof>\Z))?"
+)
+_STRING_PREFIX = re.compile(_STRING_BODY)
+_IRI_PREFIX = re.compile(_IRI_BODY)
+_ESCAPE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)", re.DOTALL)
+_LANGTAG = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:-[A-Za-z0-9]+)*")
+
+# Token kinds whose value is the text of their group.
+_TEXT_KINDS = frozenset({"dot", "semi", "comma", "iriref", "caret"})
+# A token is (kind, value, offset of its first character).
+_Token = tuple[str, object, int]
 
 
-class _Lexer:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+def _error(text: str, offset: int, message: str) -> TurtleParseError:
+    """The error at ``offset``; its line and column are counted only here."""
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return TurtleParseError(ParseDiagnostic(line, column, message))
 
-    def error(self, message: str, line: int | None = None, column: int | None = None) -> TurtleParseError:
-        return TurtleParseError(
-            ParseDiagnostic(line if line is not None else self.line, column if column is not None else self.column, message)
-        )
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def _advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
+def _tokenize(text: str) -> list[_Token]:
+    """The tokens of a Turtle document, ending with one ``eof`` token."""
+    tokens: list[_Token] = []
+    append = tokens.append
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        start = match.end(1)
+        if kind == "pname":
+            append((kind, match.group("prefix", "local"), start))
+        elif kind in _TEXT_KINDS:
+            append((kind, match[kind], start))
+        elif kind == "string":
+            value = match["string"]
+            if "\\" in value:
+                value = _unescape(text, start + 1, match.end(kind))
+            append((kind, value, start))
+        elif kind == "bare":
+            name = match[kind]
+            if name != "a":
+                if name in ("true", "false"):
+                    raise _error(text, start, "bare boolean literals are not supported; quote the value and add a datatype")
+                raise _error(text, start, f"bare name {name!r} is not valid Turtle here (missing prefix or quotes?)")
+            append(("a", name, start))
+        elif kind == "at":
+            word = match[kind]
+            if word in ("prefix", "base"):
+                append((word + "_kw", word, start))
+            elif _LANGTAG.fullmatch(word):
+                append(("langtag", word, start))
+            else:
+                raise _error(text, start, f"unknown directive or language tag '@{word}'")
+        elif kind == "blank":
+            if not match[kind]:
+                raise _error(text, start, "blank node label must be non-empty")
+            append((kind, match[kind], start))
+        elif kind == "eof":
+            append((kind, None, start))
+            return tokens
         else:
-            self.column += 1
-        return ch
+            raise _fail(text, start)
+    raise AssertionError("the token pattern always matches")  # pragma: no cover
 
-    def _skip_space_and_comments(self) -> None:
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
 
-    def tokens(self) -> list[_Token]:
-        out = []
-        while True:
-            token = self._next_token()
-            out.append(token)
-            if token.kind == "eof":
-                return out
+def _unescape(text: str, start: int, end: int) -> str:
+    """Decode the escapes of the string body ``text[start:end]``."""
+    pieces = []
+    for match in _ESCAPE.finditer(text, start, end):
+        pieces.append(text[start : match.start()])
+        escape = match[1]
+        if len(escape) == 1:
+            pieces.append(_STRING_ESCAPES[escape])
+        else:
+            code = int(escape[1:], 16)
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                message = f"invalid \\{escape[0]} escape (U+{code:04X} is not a Unicode scalar value)"
+                raise _error(text, match.start() + 2, message)
+            pieces.append(chr(code))
+        start = match.end()
+    pieces.append(text[start:end])
+    return "".join(pieces)
 
-    def _next_token(self) -> _Token:
-        self._skip_space_and_comments()
-        if self.pos >= len(self.text):
-            return _Token("eof", None, self.line, self.column)
-        line, column = self.line, self.column
-        ch = self._peek()
-        if ch == "<":
-            if self._peek(1) == "<":
-                raise self.error("quoted triples ('<<') are not supported", line, column)
-            return self._lex_iriref(line, column)
-        if ch == '"':
-            if self._peek(1) == '"' and self._peek(2) == '"':
-                raise self.error('triple-quoted string literals (\'"""\') are not supported', line, column)
-            return self._lex_string(line, column)
-        if ch == "'":
-            raise self.error("single-quoted string literals are not supported; use double quotes", line, column)
-        if ch == "[":
-            raise self.error("anonymous blank nodes ('[ ... ]') are not supported; use labeled blank nodes (_:name)", line, column)
-        if ch == "(":
-            raise self.error("collections ('( ... )') are not supported", line, column)
-        if ch.isdigit() or (ch in "+-" and self._peek(1).isdigit()):
-            raise self.error("bare numeric literals are not supported; quote the value and add a datatype", line, column)
-        if ch == ".":
-            self._advance()
-            return _Token("dot", ".", line, column)
-        if ch == ";":
-            self._advance()
-            return _Token("semi", ";", line, column)
-        if ch == ",":
-            self._advance()
-            return _Token("comma", ",", line, column)
-        if ch == "^":
-            if self._peek(1) == "^":
-                self._advance()
-                self._advance()
-                return _Token("caret", "^^", line, column)
-            raise self.error("stray '^' (expected '^^' before a datatype IRI)", line, column)
-        if ch == "@":
-            return self._lex_at_word(line, column)
-        if ch == "_" and self._peek(1) == ":":
-            return self._lex_blank(line, column)
-        if ch in _NAME_START or ch == ":":
-            return self._lex_name(line, column)
-        raise self.error(f"unexpected character {ch!r}", line, column)
 
-    def _lex_iriref(self, line: int, column: int) -> _Token:
-        self._advance()  # <
-        chars = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated IRI (missing '>')", line, column)
-            ch = self._advance()
-            if ch == ">":
-                return _Token("iriref", "".join(chars), line, column)
-            if ch in '<"{}|^`\\ ' or ch in "\n\t\r":
-                raise self.error(f"character {ch!r} is not allowed inside an IRI", line, column)
-            chars.append(ch)
-
-    def _lex_string(self, line: int, column: int) -> _Token:
-        self._advance()  # opening quote
-        chars = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated string literal", line, column)
-            ch = self._advance()
-            if ch == '"':
-                return _Token("string", "".join(chars), line, column)
-            if ch == "\n":
-                raise self.error("newline inside string literal (escape it as \\n)", line, column)
-            if ch == "\\":
-                chars.append(self._lex_escape(line, column))
-            else:
-                chars.append(ch)
-
-    def _lex_escape(self, line: int, column: int) -> str:
-        if self.pos >= len(self.text):
-            raise self.error("unterminated escape sequence", line, column)
-        ch = self._advance()
-        if ch in _STRING_ESCAPES:
-            return _STRING_ESCAPES[ch]
-        if ch in "uU":
-            width = 4 if ch == "u" else 8
-            digits = self.text[self.pos : self.pos + width]
-            if len(digits) < width or any(d not in "0123456789abcdefABCDEF" for d in digits):
-                raise self.error(f"invalid \\{ch} escape (expected {width} hex digits)", self.line, self.column)
-            for _ in range(width):
-                self._advance()
-            return chr(int(digits, 16))
-        raise self.error(f"unknown escape sequence '\\{ch}'", self.line, self.column)
-
-    def _lex_at_word(self, line: int, column: int) -> _Token:
-        self._advance()  # @
-        word = self._take_name_run()
-        word, pushed = self._strip_trailing_dots(word)
-        self._push_back(pushed)
-        if word == "prefix":
-            return _Token("prefix_kw", word, line, column)
-        if word == "base":
-            return _Token("base_kw", word, line, column)
-        parts = word.split("-")
-        if word and word[0].isalpha() and all(part.isalnum() for part in parts):
-            return _Token("langtag", word, line, column)
-        raise self.error(f"unknown directive or language tag '@{word}'", line, column)
-
-    def _lex_blank(self, line: int, column: int) -> _Token:
-        self._advance()  # _
-        self._advance()  # :
-        label = self._take_name_run()
-        label, pushed = self._strip_trailing_dots(label)
-        if not label:
-            raise self.error("blank node label must be non-empty", line, column)
-        self._push_back(pushed)
-        return _Token("blank", label, line, column)
-
-    def _lex_name(self, line: int, column: int) -> _Token:
-        prefix = self._take_name_run()
-        if self._peek() == ":":
-            self._advance()
-            local = self._take_name_run()
-            local, pushed = self._strip_trailing_dots(local)
-            self._push_back(pushed)
-            return _Token("pname", (prefix, local), line, column)
-        prefix, pushed = self._strip_trailing_dots(prefix)
-        self._push_back(pushed)
-        if prefix == "a":
-            return _Token("a", "a", line, column)
-        if prefix in ("true", "false"):
-            raise self.error("bare boolean literals are not supported; quote the value and add a datatype", line, column)
-        raise self.error(f"bare name {prefix!r} is not valid Turtle here (missing prefix or quotes?)", line, column)
-
-    def _take_name_run(self) -> str:
-        start = self.pos
-        end = _NAME_RUN.match(self.text, start).end()
-        # Name characters include no newline, so only the column moves.
-        self.pos = end
-        self.column += end - start
-        return self.text[start:end]
-
-    def _strip_trailing_dots(self, name: str) -> tuple[str, int]:
-        pushed = 0
-        while name.endswith("."):
-            name = name[:-1]
-            pushed += 1
-        return name, pushed
-
-    def _push_back(self, count: int) -> None:
-        for _ in range(count):
-            self.pos -= 1
-            self.column -= 1
+def _fail(text: str, start: int) -> TurtleParseError:
+    """The error for the text at ``start``, where no token starts."""
+    ch = text[start]
+    if ch == "<":
+        if text.startswith("<<", start):
+            return _error(text, start, "quoted triples ('<<') are not supported")
+        end = _IRI_PREFIX.match(text, start + 1).end()
+        if end == len(text):
+            return _error(text, start, "unterminated IRI (missing '>')")
+        return _error(text, start, f"character {text[end]!r} is not allowed inside an IRI")
+    if ch == '"':
+        if text.startswith('"""', start):
+            return _error(text, start, 'triple-quoted string literals (\'"""\') are not supported')
+        end = _STRING_PREFIX.match(text, start + 1).end()
+        _unescape(text, start + 1, end)  # an escape before the fault is reported first
+        if end == len(text):
+            return _error(text, start, "unterminated string literal")
+        if text[end] == "\n":
+            return _error(text, start, "newline inside string literal (escape it as \\n)")
+        # text[end] is the backslash of a malformed escape.
+        if end + 1 == len(text):
+            return _error(text, start, "unterminated escape sequence")
+        letter = text[end + 1]
+        if letter in "uU":
+            width = 4 if letter == "u" else 8
+            return _error(text, end + 2, f"invalid \\{letter} escape (expected {width} hex digits)")
+        return _error(text, end + 2, f"unknown escape sequence '\\{letter}'")
+    if ch == "'":
+        return _error(text, start, "single-quoted string literals are not supported; use double quotes")
+    if ch == "[":
+        return _error(text, start, "anonymous blank nodes ('[ ... ]') are not supported; use labeled blank nodes (_:name)")
+    if ch == "(":
+        return _error(text, start, "collections ('( ... )') are not supported")
+    if ch.isdigit() or (ch in "+-" and text[start + 1 : start + 2].isdigit()):
+        return _error(text, start, "bare numeric literals are not supported; quote the value and add a datatype")
+    if ch == "^":
+        return _error(text, start, "stray '^' (expected '^^' before a datatype IRI)")
+    return _error(text, start, f"unexpected character {ch!r}")
 
 
 class _Parser:
     def __init__(self, text: str, base_prefixes: PrefixMap | None = None) -> None:
-        self.tokens = _Lexer(text).tokens()
+        self.text = text
+        self.tokens = _tokenize(text)
         self.index = 0
         self.prefixes = base_prefixes.copy() if base_prefixes is not None else PrefixMap()
         self.base: str | None = None
@@ -302,45 +244,50 @@ class _Parser:
         # names share a Term and its cached hash.  Keyed by the expanded
         # string, never the prefixed name, since a prefix may be rebound.
         self._iris: dict[str, Term] = {}
+        # The Term of each (prefix, local) name, emptied whenever a prefix
+        # is bound.
+        self._pnames: dict[tuple[str, str], Term] = {}
 
     def error(self, message: str, token: _Token | None = None) -> TurtleParseError:
         token = token or self._peek()
-        return TurtleParseError(ParseDiagnostic(token.line, token.column, message))
+        return _error(self.text, token[2], message)
 
     def _peek(self) -> _Token:
         return self.tokens[self.index]
 
     def _next(self) -> _Token:
         token = self.tokens[self.index]
-        if token.kind != "eof":
+        if token[0] != "eof":
             self.index += 1
         return token
 
     def _expect(self, kind: str, what: str) -> _Token:
         token = self._next()
-        if token.kind != kind:
+        if token[0] != kind:
             raise self.error(f"expected {what}, found {_describe(token)}", token)
         return token
 
     def parse(self) -> ParsedDocument:
-        while self._peek().kind != "eof":
-            token = self._peek()
-            if token.kind == "prefix_kw":
+        while True:
+            kind = self._peek()[0]
+            if kind == "eof":
+                return ParsedDocument(self.graph, self.prefixes, self.base)
+            if kind == "prefix_kw":
                 self._parse_prefix_directive()
-            elif token.kind == "base_kw":
+            elif kind == "base_kw":
                 self._parse_base_directive()
             else:
                 self._parse_triples()
-        return ParsedDocument(self.graph, self.prefixes, self.base)
 
     def _parse_prefix_directive(self) -> None:
         self._next()
         name_token = self._expect("pname", "a prefix label like 'apple:'")
-        prefix, local = name_token.value
+        prefix, local = name_token[1]
         if local:
             raise self.error(f"prefix label must end at ':', found extra name part {local!r}", name_token)
         iri_token = self._expect("iriref", "a namespace IRI in angle brackets")
         self.prefixes.bind(prefix, self._resolve_iri(iri_token))
+        self._pnames.clear()
         self._expect("dot", "'.' after the @prefix directive")
 
     def _parse_base_directive(self) -> None:
@@ -350,7 +297,7 @@ class _Parser:
         self._expect("dot", "'.' after the @base directive")
 
     def _resolve_iri(self, token: _Token) -> str:
-        raw = str(token.value)
+        raw = token[1]
         if self.base is not None:
             resolved = urljoin(self.base, raw)
         else:
@@ -365,74 +312,82 @@ class _Parser:
             term = self._iris[value] = iri(value)
         return term
 
+    def _pname(self, token: _Token) -> Term:
+        term = self._pnames.get(token[1])
+        if term is None:
+            term = self._pnames[token[1]] = self._iri(self._expand_pname(token))
+        return term
+
     def _parse_triples(self) -> None:
         subject = self._parse_subject()
         self._parse_predicate_object_list(subject)
         self._expect("dot", "'.' to end the statement")
 
     def _parse_predicate_object_list(self, subject: Term) -> None:
+        insert = self.graph.insert
+        tokens = self.tokens
         while True:
             predicate = self._parse_verb()
             while True:
-                obj = self._parse_object()
-                self.graph.insert(Triple(subject, predicate, obj))
-                if self._peek().kind == "comma":
-                    self._next()
-                    continue
-                break
-            if self._peek().kind == "semi":
-                self._next()
-                # A trailing semicolon before '.' is tolerated.
-                if self._peek().kind in ("dot", "semi"):
-                    while self._peek().kind == "semi":
-                        self._next()
-                    return
-                continue
-            return
+                insert(Triple(subject, predicate, self._parse_object()))
+                if tokens[self.index][0] != "comma":
+                    break
+                self.index += 1
+            if tokens[self.index][0] != "semi":
+                return
+            self.index += 1
+            # A trailing semicolon before '.' is tolerated.
+            if tokens[self.index][0] in ("dot", "semi"):
+                while tokens[self.index][0] == "semi":
+                    self.index += 1
+                return
 
     def _parse_subject(self) -> Term:
         token = self._next()
-        if token.kind == "iriref":
+        kind = token[0]
+        if kind == "pname":
+            return self._pname(token)
+        if kind == "iriref":
             return self._iri(self._resolve_iri(token))
-        if token.kind == "pname":
-            return self._iri(self._expand_pname(token))
-        if token.kind == "blank":
-            return blank(str(token.value))
+        if kind == "blank":
+            return blank(token[1])
         raise self.error(f"expected a subject (IRI, prefixed name, or blank node), found {_describe(token)}", token)
 
     def _parse_verb(self) -> Term:
         token = self._next()
-        if token.kind == "a":
+        kind = token[0]
+        if kind == "pname":
+            return self._pname(token)
+        if kind == "a":
             return self._iri(RDF_TYPE)
-        if token.kind == "iriref":
+        if kind == "iriref":
             return self._iri(self._resolve_iri(token))
-        if token.kind == "pname":
-            return self._iri(self._expand_pname(token))
         raise self.error(f"expected a predicate (IRI, prefixed name, or 'a'), found {_describe(token)}", token)
 
     def _parse_object(self) -> Term:
         token = self._next()
-        if token.kind == "iriref":
+        kind = token[0]
+        if kind == "pname":
+            return self._pname(token)
+        if kind == "string":
+            return self._finish_literal(token[1])
+        if kind == "iriref":
             return self._iri(self._resolve_iri(token))
-        if token.kind == "pname":
-            return self._iri(self._expand_pname(token))
-        if token.kind == "blank":
-            return blank(str(token.value))
-        if token.kind == "string":
-            return self._finish_literal(str(token.value))
+        if kind == "blank":
+            return blank(token[1])
         raise self.error(f"expected an object (IRI, prefixed name, blank node, or literal), found {_describe(token)}", token)
 
     def _finish_literal(self, lexical: str) -> Term:
-        token = self._peek()
-        if token.kind == "langtag":
-            self._next()
-            return literal(lexical, lang=str(token.value))
-        if token.kind == "caret":
-            self._next()
+        kind, value, _ = self._peek()
+        if kind == "langtag":
+            self.index += 1
+            return literal(lexical, lang=value)
+        if kind == "caret":
+            self.index += 1
             dt_token = self._next()
-            if dt_token.kind == "iriref":
+            if dt_token[0] == "iriref":
                 datatype = self._resolve_iri(dt_token)
-            elif dt_token.kind == "pname":
+            elif dt_token[0] == "pname":
                 datatype = self._expand_pname(dt_token)
             else:
                 raise self.error(f"expected a datatype IRI after '^^', found {_describe(dt_token)}", dt_token)
@@ -442,7 +397,7 @@ class _Parser:
         return literal(lexical)
 
     def _expand_pname(self, token: _Token) -> str:
-        prefix, local = token.value
+        prefix, local = token[1]
         expanded = self.prefixes.expand(prefix, local)
         if expanded is None:
             raise self.error(f"undeclared prefix '{prefix}:'", token)
@@ -450,12 +405,13 @@ class _Parser:
 
 
 def _describe(token: _Token) -> str:
-    if token.kind == "eof":
+    kind, value, _ = token
+    if kind == "eof":
         return "end of input"
-    if token.kind == "pname":
-        prefix, local = token.value
+    if kind == "pname":
+        prefix, local = value
         return f"'{prefix}:{local}'"
-    return f"'{token.value}'"
+    return f"'{value}'"
 
 
 def parse_document(text: str, base_prefixes: PrefixMap | None = None) -> ParsedDocument:
@@ -493,9 +449,16 @@ def serialize_turtle(graph: Graph, prefixes: PrefixMap | None = None) -> str:
     prefixes = prefixes if prefixes is not None else DEFAULT_PREFIXES
     lines = [f"@prefix {prefix}: <{namespace}> ." for prefix, namespace in prefixes.items()]
     rdf_type = iri(RDF_TYPE)
+    rendered: dict[Term, str] = {}
+
+    def render(term: Term) -> str:
+        text = rendered.get(term)
+        if text is None:
+            text = rendered[term] = _render_term(term, prefixes)
+        return text
 
     by_subject: dict[Term, dict[Term, list[Term]]] = {}
-    for triple in graph:
+    for triple in graph._match():
         by_subject.setdefault(triple.s, {}).setdefault(triple.p, []).append(triple.o)
 
     for subject in sorted(by_subject, key=Term.sort_key):
@@ -504,12 +467,12 @@ def serialize_turtle(graph: Graph, prefixes: PrefixMap | None = None) -> str:
         if rdf_type in by_subject[subject]:
             predicates.remove(rdf_type)
             predicates.insert(0, rdf_type)
-        subject_text = _render_term(subject, prefixes)
+        subject_text = render(subject)
         parts = []
         for predicate in predicates:
-            verb = "a" if predicate == rdf_type else _render_term(predicate, prefixes)
+            verb = "a" if predicate == rdf_type else render(predicate)
             objects = sorted(by_subject[subject][predicate], key=Term.sort_key)
-            object_text = ", ".join(_render_term(o, prefixes) for o in objects)
+            object_text = ", ".join(render(o) for o in objects)
             parts.append(f"{verb} {object_text}")
         if len(parts) == 1:
             lines.append(f"{subject_text} {parts[0]} .")

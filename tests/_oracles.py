@@ -8,6 +8,8 @@ test.  Equivalence suites drive both sides over seeded random inputs.
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from itertools import product
 
 from applekit.graph import Graph
@@ -25,6 +27,7 @@ from applekit.query import And, Anything, Named, OneOf, SelectQuery, Some
 from applekit.rules import ANY, CONST, VAR, Atom, Rule
 from applekit.schema import SchemaIndex
 from applekit.terms import RDF_TYPE, RDFS_SUBCLASSOF, Term, Triple, iri
+from applekit.turtle import ParseDiagnostic, TurtleParseError
 
 _TYPE = iri(RDF_TYPE)
 _SUBCLASS = iri(RDFS_SUBCLASSOF)
@@ -253,3 +256,234 @@ def naive_materialize(graph: Graph, schema: SchemaIndex, regime: EntailmentRegim
             changed = out.insert(new_triple) or changed
         if not changed:
             return out
+
+
+# ---------------------------------------------------------------------------
+# Turtle tokens, one character at a time
+#
+# The character-walking Turtle lexer that applekit.turtle used before its
+# master regex, with the same check that a \u or \U escape names a Unicode
+# scalar value.  It tracks line and column as it walks, and every token
+# carries both.  The differential tests in test_fuzz.py require the two
+# lexers to agree on every token and every diagnostic.
+
+
+_NAME_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NAME_RUN = re.compile(r"[A-Za-z0-9_.\-]*")
+_STRING_ESCAPES = {
+    "t": "\t",
+    "b": "\b",
+    "n": "\n",
+    "r": "\r",
+    "f": "\f",
+    '"': '"',
+    "'": "'",
+    "\\": "\\",
+}
+
+
+@dataclass(frozen=True)
+class CharToken:
+    kind: str
+    value: object
+    line: int
+    column: int
+
+
+class CharLexer:
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.column = 1
+
+    def error(self, message: str, line: int | None = None, column: int | None = None) -> TurtleParseError:
+        return TurtleParseError(
+            ParseDiagnostic(line if line is not None else self.line, column if column is not None else self.column, message)
+        )
+
+    def _peek(self, offset: int = 0) -> str:
+        index = self.pos + offset
+        return self.text[index] if index < len(self.text) else ""
+
+    def _advance(self) -> str:
+        ch = self.text[self.pos]
+        self.pos += 1
+        if ch == "\n":
+            self.line += 1
+            self.column = 1
+        else:
+            self.column += 1
+        return ch
+
+    def _skip_space_and_comments(self) -> None:
+        while self.pos < len(self.text):
+            ch = self._peek()
+            if ch in " \t\r\n":
+                self._advance()
+            elif ch == "#":
+                while self.pos < len(self.text) and self._peek() != "\n":
+                    self._advance()
+            else:
+                return
+
+    def tokens(self) -> list[CharToken]:
+        out = []
+        while True:
+            token = self._next_token()
+            out.append(token)
+            if token.kind == "eof":
+                return out
+
+    def _next_token(self) -> CharToken:
+        self._skip_space_and_comments()
+        if self.pos >= len(self.text):
+            return CharToken("eof", None, self.line, self.column)
+        line, column = self.line, self.column
+        ch = self._peek()
+        if ch == "<":
+            if self._peek(1) == "<":
+                raise self.error("quoted triples ('<<') are not supported", line, column)
+            return self._lex_iriref(line, column)
+        if ch == '"':
+            if self._peek(1) == '"' and self._peek(2) == '"':
+                raise self.error('triple-quoted string literals (\'"""\') are not supported', line, column)
+            return self._lex_string(line, column)
+        if ch == "'":
+            raise self.error("single-quoted string literals are not supported; use double quotes", line, column)
+        if ch == "[":
+            raise self.error("anonymous blank nodes ('[ ... ]') are not supported; use labeled blank nodes (_:name)", line, column)
+        if ch == "(":
+            raise self.error("collections ('( ... )') are not supported", line, column)
+        if ch.isdigit() or (ch in "+-" and self._peek(1).isdigit()):
+            raise self.error("bare numeric literals are not supported; quote the value and add a datatype", line, column)
+        if ch == ".":
+            self._advance()
+            return CharToken("dot", ".", line, column)
+        if ch == ";":
+            self._advance()
+            return CharToken("semi", ";", line, column)
+        if ch == ",":
+            self._advance()
+            return CharToken("comma", ",", line, column)
+        if ch == "^":
+            if self._peek(1) == "^":
+                self._advance()
+                self._advance()
+                return CharToken("caret", "^^", line, column)
+            raise self.error("stray '^' (expected '^^' before a datatype IRI)", line, column)
+        if ch == "@":
+            return self._lex_at_word(line, column)
+        if ch == "_" and self._peek(1) == ":":
+            return self._lex_blank(line, column)
+        if ch in _NAME_START or ch == ":":
+            return self._lex_name(line, column)
+        raise self.error(f"unexpected character {ch!r}", line, column)
+
+    def _lex_iriref(self, line: int, column: int) -> CharToken:
+        self._advance()  # <
+        chars = []
+        while True:
+            if self.pos >= len(self.text):
+                raise self.error("unterminated IRI (missing '>')", line, column)
+            ch = self._advance()
+            if ch == ">":
+                return CharToken("iriref", "".join(chars), line, column)
+            if ch in '<"{}|^`\\ ' or ch in "\n\t\r":
+                raise self.error(f"character {ch!r} is not allowed inside an IRI", line, column)
+            chars.append(ch)
+
+    def _lex_string(self, line: int, column: int) -> CharToken:
+        self._advance()  # opening quote
+        chars = []
+        while True:
+            if self.pos >= len(self.text):
+                raise self.error("unterminated string literal", line, column)
+            ch = self._advance()
+            if ch == '"':
+                return CharToken("string", "".join(chars), line, column)
+            if ch == "\n":
+                raise self.error("newline inside string literal (escape it as \\n)", line, column)
+            if ch == "\\":
+                chars.append(self._lex_escape(line, column))
+            else:
+                chars.append(ch)
+
+    def _lex_escape(self, line: int, column: int) -> str:
+        if self.pos >= len(self.text):
+            raise self.error("unterminated escape sequence", line, column)
+        ch = self._advance()
+        if ch in _STRING_ESCAPES:
+            return _STRING_ESCAPES[ch]
+        if ch in "uU":
+            width = 4 if ch == "u" else 8
+            digits = self.text[self.pos : self.pos + width]
+            if len(digits) < width or any(d not in "0123456789abcdefABCDEF" for d in digits):
+                raise self.error(f"invalid \\{ch} escape (expected {width} hex digits)", self.line, self.column)
+            code = int(digits, 16)
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise self.error(f"invalid \\{ch} escape (U+{code:04X} is not a Unicode scalar value)", self.line, self.column)
+            for _ in range(width):
+                self._advance()
+            return chr(code)
+        raise self.error(f"unknown escape sequence '\\{ch}'", self.line, self.column)
+
+    def _lex_at_word(self, line: int, column: int) -> CharToken:
+        self._advance()  # @
+        word = self._take_name_run()
+        word, pushed = self._strip_trailing_dots(word)
+        self._push_back(pushed)
+        if word == "prefix":
+            return CharToken("prefix_kw", word, line, column)
+        if word == "base":
+            return CharToken("base_kw", word, line, column)
+        parts = word.split("-")
+        if word and word[0].isalpha() and all(part.isalnum() for part in parts):
+            return CharToken("langtag", word, line, column)
+        raise self.error(f"unknown directive or language tag '@{word}'", line, column)
+
+    def _lex_blank(self, line: int, column: int) -> CharToken:
+        self._advance()  # _
+        self._advance()  # :
+        label = self._take_name_run()
+        label, pushed = self._strip_trailing_dots(label)
+        if not label:
+            raise self.error("blank node label must be non-empty", line, column)
+        self._push_back(pushed)
+        return CharToken("blank", label, line, column)
+
+    def _lex_name(self, line: int, column: int) -> CharToken:
+        prefix = self._take_name_run()
+        if self._peek() == ":":
+            self._advance()
+            local = self._take_name_run()
+            local, pushed = self._strip_trailing_dots(local)
+            self._push_back(pushed)
+            return CharToken("pname", (prefix, local), line, column)
+        prefix, pushed = self._strip_trailing_dots(prefix)
+        self._push_back(pushed)
+        if prefix == "a":
+            return CharToken("a", "a", line, column)
+        if prefix in ("true", "false"):
+            raise self.error("bare boolean literals are not supported; quote the value and add a datatype", line, column)
+        raise self.error(f"bare name {prefix!r} is not valid Turtle here (missing prefix or quotes?)", line, column)
+
+    def _take_name_run(self) -> str:
+        start = self.pos
+        end = _NAME_RUN.match(self.text, start).end()
+        # Name characters include no newline, so only the column moves.
+        self.pos = end
+        self.column += end - start
+        return self.text[start:end]
+
+    def _strip_trailing_dots(self, name: str) -> tuple[str, int]:
+        pushed = 0
+        while name.endswith("."):
+            name = name[:-1]
+            pushed += 1
+        return name, pushed
+
+    def _push_back(self, count: int) -> None:
+        for _ in range(count):
+            self.pos -= 1
+            self.column -= 1

@@ -78,6 +78,16 @@ class TestInputHandling:
         assert f"{bad}:4:11" in err
         assert "bare numeric literals" in err
 
+    @pytest.mark.parametrize("escape", [r"\UFFFFFFFF", r"\U00110000", r"\uD800"])
+    @pytest.mark.parametrize("command", ["reason", "validate"])
+    def test_escape_outside_unicode_is_parse_error(self, capsys, tmp_path, command, escape):
+        bad = tmp_path / "bad.ttl"
+        bad.write_text(HEADER + f'ex:s ex:p "{escape}" .\n', encoding="utf-8")
+        code, _, err = run(capsys, command, "-i", str(bad), "-o", str(tmp_path / "out"))
+        assert code == 1
+        assert f"{bad}:4:14: error: invalid \\{escape[1]} escape" in err
+        assert not (tmp_path / "out").exists()
+
     def test_multiple_inputs_are_unioned(self, capsys, tmp_path, micro_ttl):
         other = tmp_path / "other.ttl"
         other.write_text(HEADER + "ex:j a ex:A .\n", encoding="utf-8")

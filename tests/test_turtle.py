@@ -195,6 +195,17 @@ class TestErrors:
         with pytest.raises(TurtleParseError, match="hex digits"):
             parse(r'ex:s ex:p "\u00GG" .')
 
+    @pytest.mark.parametrize("escape", [r"\UFFFFFFFF", r"\U00110000", r"\uD800", r"\uDFFF"])
+    def test_escape_outside_unicode_scalar_values(self, escape):
+        # Reported where the hex-digit error is: just after the escape letter.
+        with pytest.raises(TurtleParseError, match=f"U\\+{escape[2:].lstrip('0')} is not a Unicode scalar value") as err:
+            parse(f'ex:s ex:p "ab{escape}" .')
+        assert (err.value.line, err.value.column) == (2, len('ex:s ex:p "ab\\u') + 1)
+
+    def test_escapes_at_the_unicode_edges(self):
+        g = parse(r'ex:s ex:p "\U0010FFFF\uD7FF\uE000" .')
+        assert next(iter(g)).o == literal("\U0010FFFF\uD7FF\uE000")
+
     def test_error_positions_are_exact(self):
         with pytest.raises(TurtleParseError) as err:
             parse_turtle("@prefix ex: <http://example.org/> .\nex:s ex:p 42 .")
