@@ -28,10 +28,18 @@ from .assets import AssetError, load_assets, parse_cq_manifest
 from .cq import format_cq_table, run_cq_suite
 from .graph import Graph
 from .materialize import materialize
-from .query import QueryParseError, parse_class_expression, parse_select, retrieve_classes, retrieve_instances, select
+from .query import (
+    QueryParseError,
+    parse_class_expression,
+    parse_select,
+    render_term,
+    retrieve_classes,
+    retrieve_instances,
+    select,
+)
 from .rules import RuleError, VerdictConflictError, classify_actions, parse_rules
 from .schema import NameCatalog, SchemaError, SchemaIndex, extract_schema
-from .terms import PrefixMap, StructuralError, Term
+from .terms import PrefixMap, StructuralError
 from .turtle import TurtleParseError, parse_document, serialize_turtle
 from .validate import validate_graph
 from .vocab import DEFAULT_PREFIXES
@@ -49,7 +57,7 @@ class CliError(Exception):
         self.code = code
 
 
-def _add_io_options(parser: argparse.ArgumentParser, formats: tuple[str, ...], default_format: str) -> None:
+def _add_io_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "-i", "--input", action="append", default=[], metavar="FILE",
         help="Turtle input file (repeatable)",
@@ -59,10 +67,6 @@ def _add_io_options(parser: argparse.ArgumentParser, formats: tuple[str, ...], d
         help="include the bundled taxonomy and scenario graphs",
     )
     parser.add_argument("-o", "--output", metavar="FILE", help="write output here instead of stdout")
-    parser.add_argument(
-        "--format", choices=formats, default=default_format,
-        help=f"output format (default: {default_format})",
-    )
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[Graph, PrefixMap]:
@@ -118,12 +122,6 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _render_term_string(value) -> str:
-    if isinstance(value, Term):
-        return value.value if value.is_iri() else value.n3()
-    return str(value)
-
-
 def _cmd_reason(args: argparse.Namespace) -> int:
     inputs = _load_and_reason(args)
     _emit(args, serialize_turtle(inputs.materialized, inputs.prefixes))
@@ -155,7 +153,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 "firings": [
                     {
                         "rule": f.rule_id,
-                        "bindings": {var: _render_term_string(term) for var, term in f.bindings},
+                        "bindings": {var: render_term(term) for var, term in f.bindings},
                     }
                     for f in v.firings
                 ],
@@ -223,17 +221,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     reason = sub.add_parser("reason", help="materialize schema entailments, write Turtle")
-    _add_io_options(reason, ("turtle",), "turtle")
+    _add_io_options(reason)
     reason.set_defaults(handler=_cmd_reason)
 
     classify = sub.add_parser("classify", help="run verdict rules, report verdicts as JSON")
-    _add_io_options(classify, ("json",), "json")
+    _add_io_options(classify)
     classify.add_argument("--rules", metavar="FILE", help="rule file (default: bundled rules with --bundled)")
     classify.set_defaults(handler=_cmd_classify)
 
     query = sub.add_parser("query", help="evaluate a class expression or select query")
     query.add_argument("expression", help="query text")
-    _add_io_options(query, ("json", "tsv"), "json")
+    _add_io_options(query)
+    query.add_argument("--format", choices=("json", "tsv"), default="json", help="output format (default: json)")
     query.add_argument(
         "--mode", choices=("instances", "classes", "select"), default="instances",
         help="retrieval mode (default: instances)",
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.set_defaults(handler=_cmd_query)
 
     validate = sub.add_parser("validate", help="consistency report (JSON)")
-    _add_io_options(validate, ("json",), "json")
+    _add_io_options(validate)
     validate.add_argument(
         "--world", choices=("open", "closed"), default="closed",
         help="closed world audits existential obligations; open world skips them",
@@ -249,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     validate.set_defaults(handler=_cmd_validate)
 
     cq = sub.add_parser("cq", help="run the competency-question suite")
-    _add_io_options(cq, ("text", "json"), "text")
+    _add_io_options(cq)
+    cq.add_argument("--format", choices=("text", "json"), default="text", help="output format (default: text)")
     cq.add_argument("--manifest", metavar="FILE", help="alternative competency-question manifest")
     cq.set_defaults(handler=_cmd_cq)
 

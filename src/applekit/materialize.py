@@ -16,10 +16,15 @@ Six named entailment rules, individually switchable through an
 - ``inverse-propagation``: an edge over a property yields the reversed
   edge over each declared inverse.
 
-Axioms are read from a :class:`~applekit.schema.SchemaIndex`, not from the
-data graph, so materializing a data-only graph against a separately
-extracted schema works.  Existential obligations are never skolemized; the
-closed-world validator audits them instead.
+Axioms are read from a :class:`~applekit.schema.SchemaIndex`, so
+materializing a data-only graph against a separately extracted schema
+works.  The data graph's own ``rdfs:subClassOf`` and
+``rdfs:subPropertyOf`` edges between IRIs are axioms too: each closure is
+computed once, over the schema's pairs and the data's together, so the
+output is closed under its own subclass and subproperty edges.  The
+data's domains, ranges and inverses are not read.  Existential
+obligations are never skolemized; the closed-world validator audits them
+instead.
 
 Evaluation is semi-naive: a worklist seeded with the input triples, so
 each consequence is derived once.
@@ -31,8 +36,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import Graph
-from .schema import SchemaIndex
-from .terms import RDF_TYPE, RDFS_SUBCLASSOF, Triple, iri
+from .schema import SchemaIndex, _cached_closure
+from .terms import RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, Term, Triple, iri
 
 SUBCLASS_TRANSITIVITY = "subclass-transitivity"
 TYPE_INHERITANCE = "type-inheritance"
@@ -76,18 +81,28 @@ DEFAULT_REGIME = EntailmentRegime()
 
 _TYPE = iri(RDF_TYPE)
 _SUBCLASS = iri(RDFS_SUBCLASSOF)
+_SUBPROPERTY = iri(RDFS_SUBPROPERTYOF)
+
+
+def _iri_pairs(graph: Graph, predicate: Term) -> frozenset[tuple[str, str]]:
+    edges = graph._match(None, predicate, None)
+    return frozenset((t.s.value, t.o.value) for t in edges if t.s.is_iri() and t.o.is_iri())
 
 
 def materialize(graph: Graph, schema: SchemaIndex, regime: EntailmentRegime = DEFAULT_REGIME) -> Graph:
     """Return a new graph extended with every enabled entailment.
 
-    The input graph is never mutated.
+    The schema's axioms apply, together with the subclass and subproperty
+    edges between IRIs that the graph itself asserts.  The input graph is
+    never mutated.
     """
     out = graph.copy()
 
     # Every IRI a consequence can carry, built once per class or property.
-    ancestors = {c: tuple(iri(a) for a in schema.superclasses(c)) for c in schema.classes}
-    superprops = {p: tuple(iri(q) for q in schema.superproperties(p) if q != p) for p in schema.properties}
+    superclasses = _cached_closure(schema.sub_class_of | _iri_pairs(graph, _SUBCLASS))
+    superproperties = _cached_closure(schema.sub_property_of | _iri_pairs(graph, _SUBPROPERTY))
+    ancestors = {c: tuple(iri(a) for a in parents) for c, parents in superclasses.items()}
+    superprops = {p: tuple(iri(q) for q in parents if q != p) for p, parents in superproperties.items()}
     inverses = {p: tuple(iri(q) for q in schema.inverse_partners(p)) for p in schema.properties}
     domains = {p: tuple(iri(c) for c in classes) for p, classes in schema.domain_of.items()}
     ranges = {p: tuple(iri(c) for c in classes) for p, classes in schema.range_of.items()}
@@ -96,7 +111,7 @@ def materialize(graph: Graph, schema: SchemaIndex, regime: EntailmentRegime = DE
 
     if SUBCLASS_TRANSITIVITY in regime:
         # The closure of the asserted pairs, including pairs the data graph
-        # itself may not carry when the schema came from a larger graph.
+        # itself may not carry when the schema came from another graph.
         for child, parents in ancestors.items():
             child_term = iri(child)
             for parent in parents:

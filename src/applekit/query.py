@@ -20,11 +20,18 @@ matching class-level (punned) edge.
 ``select`` evaluates a conjunctive basic-graph-pattern query and returns
 sorted, duplicate-free rows; its patterns must share variables so the query
 forms one connected component.
+
+:func:`solutions` is the package's one pattern matcher: it joins triple
+patterns through the graph's indexes.  ``select`` projects and sorts its
+bindings, rule bodies in :mod:`applekit.rules` are matched by it, and the
+validator's checks in :mod:`applekit.validate` are set operations over
+instance-retrieval extensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
 from .schema import PUNCTUATION, LexError, NameCatalog, SchemaIndex, Token, TokenCursor, tokenize
@@ -218,8 +225,7 @@ def _extension(expr: ClassExpression, graph: Graph) -> set[Term]:
 
 def retrieve_instances(expr: ClassExpression, graph: Graph) -> list[str]:
     """Individuals satisfying the expression, as sorted IRI/blank strings."""
-    found = _extension(expr, graph)
-    return sorted(term.value if term.is_iri() else f"_:{term.value}" for term in found)
+    return sorted(render_term(term) for term in _extension(expr, graph))
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +314,61 @@ def retrieve_classes(expr: ClassExpression, schema: SchemaIndex, graph: Graph) -
 # Conjunctive select
 
 
-@dataclass(frozen=True)
-class TriplePattern:
-    s: str | Term  # "?name" variables or concrete terms
-    p: str | Term
-    o: str | Term
+class TriplePattern(NamedTuple):
+    """A triple pattern.  Each slot is a constant Term, a variable name
+    (a str), or None: the wildcard, which matches any term and binds
+    nothing."""
+
+    s: Term | str | None
+    p: Term | str | None
+    o: Term | str | None
 
     def variables(self) -> list[str]:
-        return [slot for slot in (self.s, self.p, self.o) if isinstance(slot, str)]
+        return [slot for slot in self if isinstance(slot, str)]
+
+    def ground(self, binding: dict[str, Term]) -> list[Term | None]:
+        """The slots with each bound variable replaced by its term; an
+        unbound variable becomes a wildcard."""
+        return [binding.get(slot) if isinstance(slot, str) else slot for slot in self]
+
+
+def solutions(patterns: tuple[TriplePattern, ...], graph: Graph, first: Graph | None = None) -> list[dict[str, Term]]:
+    """Every binding under which all the patterns match triples of
+    ``graph``; the first pattern matches in ``first`` instead, when given.
+
+    This is the package's one join.  Each pattern in turn extends every
+    binding so far, looking up the slots already bound in the graph's
+    index.  A variable may stand in any slot, predicates included, and may
+    repeat inside one pattern.  The same binding can appear more than once;
+    callers that need a set collect the bindings into one.
+    """
+    bindings: list[dict[str, Term]] = [{}]
+    source = graph if first is None else first
+    for pattern in patterns:
+        extended: list[dict[str, Term]] = []
+        for binding in bindings:
+            ground = pattern.ground(binding)
+            matched = source._match(*ground)
+            if not matched:
+                continue
+            # (slot position, variable) for each variable the binding leaves open
+            free = [(position, slot) for position, slot in enumerate(pattern) if slot is not None and ground[position] is None]
+            if not free:
+                extended.append(binding)  # a ground or wildcard match binds nothing new
+                continue
+            for triple in matched:
+                terms = (triple.s, triple.p, triple.o)
+                bound = dict(binding)
+                for position, name in free:
+                    term = terms[position]
+                    held = bound.setdefault(name, term)
+                    if held is not term and held != term:
+                        break  # a variable repeated in the pattern met two terms
+                else:
+                    extended.append(bound)
+        bindings = extended
+        source = graph
+    return bindings
 
 
 @dataclass(frozen=True)
@@ -399,45 +452,14 @@ def select(query: SelectQuery, graph: Graph) -> list[tuple[str, ...]]:
     An empty variable list yields one empty row when every ground pattern
     holds, and no rows otherwise.
     """
-
-    def resolve_slot(slot: str | Term, binding: dict[str, Term]) -> Term | None:
-        if isinstance(slot, Term):
-            return slot
-        return binding.get(slot)
-
-    bindings: list[dict[str, Term]] = [{}]
-    for pattern in query.patterns:
-        next_bindings: list[dict[str, Term]] = []
-        for binding in bindings:
-            s = resolve_slot(pattern.s, binding)
-            p = resolve_slot(pattern.p, binding)
-            o = resolve_slot(pattern.o, binding)
-            for triple in graph._match(s, p, o):
-                extended = dict(binding)
-                ok = True
-                for slot, term in ((pattern.s, triple.s), (pattern.p, triple.p), (pattern.o, triple.o)):
-                    if isinstance(slot, str):
-                        bound = extended.get(slot)
-                        if bound is None:
-                            extended[slot] = term
-                        elif bound != term:
-                            ok = False
-                            break
-                if ok:
-                    next_bindings.append(extended)
-        bindings = next_bindings
-        if not bindings:
-            break
     rows = {
-        tuple(_render(binding[var]) for var in query.variables)
-        for binding in bindings
+        tuple(render_term(binding[var]) for var in query.variables)
+        for binding in solutions(query.patterns, graph)
     }
     return sorted(rows)
 
 
-def _render(term: Term) -> str:
-    if term.is_iri():
-        return term.value
-    if term.is_blank():
-        return f"_:{term.value}"
-    return term.n3()
+def render_term(term: Term) -> str:
+    """A term as the package prints it in results: an IRI as its value, a
+    blank node as ``_:label``, a literal in N-Triples form."""
+    return term.value if term.is_iri() else term.n3()

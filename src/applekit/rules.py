@@ -19,9 +19,12 @@ rejected.  Evaluation runs strata in ascending order, semi-naive within a
 stratum, and records a :class:`Firing` (rule id plus variable bindings) for
 every distinct body match, so each derived triple can be replayed.
 
-Each round's new triples form a small indexed graph (the delta), so the
-next round looks up only the delta triples an atom can match.  Rule atoms
-are turned into term patterns once per evaluation.
+Rule atoms are compiled once per evaluation into the triple patterns of
+:mod:`applekit.query`, and a body is matched by its one join,
+:func:`~applekit.query.solutions`.  Each round's new triples form a small
+indexed graph (the delta), and the next round matches each positive atom
+in turn against the delta first, so it looks up only the delta triples an
+atom can match.  Negated atoms are checked after the join.
 
 The canonical firing order, used for each verdict's firings, is by rule
 id, then by the :meth:`~applekit.terms.Term.sort_key` of each bound term
@@ -34,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import Graph
+from .query import TriplePattern, solutions
 from .schema import PUNCTUATION, LexError, Token, TokenCursor, tokenize
 from .terms import RDF_TYPE, Term, Triple, iri
 from .vocab import ACTION, UPHOLDS_PRINCIPLE, VERDICT_CLASSES, VIOLATES_PRINCIPLE
@@ -298,12 +302,11 @@ def _check_safety(rule_id: str, body: tuple[Atom, ...], head: Atom, line: int) -
 # Evaluation
 
 
-# A compiled atom is a (subject, predicate, object) pattern built once per
-# evaluation.  The predicate is always a Term; the subject and object slots
-# hold a constant Term, a variable name (str), or None for the wildcard '_'.
+# A compiled atom is a query pattern built once per evaluation: variables
+# keep their names without the '?', and the wildcard '_' is None.
 
 
-def _compile_atom(atom: Atom) -> tuple:
+def _compile_atom(atom: Atom) -> TriplePattern:
     def slot(arg: RuleArg) -> Term | str | None:
         if arg.kind == CONST:
             return iri(arg.value)
@@ -312,16 +315,16 @@ def _compile_atom(atom: Atom) -> tuple:
         return None
 
     if atom.is_class_atom():
-        return (slot(atom.args[0]), _TYPE, iri(atom.predicate))
-    return (slot(atom.args[0]), iri(atom.predicate), slot(atom.args[1]))
+        return TriplePattern(slot(atom.args[0]), _TYPE, iri(atom.predicate))
+    return TriplePattern(slot(atom.args[0]), iri(atom.predicate), slot(atom.args[1]))
 
 
 @dataclass(frozen=True)
 class _CompiledRule:
     id: str
-    positives: tuple[tuple, ...]
-    negatives: tuple[tuple, ...]
-    head: tuple
+    positives: tuple[TriplePattern, ...]
+    negatives: tuple[TriplePattern, ...]
+    head: TriplePattern
 
 
 def _compile_rule(rule: Rule) -> _CompiledRule:
@@ -331,38 +334,6 @@ def _compile_rule(rule: Rule) -> _CompiledRule:
         tuple(_compile_atom(atom) for atom in rule.body if atom.negated),
         _compile_atom(rule.head),
     )
-
-
-def _ground(pattern: tuple, binding: dict[str, Term]) -> tuple[Term | None, Term, Term | None]:
-    """The pattern with bound variables replaced by their terms."""
-    s, p, o = pattern
-    if isinstance(s, str):
-        s = binding.get(s)
-    if isinstance(o, str):
-        o = binding.get(o)
-    return s, p, o
-
-
-def _match_atom(pattern: tuple, source: Graph, binding: dict[str, Term]):
-    """Yield the binding extended by each triple of ``source`` matching the
-    pattern; the binding itself when the match binds nothing new."""
-    s_slot, _, o_slot = pattern
-    s, p, o = _ground(pattern, binding)
-    bind_s = s is None and isinstance(s_slot, str)
-    bind_o = o is None and isinstance(o_slot, str)
-    same_var = bind_s and bind_o and s_slot == o_slot
-    for triple in source._match(s, p, o):
-        if not (bind_s or bind_o):
-            yield binding
-            continue
-        if same_var and triple.s != triple.o:
-            continue
-        extended = dict(binding)
-        if bind_s:
-            extended[s_slot] = triple.s
-        if bind_o:
-            extended[o_slot] = triple.o
-        yield extended
 
 
 def _match_body(rule: _CompiledRule, graph: Graph, delta: Graph | None):
@@ -376,31 +347,13 @@ def _match_body(rule: _CompiledRule, graph: Graph, delta: Graph | None):
     """
     positives = rule.positives
     if delta is None:
-        yield from _join(positives, 0, {}, graph, graph, rule.negatives)
-        return
-    for slot in range(len(positives)):
-        atoms = (positives[slot], *positives[:slot], *positives[slot + 1:])
-        yield from _join(atoms, 0, {}, delta, graph, rule.negatives)
-
-
-def _join(atoms: tuple, index: int, binding: dict[str, Term], source: Graph, graph: Graph, negatives: tuple):
-    """Extend ``binding`` through ``atoms[index:]``, the first matched in
-    ``source`` and the rest in ``graph``; yield those no negative atom
-    blocks.  A module function, not a closure: a recursive closure is a
-    reference cycle that would keep ``graph`` alive until the collector
-    runs."""
-    if index == len(atoms):
-        if all(not graph._match(*_ground(atom, binding)) for atom in negatives):
-            yield binding
-        return
-    for extended in _match_atom(atoms[index], source, binding):
-        yield from _join(atoms, index + 1, extended, graph, graph, negatives)
-
-
-def _instantiate(head: tuple, binding: dict[str, Term]) -> Triple:
-    s, p, o = _ground(head, binding)
-    assert s is not None and o is not None, "safety check guarantees ground heads"
-    return Triple(s, p, o)
+        orders = [positives]
+    else:
+        orders = [(positives[i], *positives[:i], *positives[i + 1:]) for i in range(len(positives))]
+    for patterns in orders:
+        for binding in solutions(patterns, graph, delta):
+            if not any(graph._match(*atom.ground(binding)) for atom in rule.negatives):
+                yield binding
 
 
 def evaluate_with_provenance(graph: Graph, rules: list[Rule]) -> tuple[Graph, list[Firing]]:
@@ -425,7 +378,7 @@ def evaluate_with_provenance(graph: Graph, rules: list[Rule]) -> tuple[Graph, li
                     if (rule.id, bound) in seen:
                         continue
                     seen.add((rule.id, bound))
-                    derived = _instantiate(rule.head, binding)
+                    derived = Triple(*rule.head.ground(binding))
                     firings.append(Firing(rule.id, bound, derived))
                     if out.insert(derived):
                         added.insert(derived)

@@ -367,7 +367,7 @@ class NameCatalog:
         for p in schema.properties:
             properties.setdefault(local_name(p), set()).add(p)
         class_iris = {iri(c) for c in schema.classes}
-        for t in graph.match(None, iri(RDF_TYPE), None):
+        for t in graph._match(None, iri(RDF_TYPE), None):
             if t.s.is_iri() and t.s not in class_iris and t.o.is_iri() and not _is_builtin(t.o.value):
                 individuals.setdefault(local_name(t.s.value), set()).add(t.s.value)
         return cls(classes, properties, individuals, prefixes)

@@ -8,6 +8,11 @@ Two checks, two severities:
   instance of a class carrying an obligation ``(C, p, D)`` with no asserted
   or derived ``p`` edge to an individual entailed to be in ``D``.
 
+Both are set operations over the class-expression extensions of
+:mod:`applekit.query` on the materialized graph: a clash is a member of
+the extensions of two disjoint classes, and an unsatisfied obligation is a
+member of the extension of ``C`` but not of ``p some D``.
+
 Open-world mode reports no obligation warnings at all, since an unseen
 witness may simply be unstated.  Reports are deterministic: violations are
 sorted, and the report carries a sha256 digest of the raw input graph in
@@ -22,13 +27,11 @@ import json
 from dataclasses import dataclass
 
 from .graph import Graph
+from .query import Named, PropertyPath, Some, _extension, render_term
 from .schema import SchemaIndex, extract_schema
-from .terms import RDF_TYPE, Term, Triple, iri
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
-
-_TYPE = iri(RDF_TYPE)
 
 
 @dataclass(frozen=True)
@@ -66,22 +69,12 @@ def check_disjointness(graph: Graph, schema: SchemaIndex) -> list[Violation]:
     violations: list[Violation] = []
     for disjoint_set in schema.disjoint_sets:
         members = sorted(disjoint_set)
-        holders: dict[str, list[Term]] = {
-            cls: [t.s for t in graph.match(None, _TYPE, iri(cls))] for cls in members
-        }
+        holders = {cls: _extension(Named(cls), graph) for cls in members}
         for i, first in enumerate(members):
-            first_holders = set(holders[first])
-            if not first_holders:
-                continue
             for second in members[i + 1:]:
-                for subject in sorted(first_holders & set(holders[second]), key=Term.sort_key):
+                for subject in holders[first] & holders[second]:
                     violations.append(
-                        Violation(
-                            "disjointness-clash",
-                            SEVERITY_ERROR,
-                            _render(subject),
-                            (first, second),
-                        )
+                        Violation("disjointness-clash", SEVERITY_ERROR, render_term(subject), (first, second))
                     )
     return sorted(set(violations), key=Violation.sort_key)
 
@@ -89,8 +82,9 @@ def check_disjointness(graph: Graph, schema: SchemaIndex) -> list[Violation]:
 def check_obligations(graph: Graph, schema: SchemaIndex, mode: str = "closed") -> list[Violation]:
     """Audit existential obligations; closed world warns, open world trusts.
 
-    The graph is expected to be materialized already, so entailed types and
-    derived property edges are direct lookups.
+    The graph is expected to be materialized already.  An obligation
+    ``(C, p, D)`` is unsatisfied by the extension of ``C`` less that of
+    ``p some D``.
     """
     if mode not in ("closed", "open"):
         raise ValueError(f"unknown validation mode: {mode!r}")
@@ -98,27 +92,17 @@ def check_obligations(graph: Graph, schema: SchemaIndex, mode: str = "closed") -
         return []
     violations: list[Violation] = []
     for obligation in schema.obligations:
-        filler = iri(obligation.filler)
-        prop = iri(obligation.property)
-        for holder in graph.subjects(_TYPE, iri(obligation.on_class)):
-            satisfied = any(
-                not t.o.is_literal() and Triple(t.o, _TYPE, filler) in graph
-                for t in graph.match(holder, prop, None)
-            )
-            if not satisfied:
-                violations.append(
-                    Violation(
-                        "unsatisfied-obligation",
-                        SEVERITY_WARNING,
-                        _render(holder),
-                        (obligation.on_class, obligation.property, obligation.filler),
-                    )
+        filled = _extension(Some(PropertyPath(obligation.property), Named(obligation.filler)), graph)
+        for holder in _extension(Named(obligation.on_class), graph) - filled:
+            violations.append(
+                Violation(
+                    "unsatisfied-obligation",
+                    SEVERITY_WARNING,
+                    render_term(holder),
+                    (obligation.on_class, obligation.property, obligation.filler),
                 )
+            )
     return sorted(set(violations), key=Violation.sort_key)
-
-
-def _render(term: Term) -> str:
-    return term.value if term.is_iri() else f"_:{term.value}"
 
 
 def inputs_digest(graph: Graph) -> str:

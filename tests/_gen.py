@@ -27,6 +27,9 @@ from applekit.terms import (
     OWL_DISJOINT_WITH,
     OWL_INVERSE_OF,
     OWL_OBJECT_PROPERTY,
+    OWL_ON_PROPERTY,
+    OWL_RESTRICTION,
+    OWL_SOME_VALUES_FROM,
     RDF_TYPE,
     RDFS_DOMAIN,
     RDFS_RANGE,
@@ -104,6 +107,50 @@ def random_graph(
     return graph
 
 
+def random_data_graph(rng: random.Random, max_triples: int = 40) -> Graph:
+    """Instance triples plus subclass and subproperty edges between IRIs, over
+    the vocabulary of :func:`random_graph` and with its edge direction
+    (higher index to lower), so its edges and a random_graph schema's form
+    no cycle together.  It states no other schema axiom."""
+    classes = [iri(f"{NS}C{i}") for i in range(8)]
+    props = [iri(f"{NS}p{i}") for i in range(6)]
+    individuals = [iri(f"{NS}i{i}") for i in range(10)] + [blank("b0")]
+    graph = Graph()
+    for _ in range(rng.randint(1, max_triples)):
+        roll = rng.random()
+        if roll < 0.15:
+            child = rng.randrange(1, len(classes))
+            graph.insert(Triple(classes[child], iri(RDFS_SUBCLASSOF), classes[rng.randrange(child)]))
+        elif roll < 0.25:
+            child = rng.randrange(1, len(props))
+            graph.insert(Triple(props[child], iri(RDFS_SUBPROPERTYOF), props[rng.randrange(child)]))
+        elif roll < 0.6:
+            graph.insert(Triple(rng.choice(individuals), iri(RDF_TYPE), rng.choice(classes)))
+        elif roll < 0.9:
+            graph.insert(Triple(rng.choice(individuals), rng.choice(props), rng.choice(individuals)))
+        else:
+            graph.insert(Triple(rng.choice(individuals), rng.choice(props), literal(f"v{rng.randint(0, 9)}")))
+    return graph
+
+
+def add_obligations(rng: random.Random, graph: Graph) -> Graph:
+    """Add one to three existential obligations to a :func:`random_graph`
+    graph, each a labeled-blank-node ``owl:Restriction`` that a class is a
+    subclass of, and up to two ``owl:disjointWith`` edges.  Kept apart from
+    random_graph so the graphs existing seeds produce do not change."""
+    classes, props, _ = graph_vocabulary(graph)
+    for k in range(rng.randint(1, 3)):
+        node = blank(f"r{k}")
+        graph.insert(Triple(node, iri(RDF_TYPE), iri(OWL_RESTRICTION)))
+        graph.insert(Triple(node, iri(OWL_ON_PROPERTY), iri(rng.choice(props))))
+        graph.insert(Triple(node, iri(OWL_SOME_VALUES_FROM), iri(rng.choice(classes))))
+        graph.insert(Triple(iri(rng.choice(classes)), iri(RDFS_SUBCLASSOF), node))
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(classes, 2)
+        graph.insert(Triple(iri(a), iri(OWL_DISJOINT_WITH), iri(b)))
+    return graph
+
+
 def graph_vocabulary(graph: Graph) -> tuple[list[str], list[str], list[str]]:
     """(classes, properties, individuals) IRIs seen in a generated graph."""
     classes = sorted({t.s.value for t in graph.match(None, iri(RDF_TYPE), iri(OWL_CLASS))})
@@ -139,20 +186,32 @@ def random_expression(rng: random.Random, classes: list[str], props: list[str], 
 
 
 def random_select(rng: random.Random, props: list[str], individuals: list[str]) -> SelectQuery:
-    """A connected conjunctive query: patterns chain through a shared variable."""
+    """A connected conjunctive query: patterns chain through a shared
+    variable.  A pattern's object may repeat its subject variable
+    (``?x p ?x``) and its predicate may be a variable (``?a ?p ?b``); a
+    query has at most four variables, so the brute-force oracle stays fast."""
     n_patterns = rng.randint(1, 3)
     patterns: list[TriplePattern] = []
     current = "?v0"
     fresh = 1
+
+    def variable() -> str:
+        nonlocal fresh
+        fresh += 1
+        return f"?v{fresh - 1}"
+
     for _ in range(n_patterns):
-        predicate = iri(rng.choice(props))
-        if individuals and rng.random() < 0.3:
-            patterns.append(TriplePattern(current, predicate, iri(rng.choice(individuals))))
+        roll = rng.random()
+        if individuals and roll < 0.25:
+            obj = iri(rng.choice(individuals))
+        elif roll < 0.4 or fresh == 4:
+            obj = current
         else:
-            nxt = f"?v{fresh}"
-            fresh += 1
-            patterns.append(TriplePattern(current, predicate, nxt))
-            current = nxt if rng.random() < 0.7 else current
+            obj = variable()
+        predicate = variable() if fresh < 4 and rng.random() < 0.25 else iri(rng.choice(props))
+        patterns.append(TriplePattern(current, predicate, obj))
+        if isinstance(obj, str) and rng.random() < 0.7:
+            current = obj
     order: list[str] = []
     for pattern in patterns:
         for var in pattern.variables():

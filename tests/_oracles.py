@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from applekit.graph import Graph
 from applekit.materialize import (
@@ -26,7 +26,7 @@ from applekit.materialize import (
 from applekit.query import And, Anything, Named, OneOf, SelectQuery, Some
 from applekit.rules import ANY, CONST, VAR, Atom, Rule
 from applekit.schema import SchemaIndex
-from applekit.terms import RDF_TYPE, RDFS_SUBCLASSOF, Term, Triple, iri
+from applekit.terms import RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, Term, Triple, iri
 from applekit.turtle import ParseDiagnostic, TurtleParseError
 
 _TYPE = iri(RDF_TYPE)
@@ -175,32 +175,37 @@ def ground_firings(graph: Graph, rules: list[Rule]) -> set[tuple[str, tuple[tupl
 
 
 # ---------------------------------------------------------------------------
-# Conjunctive select by cartesian enumeration
+# Conjunctive select by enumerating every assignment of the variables
 
 
 def brute_select(query: SelectQuery, graph: Graph) -> list[tuple[str, ...]]:
-    variables = sorted({v for pattern in query.patterns for v in pattern.variables()})
-    terms: set[Term] = set()
-    for triple in graph:
-        terms.update((triple.s, triple.p, triple.o))
-    universe = sorted(terms, key=Term.sort_key)
+    """Give each variable every term of the graph in turn; test a pattern
+    against the set of stated triples once all its variables have a value."""
+    stated = {(triple.s, triple.p, triple.o) for triple in graph}
+    universe = sorted({term for spo in stated for term in spo}, key=Term.sort_key)
+    variables = list(dict.fromkeys(v for pattern in query.patterns for v in pattern.variables()))
+    # tests[i]: the patterns whose last variable to get a value is variables[i].
+    tests: list[list] = [[] for _ in variables]
+    for pattern in query.patterns:
+        if pattern.variables():
+            tests[max(variables.index(v) for v in pattern.variables())].append(pattern)
+        elif tuple(pattern) not in stated:
+            return []
     rows: set[tuple[str, ...]] = set()
-    for combo in product(universe, repeat=len(variables)):
-        assignment = dict(zip(variables, combo))
-        ok = True
-        for pattern in query.patterns:
-            parts = []
-            for slot in (pattern.s, pattern.p, pattern.o):
-                parts.append(assignment[slot] if isinstance(slot, str) else slot)
-            s, p, o = parts
-            if s.is_literal() or p.kind != "iri":
-                ok = False
-                break
-            if Triple(s, p, o) not in graph:
-                ok = False
-                break
-        if ok:
+
+    def assign(index: int, assignment: dict[str, Term]) -> None:
+        if index == len(variables):
             rows.add(tuple(render_node(assignment[v]) for v in query.variables))
+            return
+        for term in universe:
+            assignment[variables[index]] = term
+            if all(
+                tuple(assignment[slot] if isinstance(slot, str) else slot for slot in pattern) in stated
+                for pattern in tests[index]
+            ):
+                assign(index + 1, assignment)
+
+    assign(0, {})
     return sorted(rows)
 
 
@@ -210,7 +215,8 @@ def brute_select(query: SelectQuery, graph: Graph) -> list[tuple[str, ...]]:
 
 def naive_materialize(graph: Graph, schema: SchemaIndex, regime: EntailmentRegime = DEFAULT_REGIME) -> Graph:
     """Materialize by re-applying every single-step entailment to the whole
-    graph until nothing changes."""
+    graph until nothing changes.  The graph's own subclass and subproperty
+    edges between IRIs count as axioms, next to the schema's."""
     out = graph.copy()
 
     if SUBCLASS_TRANSITIVITY in regime:
@@ -218,8 +224,12 @@ def naive_materialize(graph: Graph, schema: SchemaIndex, regime: EntailmentRegim
             if child != parent:
                 out.insert(Triple(iri(child), _SUBCLASS, iri(parent)))
 
-    asserted_subclass = {(c, d) for c, d in schema.sub_class_of if c != d}
-    asserted_subprop = {(p, q) for p, q in schema.sub_property_of if p != q}
+    def asserted(pairs, predicate):
+        stated = {(t.s.value, t.o.value) for t in graph.match(None, predicate, None) if t.s.is_iri() and t.o.is_iri()}
+        return {(a, b) for a, b in set(pairs) | stated if a != b}
+
+    asserted_subclass = asserted(schema.sub_class_of, _SUBCLASS)
+    asserted_subprop = asserted(schema.sub_property_of, iri(RDFS_SUBPROPERTYOF))
     inverse_pairs = set(schema.inverse_of)
 
     while True:
@@ -256,6 +266,35 @@ def naive_materialize(graph: Graph, schema: SchemaIndex, regime: EntailmentRegim
             changed = out.insert(new_triple) or changed
         if not changed:
             return out
+
+
+# ---------------------------------------------------------------------------
+# Validation by scanning every triple for every node
+
+
+def brute_violations(graph: Graph, schema: SchemaIndex, mode: str = "closed") -> list[tuple]:
+    """Both validator checks over the naive materialization, node by node:
+    (kind, severity, subject, detail) tuples, sorted."""
+    triples = set(naive_materialize(graph, schema))
+    nodes = {t.s for t in triples} | {t.o for t in triples if not t.o.is_literal()}
+    found = set()
+    for node in nodes:
+        types = {t.o.value for t in triples if t.s == node and t.p == _TYPE}
+        for disjoint_set in schema.disjoint_sets:
+            for first, second in combinations(sorted(disjoint_set), 2):
+                if first in types and second in types:
+                    found.add(("disjointness-clash", "error", render_node(node), (first, second)))
+        if mode != "closed":
+            continue
+        for ob in schema.obligations:
+            witnessed = any(
+                t.s == node and t.p.value == ob.property and Triple(t.o, _TYPE, iri(ob.filler)) in triples
+                for t in triples
+                if not t.o.is_literal()
+            )
+            if ob.on_class in types and not witnessed:
+                found.add(("unsatisfied-obligation", "warning", render_node(node), (ob.on_class, ob.property, ob.filler)))
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------

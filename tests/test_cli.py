@@ -88,6 +88,13 @@ class TestInputHandling:
         assert f"{bad}:4:14: error: invalid \\{escape[1]} escape" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["reason", "classify", "validate"])
+    def test_format_only_where_there_is_a_choice(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--bundled", "--format", "json"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
     def test_multiple_inputs_are_unioned(self, capsys, tmp_path, micro_ttl):
         other = tmp_path / "other.ttl"
         other.write_text(HEADER + "ex:j a ex:A .\n", encoding="utf-8")

@@ -5,9 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _gen import random_graph  # noqa: E402
+from _gen import random_data_graph, random_graph  # noqa: E402
 from _oracles import naive_materialize  # noqa: E402
 
 from applekit.assets import load_assets
@@ -114,9 +116,19 @@ class TestIndividualRules:
     def test_asserted_subclass_chains_through_schema(self):
         # The subclass edge lives only in the data graph; the schema knows B < C.
         schema = extract_schema(parse_turtle(HEADER + "ex:B rdfs:subClassOf ex:C ."))
-        data = parse_turtle(HEADER + "ex:A rdfs:subClassOf ex:B .")
+        data = parse_turtle(HEADER + "ex:A rdfs:subClassOf ex:B . ex:x a ex:A .")
         for out in (materialize(data, schema), naive_materialize(data, schema)):
             assert Triple(iri(EX + "A"), SUBCLASS, iri(EX + "C")) in out
+            assert Triple(iri(EX + "x"), TYPE, iri(EX + "B")) in out
+            assert Triple(iri(EX + "x"), TYPE, iri(EX + "C")) in out
+            assert len(out) == 6
+
+    def test_asserted_subproperty_chains_through_schema(self):
+        schema = extract_schema(parse_turtle(HEADER + "ex:q rdfs:subPropertyOf ex:r ."))
+        data = parse_turtle(HEADER + "ex:p rdfs:subPropertyOf ex:q . ex:x ex:p ex:y .")
+        for out in (materialize(data, schema), naive_materialize(data, schema)):
+            assert Triple(iri(EX + "x"), iri(EX + "q"), iri(EX + "y")) in out
+            assert Triple(iri(EX + "x"), iri(EX + "r"), iri(EX + "y")) in out
 
 
 class TestRegimes:
@@ -174,6 +186,17 @@ class TestFixpointProperties:
             graph = random_graph(random.Random(seed))
             schema = extract_schema(graph)
             assert materialize(graph, schema) == naive_materialize(graph, schema), seed
+            data = random_data_graph(random.Random(seed))
+            assert materialize(data, schema) == naive_materialize(data, schema), seed
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_closed_under_its_own_schema(self, data_seed, schema_seed):
+        # The data states only subclass and subproperty axioms, the ones
+        # materialize reads from the data graph.
+        schema = extract_schema(random_graph(random.Random(schema_seed)))
+        out = materialize(random_data_graph(random.Random(data_seed)), schema)
+        assert materialize(out, extract_schema(out)) == out
 
     def test_monotone_in_input(self):
         base = parse_turtle(HEADER + "ex:A rdfs:subClassOf ex:B . ex:i a ex:A .")

@@ -1,8 +1,15 @@
 """Disjointness clashes and closed-world obligation audits."""
 
 import json
+import random
+import sys
+from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+from _gen import add_obligations, random_graph  # noqa: E402
+from _oracles import brute_violations  # noqa: E402
 
 from applekit.assets import load_assets
 from applekit.materialize import materialize
@@ -129,6 +136,21 @@ class TestObligations:
         graph, schema = materialized(OBLIGATED)
         with pytest.raises(ValueError, match="mode"):
             check_obligations(graph, schema, mode="ajar")
+
+
+class TestOracle:
+    @pytest.mark.parametrize("mode", ["closed", "open"])
+    def test_random_graphs_match_oracle(self, mode):
+        checked = 0
+        for seed in range(60):
+            rng = random.Random(7000 + seed)
+            graph = add_obligations(rng, random_graph(rng))
+            schema = extract_schema(graph)
+            report = validate_graph(graph, schema, mode)
+            got = [(v.kind, v.severity, v.subject, v.detail) for v in report.violations]
+            assert got == brute_violations(graph, schema, mode), seed
+            checked += len(got)
+        assert checked  # the random graphs do produce violations
 
 
 class TestReport:
