@@ -232,21 +232,6 @@ def retrieve_instances(expr: ClassExpression, graph: Graph) -> list[str]:
 # Class retrieval (structural subsumption)
 
 
-def _filler_accepts_class(filler: ClassExpression, candidate: str, schema: SchemaIndex, graph: Graph) -> bool:
-    """Does an obligation filler class satisfy the query filler, structurally?"""
-    if isinstance(filler, Anything):
-        return True
-    if isinstance(filler, Named):
-        return schema.is_subclass(candidate, filler.iri)
-    if isinstance(filler, OneOf):
-        return candidate in filler.iris
-    if isinstance(filler, And):
-        return all(_filler_accepts_class(part, candidate, schema, graph) for part in filler.parts)
-    if isinstance(filler, Some):
-        return _class_satisfies(candidate, filler, schema, graph)
-    return False
-
-
 def _filler_accepts_object(filler: ClassExpression, obj: Term, schema: SchemaIndex, graph: Graph) -> bool:
     """Does the object of a class-level edge satisfy the query filler?"""
     if isinstance(filler, Anything):
@@ -283,7 +268,7 @@ def _class_satisfies(candidate: str, expr: ClassExpression, schema: SchemaIndex,
                     continue
                 if not schema.is_subproperty(obligation.property, expr.path.iri):
                     continue
-                if _filler_accepts_class(expr.filler, obligation.filler, schema, graph):
+                if _class_satisfies(obligation.filler, expr.filler, schema, graph):
                     return True
             for triple in schema.class_level_triples:
                 if triple.s.value not in lineage:

@@ -12,19 +12,25 @@ the anonymous wildcard ``_``, bare or prefixed names resolved through a
 :class:`~applekit.schema.NameCatalog`, or ``<absolute-iris>``.  ``not``
 before a body atom negates it (negation as failure).
 
-Strata are computed, not declared: a rule deriving predicate ``h`` must sit
-strictly above every rule whose derived predicate ``h`` negates, and at or
-above those it uses positively.  Rules whose negations form a cycle are
-rejected.  Evaluation runs strata in ascending order, semi-naive within a
-stratum, and records a :class:`Firing` (rule id plus variable bindings) for
-every distinct body match, so each derived triple can be replayed.
+From parsing on, every atom is a :class:`~applekit.query.TriplePattern`:
+``C(?x)`` is ``("x", rdf:type, C)``, so it and ``rdf:type(?x, C)`` are
+one pattern, and ``p(?x, b)`` is ``("x", p, b)``.  A variable is its name
+without the ``?``, the wildcard is None, and a constant is a Term.
 
-Rule atoms are compiled once per evaluation into the triple patterns of
-:mod:`applekit.query`, and a body is matched by its one join,
+Strata are computed, not declared, from pattern overlap: two patterns
+overlap when, in each slot where both hold a constant, the constants are
+equal.  A rule sits at or above every rule whose head one of its positive
+patterns overlaps, and strictly above every rule whose head one of its
+negated patterns overlaps.  Rules whose negations form a cycle are
+rejected.  Evaluation runs strata in ascending order, semi-naive within a
+stratum, and records a :class:`Firing` (rule id plus variable bindings)
+for every distinct body match, so each derived triple can be replayed.
+
+A body is matched by the package's one join,
 :func:`~applekit.query.solutions`.  Each round's new triples form a small
-indexed graph (the delta), and the next round matches each positive atom
-in turn against the delta first, so it looks up only the delta triples an
-atom can match.  Negated atoms are checked after the join.
+indexed graph (the delta), and the next round matches each positive
+pattern in turn against the delta first, so it looks up only the delta
+triples a pattern can match.  Negated patterns are checked after the join.
 
 The canonical firing order, used for each verdict's firings, is by rule
 id, then by the :meth:`~applekit.terms.Term.sort_key` of each bound term
@@ -34,7 +40,7 @@ in variable-name order.  It does not depend on evaluation order, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .graph import Graph
 from .query import TriplePattern, solutions
@@ -59,49 +65,15 @@ class VerdictConflictError(RuleError):
 
 
 @dataclass(frozen=True)
-class RuleArg:
-    kind: str  # "var" | "const" | "any"
-    value: str | None = None  # variable name or constant IRI
-
-    def __str__(self) -> str:
-        if self.kind == "var":
-            return f"?{self.value}"
-        if self.kind == "any":
-            return "_"
-        return f"<{self.value}>"
-
-
-VAR = "var"
-CONST = "const"
-ANY = "any"
-
-
-@dataclass(frozen=True)
-class Atom:
-    predicate: str
-    args: tuple[RuleArg, ...]
-    negated: bool = False
-
-    def __post_init__(self) -> None:
-        if len(self.args) not in (1, 2):
-            raise RuleError(f"atom over {self.predicate} must have 1 or 2 arguments")
-
-    def is_class_atom(self) -> bool:
-        return len(self.args) == 1
-
-    def key(self) -> tuple[str, str]:
-        """Predicate identity used for dependency analysis."""
-        return ("class" if self.is_class_atom() else "prop", self.predicate)
-
-    def variables(self) -> set[str]:
-        return {arg.value for arg in self.args if arg.kind == VAR and arg.value is not None}
-
-
-@dataclass(frozen=True)
 class Rule:
+    """``id: positives, not negatives -> head .`` with every atom a triple
+    pattern: ``C(?x)`` is ``("x", rdf:type, C)`` and ``p(?x, b)`` is
+    ``("x", p, b)``."""
+
     id: str
-    body: tuple[Atom, ...]
-    head: Atom
+    positives: tuple[TriplePattern, ...]
+    negatives: tuple[TriplePattern, ...]
+    head: TriplePattern
     stratum: int = 0
 
 
@@ -172,70 +144,85 @@ class _RuleParser:
     def fail(self, message: str, offset: int | None = None) -> RuleError:
         return RuleError(f"line {self.line}: rule {self.rule_id}: {message}")
 
-    def parse(self) -> tuple[tuple[Atom, ...], Atom]:
-        body = [self.parse_atom(allow_not=True)]
-        while self.cursor.peek() == ",":
+    def parse(self) -> Rule:
+        positives: list[TriplePattern] = []
+        negatives: list[TriplePattern] = []
+        while True:
+            if self.cursor.peek() == "not":
+                self.cursor.next()
+                negatives.append(self.parse_atom())
+            else:
+                positives.append(self.parse_atom())
+            if self.cursor.peek() != ",":
+                break
             self.cursor.next()
-            body.append(self.parse_atom(allow_not=True))
         self.cursor.expect("->")
-        head = self.parse_atom(allow_not=False)
+        if self.cursor.peek() == "not":
+            raise self.fail("negation is not allowed in a rule head")
+        head = self.parse_atom()
         if self.cursor.peek() is not None:
             raise self.fail(f"unexpected trailing token {self.cursor.peek()!r}")
-        return tuple(body), head
+        return Rule(self.rule_id, tuple(positives), tuple(negatives), head)
 
-    def parse_atom(self, allow_not: bool) -> Atom:
-        negated = self.cursor.peek() == "not"
-        if negated:
-            if not allow_not:
-                raise self.fail("negation is not allowed in a rule head")
-            self.cursor.next()
+    def parse_atom(self) -> TriplePattern:
+        """``C(s)`` as the pattern ``(s, rdf:type, C)``, ``p(s, o)`` as ``(s, p, o)``."""
         predicate = self.cursor.next()
         self.cursor.expect("(")
-        args = [self.parse_arg()]
-        if self.cursor.peek() == ",":
-            self.cursor.next()
-            args.append(self.parse_arg())
+        subject = self.parse_arg()
+        if self.cursor.peek() != ",":
+            self.cursor.expect(")")
+            return TriplePattern(subject, _TYPE, iri(self.cursor.resolve(predicate, self.catalog, "class")))
+        self.cursor.next()
+        obj = self.parse_arg()
         self.cursor.expect(")")
-        category = "class" if len(args) == 1 else "property"
-        return Atom(self.cursor.resolve(predicate, self.catalog, category), tuple(args), negated)
+        return TriplePattern(subject, iri(self.cursor.resolve(predicate, self.catalog, "property")), obj)
 
-    def parse_arg(self) -> RuleArg:
+    def parse_arg(self) -> Term | str | None:
         token = self.cursor.next()
         if token.text.startswith("?"):
-            return RuleArg(VAR, token.text[1:])
+            return token.text[1:]
         if token.text == "_":
-            return RuleArg(ANY)
+            return None
         if token.text in PUNCTUATION:
             raise self.fail(f"expected an argument, found {token.text!r}")
-        return RuleArg(CONST, self.cursor.resolve(token, self.catalog, "individual", "class"))
+        return iri(self.cursor.resolve(token, self.catalog, "individual", "class"))
 
 
-def _compute_strata(rules: list[tuple[str, tuple[Atom, ...], Atom]], line_of: dict[str, int]) -> dict[str, int]:
-    idb = {head.key() for _, _, head in rules}
-    stratum = {key: 0 for key in idb}
-    limit = len(idb) + 1
-    for _ in range(limit + 1):
+def _overlap(a: TriplePattern, b: TriplePattern) -> bool:
+    """Could one triple match both patterns?  Slot by slot, two constants
+    must be equal; a variable or wildcard on either side matches anything.
+    A repeated variable is not checked, which can only add a dependency."""
+    return all(x == y or not (isinstance(x, Term) and isinstance(y, Term)) for x, y in zip(a, b))
+
+
+def _stratify(rules: list[Rule], line_of: dict[str, int]) -> list[Rule]:
+    """Give each rule the lowest stratum at or above every rule whose head
+    one of its positive patterns overlaps, and strictly above every rule
+    whose head one of its negated patterns overlaps."""
+    # (reading rule, rule read, 1 when read through negation else 0)
+    needs = [
+        (i, j, step)
+        for i, rule in enumerate(rules)
+        for step, patterns in ((0, rule.positives), (1, rule.negatives))
+        for j, other in enumerate(rules)
+        if any(_overlap(pattern, other.head) for pattern in patterns)
+    ]
+    strata = [0] * len(rules)
+    changed = True
+    while changed:
         changed = False
-        for rule_id, body, head in rules:
-            head_key = head.key()
-            needed = stratum[head_key]
-            for atom in body:
-                key = atom.key()
-                if key not in idb:
-                    continue
-                lower_bound = stratum[key] + 1 if atom.negated else stratum[key]
-                needed = max(needed, lower_bound)
-            if needed > stratum[head_key]:
-                stratum[head_key] = needed
+        for i, j, step in needs:
+            if strata[j] + step > strata[i]:
+                strata[i] = strata[j] + step
                 changed = True
-                if needed > limit:
+                # Stratifiable rules need fewer strata than there are rules.
+                if strata[i] >= len(rules):
+                    rule_id = rules[i].id
                     raise RuleError(
                         f"line {line_of[rule_id]}: rule {rule_id}: rules are not stratifiable "
-                        f"(cycle through negation involving {head.predicate})"
+                        "(cycle through negation)"
                     )
-        if not changed:
-            return stratum
-    raise RuleError("rules are not stratifiable (cycle through negation)")
+    return [replace(rule, stratum=stratum) for rule, stratum in zip(rules, strata)]
 
 
 def parse_rules(text: str, catalog=None) -> list[Rule]:
@@ -248,7 +235,7 @@ def parse_rules(text: str, catalog=None) -> list[Rule]:
         from .assets import default_catalog
 
         catalog = default_catalog()
-    parsed: list[tuple[str, tuple[Atom, ...], Atom]] = []
+    rules: list[Rule] = []
     line_of: dict[str, int] = {}
     for line, tokens, end in _statements(text):
         rule_id, tokens = _split_rule_id(tokens)
@@ -257,93 +244,48 @@ def parse_rules(text: str, catalog=None) -> list[Rule]:
             raise RuleError(f"line {line}: rule must start with 'id:', found {statement[:40]!r}")
         if rule_id in line_of:
             raise RuleError(f"line {line}: duplicate rule id {rule_id!r}")
-        body, head = _RuleParser(rule_id, tokens, end, line, catalog).parse()
-        _check_safety(rule_id, body, head, line)
-        parsed.append((rule_id, body, head))
+        rule = _RuleParser(rule_id, tokens, end, line, catalog).parse()
+        _check_safety(rule, line)
+        rules.append(rule)
         line_of[rule_id] = line
-    strata = _compute_strata(parsed, line_of)
-    return [
-        Rule(rule_id, body, head, strata[head.key()])
-        for rule_id, body, head in parsed
-    ]
+    return _stratify(rules, line_of)
 
 
 def assign_strata(rules: list[Rule]) -> list[Rule]:
     """Recompute strata for rules built programmatically (ids must be unique)."""
-    parsed = [(rule.id, rule.body, rule.head) for rule in rules]
-    strata = _compute_strata(parsed, {rule.id: 0 for rule in rules})
-    return [Rule(rule.id, rule.body, rule.head, strata[rule.head.key()]) for rule in rules]
+    return _stratify(rules, {rule.id: 0 for rule in rules})
 
 
-def _check_safety(rule_id: str, body: tuple[Atom, ...], head: Atom, line: int) -> None:
-    positive_vars: set[str] = set()
-    for atom in body:
-        if not atom.negated:
-            positive_vars |= atom.variables()
-    for arg in head.args:
-        if arg.kind == ANY:
-            raise RuleError(f"line {line}: rule {rule_id}: '_' cannot appear in a rule head")
-        if arg.kind == VAR and arg.value not in positive_vars:
+def _check_safety(rule: Rule, line: int) -> None:
+    positive_vars = {name for pattern in rule.positives for name in pattern.variables()}
+    for slot in rule.head:
+        if slot is None:
+            raise RuleError(f"line {line}: rule {rule.id}: '_' cannot appear in a rule head")
+        if isinstance(slot, str) and slot not in positive_vars:
             raise RuleError(
-                f"line {line}: rule {rule_id}: head variable ?{arg.value} is not bound by a positive body atom"
+                f"line {line}: rule {rule.id}: head variable ?{slot} is not bound by a positive body atom"
             )
-    for atom in body:
-        if atom.negated:
-            unbound = atom.variables() - positive_vars
-            if unbound:
-                name = sorted(unbound)[0]
-                raise RuleError(
-                    f"line {line}: rule {rule_id}: variable ?{name} appears only in a negated atom; "
-                    "bind it positively or use '_'"
-                )
+    for pattern in rule.negatives:
+        unbound = set(pattern.variables()) - positive_vars
+        if unbound:
+            raise RuleError(
+                f"line {line}: rule {rule.id}: variable ?{min(unbound)} appears only in a negated atom; "
+                "bind it positively or use '_'"
+            )
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
-# A compiled atom is a query pattern built once per evaluation: variables
-# keep their names without the '?', and the wildcard '_' is None.
-
-
-def _compile_atom(atom: Atom) -> TriplePattern:
-    def slot(arg: RuleArg) -> Term | str | None:
-        if arg.kind == CONST:
-            return iri(arg.value)
-        if arg.kind == VAR:
-            return arg.value
-        return None
-
-    if atom.is_class_atom():
-        return TriplePattern(slot(atom.args[0]), _TYPE, iri(atom.predicate))
-    return TriplePattern(slot(atom.args[0]), iri(atom.predicate), slot(atom.args[1]))
-
-
-@dataclass(frozen=True)
-class _CompiledRule:
-    id: str
-    positives: tuple[TriplePattern, ...]
-    negatives: tuple[TriplePattern, ...]
-    head: TriplePattern
-
-
-def _compile_rule(rule: Rule) -> _CompiledRule:
-    return _CompiledRule(
-        rule.id,
-        tuple(_compile_atom(atom) for atom in rule.body if not atom.negated),
-        tuple(_compile_atom(atom) for atom in rule.body if atom.negated),
-        _compile_atom(rule.head),
-    )
-
-
-def _match_body(rule: _CompiledRule, graph: Graph, delta: Graph | None):
+def _match_body(rule: Rule, graph: Graph, delta: Graph | None):
     """Yield every binding under which the rule body holds in ``graph``.
 
     With a delta (the triples the previous round added), yield only the
-    bindings that use at least one delta triple: for each positive atom in
-    turn, match that atom against the delta first and join the others
+    bindings that use at least one delta triple: for each positive pattern
+    in turn, match that pattern against the delta first and join the others
     against the whole graph.  A binding using several delta triples is
-    yielded once per such atom; the caller drops the repeats.
+    yielded once per such pattern; the caller drops the repeats.
     """
     positives = rule.positives
     if delta is None:
@@ -352,7 +294,7 @@ def _match_body(rule: _CompiledRule, graph: Graph, delta: Graph | None):
         orders = [(positives[i], *positives[:i], *positives[i + 1:]) for i in range(len(positives))]
     for patterns in orders:
         for binding in solutions(patterns, graph, delta):
-            if not any(graph._match(*atom.ground(binding)) for atom in rule.negatives):
+            if not any(graph._match(*pattern.ground(binding)) for pattern in rule.negatives):
                 yield binding
 
 
@@ -360,15 +302,16 @@ def evaluate_with_provenance(graph: Graph, rules: list[Rule]) -> tuple[Graph, li
     """Evaluate stratified rules to fixpoint; return the extended graph and
     one Firing per distinct (rule, binding) body match.
 
-    Firings come in derivation order: strata ascending, then semi-naive
-    rounds; the order within a round is unspecified.
+    A binding that grounds the head's subject to a literal derives nothing
+    and records no Firing, since no triple has a literal subject.  Firings
+    come in derivation order: strata ascending, then semi-naive rounds; the
+    order within a round is unspecified.
     """
     out = graph.copy()
     firings: list[Firing] = []
     seen: set[tuple[str, tuple[tuple[str, Term], ...]]] = set()
-    compiled = [_compile_rule(rule) for rule in rules]
     for stratum in sorted({rule.stratum for rule in rules}):
-        group = [c for c, rule in zip(compiled, rules) if rule.stratum == stratum]
+        group = [rule for rule in rules if rule.stratum == stratum]
         delta: Graph | None = None
         while True:
             added = Graph()
@@ -378,7 +321,10 @@ def evaluate_with_provenance(graph: Graph, rules: list[Rule]) -> tuple[Graph, li
                     if (rule.id, bound) in seen:
                         continue
                     seen.add((rule.id, bound))
-                    derived = Triple(*rule.head.ground(binding))
+                    s, p, o = rule.head.ground(binding)
+                    if s.is_literal():
+                        continue
+                    derived = Triple(s, p, o)
                     firings.append(Firing(rule.id, bound, derived))
                     if out.insert(derived):
                         added.insert(derived)

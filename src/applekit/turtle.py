@@ -33,6 +33,7 @@ from .terms import (
     RDF_TYPE,
     XSD_STRING,
     PrefixMap,
+    StructuralError,
     Term,
     Triple,
     blank,
@@ -286,7 +287,11 @@ class _Parser:
         if local:
             raise self.error(f"prefix label must end at ':', found extra name part {local!r}", name_token)
         iri_token = self._expect("iriref", "a namespace IRI in angle brackets")
-        self.prefixes.bind(prefix, self._resolve_iri(iri_token))
+        namespace = self._resolve_iri(iri_token)
+        try:
+            self.prefixes.bind(prefix, namespace)
+        except StructuralError as exc:  # a label the lexer takes but Turtle forbids, such as '_x'
+            raise self.error(str(exc), name_token) from None
         self._pnames.clear()
         self._expect("dot", "'.' after the @prefix directive")
 

@@ -21,7 +21,7 @@ from applekit.query import (
     Some,
     TriplePattern,
 )
-from applekit.rules import ANY, CONST, VAR, Atom, Rule, RuleArg, assign_strata
+from applekit.rules import Rule, assign_strata
 from applekit.terms import (
     OWL_CLASS,
     OWL_DISJOINT_WITH,
@@ -227,44 +227,85 @@ def random_rules(rng: random.Random, classes: list[str], props: list[str], indiv
     one another; negation only ever looks at lower-numbered heads or at
     vocabulary predicates, keeping the set stratifiable.
     """
+    rdf_type = iri(RDF_TYPE)
     n_rules = rng.randint(1, 3)
-    heads = [f"{NS}H{i}" for i in range(n_rules)]
+    heads = [iri(f"{NS}H{i}") for i in range(n_rules)]
     rules: list[Rule] = []
     for k in range(n_rules):
-        var_x = RuleArg(VAR, "x")
-        var_y = RuleArg(VAR, "y")
-        body: list[Atom] = []
+        positives: list[TriplePattern] = []
+        negatives: list[TriplePattern] = []
         # One guaranteed positive binder for ?x.
         if props and rng.random() < 0.6:
-            body.append(Atom(rng.choice(props), (var_x, var_y)))
+            positives.append(TriplePattern("x", iri(rng.choice(props)), "y"))
             binder_has_y = True
         elif classes:
-            body.append(Atom(rng.choice(classes), (var_x,)))
+            positives.append(TriplePattern("x", rdf_type, iri(rng.choice(classes))))
             binder_has_y = False
         else:
-            body.append(Atom(heads[0], (var_x,)))
+            positives.append(TriplePattern("x", rdf_type, heads[0]))
             binder_has_y = False
-        # Optional extra positive atom, possibly chaining on an earlier head.
+        # Optional extra positive pattern, possibly chaining on an earlier head.
         if rng.random() < 0.5:
             if k > 0 and rng.random() < 0.4:
-                body.append(Atom(rng.choice(heads[:k]), (var_x,)))
+                positives.append(TriplePattern("x", rdf_type, rng.choice(heads[:k])))
             elif classes:
-                body.append(Atom(rng.choice(classes), (var_x,)))
-        # Optional constant or wildcard atom.
+                positives.append(TriplePattern("x", rdf_type, iri(rng.choice(classes))))
+        # Optional constant or wildcard pattern.
         if props and individuals and rng.random() < 0.4:
-            body.append(Atom(rng.choice(props), (var_x, RuleArg(CONST, rng.choice(individuals)))))
+            positives.append(TriplePattern("x", iri(rng.choice(props)), iri(rng.choice(individuals))))
         if props and rng.random() < 0.3:
-            body.append(Atom(rng.choice(props), (var_x, RuleArg(ANY)), negated=True))
+            negatives.append(TriplePattern("x", iri(rng.choice(props)), None))
         # Optional stratified negation on an earlier head.
         if k > 0 and rng.random() < 0.5:
-            body.append(Atom(rng.choice(heads[:k]), (var_x,), negated=True))
-        # Heads alternate between class atoms and property atoms.
+            negatives.append(TriplePattern("x", rdf_type, rng.choice(heads[:k])))
+        # Heads alternate between class patterns and property patterns.
         if binder_has_y and rng.random() < 0.3:
-            head = Atom(heads[k], (var_x, var_y))
+            head = TriplePattern("x", heads[k], "y")
         else:
-            head = Atom(heads[k], (var_x,))
-        rules.append(Rule(f"G{k}", tuple(body), head))
+            head = TriplePattern("x", rdf_type, heads[k])
+        rules.append(Rule(f"G{k}", tuple(positives), tuple(negatives), head))
     return assign_strata(rules)
+
+
+def random_rule_text(rng: random.Random, classes: list[str], props: list[str]) -> str:
+    """2-4 safe, stratifiable rules as the text of a rule file.
+
+    Head classes are fresh (H0, H1, ...), and each class atom over a head
+    is written ``H(?x)`` or ``rdf:type(?x, H)`` at random, in bodies and in
+    heads, so a rule can read a head written the other way.  A rule reads
+    only lower-numbered heads, except that the last rule may read every
+    class head through ``rdf:type(?x, ?c)``.  A head typing ?y can meet a
+    literal.  Every name is an ``<iri>``, so any catalog parses the text.
+    """
+    n_rules = rng.randint(2, 4)
+    heads = [f"<{NS}H{i}>" for i in range(n_rules)]
+
+    def member(cls: str, var: str = "?x") -> str:
+        return f"<{RDF_TYPE}>({var}, {cls})" if rng.random() < 0.5 else f"{cls}({var})"
+
+    lines = []
+    for k in range(n_rules):
+        has_y = rng.random() < 0.6
+        body = [f"<{rng.choice(props)}>(?x, ?y)" if has_y else member(f"<{rng.choice(classes)}>")]
+        if k > 0 and rng.random() < 0.4:
+            body.append(member(rng.choice(heads[:k])))
+        if k == n_rules - 1 and rng.random() < 0.3:
+            body.append(f"<{RDF_TYPE}>(?x, ?c)")
+        if rng.random() < 0.3:
+            body.append(f"not {member(f'<{rng.choice(classes)}>')}")
+        if rng.random() < 0.2:
+            body.append(f"not <{rng.choice(props)}>(?x, _)")
+        if k > 0 and rng.random() < 0.7:
+            body.append(f"not {member(rng.choice(heads[:k]))}")
+        roll = rng.random()
+        if has_y and roll < 0.2:
+            head = f"{heads[k]}(?x, ?y)"
+        elif has_y and roll < 0.4:
+            head = member(heads[k], "?y")
+        else:
+            head = member(heads[k])
+        lines.append(f"G{k}: {', '.join(body)} -> {head} .")
+    return "\n".join(lines) + "\n"
 
 
 def renamed_scenario_copies(taxonomy: Graph, scenario: Graph, copies: int) -> Graph:

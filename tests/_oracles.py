@@ -24,7 +24,7 @@ from applekit.materialize import (
     EntailmentRegime,
 )
 from applekit.query import And, Anything, Named, OneOf, SelectQuery, Some
-from applekit.rules import ANY, CONST, VAR, Atom, Rule
+from applekit.rules import Rule
 from applekit.schema import SchemaIndex
 from applekit.terms import RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, Term, Triple, iri
 from applekit.turtle import ParseDiagnostic, TurtleParseError
@@ -97,39 +97,37 @@ def _universe(graph: Graph, rules: list[Rule]) -> list[Term]:
         terms.add(triple.s)
         terms.add(triple.o)
     for rule in rules:
-        for atom in (*rule.body, rule.head):
-            for arg in atom.args:
-                if arg.kind == CONST:
-                    terms.add(iri(arg.value))
+        for pattern in (*rule.positives, *rule.negatives, rule.head):
+            terms.update(slot for slot in (pattern.s, pattern.o) if isinstance(slot, Term))
     return sorted(terms, key=Term.sort_key)
 
 
-def _ground_atom_pattern(atom: Atom, assignment: dict[str, Term]):
-    def slot(arg):
-        if arg.kind == CONST:
-            return iri(arg.value)
-        if arg.kind == VAR:
-            return assignment[arg.value]
-        return None  # anonymous wildcard
-
-    if atom.is_class_atom():
-        return (slot(atom.args[0]), _TYPE, iri(atom.predicate))
-    return (slot(atom.args[0]), iri(atom.predicate), slot(atom.args[1]))
+def _ground_pattern(pattern, assignment: dict[str, Term]):
+    """The pattern's slots with each variable replaced by its assigned
+    term; the wildcard stays None."""
+    return tuple(assignment[slot] if isinstance(slot, str) else slot for slot in pattern)
 
 
-def _atom_holds(atom: Atom, assignment: dict[str, Term], graph: Graph) -> bool:
-    s, p, o = _ground_atom_pattern(atom, assignment)
+def _pattern_holds(pattern, assignment: dict[str, Term], graph: Graph) -> bool:
+    s, p, o = _ground_pattern(pattern, assignment)
     if s is not None and s.is_literal():
         return False
     return bool(graph.match(s, p, o))
 
 
 def _body_assignments(rule: Rule, universe: list[Term], graph: Graph):
-    """Every assignment of the rule's variables under which its body holds."""
-    variables = sorted({v for atom in rule.body for v in atom.variables()} | set(rule.head.variables()))
+    """Every assignment of the rule's variables under which its body holds
+    and its head has a non-literal subject: a triple cannot have a literal
+    subject, so such an assignment derives nothing."""
+    patterns = (*rule.positives, *rule.negatives, rule.head)
+    variables = sorted({v for pattern in patterns for v in pattern.variables()})
     for combo in product(universe, repeat=len(variables)):
         assignment = dict(zip(variables, combo))
-        if all(_atom_holds(atom, assignment, graph) != atom.negated for atom in rule.body):
+        if (
+            all(_pattern_holds(pattern, assignment, graph) for pattern in rule.positives)
+            and not any(_pattern_holds(pattern, assignment, graph) for pattern in rule.negatives)
+            and not _ground_pattern(rule.head, assignment)[0].is_literal()
+        ):
             yield assignment
 
 
@@ -145,14 +143,34 @@ def _ground_strata(graph: Graph, rules: list[Rule]):
             changed = False
             for rule in group:
                 for assignment in list(_body_assignments(rule, universe, out)):
-                    s, p, o = _ground_atom_pattern(rule.head, assignment)
-                    if s.is_literal():
-                        continue
-                    if out.insert(Triple(s, p, o)):
+                    if out.insert(Triple(*_ground_pattern(rule.head, assignment))):
                         changed = True
             if not changed:
                 break
         yield group, universe, out
+
+
+def stratification_violations(rules: list[Rule]) -> list[tuple[str, str, bool]]:
+    """Every (reading rule id, read rule id, negated) whose strata break
+    stratification.  A body pattern that overlaps another rule's head
+    (slot by slot, no two constants differ) needs that rule in the same
+    or a lower stratum, and strictly lower when the pattern is negated."""
+
+    def overlap(a, b) -> bool:
+        for x, y in zip(a, b):
+            if isinstance(x, Term) and isinstance(y, Term) and x != y:
+                return False
+        return True
+
+    broken = []
+    for reader in rules:
+        for negated, patterns in ((False, reader.positives), (True, reader.negatives)):
+            for read in rules:
+                if not any(overlap(pattern, read.head) for pattern in patterns):
+                    continue
+                if read.stratum > reader.stratum or (negated and read.stratum == reader.stratum):
+                    broken.append((reader.id, read.id, negated))
+    return broken
 
 
 def ground_fixpoint(graph: Graph, rules: list[Rule]) -> Graph:
@@ -165,7 +183,7 @@ def ground_fixpoint(graph: Graph, rules: list[Rule]) -> Graph:
 
 def ground_firings(graph: Graph, rules: list[Rule]) -> set[tuple[str, tuple[tuple[str, Term], ...]]]:
     """Every (rule id, sorted bindings) whose body holds in the graph at the
-    end of that rule's stratum."""
+    end of that rule's stratum and whose head subject is not a literal."""
     firings = set()
     for group, universe, out in _ground_strata(graph, rules):
         for rule in group:

@@ -95,6 +95,13 @@ class TestInputHandling:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
+    def test_invalid_prefix_label_is_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.ttl"
+        bad.write_text("@prefix _x: <http://a/> .\n", encoding="utf-8")
+        code, _, err = run(capsys, "reason", "-i", str(bad))
+        assert code == 1
+        assert f"{bad}:1:9: error: invalid prefix label: '_x'" in err
+
     def test_multiple_inputs_are_unioned(self, capsys, tmp_path, micro_ttl):
         other = tmp_path / "other.ttl"
         other.write_text(HEADER + "ex:j a ex:A .\n", encoding="utf-8")
@@ -240,6 +247,17 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--bundled", "--rules", str(rules))
         assert code == 2
         assert "line 1" in err and "not absolute" in err
+
+    def test_literal_head_subject_derives_nothing(self, capsys, tmp_path):
+        data = tmp_path / "literal.ttl"
+        data.write_text(
+            HEADER + "ex:D a owl:Class . ex:p a owl:ObjectProperty .\nex:a ex:p \"lit\" .\n", encoding="utf-8"
+        )
+        rules = tmp_path / "literal.rules"
+        rules.write_text("R: p(?x, ?y) -> D(?y) .\n", encoding="utf-8")
+        code, out, err = run(capsys, "classify", "-i", str(data), "--rules", str(rules))
+        assert code == 0, err
+        assert json.loads(out)["verdicts"] == []
 
     def test_conflicting_verdicts_exit_consistency(self, capsys, tmp_path):
         rules = tmp_path / "conflict.rules"

@@ -44,7 +44,7 @@ SHARED = ["(", ")", "{", "}", ",", ".", "->", "?", "?x", "<", ">", "#", "\n", " 
 EXPRESSION = SHARED + ["A", "B", "p", "x", "and", "some", "inverse"]
 SELECT = SHARED + ["?s", "?o", "a", "p", "x", "A", "ex:p", '"lit"']
 RULES = SHARED + ["R1:", "R2", "A", "B", "p", "x", "?y", "not", f"<{EX}p>"]
-TURTLE = SHARED + ["@prefix", "@base", "ex:", f"<{EX}>", "ex:a", "a", ";", '"x"', "^^", "xsd:string", "@en",
+TURTLE = SHARED + ["@prefix", "@prefix _x:", "@base", "ex:", f"<{EX}>", "ex:a", "a", ";", '"x"', "^^", "xsd:string", "@en",
                    "_:b", '"', "\\", "true", "1", "[", "<<", "'",
                    "\\n", "\\u00e9", "\\U0001F600", "\\UFFFFFFFF", "\\uD800", '"a\\"b"', "# c\n", "\r\n", "\t",
                    "ex:a.", "_:b..", "a.", "a..:x", "@en-US", '"""']

@@ -1,5 +1,6 @@
 """Rule grammar, safety, stratified negation, provenance, verdicts."""
 
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -7,17 +8,14 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _gen import graph_vocabulary, random_graph, random_rules, renamed_scenario_copies  # noqa: E402
-from _oracles import ground_firings, ground_fixpoint  # noqa: E402
+from _gen import graph_vocabulary, random_graph, random_rule_text, random_rules, renamed_scenario_copies  # noqa: E402
+from _oracles import ground_firings, ground_fixpoint, stratification_violations  # noqa: E402
 
 from applekit.assets import load_assets
 from applekit.materialize import materialize
+from applekit.query import TriplePattern
 from applekit.rules import (
-    CONST,
-    VAR,
-    Atom,
     Rule,
-    RuleArg,
     RuleError,
     VerdictConflictError,
     assign_strata,
@@ -59,10 +57,7 @@ def typed(graph, cls):
 
 def instantiate(head, binding):
     """The rule head with each variable replaced by its bound term."""
-    subject = binding[head.args[0].value]
-    if head.is_class_atom():
-        return Triple(subject, TYPE, iri(head.predicate))
-    return Triple(subject, iri(head.predicate), binding[head.args[1].value])
+    return Triple(*(binding[slot] if isinstance(slot, str) else slot for slot in head))
 
 
 class TestParsing:
@@ -72,26 +67,32 @@ class TestParsing:
         assert len(rules) == 1
         rule = rules[0]
         assert rule.id == "R"
-        assert rule.head == Atom(EX + "D", (RuleArg(VAR, "x"),))
-        assert rule.body == (Atom(EX + "C", (RuleArg(VAR, "x"),)),)
+        assert rule.head == TriplePattern("x", TYPE, iri(EX + "D"))
+        assert rule.positives == (TriplePattern("x", TYPE, iri(EX + "C")),)
+        assert rule.negatives == ()
         assert rule.stratum == 0
 
     def test_atom_arity_picks_category(self, micro):
         _, catalog = micro
         (rule,) = parse_rules("R: p(?x, ?y) -> D(?x) .", catalog)
-        assert rule.body[0].predicate == EX + "p"
-        assert not rule.body[0].is_class_atom()
+        assert rule.positives == (TriplePattern("x", iri(EX + "p"), "y"),)
+
+    def test_both_spellings_of_a_class_atom_are_one_pattern(self, micro):
+        _, catalog = micro
+        text = f"R: C(?x), <{RDF_TYPE}>(?x, E) -> <{RDF_TYPE}>(?x, D) .\nS: C(?x), E(?x) -> D(?x) ."
+        first, second = parse_rules(text, catalog)
+        assert (first.positives, first.head) == (second.positives, second.head)
 
     def test_constant_resolution_falls_back_to_classes(self, micro):
         _, catalog = micro
         (rule,) = parse_rules("R: p(?x, b), q(?x, G) -> D(?x) .", catalog)
-        assert rule.body[0].args[1] == RuleArg(CONST, EX + "b")
-        assert rule.body[1].args[1] == RuleArg(CONST, EX + "G")
+        assert rule.positives[0].o == iri(EX + "b")
+        assert rule.positives[1].o == iri(EX + "G")
 
     def test_bracketed_iri_constant(self, micro):
         _, catalog = micro
         (rule,) = parse_rules(f"R: p(?x, <{EX}b>) -> D(?x) .", catalog)
-        assert rule.body[0].args[1] == RuleArg(CONST, EX + "b")
+        assert rule.positives[0].o == iri(EX + "b")
 
     def test_comments_and_blank_lines_ignored(self, micro):
         _, catalog = micro
@@ -103,13 +104,13 @@ class TestParsing:
         _, catalog = micro
         (rule,) = parse_rules(text, catalog)
         assert rule.id == "R1"
-        assert rule.body == (Atom(EX + "C", (RuleArg(VAR, "x"),)),)
+        assert rule.positives == (TriplePattern("x", TYPE, iri(EX + "C")),)
 
     def test_dots_inside_iris_do_not_split(self, micro):
         _, catalog = micro
         for name in (f"<{EX}v1.2>", "ex:v1.2"):
             (rule,) = parse_rules(f"R: p(?x, {name}) -> D(?x) .", catalog)
-            assert rule.body[0].args[1].value == EX + "v1.2"
+            assert rule.positives[0].o == iri(EX + "v1.2")
 
     @pytest.mark.parametrize(
         "text,needle",
@@ -178,7 +179,7 @@ class TestSafety:
     def test_wildcard_makes_unbound_negation_safe(self, micro):
         _, catalog = micro
         (rule,) = parse_rules("R: C(?x), not p(?x, _) -> D(?x) .", catalog)
-        assert rule.body[1].negated
+        assert rule.negatives == (TriplePattern("x", iri(EX + "p"), None),)
 
 
 class TestStratification:
@@ -212,12 +213,33 @@ class TestStratification:
         with pytest.raises(RuleError, match="not stratifiable"):
             parse_rules("R: C(?x), not D(?x) -> D(?x) .", catalog)
 
+    @pytest.mark.parametrize("head", ["D(?x)", f"<{RDF_TYPE}>(?x, D)"])
+    @pytest.mark.parametrize("negated", ["D(?x)", f"<{RDF_TYPE}>(?x, D)"])
+    def test_negation_reads_either_spelling(self, micro, head, negated):
+        graph, catalog = micro
+        rules = parse_rules(f"R1: C(?x) -> {head} .\nR2: E(?x), not {negated} -> F(?x) .", catalog)
+        assert [r.stratum for r in rules] == [0, 1]
+        # b is a C and an E: R1 makes it a D first, so R2 never fires.
+        for ordered in (rules, rules[::-1]):
+            assert typed(evaluate_rules(graph, ordered), "F") == set()
+
+    def test_wildcards_and_variables_overlap_every_constant(self, micro):
+        _, catalog = micro
+        rules = parse_rules(
+            "A0: C(?x) -> p(?x, c) .\nA1: C(?x), not p(?x, _) -> D(?x) .\n"
+            f"A2: <{RDF_TYPE}>(?x, ?c) -> F(?x) .",
+            catalog,
+        )
+        assert [r.stratum for r in rules] == [0, 1, 1]
+        with pytest.raises(RuleError, match="not stratifiable"):
+            parse_rules(f"R: C(?x), not <{RDF_TYPE}>(?x, _) -> D(?x) .", catalog)
+
     def test_assign_strata_matches_parser(self, micro):
         _, catalog = micro
         parsed = parse_rules(
             "A0: C(?x) -> D(?x) .\nA1: C(?x), not D(?x) -> F(?x) .", catalog
         )
-        rebuilt = assign_strata([Rule(r.id, r.body, r.head) for r in parsed])
+        rebuilt = assign_strata([Rule(r.id, r.positives, r.negatives, r.head) for r in parsed])
         assert [r.stratum for r in rebuilt] == [r.stratum for r in parsed]
 
 
@@ -305,6 +327,13 @@ class TestProvenance:
         assert len({f.derived for f in firings}) == 2
         assert typed(out, "D") == {EX + "a", EX + "b"}
 
+    def test_literal_head_subject_derives_nothing(self):
+        graph = parse_turtle(MICRO + 'ex:a ex:p "lit" .\n')
+        catalog = NameCatalog.from_graph(graph, prefixes=PrefixMap({"ex": EX}))
+        out, firings = evaluate_with_provenance(graph, parse_rules("R: p(?x, ?y) -> D(?y) .", catalog))
+        assert typed(out, "D") == {EX + "b", EX + "c"}
+        assert sorted(dict(f.bindings)["y"].value for f in firings) == [EX + "b", EX + "c", EX + "c"]
+
     def test_firings_replay_into_derived_triples(self, micro):
         graph, catalog = micro
         rules = parse_rules(
@@ -350,6 +379,38 @@ class TestRandomEquivalence:
                 assert set(keys) == expected, seed
                 for firing in firings:
                     assert firing.derived == instantiate(heads[firing.rule_id], dict(firing.bindings)), seed
+
+
+class TestRandomStratification:
+    """Strata are checked against pattern overlap directly, not against the
+    strata the engine computes, on rule sets that write class atoms both
+    as ``H(?x)`` and as ``rdf:type(?x, H)``."""
+
+    @staticmethod
+    def cases():
+        for seed in range(150):
+            rng = random.Random(5000 + seed)
+            graph = random_graph(rng)
+            classes, props, _ = graph_vocabulary(graph)
+            rules = parse_rules(random_rule_text(rng, classes, props), NameCatalog.from_graph(graph))
+            yield seed, graph, rules
+
+    def test_every_overlap_respects_the_strata(self):
+        for seed, _, rules in self.cases():
+            assert stratification_violations(rules) == [], seed
+
+    def test_rule_order_does_not_change_the_result(self):
+        for seed, graph, rules in self.cases():
+            materialized = materialize(graph, extract_schema(graph))
+            assert evaluate_rules(materialized, rules) == evaluate_rules(materialized, rules[::-1]), seed
+
+    def test_firings_match_grounding_oracle(self):
+        # Fewer seeds than above: a rule binding ?x, ?y and ?c makes the
+        # oracle enumerate the universe cubed.  Some heads type a literal ?y.
+        for seed, graph, rules in itertools.islice(self.cases(), 50):
+            materialized = materialize(graph, extract_schema(graph))
+            _, firings = evaluate_with_provenance(materialized, rules)
+            assert {(f.rule_id, f.bindings) for f in firings} == ground_firings(materialized, rules), seed
 
 
 class TestVerdicts:

@@ -167,6 +167,12 @@ class TestErrors:
         with pytest.raises(TurtleParseError, match="expected a subject.*'import'"):
             parse_turtle("@import <http://x.test/> .")
 
+    def test_invalid_prefix_label_has_a_position(self):
+        # The lexer takes '_x' as a prefix label; Turtle's PN_PREFIX does not.
+        with pytest.raises(TurtleParseError, match="invalid prefix label: '_x'") as err:
+            parse_turtle("@prefix _x: <http://a/> .")
+        assert (err.value.line, err.value.column) == (1, 9)
+
     def test_missing_dot(self):
         with pytest.raises(TurtleParseError, match="'\\.'"):
             parse("ex:s ex:p ex:o")
