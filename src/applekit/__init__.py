@@ -9,19 +9,7 @@ closed-world consistency validator, wrapped in one CLI.
 from .assets import AppleAssets, AssetError, CqCase, load_assets
 from .cq import CqResult, format_cq_table, run_case, run_cq_suite
 from .graph import Graph
-from .materialize import (
-    ALL_ENTAILMENT_RULES,
-    DEFAULT_REGIME,
-    DOMAIN_TYPING,
-    INVERSE_PROPAGATION,
-    RANGE_TYPING,
-    SUBCLASS_TRANSITIVITY,
-    SUBPROPERTY_PROPAGATION,
-    TYPE_INHERITANCE,
-    EntailmentRegime,
-    entails,
-    materialize,
-)
+from .materialize import materialize
 from .query import (
     And,
     Anything,
@@ -73,7 +61,6 @@ from .validate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_ENTAILMENT_RULES",
     "ANYTHING",
     "And",
     "Anything",
@@ -81,12 +68,8 @@ __all__ = [
     "AssetError",
     "CqCase",
     "CqResult",
-    "DEFAULT_REGIME",
-    "DOMAIN_TYPING",
-    "EntailmentRegime",
     "Firing",
     "Graph",
-    "INVERSE_PROPAGATION",
     "NameCatalog",
     "Named",
     "Obligation",
@@ -96,17 +79,13 @@ __all__ = [
     "PrefixMap",
     "PropertyPath",
     "QueryParseError",
-    "RANGE_TYPING",
     "Rule",
     "RuleError",
-    "SUBCLASS_TRANSITIVITY",
-    "SUBPROPERTY_PROPAGATION",
     "SchemaError",
     "SchemaIndex",
     "SelectQuery",
     "Some",
     "StructuralError",
-    "TYPE_INHERITANCE",
     "Term",
     "Triple",
     "TriplePattern",
@@ -120,7 +99,6 @@ __all__ = [
     "check_disjointness",
     "check_obligations",
     "classify_actions",
-    "entails",
     "evaluate_rules",
     "evaluate_with_provenance",
     "extract_schema",

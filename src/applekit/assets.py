@@ -99,10 +99,14 @@ class AppleAssets:
     counts: dict[str, int]
 
     def combined(self) -> Graph:
-        merged = self.taxonomy.copy()
-        for triple in self.scenario._match():
-            merged.insert(triple)
-        return merged
+        return _merged(self.taxonomy, self.scenario)
+
+
+def _merged(taxonomy: Graph, scenario: Graph) -> Graph:
+    merged = taxonomy.copy()
+    for triple in scenario._match():
+        merged.insert(triple)
+    return merged
 
 
 def _read(path: Path, name: str) -> str:
@@ -113,15 +117,13 @@ def _read(path: Path, name: str) -> str:
         raise AssetError(f"cannot read bundled asset {target}: {exc}") from exc
 
 
-def load_assets(asset_path: str | Path | None = None) -> AppleAssets:
-    """Load, parse, and integrity-check the asset bundle (cached per path)."""
-    resolved = str(Path(asset_path) if asset_path is not None else asset_dir())
-    return _cached_assets(resolved)
+def load_assets() -> AppleAssets:
+    """Load, parse, and integrity-check the asset bundle (cached per directory)."""
+    return _cached_assets(asset_dir())
 
 
 @lru_cache(maxsize=8)
-def _cached_assets(resolved: str) -> AppleAssets:
-    path = Path(resolved)
+def _cached_assets(path: Path) -> AppleAssets:
     taxonomy_doc = parse_document(_read(path, TAXONOMY_FILE))
     scenario_doc = parse_document(_read(path, SCENARIO_FILE))
 
@@ -141,9 +143,7 @@ def _cached_assets(resolved: str) -> AppleAssets:
     for prefix, namespace in scenario_doc.prefixes.items():
         prefixes.bind(prefix, namespace)
 
-    combined = taxonomy_doc.graph.copy()
-    for triple in scenario_doc.graph:
-        combined.insert(triple)
+    combined = _merged(taxonomy_doc.graph, scenario_doc.graph)
     schema = extract_schema(combined)
     catalog = NameCatalog.from_graph(combined, schema, prefixes)
 

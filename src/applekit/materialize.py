@@ -1,7 +1,6 @@
 """Forward-chaining materialization of schema entailments.
 
-Six named entailment rules, individually switchable through an
-:class:`EntailmentRegime`:
+Six entailment rules, always applied together (the RDFS/pD* rule set):
 
 - ``subclass-transitivity``: the transitive closure of asserted subclass
   pairs, written back as subClassOf triples (reflexive pairs suppressed).
@@ -33,51 +32,10 @@ each consequence is derived once.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .graph import Graph
 from .schema import SchemaIndex, _cached_closure
 from .terms import RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, Term, Triple, iri
-
-SUBCLASS_TRANSITIVITY = "subclass-transitivity"
-TYPE_INHERITANCE = "type-inheritance"
-SUBPROPERTY_PROPAGATION = "subproperty-propagation"
-DOMAIN_TYPING = "domain-typing"
-RANGE_TYPING = "range-typing"
-INVERSE_PROPAGATION = "inverse-propagation"
-
-ALL_ENTAILMENT_RULES = frozenset(
-    {
-        SUBCLASS_TRANSITIVITY,
-        TYPE_INHERITANCE,
-        SUBPROPERTY_PROPAGATION,
-        DOMAIN_TYPING,
-        RANGE_TYPING,
-        INVERSE_PROPAGATION,
-    }
-)
-
-
-@dataclass(frozen=True)
-class EntailmentRegime:
-    """The set of entailment rules a materialization run applies."""
-
-    enabled: frozenset[str] = field(default_factory=lambda: ALL_ENTAILMENT_RULES)
-
-    def __post_init__(self) -> None:
-        unknown = set(self.enabled) - ALL_ENTAILMENT_RULES
-        if unknown:
-            raise ValueError(f"unknown entailment rule(s): {', '.join(sorted(unknown))}")
-
-    def __contains__(self, rule: str) -> bool:
-        return rule in self.enabled
-
-    @classmethod
-    def only(cls, *rules: str) -> "EntailmentRegime":
-        return cls(frozenset(rules))
-
-
-DEFAULT_REGIME = EntailmentRegime()
 
 _TYPE = iri(RDF_TYPE)
 _SUBCLASS = iri(RDFS_SUBCLASSOF)
@@ -89,8 +47,8 @@ def _iri_pairs(graph: Graph, predicate: Term) -> frozenset[tuple[str, str]]:
     return frozenset((t.s.value, t.o.value) for t in edges if t.s.is_iri() and t.o.is_iri())
 
 
-def materialize(graph: Graph, schema: SchemaIndex, regime: EntailmentRegime = DEFAULT_REGIME) -> Graph:
-    """Return a new graph extended with every enabled entailment.
+def materialize(graph: Graph, schema: SchemaIndex) -> Graph:
+    """Return a new graph extended with every entailment.
 
     The schema's axioms apply, together with the subclass and subproperty
     edges between IRIs that the graph itself asserts.  The input graph is
@@ -109,48 +67,37 @@ def materialize(graph: Graph, schema: SchemaIndex, regime: EntailmentRegime = DE
 
     pending: deque[Triple] = deque(out._match())
 
-    if SUBCLASS_TRANSITIVITY in regime:
-        # The closure of the asserted pairs, including pairs the data graph
-        # itself may not carry when the schema came from another graph.
-        for child, parents in ancestors.items():
-            child_term = iri(child)
-            for parent in parents:
-                if parent.value != child:
-                    derived = Triple(child_term, _SUBCLASS, parent)
-                    if out.insert(derived):
-                        pending.append(derived)
-
-    use_subclass = SUBCLASS_TRANSITIVITY in regime
-    use_types = TYPE_INHERITANCE in regime
-    use_subprops = SUBPROPERTY_PROPAGATION in regime
-    use_domain = DOMAIN_TYPING in regime
-    use_range = RANGE_TYPING in regime
-    use_inverse = INVERSE_PROPAGATION in regime
+    # The closure of the asserted pairs, including pairs the data graph
+    # itself may not carry when the schema came from another graph.
+    for child, parents in ancestors.items():
+        child_term = iri(child)
+        for parent in parents:
+            if parent.value != child:
+                derived = Triple(child_term, _SUBCLASS, parent)
+                if out.insert(derived):
+                    pending.append(derived)
 
     while pending:
         triple = pending.popleft()
         predicate = triple.p.value
         derived: list[Triple] = []
-        if predicate == RDFS_SUBCLASSOF and use_subclass and triple.s.is_iri() and triple.o.is_iri():
+        if predicate == RDFS_SUBCLASSOF and triple.s.is_iri() and triple.o.is_iri():
             # A subclass edge asserted in the data graph chains through the
             # schema's closure even when the schema lacks that edge itself.
             for ancestor in ancestors.get(triple.o.value, ()):
                 if ancestor.value != triple.s.value:
                     derived.append(Triple(triple.s, _SUBCLASS, ancestor))
-        if predicate == RDF_TYPE and use_types and triple.o.is_iri():
+        if predicate == RDF_TYPE and triple.o.is_iri():
             for ancestor in ancestors.get(triple.o.value, ()):
                 if ancestor.value != triple.o.value:
                     derived.append(Triple(triple.s, _TYPE, ancestor))
-        if use_subprops:
-            for parent in superprops.get(predicate, ()):
-                derived.append(Triple(triple.s, parent, triple.o))
-        if use_domain:
-            for cls in domains.get(predicate, ()):
-                derived.append(Triple(triple.s, _TYPE, cls))
-        if use_range and not triple.o.is_literal():
+        for parent in superprops.get(predicate, ()):
+            derived.append(Triple(triple.s, parent, triple.o))
+        for cls in domains.get(predicate, ()):
+            derived.append(Triple(triple.s, _TYPE, cls))
+        if not triple.o.is_literal():
             for cls in ranges.get(predicate, ()):
                 derived.append(Triple(triple.o, _TYPE, cls))
-        if use_inverse and not triple.o.is_literal():
             for partner in inverses.get(predicate, ()):
                 derived.append(Triple(triple.o, partner, triple.s))
         for new_triple in derived:
@@ -158,9 +105,3 @@ def materialize(graph: Graph, schema: SchemaIndex, regime: EntailmentRegime = DE
                 pending.append(new_triple)
     return out
 
-
-def entails(graph: Graph, triple: Triple, schema: SchemaIndex, regime: EntailmentRegime = DEFAULT_REGIME) -> bool:
-    """True when the triple is asserted or derivable under the regime."""
-    if triple in graph:
-        return True
-    return triple in materialize(graph, schema, regime)

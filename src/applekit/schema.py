@@ -1,10 +1,10 @@
 """Schema extraction, and the names that queries and rules use.
 
 The extractor reads subclass and subproperty assertions, property domains,
-ranges and inverses, pairwise disjointness (grouped into maximal cliques),
-existential obligations written as labeled-blank-node restrictions, and
-class-level statements made about class IRIs themselves (punning).  The
-result is a :class:`SchemaIndex`, the single axiom source consulted by the
+ranges and inverses, pairwise disjointness, existential obligations
+written as labeled-blank-node restrictions, and class-level statements
+made about class IRIs themselves (punning).  The result is a
+:class:`SchemaIndex`, the single axiom source consulted by the
 materializer, the class-expression engine, and the validator.
 
 A :class:`NameCatalog` resolves the names written in class expressions,
@@ -87,30 +87,6 @@ def _transitive_closure(pairs: frozenset[tuple[str, str]]) -> dict[str, frozense
     return {node: frozenset(parents) for node, parents in closure.items()}
 
 
-def _maximal_cliques(nodes: set[str], edges: set[frozenset[str]]) -> tuple[frozenset[str], ...]:
-    """Bron-Kerbosch with pivoting over an undirected pairwise-edge graph."""
-    adjacency: dict[str, set[str]] = {n: set() for n in nodes}
-    for edge in edges:
-        a, b = sorted(edge)
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    cliques: list[frozenset[str]] = []
-
-    def expand(candidate: set[str], allowed: set[str], excluded: set[str]) -> None:
-        if not allowed and not excluded:
-            if len(candidate) >= 2:
-                cliques.append(frozenset(candidate))
-            return
-        pivot = max(allowed | excluded, key=lambda n: len(adjacency[n] & allowed))
-        for node in sorted(allowed - adjacency[pivot]):
-            expand(candidate | {node}, allowed & adjacency[node], excluded & adjacency[node])
-            allowed = allowed - {node}
-            excluded = excluded | {node}
-
-    expand(set(), set(nodes), set())
-    return tuple(sorted(cliques, key=sorted))
-
-
 @dataclass(frozen=True)
 class SchemaIndex:
     sub_class_of: frozenset[tuple[str, str]]
@@ -118,7 +94,7 @@ class SchemaIndex:
     domain_of: dict[str, frozenset[str]]
     range_of: dict[str, frozenset[str]]
     inverse_of: frozenset[tuple[str, str]]
-    disjoint_sets: tuple[frozenset[str], ...]
+    disjoint_pairs: frozenset[tuple[str, str]]
     obligations: tuple[Obligation, ...]
     class_level_triples: tuple[Triple, ...]
     classes: frozenset[str]
@@ -271,12 +247,11 @@ def extract_schema(graph: Graph) -> SchemaIndex:
             properties.add(t.s.value)
             properties.add(t.o.value)
 
-    disjoint_edges: set[frozenset[str]] = set()
-    disjoint_nodes: set[str] = set()
+    disjoint_pairs: set[tuple[str, str]] = set()
     for t in graph._match(None, iri(OWL_DISJOINT_WITH), None):
         if t.s.is_iri() and t.o.is_iri() and t.s.value != t.o.value:
-            disjoint_edges.add(frozenset((t.s.value, t.o.value)))
-            disjoint_nodes.update((t.s.value, t.o.value))
+            first, second = sorted((t.s.value, t.o.value))
+            disjoint_pairs.add((first, second))
             classes.add(t.s.value)
             classes.add(t.o.value)
 
@@ -316,7 +291,7 @@ def extract_schema(graph: Graph) -> SchemaIndex:
         domain_of={p: frozenset(cs) for p, cs in sorted(domain_of.items())},
         range_of={p: frozenset(cs) for p, cs in sorted(range_of.items())},
         inverse_of=frozenset(inverse_pairs),
-        disjoint_sets=_maximal_cliques(disjoint_nodes, disjoint_edges),
+        disjoint_pairs=frozenset(disjoint_pairs),
         obligations=tuple(sorted(obligations, key=Obligation.sort_key)),
         class_level_triples=tuple(sorted(class_level, key=Triple.sort_key)),
         classes=frozenset(classes),

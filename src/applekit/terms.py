@@ -170,7 +170,8 @@ class Triple:
         return f"{self.s.n3()} {self.p.n3()} {self.o.n3()} ."
 
 
-_PNAME_PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.\-]*")
+# PN_PREFIX: a '.' may appear inside a prefix label but not at its end.
+_PNAME_PREFIX_RE = re.compile(r"[A-Za-z](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?")
 _PNAME_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*")
 
 

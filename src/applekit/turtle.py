@@ -25,7 +25,7 @@ to the one serialized.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from urllib.parse import urljoin
 
 from .graph import Graph
@@ -49,10 +49,9 @@ class ParseDiagnostic:
     line: int
     column: int
     message: str
-    severity: str = "error"
 
     def render(self, source: str = "<input>") -> str:
-        return f"{source}:{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{source}:{self.line}:{self.column}: error: {self.message}"
 
 
 class TurtleParseError(Exception):
@@ -76,7 +75,6 @@ class ParsedDocument:
     graph: Graph
     prefixes: PrefixMap
     base: str | None = None
-    diagnostics: list[ParseDiagnostic] = field(default_factory=list)
 
 
 _STRING_ESCAPES = {
@@ -234,11 +232,11 @@ def _fail(text: str, start: int) -> TurtleParseError:
 
 
 class _Parser:
-    def __init__(self, text: str, base_prefixes: PrefixMap | None = None) -> None:
+    def __init__(self, text: str) -> None:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
-        self.prefixes = base_prefixes.copy() if base_prefixes is not None else PrefixMap()
+        self.prefixes = PrefixMap()
         self.base: str | None = None
         self.graph = Graph()
         # One Term per distinct expanded IRI in this document, so repeated
@@ -419,14 +417,14 @@ def _describe(token: _Token) -> str:
     return f"'{value}'"
 
 
-def parse_document(text: str, base_prefixes: PrefixMap | None = None) -> ParsedDocument:
+def parse_document(text: str) -> ParsedDocument:
     """Parse a Turtle document, keeping its prefix table for later writing."""
-    return _Parser(text, base_prefixes).parse()
+    return _Parser(text).parse()
 
 
-def parse_turtle(text: str, base_prefixes: PrefixMap | None = None) -> Graph:
+def parse_turtle(text: str) -> Graph:
     """Parse a Turtle document into a graph; raise TurtleParseError on the first error."""
-    return parse_document(text, base_prefixes).graph
+    return parse_document(text).graph
 
 
 def _render_term(term: Term, prefixes: PrefixMap) -> str:

@@ -2,8 +2,8 @@
 
 Two checks, two severities:
 
-- disjointness clashes (errors): an individual typed into two classes of
-  the same declared disjoint set;
+- disjointness clashes (errors): an individual typed into two classes
+  declared ``owl:disjointWith`` each other;
 - unsatisfied existential obligations (warnings, closed world only): an
   instance of a class carrying an obligation ``(C, p, D)`` with no asserted
   or derived ``p`` edge to an individual entailed to be in ``D``.
@@ -64,19 +64,16 @@ class Violation:
 
 
 def check_disjointness(graph: Graph, schema: SchemaIndex) -> list[Violation]:
-    """Every individual typed into >= 2 classes of one disjoint set, as one
-    violation per offending class pair."""
-    violations: list[Violation] = []
-    for disjoint_set in schema.disjoint_sets:
-        members = sorted(disjoint_set)
-        holders = {cls: _extension(Named(cls), graph) for cls in members}
-        for i, first in enumerate(members):
-            for second in members[i + 1:]:
-                for subject in holders[first] & holders[second]:
-                    violations.append(
-                        Violation("disjointness-clash", SEVERITY_ERROR, render_term(subject), (first, second))
-                    )
-    return sorted(set(violations), key=Violation.sort_key)
+    """Every individual typed into both classes of a disjoint pair, as one
+    violation per pair."""
+    members = {cls for pair in schema.disjoint_pairs for cls in pair}
+    holders = {cls: _extension(Named(cls), graph) for cls in members}
+    violations = [
+        Violation("disjointness-clash", SEVERITY_ERROR, render_term(subject), (first, second))
+        for first, second in schema.disjoint_pairs
+        for subject in holders[first] & holders[second]
+    ]
+    return sorted(violations, key=Violation.sort_key)
 
 
 def check_obligations(graph: Graph, schema: SchemaIndex, mode: str = "closed") -> list[Violation]:

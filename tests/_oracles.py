@@ -10,23 +10,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from applekit.graph import Graph
-from applekit.materialize import (
-    DEFAULT_REGIME,
-    DOMAIN_TYPING,
-    INVERSE_PROPAGATION,
-    RANGE_TYPING,
-    SUBCLASS_TRANSITIVITY,
-    SUBPROPERTY_PROPAGATION,
-    TYPE_INHERITANCE,
-    EntailmentRegime,
-)
 from applekit.query import And, Anything, Named, OneOf, SelectQuery, Some
 from applekit.rules import Rule
 from applekit.schema import SchemaIndex
-from applekit.terms import RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, Term, Triple, iri
+from applekit.terms import OWL_DISJOINT_WITH, RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, Term, Triple, iri
 from applekit.turtle import ParseDiagnostic, TurtleParseError
 
 _TYPE = iri(RDF_TYPE)
@@ -231,16 +221,15 @@ def brute_select(query: SelectQuery, graph: Graph) -> list[tuple[str, ...]]:
 # Materialization by naive re-application to a snapshot
 
 
-def naive_materialize(graph: Graph, schema: SchemaIndex, regime: EntailmentRegime = DEFAULT_REGIME) -> Graph:
+def naive_materialize(graph: Graph, schema: SchemaIndex) -> Graph:
     """Materialize by re-applying every single-step entailment to the whole
     graph until nothing changes.  The graph's own subclass and subproperty
     edges between IRIs count as axioms, next to the schema's."""
     out = graph.copy()
 
-    if SUBCLASS_TRANSITIVITY in regime:
-        for child, parent in schema.sub_class_of:
-            if child != parent:
-                out.insert(Triple(iri(child), _SUBCLASS, iri(parent)))
+    for child, parent in schema.sub_class_of:
+        if child != parent:
+            out.insert(Triple(iri(child), _SUBCLASS, iri(parent)))
 
     def asserted(pairs, predicate):
         stated = {(t.s.value, t.o.value) for t in graph.match(None, predicate, None) if t.s.is_iri() and t.o.is_iri()}
@@ -254,26 +243,22 @@ def naive_materialize(graph: Graph, schema: SchemaIndex, regime: EntailmentRegim
         additions: list[Triple] = []
         for triple in out:
             predicate = triple.p.value
-            if predicate == RDFS_SUBCLASSOF and SUBCLASS_TRANSITIVITY in regime:
-                if triple.s.is_iri() and triple.o.is_iri():
-                    for child, parent in asserted_subclass:
-                        if child == triple.o.value and parent != triple.s.value:
-                            additions.append(Triple(triple.s, _SUBCLASS, iri(parent)))
-            if predicate == RDF_TYPE and TYPE_INHERITANCE in regime and triple.o.is_iri():
+            if predicate == RDFS_SUBCLASSOF and triple.s.is_iri() and triple.o.is_iri():
+                for child, parent in asserted_subclass:
+                    if child == triple.o.value and parent != triple.s.value:
+                        additions.append(Triple(triple.s, _SUBCLASS, iri(parent)))
+            if predicate == RDF_TYPE and triple.o.is_iri():
                 for child, parent in asserted_subclass:
                     if child == triple.o.value:
                         additions.append(Triple(triple.s, _TYPE, iri(parent)))
-            if SUBPROPERTY_PROPAGATION in regime:
-                for child, parent in asserted_subprop:
-                    if child == predicate:
-                        additions.append(Triple(triple.s, iri(parent), triple.o))
-            if DOMAIN_TYPING in regime:
-                for cls in schema.domain_of.get(predicate, ()):
-                    additions.append(Triple(triple.s, _TYPE, iri(cls)))
-            if RANGE_TYPING in regime and not triple.o.is_literal():
+            for child, parent in asserted_subprop:
+                if child == predicate:
+                    additions.append(Triple(triple.s, iri(parent), triple.o))
+            for cls in schema.domain_of.get(predicate, ()):
+                additions.append(Triple(triple.s, _TYPE, iri(cls)))
+            if not triple.o.is_literal():
                 for cls in schema.range_of.get(predicate, ()):
                     additions.append(Triple(triple.o, _TYPE, iri(cls)))
-            if INVERSE_PROPAGATION in regime and not triple.o.is_literal():
                 for a, b in inverse_pairs:
                     if predicate == a:
                         additions.append(Triple(triple.o, iri(b), triple.s))
@@ -292,16 +277,21 @@ def naive_materialize(graph: Graph, schema: SchemaIndex, regime: EntailmentRegim
 
 def brute_violations(graph: Graph, schema: SchemaIndex, mode: str = "closed") -> list[tuple]:
     """Both validator checks over the naive materialization, node by node:
-    (kind, severity, subject, detail) tuples, sorted."""
+    (kind, severity, subject, detail) tuples, sorted.  Disjoint pairs are
+    read from the graph's own ``owl:disjointWith`` triples."""
+    disjoint = {
+        tuple(sorted((t.s.value, t.o.value)))
+        for t in graph
+        if t.p.value == OWL_DISJOINT_WITH and t.s.is_iri() and t.o.is_iri() and t.s != t.o
+    }
     triples = set(naive_materialize(graph, schema))
     nodes = {t.s for t in triples} | {t.o for t in triples if not t.o.is_literal()}
     found = set()
     for node in nodes:
         types = {t.o.value for t in triples if t.s == node and t.p == _TYPE}
-        for disjoint_set in schema.disjoint_sets:
-            for first, second in combinations(sorted(disjoint_set), 2):
-                if first in types and second in types:
-                    found.add(("disjointness-clash", "error", render_node(node), (first, second)))
+        for first, second in disjoint:
+            if first in types and second in types:
+                found.add(("disjointness-clash", "error", render_node(node), (first, second)))
         if mode != "closed":
             continue
         for ob in schema.obligations:

@@ -1,6 +1,7 @@
 """Bundled asset integrity, environment override, and the name catalog."""
 
 import shutil
+from itertools import combinations
 
 import pytest
 
@@ -133,19 +134,9 @@ class TestBundledFacts:
 
     def test_schema_shape(self):
         schema = load_assets().schema
-        assert len(schema.disjoint_sets) == 2
-        assert {frozenset(s) for s in schema.disjoint_sets} == {
-            frozenset(
-                {APPLE + "Consequentialism", APPLE + "Deontology", APPLE + "VirtueEthics"}
-            ),
-            frozenset(
-                {
-                    APPLE + "MorallyRightAction",
-                    APPLE + "MorallyWrongAction",
-                    APPLE + "MorallyGreyAction",
-                }
-            ),
-        }
+        ethics = (APPLE + "Consequentialism", APPLE + "Deontology", APPLE + "VirtueEthics")
+        verdicts = (APPLE + "MorallyGreyAction", APPLE + "MorallyRightAction", APPLE + "MorallyWrongAction")
+        assert schema.disjoint_pairs == set(combinations(ethics, 2)) | set(combinations(verdicts, 2))
         assert len(schema.obligations) == 16
 
     def test_prefixes_cover_all_namespaces(self):

@@ -97,10 +97,12 @@ class TestInputHandling:
 
     def test_invalid_prefix_label_is_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.ttl"
-        bad.write_text("@prefix _x: <http://a/> .\n", encoding="utf-8")
-        code, _, err = run(capsys, "reason", "-i", str(bad))
-        assert code == 1
-        assert f"{bad}:1:9: error: invalid prefix label: '_x'" in err
+        cases = (("_x", "@prefix _x: <http://a/> .\n"), ("ex.", "@prefix ex.: <http://a/> .\nex.:s ex.:p ex.:o .\n"))
+        for label, text in cases:
+            bad.write_text(text, encoding="utf-8")
+            code, out, err = run(capsys, "reason", "-i", str(bad))
+            assert code == 1 and out == ""
+            assert f"{bad}:1:9: error: invalid prefix label: '{label}'" in err
 
     def test_multiple_inputs_are_unioned(self, capsys, tmp_path, micro_ttl):
         other = tmp_path / "other.ttl"

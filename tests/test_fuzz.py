@@ -47,7 +47,7 @@ RULES = SHARED + ["R1:", "R2", "A", "B", "p", "x", "?y", "not", f"<{EX}p>"]
 TURTLE = SHARED + ["@prefix", "@prefix _x:", "@base", "ex:", f"<{EX}>", "ex:a", "a", ";", '"x"', "^^", "xsd:string", "@en",
                    "_:b", '"', "\\", "true", "1", "[", "<<", "'",
                    "\\n", "\\u00e9", "\\U0001F600", "\\UFFFFFFFF", "\\uD800", '"a\\"b"', "# c\n", "\r\n", "\t",
-                   "ex:a.", "_:b..", "a.", "a..:x", "@en-US", '"""']
+                   "ex:a.", "_:b..", "a.", "a..:x", "@en-US", '"""', "@prefix ex.:"]
 
 
 def texts(tokens):

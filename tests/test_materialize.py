@@ -1,10 +1,9 @@
-"""Forward-chaining entailment: each rule in isolation, then their fixpoint."""
+"""Forward-chaining entailment: each rule on a small input, then their fixpoint."""
 
 import random
 import sys
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,20 +12,9 @@ from _gen import random_data_graph, random_graph  # noqa: E402
 from _oracles import naive_materialize  # noqa: E402
 
 from applekit.assets import load_assets
-from applekit.materialize import (
-    ALL_ENTAILMENT_RULES,
-    DOMAIN_TYPING,
-    INVERSE_PROPAGATION,
-    RANGE_TYPING,
-    SUBCLASS_TRANSITIVITY,
-    SUBPROPERTY_PROPAGATION,
-    TYPE_INHERITANCE,
-    EntailmentRegime,
-    entails,
-    materialize,
-)
+from applekit.materialize import materialize
 from applekit.schema import extract_schema
-from applekit.terms import RDF_TYPE, RDFS_SUBCLASSOF, Triple, iri, literal
+from applekit.terms import OWL_INVERSE_OF, RDF_TYPE, RDFS_SUBCLASSOF, Triple, iri
 from applekit.turtle import parse_turtle
 from applekit.vocab import DOES_ACTION, IS_PARTICIPANT_IN
 
@@ -41,77 +29,51 @@ TYPE = iri(RDF_TYPE)
 SUBCLASS = iri(RDFS_SUBCLASSOF)
 
 
-def run(text, regime=None):
+def run(text):
     graph = parse_turtle(HEADER + text)
-    schema = extract_schema(graph)
-    if regime is None:
-        return materialize(graph, schema)
-    return materialize(graph, schema, regime)
+    return materialize(graph, extract_schema(graph))
+
+
+def expect(text, derived=""):
+    """The input graph plus the derived triples, both given as Turtle."""
+    return parse_turtle(HEADER + text + derived)
 
 
 class TestIndividualRules:
+    # All six rules always run, so each test pins the exact output: a rule
+    # that fired where it should not would add a triple.
     def test_subclass_transitivity(self):
-        out = run(
-            "ex:A rdfs:subClassOf ex:B . ex:B rdfs:subClassOf ex:C .",
-            EntailmentRegime.only(SUBCLASS_TRANSITIVITY),
-        )
-        assert Triple(iri(EX + "A"), SUBCLASS, iri(EX + "C")) in out
+        text = "ex:A rdfs:subClassOf ex:B . ex:B rdfs:subClassOf ex:C ."
         # No reflexive padding.
-        assert Triple(iri(EX + "A"), SUBCLASS, iri(EX + "A")) not in out
+        assert run(text) == expect(text, "ex:A rdfs:subClassOf ex:C .")
 
     def test_type_inheritance(self):
-        out = run(
-            "ex:A rdfs:subClassOf ex:B . ex:B rdfs:subClassOf ex:C . ex:i a ex:A .",
-            EntailmentRegime.only(TYPE_INHERITANCE),
-        )
-        assert Triple(iri(EX + "i"), TYPE, iri(EX + "B")) in out
-        assert Triple(iri(EX + "i"), TYPE, iri(EX + "C")) in out
+        text = "ex:A rdfs:subClassOf ex:B . ex:B rdfs:subClassOf ex:C . ex:i a ex:A ."
+        assert run(text) == expect(text, "ex:A rdfs:subClassOf ex:C . ex:i a ex:B, ex:C .")
 
     def test_subproperty_propagation(self):
-        out = run(
-            "ex:p rdfs:subPropertyOf ex:q . ex:x ex:p ex:y .",
-            EntailmentRegime.only(SUBPROPERTY_PROPAGATION),
-        )
-        assert Triple(iri(EX + "x"), iri(EX + "q"), iri(EX + "y")) in out
+        text = "ex:p rdfs:subPropertyOf ex:q . ex:x ex:p ex:y ."
+        assert run(text) == expect(text, "ex:x ex:q ex:y .")
 
     def test_subproperty_carries_literal_objects(self):
-        out = run(
-            'ex:p rdfs:subPropertyOf ex:q . ex:x ex:p "v" .',
-            EntailmentRegime.only(SUBPROPERTY_PROPAGATION),
-        )
-        assert Triple(iri(EX + "x"), iri(EX + "q"), literal("v")) in out
+        text = 'ex:p rdfs:subPropertyOf ex:q . ex:x ex:p "v" .'
+        assert run(text) == expect(text, 'ex:x ex:q "v" .')
 
     def test_domain_typing(self):
-        out = run(
-            "ex:p rdfs:domain ex:D . ex:x ex:p ex:y .",
-            EntailmentRegime.only(DOMAIN_TYPING),
-        )
-        assert Triple(iri(EX + "x"), TYPE, iri(EX + "D")) in out
-        assert Triple(iri(EX + "y"), TYPE, iri(EX + "D")) not in out
+        text = "ex:p rdfs:domain ex:D . ex:x ex:p ex:y ."
+        assert run(text) == expect(text, "ex:x a ex:D .")
 
     def test_range_typing_skips_literals(self):
-        out = run(
-            'ex:p rdfs:range ex:R . ex:x ex:p ex:y . ex:x ex:p "lit" .',
-            EntailmentRegime.only(RANGE_TYPING),
-        )
-        assert Triple(iri(EX + "y"), TYPE, iri(EX + "R")) in out
-        assert not any(t.s.is_literal() for t in out)
-        assert len(out.match(None, TYPE, iri(EX + "R"))) == 1
+        text = 'ex:p rdfs:range ex:R . ex:x ex:p ex:y . ex:x ex:p "lit" .'
+        assert run(text) == expect(text, "ex:y a ex:R .")
 
     def test_inverse_propagation_both_directions(self):
-        out = run(
-            "ex:p owl:inverseOf ex:q . ex:a ex:p ex:b . ex:c ex:q ex:d .",
-            EntailmentRegime.only(INVERSE_PROPAGATION),
-        )
-        assert Triple(iri(EX + "b"), iri(EX + "q"), iri(EX + "a")) in out
-        assert Triple(iri(EX + "d"), iri(EX + "p"), iri(EX + "c")) in out
+        text = "ex:p owl:inverseOf ex:q . ex:a ex:p ex:b . ex:c ex:q ex:d ."
+        assert run(text) == expect(text, "ex:b ex:q ex:a . ex:d ex:p ex:c .")
 
     def test_inverse_skips_literal_objects(self):
-        out = run(
-            'ex:p owl:inverseOf ex:q . ex:a ex:p "v" .',
-            EntailmentRegime.only(INVERSE_PROPAGATION),
-        )
-        assert len(out) == len(parse_turtle(HEADER + 'ex:p owl:inverseOf ex:q . ex:a ex:p "v" .'))
+        text = 'ex:p owl:inverseOf ex:q . ex:a ex:p "v" .'
+        assert run(text) == expect(text)
 
     def test_asserted_subclass_chains_through_schema(self):
         # The subclass edge lives only in the data graph; the schema knows B < C.
@@ -129,34 +91,6 @@ class TestIndividualRules:
         for out in (materialize(data, schema), naive_materialize(data, schema)):
             assert Triple(iri(EX + "x"), iri(EX + "q"), iri(EX + "y")) in out
             assert Triple(iri(EX + "x"), iri(EX + "r"), iri(EX + "y")) in out
-
-
-class TestRegimes:
-    def test_disabled_rules_do_not_fire(self):
-        out = run(
-            "ex:p rdfs:domain ex:D . ex:x ex:p ex:y .",
-            EntailmentRegime.only(RANGE_TYPING),
-        )
-        assert Triple(iri(EX + "x"), TYPE, iri(EX + "D")) not in out
-
-    def test_unknown_rule_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown entailment rule"):
-            EntailmentRegime.only("spooky-inference")
-
-    def test_rule_interaction_needs_both(self):
-        # Deriving the supertype of an inverse-propagated edge's subject
-        # requires inverse-propagation and domain-typing together.
-        text = "ex:p owl:inverseOf ex:q . ex:q rdfs:domain ex:D . ex:a ex:p ex:b ."
-        derived = Triple(iri(EX + "b"), TYPE, iri(EX + "D"))
-        assert derived in run(text)
-        assert derived not in run(text, EntailmentRegime.only(DOMAIN_TYPING))
-        assert derived not in run(text, EntailmentRegime.only(INVERSE_PROPAGATION))
-
-    def test_contains(self):
-        regime = EntailmentRegime.only(DOMAIN_TYPING)
-        assert DOMAIN_TYPING in regime
-        assert RANGE_TYPING not in regime
-        assert EntailmentRegime().enabled == ALL_ENTAILMENT_RULES
 
 
 class TestFixpointProperties:
@@ -210,11 +144,21 @@ class TestFixpointProperties:
 
 class TestEntails:
     def test_asserted_and_derived_and_absent(self):
-        graph = parse_turtle(HEADER + "ex:A rdfs:subClassOf ex:B . ex:i a ex:A .")
-        schema = extract_schema(graph)
-        assert entails(graph, Triple(iri(EX + "i"), TYPE, iri(EX + "A")), schema)
-        assert entails(graph, Triple(iri(EX + "i"), TYPE, iri(EX + "B")), schema)
-        assert not entails(graph, Triple(iri(EX + "i"), TYPE, iri(EX + "Z")), schema)
+        out = run("ex:A rdfs:subClassOf ex:B . ex:i a ex:A .")
+        assert Triple(iri(EX + "i"), TYPE, iri(EX + "A")) in out
+        assert Triple(iri(EX + "i"), TYPE, iri(EX + "B")) in out
+        assert Triple(iri(EX + "i"), TYPE, iri(EX + "Z")) not in out
+
+    def test_rule_interaction_needs_both(self):
+        # Deriving the supertype of an inverse-propagated edge's subject
+        # needs the inverse axiom and the domain axiom together.
+        inverse = "ex:p owl:inverseOf ex:q . "
+        domain = "ex:q rdfs:domain ex:D . "
+        edge = "ex:a ex:p ex:b ."
+        derived = Triple(iri(EX + "b"), TYPE, iri(EX + "D"))
+        assert derived in run(inverse + domain + edge)
+        assert derived not in run(domain + edge)
+        assert derived not in run(inverse + edge)
 
     def test_bundled_inverse_entailment(self):
         assets = load_assets()
@@ -223,14 +167,13 @@ class TestEntails:
         event = iri("https://purl.org/appliedethicsontology#DentalSurgeryAftercare")
         derived = Triple(doctor, iri(IS_PARTICIPANT_IN), event)
         assert derived not in combined
-        assert entails(combined, derived, assets.schema)
+        assert derived in materialize(combined, assets.schema)
         # doesAction < isParticipantIn would be wrong; check provenance is the
-        # inverse axiom by disabling it.
-        assert not entails(
-            combined,
-            derived,
-            assets.schema,
-            EntailmentRegime(ALL_ENTAILMENT_RULES - {INVERSE_PROPAGATION}),
-        )
+        # inverse axiom by removing it from the input.
+        axioms = combined._match(None, iri(OWL_INVERSE_OF), iri(IS_PARTICIPANT_IN))
+        assert len(axioms) == 1
+        without_inverse = combined.copy()
+        without_inverse.remove(axioms[0])
+        assert derived not in materialize(without_inverse, extract_schema(without_inverse))
         action = iri("https://purl.org/appliedethicsontology#PrescribeOpioidPainkiller")
         assert Triple(doctor, iri(DOES_ACTION), action) in combined

@@ -1,4 +1,4 @@
-"""Schema extraction: hierarchies, disjointness cliques, obligations, names."""
+"""Schema extraction: hierarchies, disjoint pairs, obligations, names."""
 
 import random
 
@@ -15,6 +15,7 @@ from applekit.schema import (
 )
 from applekit.terms import PrefixMap, Triple, iri, literal
 from applekit.turtle import parse_turtle
+from applekit.validate import check_disjointness
 
 EX = "http://example.org/"
 HEADER = (
@@ -127,26 +128,30 @@ class TestDomainsRangesInverses:
 
 
 class TestDisjointness:
-    def test_pairwise_triangle_is_one_clique(self):
+    def test_triangle_gives_three_pairs(self):
         s = schema_of(
             "ex:A owl:disjointWith ex:B . ex:B owl:disjointWith ex:C .\n"
             "ex:A owl:disjointWith ex:C . ex:D owl:disjointWith ex:E ."
         )
-        assert set(s.disjoint_sets) == {
-            frozenset({EX + "A", EX + "B", EX + "C"}),
-            frozenset({EX + "D", EX + "E"}),
+        assert s.disjoint_pairs == {
+            (EX + "A", EX + "B"),
+            (EX + "A", EX + "C"),
+            (EX + "B", EX + "C"),
+            (EX + "D", EX + "E"),
         }
 
-    def test_open_path_gives_two_maximal_cliques(self):
-        s = schema_of("ex:A owl:disjointWith ex:B . ex:B owl:disjointWith ex:C .")
-        assert set(s.disjoint_sets) == {
-            frozenset({EX + "A", EX + "B"}),
-            frozenset({EX + "B", EX + "C"}),
-        }
+    def test_open_path_gives_two_pairs(self):
+        graph = parse_turtle(
+            HEADER + "ex:A owl:disjointWith ex:B . ex:B owl:disjointWith ex:C . ex:i a ex:A, ex:C ."
+        )
+        s = extract_schema(graph)
+        assert s.disjoint_pairs == {(EX + "A", EX + "B"), (EX + "B", EX + "C")}
+        # A and C are not declared disjoint, so an individual in both is fine.
+        assert check_disjointness(graph, s) == []
 
     def test_direction_and_self_assertions_ignored(self):
         s = schema_of("ex:B owl:disjointWith ex:A . ex:A owl:disjointWith ex:A .")
-        assert set(s.disjoint_sets) == {frozenset({EX + "A", EX + "B"})}
+        assert s.disjoint_pairs == {(EX + "A", EX + "B")}
 
 
 RESTRICTION = (

@@ -195,6 +195,10 @@ class TestPrefixMap:
             pm.bind("9bad", EX)
         with pytest.raises(StructuralError):
             pm.bind("ok", "not-absolute")
+        # PN_PREFIX: a '.' may sit inside a label but not end it.
+        with pytest.raises(StructuralError, match="invalid prefix label: 'ex.'"):
+            PrefixMap({"ex.": EX})
+        assert PrefixMap({"e.x": EX}).expand("e.x", "a") == EX + "a"
 
     def test_empty_prefix_allowed(self):
         pm = PrefixMap({"": EX})
