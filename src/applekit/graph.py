@@ -66,11 +66,30 @@ class Graph:
             raise TypeError(f"expected a Triple, got {type(triple).__name__}")
         if triple in self._triples:
             return False
+        self._store(triple)
+        return True
+
+    def _add(self, s: Term, p: Term, o: Term) -> Triple | None:
+        """Insert ``(s, p, o)`` unless it is stored; return the new Triple,
+        or None when it was already present.
+
+        The probe is up to three dict lookups in ``_spo``, so a triple
+        already present builds no Triple.
+        """
+        by_p = self._spo.get(s)
+        if by_p is not None:
+            by_o = by_p.get(p)
+            if by_o is not None and o in by_o:
+                return None
+        triple = Triple(s, p, o)
+        self._store(triple)
+        return triple
+
+    def _store(self, triple: Triple) -> None:
         self._triples.add(triple)
         _index_add(self._spo, triple.s, triple.p, triple.o, triple)
         _index_add(self._pos, triple.p, triple.o, triple.s, triple)
         _index_add(self._osp, triple.o, triple.s, triple.p, triple)
-        return True
 
     def remove(self, triple: Triple) -> bool:
         """Discard a triple; return True when it was present."""

@@ -25,8 +25,21 @@ data's domains, ranges and inverses are not read.  Existential
 obligations are never skolemized; the closed-world validator audits them
 instead.
 
-Evaluation is semi-naive: a worklist seeded with the input triples, so
-each consequence is derived once.
+Evaluation is one worklist, seeded with the input triples and the
+closure's subclass pairs, that builds each derived triple once:
+
+- Each pending triple carries the rule that first derived it.  The
+  subclass and subproperty closures are computed up front, so a triple
+  that ``subclass-transitivity``, ``type-inheritance`` or
+  ``subproperty-propagation`` derived already has, from its source,
+  everything that same rule would derive from it; that rule skips it.
+  Every other rule runs on every triple.
+- A candidate is probed in the graph's index before a
+  :class:`~applekit.terms.Triple` is built, so only new triples are
+  built, validated and stored.
+- The schema's IRIs are resolved, through one dict per call, to the Term
+  objects the copied graph already holds, so index probes find their
+  keys by identity.
 """
 
 from __future__ import annotations
@@ -37,9 +50,14 @@ from .graph import Graph
 from .schema import SchemaIndex, _cached_closure
 from .terms import RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, Term, Triple, iri
 
-_TYPE = iri(RDF_TYPE)
-_SUBCLASS = iri(RDFS_SUBCLASSOF)
-_SUBPROPERTY = iri(RDFS_SUBPROPERTYOF)
+# Tags naming the rule that first derived a pending triple; None marks an
+# input triple.
+_TRANSITIVITY = "subclass-transitivity"
+_INHERITANCE = "type-inheritance"
+_SUBPROPERTY = "subproperty-propagation"
+_DOMAIN = "domain-typing"
+_RANGE = "range-typing"
+_INVERSE = "inverse-propagation"
 
 
 def _iri_pairs(graph: Graph, predicate: Term) -> frozenset[tuple[str, str]]:
@@ -56,52 +74,69 @@ def materialize(graph: Graph, schema: SchemaIndex) -> Graph:
     """
     out = graph.copy()
 
-    # Every IRI a consequence can carry, built once per class or property.
-    superclasses = _cached_closure(schema.sub_class_of | _iri_pairs(graph, _SUBCLASS))
-    superproperties = _cached_closure(schema.sub_property_of | _iri_pairs(graph, _SUBPROPERTY))
-    ancestors = {c: tuple(iri(a) for a in parents) for c, parents in superclasses.items()}
-    superprops = {p: tuple(iri(q) for q in parents if q != p) for p, parents in superproperties.items()}
-    inverses = {p: tuple(iri(q) for q in schema.inverse_partners(p)) for p in schema.properties}
-    domains = {p: tuple(iri(c) for c in classes) for p, classes in schema.domain_of.items()}
-    ranges = {p: tuple(iri(c) for c in classes) for p, classes in schema.range_of.items()}
+    # The copy's own Term per IRI, so that index probes with a schema IRI
+    # find their key by identity.
+    own = {t.value: t for index in (out._spo, out._pos, out._osp) for t in index if t.kind == "iri"}
 
-    pending: deque[Triple] = deque(out._match())
+    def term(value: str) -> Term:
+        found = own.get(value)
+        if found is None:
+            found = own[value] = iri(value)
+        return found
+
+    rdf_type = term(RDF_TYPE)
+    subclass = term(RDFS_SUBCLASSOF)
+
+    # Every IRI a consequence can carry, built once per class or property.
+    superclasses = _cached_closure(schema.sub_class_of | _iri_pairs(graph, subclass))
+    superproperties = _cached_closure(schema.sub_property_of | _iri_pairs(graph, term(RDFS_SUBPROPERTYOF)))
+    ancestors = {c: tuple(term(a) for a in parents) for c, parents in superclasses.items()}
+    superprops = {p: tuple(term(q) for q in parents if q != p) for p, parents in superproperties.items()}
+    inverses = {p: tuple(term(q) for q in partners) for p, partners in schema._inverse_map().items()}
+    domains = {p: tuple(term(c) for c in classes) for p, classes in schema.domain_of.items()}
+    ranges = {p: tuple(term(c) for c in classes) for p, classes in schema.range_of.items()}
+
+    pending: deque[tuple[Triple, str | None]] = deque((t, None) for t in out._match())
 
     # The closure of the asserted pairs, including pairs the data graph
     # itself may not carry when the schema came from another graph.
     for child, parents in ancestors.items():
-        child_term = iri(child)
+        child_term = term(child)
         for parent in parents:
             if parent.value != child:
-                derived = Triple(child_term, _SUBCLASS, parent)
-                if out.insert(derived):
-                    pending.append(derived)
+                new = out._add(child_term, subclass, parent)
+                if new is not None:
+                    pending.append((new, _TRANSITIVITY))
 
     while pending:
-        triple = pending.popleft()
+        triple, rule = pending.popleft()
+        s, o = triple.s, triple.o
         predicate = triple.p.value
-        derived: list[Triple] = []
-        if predicate == RDFS_SUBCLASSOF and triple.s.is_iri() and triple.o.is_iri():
+        derived: list[tuple[Term, Term, Term, str]] = []
+        # ancestors and superprops are transitive closures, so a closure step
+        # adds nothing to a triple it derived itself.
+        if predicate == RDFS_SUBCLASSOF and rule != _TRANSITIVITY and s.kind == "iri" and o.kind == "iri":
             # A subclass edge asserted in the data graph chains through the
             # schema's closure even when the schema lacks that edge itself.
-            for ancestor in ancestors.get(triple.o.value, ()):
-                if ancestor.value != triple.s.value:
-                    derived.append(Triple(triple.s, _SUBCLASS, ancestor))
-        if predicate == RDF_TYPE and triple.o.is_iri():
-            for ancestor in ancestors.get(triple.o.value, ()):
-                if ancestor.value != triple.o.value:
-                    derived.append(Triple(triple.s, _TYPE, ancestor))
-        for parent in superprops.get(predicate, ()):
-            derived.append(Triple(triple.s, parent, triple.o))
+            for ancestor in ancestors.get(o.value, ()):
+                if ancestor.value != s.value:
+                    derived.append((s, subclass, ancestor, _TRANSITIVITY))
+        if predicate == RDF_TYPE and rule != _INHERITANCE and o.kind == "iri":
+            for ancestor in ancestors.get(o.value, ()):
+                if ancestor.value != o.value:
+                    derived.append((s, rdf_type, ancestor, _INHERITANCE))
+        if rule != _SUBPROPERTY:
+            for parent in superprops.get(predicate, ()):
+                derived.append((s, parent, o, _SUBPROPERTY))
         for cls in domains.get(predicate, ()):
-            derived.append(Triple(triple.s, _TYPE, cls))
-        if not triple.o.is_literal():
+            derived.append((s, rdf_type, cls, _DOMAIN))
+        if o.kind != "literal":
             for cls in ranges.get(predicate, ()):
-                derived.append(Triple(triple.o, _TYPE, cls))
+                derived.append((o, rdf_type, cls, _RANGE))
             for partner in inverses.get(predicate, ()):
-                derived.append(Triple(triple.o, partner, triple.s))
-        for new_triple in derived:
-            if out.insert(new_triple):
-                pending.append(new_triple)
+                derived.append((o, partner, s, _INVERSE))
+        for ds, dp, do, by in derived:
+            new = out._add(ds, dp, do)
+            if new is not None:
+                pending.append((new, by))
     return out
-

@@ -151,6 +151,29 @@ def add_obligations(rng: random.Random, graph: Graph) -> Graph:
     return graph
 
 
+def add_meta_axioms(rng: random.Random, graph: Graph) -> Graph:
+    """Add axioms about ``rdf:type`` and ``rdfs:subClassOf`` themselves to a
+    :func:`random_graph` graph: a property below or above either one,
+    domains and ranges on them, and an ``owl:inverseOf`` with either.  Up
+    to two property edges between classes let a property below or inverse
+    to ``rdfs:subClassOf`` derive subclass edges that chain.  Kept apart
+    from random_graph so the graphs existing seeds produce do not change."""
+    classes, props, _ = graph_vocabulary(graph)
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(classes, 2)
+        graph.insert(Triple(iri(a), iri(rng.choice(props)), iri(b)))
+    for meta in (iri(RDF_TYPE), iri(RDFS_SUBCLASSOF)):
+        for predicate in (RDFS_SUBPROPERTYOF, OWL_INVERSE_OF):
+            if rng.random() < 0.5:
+                graph.insert(Triple(iri(rng.choice(props)), iri(predicate), meta))
+        if rng.random() < 0.4:
+            graph.insert(Triple(meta, iri(RDFS_SUBPROPERTYOF), iri(rng.choice(props))))
+        for predicate in (RDFS_DOMAIN, RDFS_RANGE):
+            if rng.random() < 0.3:
+                graph.insert(Triple(meta, iri(predicate), iri(rng.choice(classes))))
+    return graph
+
+
 def graph_vocabulary(graph: Graph) -> tuple[list[str], list[str], list[str]]:
     """(classes, properties, individuals) IRIs seen in a generated graph."""
     classes = sorted({t.s.value for t in graph.match(None, iri(RDF_TYPE), iri(OWL_CLASS))})

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _gen import random_data_graph, random_graph  # noqa: E402
+from _gen import add_meta_axioms, random_data_graph, random_graph  # noqa: E402
 from _oracles import naive_materialize  # noqa: E402
+from test_graph import triples_built  # noqa: E402
 
 from applekit.assets import load_assets
+from applekit.graph import Graph
 from applekit.materialize import materialize
 from applekit.schema import extract_schema
 from applekit.terms import OWL_INVERSE_OF, RDF_TYPE, RDFS_SUBCLASSOF, Triple, iri
@@ -22,6 +24,7 @@ EX = "http://example.org/"
 HEADER = (
     f"@prefix ex: <{EX}> .\n"
     "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+    "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
     "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
     "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
 )
@@ -70,6 +73,14 @@ class TestIndividualRules:
     def test_inverse_propagation_both_directions(self):
         text = "ex:p owl:inverseOf ex:q . ex:a ex:p ex:b . ex:c ex:q ex:d ."
         assert run(text) == expect(text, "ex:b ex:q ex:a . ex:d ex:p ex:c .")
+
+    def test_inverse_of_builtin_property_both_directions(self):
+        text = (
+            "ex:hasMember owl:inverseOf rdf:type . ex:y a ex:D . ex:E ex:hasMember ex:z . "
+            "ex:superOf owl:inverseOf rdfs:subClassOf . ex:A rdfs:subClassOf ex:D ."
+        )
+        derived = "ex:D ex:hasMember ex:y . ex:z a ex:E . ex:D ex:superOf ex:A ."
+        assert run(text) == expect(text, derived)
 
     def test_inverse_skips_literal_objects(self):
         text = 'ex:p owl:inverseOf ex:q . ex:a ex:p "v" .'
@@ -123,6 +134,16 @@ class TestFixpointProperties:
             data = random_data_graph(random.Random(seed))
             assert materialize(data, schema) == naive_materialize(data, schema), seed
 
+    def test_meta_vocabulary_agrees_with_naive(self):
+        # Axioms on rdf:type and rdfs:subClassOf let one rule derive a triple
+        # that a closure step must still process: a subproperty of rdf:type
+        # derives a type triple whose supertypes are not derived yet.
+        for seed in range(300):
+            rng = random.Random(seed)
+            graph = add_meta_axioms(rng, random_graph(rng))
+            schema = extract_schema(graph)
+            assert materialize(graph, schema) == naive_materialize(graph, schema), seed
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
     def test_closed_under_its_own_schema(self, data_seed, schema_seed):
@@ -140,6 +161,48 @@ class TestFixpointProperties:
         small_out = materialize(base, schema)
         big_out = materialize(bigger, schema)
         assert all(t in big_out for t in small_out)
+
+
+def subclass_chain(depth, individuals):
+    """Classes C0 < C1 < ... < C<depth> and individuals typed C<depth>."""
+    graph = Graph()
+    for k in range(depth):
+        graph.insert(Triple(iri(f"{EX}C{k + 1}"), SUBCLASS, iri(f"{EX}C{k}")))
+    for k in range(individuals):
+        graph.insert(Triple(iri(f"{EX}x{k}"), TYPE, iri(f"{EX}C{depth}")))
+    return graph
+
+
+class TestDeriveOnce:
+    def test_builds_only_the_triples_it_derives(self, monkeypatch):
+        assets = load_assets()
+        cases = [(assets.combined(), assets.schema)]
+        for depth in (10, 20, 40):
+            chain = subclass_chain(depth, 50)
+            cases.append((chain, extract_schema(chain)))
+        for graph, schema in cases:
+            out, built = triples_built(monkeypatch, lambda: materialize(graph, schema))
+            assert built == len(out) - len(graph), len(graph)
+
+    def test_each_individual_probes_its_ancestors_once(self, monkeypatch):
+        # Re-applying type inheritance to the supertypes it derived would
+        # probe depth**2 / 2 triples per individual instead of depth.
+        probes = [0]
+        original = Graph._add
+
+        def counting(graph, s, p, o):
+            probes[0] += 1
+            return original(graph, s, p, o)
+
+        monkeypatch.setattr(Graph, "_add", counting)
+        for depth in (10, 20, 40):
+            counts = []
+            for individuals in (50, 100):
+                chain = subclass_chain(depth, individuals)
+                probes[0] = 0
+                materialize(chain, extract_schema(chain))
+                counts.append(probes[0])
+            assert counts[1] - counts[0] == 50 * depth, depth
 
 
 class TestEntails:
