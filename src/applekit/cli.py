@@ -19,6 +19,7 @@ identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -37,7 +38,7 @@ from .query import (
     retrieve_instances,
     select,
 )
-from .rules import RuleError, VerdictConflictError, classify_actions, parse_rules
+from .rules import RuleError, VerdictConflictError, _classify, parse_rules
 from .schema import NameCatalog, SchemaError, SchemaIndex, extract_schema
 from .terms import PrefixMap, StructuralError
 from .turtle import TurtleParseError, parse_document, serialize_turtle
@@ -140,7 +141,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         rules = load_assets().rules
     else:
         raise CliError("classify needs --rules FILE or --bundled", EXIT_CONFIG)
-    verdicts = classify_actions(inputs.materialized, rules)
+    verdicts = _classify(inputs.materialized, rules)  # materialize's output is ours to extend
     from .validate import inputs_digest
 
     payload = {
@@ -259,6 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command builds many long-lived containers and frees them together,
+    # so cyclic collections would walk an ever larger heap for nothing: no
+    # command leaves cyclic garbage that grows with its input.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except CliError as exc:
@@ -279,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     except QueryParseError as exc:
         print(f"applekit: {exc}", file=sys.stderr)
         return EXIT_QUERY
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

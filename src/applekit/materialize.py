@@ -17,13 +17,13 @@ Six entailment rules, always applied together (the RDFS/pD* rule set):
 
 Axioms are read from a :class:`~applekit.schema.SchemaIndex`, so
 materializing a data-only graph against a separately extracted schema
-works.  The data graph's own ``rdfs:subClassOf`` and
-``rdfs:subPropertyOf`` edges between IRIs are axioms too: each closure is
-computed once, over the schema's pairs and the data's together, so the
-output is closed under its own subclass and subproperty edges.  The
-data's domains, ranges and inverses are not read.  Existential
-obligations are never skolemized; the closed-world validator audits them
-instead.
+works.  The data graph's own ``rdfs:subClassOf``, ``rdfs:subPropertyOf``,
+``rdfs:domain``, ``rdfs:range`` and ``owl:inverseOf`` edges between IRIs
+are axioms too, read as :func:`~applekit.schema.extract_schema` reads them
+(a range in a built-in namespace types nothing), and joined with the
+schema's: each closure is computed once over both, so the output is closed
+under its own schema.  Existential obligations are never skolemized; the
+closed-world validator audits them instead.
 
 Evaluation is one worklist, seeded with the input triples and the
 closure's subclass pairs, that builds each derived triple once:
@@ -47,8 +47,18 @@ from __future__ import annotations
 from collections import deque
 
 from .graph import Graph
-from .schema import SchemaIndex, _cached_closure
-from .terms import RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, Term, Triple, iri
+from .schema import SchemaIndex, _cached_closure, _cached_inverse_map, _is_builtin
+from .terms import (
+    OWL_INVERSE_OF,
+    RDF_TYPE,
+    RDFS_DOMAIN,
+    RDFS_RANGE,
+    RDFS_SUBCLASSOF,
+    RDFS_SUBPROPERTYOF,
+    Term,
+    Triple,
+    iri,
+)
 
 # Tags naming the rule that first derived a pending triple; None marks an
 # input triple.
@@ -65,12 +75,21 @@ def _iri_pairs(graph: Graph, predicate: Term) -> frozenset[tuple[str, str]]:
     return frozenset((t.s.value, t.o.value) for t in edges if t.s.is_iri() and t.o.is_iri())
 
 
+def _joined(axioms: dict[str, frozenset[str]], pairs) -> dict[str, set[str]]:
+    """The schema's property -> classes map with the data's (property, class)
+    pairs added."""
+    out = {p: set(classes) for p, classes in axioms.items()}
+    for p, cls in pairs:
+        out.setdefault(p, set()).add(cls)
+    return out
+
+
 def materialize(graph: Graph, schema: SchemaIndex) -> Graph:
     """Return a new graph extended with every entailment.
 
-    The schema's axioms apply, together with the subclass and subproperty
-    edges between IRIs that the graph itself asserts.  The input graph is
-    never mutated.
+    The schema's axioms apply, together with the subclass, subproperty,
+    domain, range and inverse edges between IRIs that the graph itself
+    asserts.  The input graph is never mutated.
     """
     out = graph.copy()
 
@@ -92,9 +111,13 @@ def materialize(graph: Graph, schema: SchemaIndex) -> Graph:
     superproperties = _cached_closure(schema.sub_property_of | _iri_pairs(graph, term(RDFS_SUBPROPERTYOF)))
     ancestors = {c: tuple(term(a) for a in parents) for c, parents in superclasses.items()}
     superprops = {p: tuple(term(q) for q in parents if q != p) for p, parents in superproperties.items()}
-    inverses = {p: tuple(term(q) for q in partners) for p, partners in schema._inverse_map().items()}
-    domains = {p: tuple(term(c) for c in classes) for p, classes in schema.domain_of.items()}
-    ranges = {p: tuple(term(c) for c in classes) for p, classes in schema.range_of.items()}
+    partners = _cached_inverse_map(schema.inverse_of | _iri_pairs(graph, term(OWL_INVERSE_OF)))
+    inverses = {p: tuple(term(q) for q in qs) for p, qs in partners.items()}
+    domain_of = _joined(schema.domain_of, _iri_pairs(graph, term(RDFS_DOMAIN)))
+    data_ranges = [(p, c) for p, c in _iri_pairs(graph, term(RDFS_RANGE)) if not _is_builtin(c)]
+    range_of = _joined(schema.range_of, data_ranges)
+    domains = {p: tuple(term(c) for c in classes) for p, classes in domain_of.items()}
+    ranges = {p: tuple(term(c) for c in classes) for p, classes in range_of.items()}
 
     pending: deque[tuple[Triple, str | None]] = deque((t, None) for t in out._match())
 

@@ -137,12 +137,17 @@ def _split_rule_id(tokens: list[Token]) -> tuple[str | None, list[Token]]:
 class _RuleParser:
     def __init__(self, rule_id: str, tokens: list[Token], end: int, line: int, catalog) -> None:
         self.rule_id = rule_id
-        self.line = line
         self.catalog = catalog
-        self.cursor = TokenCursor(tokens, end, self.fail)
+        prefix = f"line {line}: rule {rule_id}: "
 
-    def fail(self, message: str, offset: int | None = None) -> RuleError:
-        return RuleError(f"line {self.line}: rule {self.rule_id}: {message}")
+        # A closure over the prefix, not a bound method: the cursor holds it,
+        # and a method would make parser and cursor a reference cycle that
+        # only the cyclic collector frees.
+        def fail(message: str, offset: int | None = None) -> RuleError:
+            return RuleError(prefix + message)
+
+        self.fail = fail
+        self.cursor = TokenCursor(tokens, end, fail)
 
     def parse(self) -> Rule:
         positives: list[TriplePattern] = []
@@ -305,9 +310,15 @@ def evaluate_with_provenance(graph: Graph, rules: list[Rule]) -> tuple[Graph, li
     A binding that grounds the head's subject to a literal derives nothing
     and records no Firing, since no triple has a literal subject.  Firings
     come in derivation order: strata ascending, then semi-naive rounds; the
-    order within a round is unspecified.
+    order within a round is unspecified.  The input graph is never mutated.
     """
     out = graph.copy()
+    return out, _extend(out, rules)
+
+
+def _extend(out: Graph, rules: list[Rule]) -> list[Firing]:
+    """:func:`evaluate_with_provenance` on a graph the caller owns: the
+    derived triples are inserted into ``out`` itself."""
     firings: list[Firing] = []
     seen: set[tuple[str, tuple[tuple[str, Term], ...]]] = set()
     for stratum in sorted({rule.stratum for rule in rules}):
@@ -331,7 +342,7 @@ def evaluate_with_provenance(graph: Graph, rules: list[Rule]) -> tuple[Graph, li
             if not added:
                 break
             delta = added
-    return out, firings
+    return firings
 
 
 def evaluate_rules(graph: Graph, rules: list[Rule]) -> Graph:
@@ -360,9 +371,15 @@ def classify_actions(graph: Graph, rules: list[Rule]) -> list[Verdict]:
     verdict class raise :class:`VerdictConflictError`; actions matching no
     rule are omitted from the report.  Verdicts are sorted by action, and
     each verdict's firings by rule id, then by the sort keys of their bound
-    terms in variable-name order.
+    terms in variable-name order.  The input graph is never mutated.
     """
-    final, firings = evaluate_with_provenance(graph, rules)
+    return _classify(graph.copy(), rules)
+
+
+def _classify(final: Graph, rules: list[Rule]) -> list[Verdict]:
+    """:func:`classify_actions` on a graph the caller owns: the rules'
+    consequences are inserted into ``final`` itself."""
+    firings = _extend(final, rules)
     by_derived: dict[Triple, list[Firing]] = {}
     for firing in firings:
         by_derived.setdefault(firing.derived, []).append(firing)

@@ -390,10 +390,12 @@ class NameCatalog:
                 return next(iter(candidates))
             if candidates:
                 listed = ", ".join(sorted(candidates))
-                error = KeyError(f"{category} name {bare!r} is ambiguous between: {listed}")
+                message = f"{category} name {bare!r} is ambiguous between: {listed}"
             else:
-                error = KeyError(f"unknown {category} name {bare!r}")
-        raise error
+                message = f"unknown {category} name {bare!r}"
+        # The message, not the exception, is kept in a local: a raising frame
+        # that holds its own exception forms a reference cycle with it.
+        raise KeyError(message)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from applekit.terms import (
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
+    XSD_STRING,
     Triple,
     blank,
     iri,
@@ -130,6 +131,24 @@ def random_data_graph(rng: random.Random, max_triples: int = 40) -> Graph:
             graph.insert(Triple(rng.choice(individuals), rng.choice(props), rng.choice(individuals)))
         else:
             graph.insert(Triple(rng.choice(individuals), rng.choice(props), literal(f"v{rng.randint(0, 9)}")))
+    return graph
+
+
+def add_data_axioms(rng: random.Random, graph: Graph) -> Graph:
+    """Add up to three each of ``rdfs:domain``, ``rdfs:range`` and
+    ``owl:inverseOf`` edges over the :func:`random_data_graph` vocabulary,
+    the axioms materialize also reads from the data graph; a range may name
+    a datatype, which types nothing.  Kept apart from random_data_graph so
+    the graphs existing seeds produce do not change."""
+    classes = [iri(f"{NS}C{i}") for i in range(8)]
+    props = [iri(f"{NS}p{i}") for i in range(6)]
+    for _ in range(rng.randint(0, 3)):
+        graph.insert(Triple(rng.choice(props), iri(RDFS_DOMAIN), rng.choice(classes)))
+    for _ in range(rng.randint(0, 3)):
+        target = iri(XSD_STRING) if rng.random() < 0.2 else rng.choice(classes)
+        graph.insert(Triple(rng.choice(props), iri(RDFS_RANGE), target))
+    for _ in range(rng.randint(0, 3)):
+        graph.insert(Triple(rng.choice(props), iri(OWL_INVERSE_OF), rng.choice(props)))
     return graph
 
 

@@ -16,7 +16,19 @@ from applekit.graph import Graph
 from applekit.query import And, Anything, Named, OneOf, SelectQuery, Some
 from applekit.rules import Rule
 from applekit.schema import SchemaIndex
-from applekit.terms import OWL_DISJOINT_WITH, RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, Term, Triple, iri
+from applekit.terms import (
+    BUILTIN_NAMESPACES,
+    OWL_DISJOINT_WITH,
+    OWL_INVERSE_OF,
+    RDF_TYPE,
+    RDFS_DOMAIN,
+    RDFS_RANGE,
+    RDFS_SUBCLASSOF,
+    RDFS_SUBPROPERTYOF,
+    Term,
+    Triple,
+    iri,
+)
 from applekit.turtle import ParseDiagnostic, TurtleParseError
 
 _TYPE = iri(RDF_TYPE)
@@ -223,21 +235,31 @@ def brute_select(query: SelectQuery, graph: Graph) -> list[tuple[str, ...]]:
 
 def naive_materialize(graph: Graph, schema: SchemaIndex) -> Graph:
     """Materialize by re-applying every single-step entailment to the whole
-    graph until nothing changes.  The graph's own subclass and subproperty
-    edges between IRIs count as axioms, next to the schema's."""
+    graph until nothing changes.  The graph's own subclass, subproperty,
+    domain, range and inverse edges between IRIs count as axioms, next to
+    the schema's; a range in a built-in namespace types nothing."""
     out = graph.copy()
 
     for child, parent in schema.sub_class_of:
         if child != parent:
             out.insert(Triple(iri(child), _SUBCLASS, iri(parent)))
 
-    def asserted(pairs, predicate):
-        stated = {(t.s.value, t.o.value) for t in graph.match(None, predicate, None) if t.s.is_iri() and t.o.is_iri()}
-        return {(a, b) for a, b in set(pairs) | stated if a != b}
+    def stated(predicate):
+        return {(t.s.value, t.o.value) for t in graph.match(None, iri(predicate), None) if t.s.is_iri() and t.o.is_iri()}
 
-    asserted_subclass = asserted(schema.sub_class_of, _SUBCLASS)
-    asserted_subprop = asserted(schema.sub_property_of, iri(RDFS_SUBPROPERTYOF))
-    inverse_pairs = set(schema.inverse_of)
+    def asserted(pairs, predicate):
+        return {(a, b) for a, b in set(pairs) | stated(predicate) if a != b}
+
+    def pairs(axioms):
+        return {(p, c) for p, classes in axioms.items() for c in classes}
+
+    asserted_subclass = asserted(schema.sub_class_of, RDFS_SUBCLASSOF)
+    asserted_subprop = asserted(schema.sub_property_of, RDFS_SUBPROPERTYOF)
+    domain_pairs = pairs(schema.domain_of) | stated(RDFS_DOMAIN)
+    range_pairs = pairs(schema.range_of) | {
+        (p, c) for p, c in stated(RDFS_RANGE) if not c.startswith(BUILTIN_NAMESPACES)
+    }
+    inverse_pairs = set(schema.inverse_of) | stated(OWL_INVERSE_OF)
 
     while True:
         additions: list[Triple] = []
@@ -254,11 +276,13 @@ def naive_materialize(graph: Graph, schema: SchemaIndex) -> Graph:
             for child, parent in asserted_subprop:
                 if child == predicate:
                     additions.append(Triple(triple.s, iri(parent), triple.o))
-            for cls in schema.domain_of.get(predicate, ()):
-                additions.append(Triple(triple.s, _TYPE, iri(cls)))
+            for prop, cls in domain_pairs:
+                if prop == predicate:
+                    additions.append(Triple(triple.s, _TYPE, iri(cls)))
             if not triple.o.is_literal():
-                for cls in schema.range_of.get(predicate, ()):
-                    additions.append(Triple(triple.o, _TYPE, iri(cls)))
+                for prop, cls in range_pairs:
+                    if prop == predicate:
+                        additions.append(Triple(triple.o, _TYPE, iri(cls)))
                 for a, b in inverse_pairs:
                     if predicate == a:
                         additions.append(Triple(triple.o, iri(b), triple.s))

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, formats, exit codes, determinism."""
 
+import gc
 import importlib.metadata
 import json
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import applekit
+from applekit import cli
 from applekit.assets import (
     ASSET_ENV_VAR,
     COUNTS_FILE,
@@ -20,11 +22,16 @@ from applekit.assets import (
     RULES_FILE,
     SCENARIO_FILE,
     TAXONOMY_FILE,
+    asset_dir,
+    load_assets,
 )
 from applekit.cli import main
 from applekit.graph import Graph
-from applekit.turtle import parse_turtle
+from applekit.turtle import parse_turtle, serialize_turtle
 from applekit.vocab import APPLE
+
+sys.path.insert(0, str(Path(__file__).parent))
+from _gen import renamed_scenario_copies  # noqa: E402
 
 SRC_DIR = Path(applekit.__file__).resolve().parents[1]
 PYPROJECT = Path(applekit.__file__).resolve().parents[2] / "pyproject.toml"
@@ -354,6 +361,101 @@ class TestCq:
         assert "FAIL" in out
         assert "0/1 competency questions passed" in out
         assert "expected" in out and "actual" in out
+
+
+@pytest.fixture(scope="module")
+def scenario_inputs(tmp_path_factory):
+    """The taxonomy plus 2 and plus 8 renamed scenario copies, as Turtle."""
+    assets = load_assets()
+    folder = tmp_path_factory.mktemp("scenario-copies")
+    paths = []
+    for copies in (2, 8):
+        graph = renamed_scenario_copies(assets.taxonomy, assets.scenario, copies)
+        path = folder / f"copies-{copies}.ttl"
+        path.write_text(serialize_turtle(graph, assets.prefixes), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+def _exit_case(tmp_path, micro_ttl, code):
+    """Arguments that make main return ``code``."""
+    bad = tmp_path / "bad.ttl"
+    bad.write_text(HEADER + "ex:s ex:p 42 .\n", encoding="utf-8")
+    clash = tmp_path / "clash.ttl"
+    clash.write_text(
+        "@prefix apple: <https://purl.org/appliedethicsontology#> .\n"
+        "apple:ConfusedSchool a apple:Consequentialism, apple:Deontology .\n",
+        encoding="utf-8",
+    )
+    return {
+        0: ["reason", "-i", str(micro_ttl)],
+        1: ["reason", "-i", str(bad)],
+        2: ["reason"],
+        3: ["query", "NoSuchClass", "-i", str(micro_ttl)],
+        4: ["validate", "--bundled", "-i", str(clash)],
+    }[code]
+
+
+class TestCollectorPause:
+    """main switches the cyclic collector off while a command runs."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["classify", "--rules", str(asset_dir() / RULES_FILE)], 0),
+            (["reason"], 0),
+            (["validate"], 0),
+            (["query", "Action"], 0),
+            (["cq", "--bundled"], 0),
+            (["query", "NoSuchClass"], 3),
+            (["classify", "--rules", "{unknown_class_rules}"], 2),
+        ],
+        ids=["classify", "reason", "validate", "query", "cq", "query-error", "rule-error"],
+    )
+    def test_cyclic_garbage_does_not_grow_with_input(self, capsys, tmp_path, scenario_inputs, argv, code):
+        # A command that left cycles holding its graphs would free them only
+        # at the next collection, and they would grow with the input.
+        rules = tmp_path / "unknown-class.rules"
+        rules.write_text("R: Action(?a) -> NoSuchClass(?a) .\n", encoding="utf-8")
+        argv = [arg.format(unknown_class_rules=rules) for arg in argv]
+        found = []
+        for path in scenario_inputs:
+            gc.collect()
+            gc.disable()
+            try:
+                assert main([*argv, "-i", str(path), "-o", str(tmp_path / "out")]) == code
+                found.append(gc.collect())
+            finally:
+                gc.enable()
+        assert found[0] == found[1], found
+
+    def test_handler_runs_with_the_collector_off(self, monkeypatch, micro_ttl):
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_reason", lambda args: seen.append(gc.isenabled()) or 0)
+        assert main(["reason", "-i", str(micro_ttl)]) == 0
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("code", [0, 1, 2, 3, 4])
+    def test_restores_the_callers_collector_state(self, capsys, tmp_path, micro_ttl, enabled, code):
+        argv = _exit_case(tmp_path, micro_ttl, code)
+        if not enabled:
+            gc.disable()
+        try:
+            assert main(argv) == code
+            after = gc.isenabled()
+        finally:
+            gc.enable()
+        assert after is enabled
+
+    def test_restores_the_collector_when_a_command_raises(self, monkeypatch, micro_ttl):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_reason", broken)
+        with pytest.raises(RuntimeError):
+            main(["reason", "-i", str(micro_ttl)])
+        assert gc.isenabled()
 
 
 def _read_pyproject():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _gen import add_meta_axioms, random_data_graph, random_graph  # noqa: E402
+from _gen import add_data_axioms, add_meta_axioms, random_data_graph, random_graph  # noqa: E402
 from _oracles import naive_materialize  # noqa: E402
 from test_graph import triples_built  # noqa: E402
 
@@ -96,6 +96,22 @@ class TestIndividualRules:
             assert Triple(iri(EX + "x"), TYPE, iri(EX + "C")) in out
             assert len(out) == 6
 
+    def test_data_domain_and_inverse_apply_against_a_separate_schema(self):
+        schema = extract_schema(parse_turtle(HEADER + "ex:B rdfs:subClassOf ex:C ."))
+        text = "ex:p rdfs:domain ex:D . ex:p owl:inverseOf ex:q . ex:x ex:p ex:y ."
+        data = parse_turtle(HEADER + text)
+        derived = "ex:B rdfs:subClassOf ex:C . ex:x a ex:D . ex:y ex:q ex:x ."
+        for out in (materialize(data, schema), naive_materialize(data, schema)):
+            assert out == expect(text, derived)
+            assert materialize(out, extract_schema(out)) == out
+
+    def test_data_range_in_a_builtin_namespace_types_nothing(self):
+        schema = extract_schema(parse_turtle(HEADER + "ex:B rdfs:subClassOf ex:C ."))
+        text = "ex:p rdfs:range xsd:string . ex:r rdfs:range ex:R . ex:x ex:p ex:y . ex:x ex:r ex:z ."
+        data = parse_turtle(HEADER + text)
+        for out in (materialize(data, schema), naive_materialize(data, schema)):
+            assert out == expect(text, "ex:B rdfs:subClassOf ex:C . ex:z a ex:R .")
+
     def test_asserted_subproperty_chains_through_schema(self):
         schema = extract_schema(parse_turtle(HEADER + "ex:q rdfs:subPropertyOf ex:r ."))
         data = parse_turtle(HEADER + "ex:p rdfs:subPropertyOf ex:q . ex:x ex:p ex:y .")
@@ -133,6 +149,9 @@ class TestFixpointProperties:
             assert materialize(graph, schema) == naive_materialize(graph, schema), seed
             data = random_data_graph(random.Random(seed))
             assert materialize(data, schema) == naive_materialize(data, schema), seed
+            rng = random.Random(seed)
+            data = add_data_axioms(rng, random_data_graph(rng))
+            assert materialize(data, schema) == naive_materialize(data, schema), seed
 
     def test_meta_vocabulary_agrees_with_naive(self):
         # Axioms on rdf:type and rdfs:subClassOf let one rule derive a triple
@@ -147,10 +166,9 @@ class TestFixpointProperties:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
     def test_closed_under_its_own_schema(self, data_seed, schema_seed):
-        # The data states only subclass and subproperty axioms, the ones
-        # materialize reads from the data graph.
         schema = extract_schema(random_graph(random.Random(schema_seed)))
-        out = materialize(random_data_graph(random.Random(data_seed)), schema)
+        rng = random.Random(data_seed)
+        out = materialize(add_data_axioms(rng, random_data_graph(rng)), schema)
         assert materialize(out, extract_schema(out)) == out
 
     def test_monotone_in_input(self):

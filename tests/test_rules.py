@@ -294,7 +294,11 @@ class TestEvaluation:
     def test_input_not_mutated_and_output_superset(self, micro):
         graph, catalog = micro
         before = list(graph)
-        out = evaluate_rules(graph, parse_rules("N: C(?x) -> D(?x) .", catalog))
+        rules = parse_rules("N: C(?x) -> D(?x) .", catalog)
+        out = evaluate_rules(graph, rules)
+        assert len(out) > len(graph)
+        evaluate_with_provenance(graph, rules)
+        classify_actions(graph, rules)
         assert list(graph) == before
         assert all(t in out for t in graph)
 
