@@ -1,14 +1,15 @@
 """In-memory triple store with set semantics and deterministic iteration.
 
-The store keeps three nested-dict indexes (subject, predicate, object keyed
-first) so :meth:`Graph.match` can answer any bound/unbound combination of a
-triple pattern without scanning.  The innermost level of each index maps its
-last term to the stored :class:`Triple` (``_spo[s][p][o] is triple``), so
-reads hand back the stored objects and never build a new triple.  Every
-public read (``match``, ``subjects``, ``objects``, ``nodes``,
-``predicates``, iteration) returns results sorted by term order, so two
-graphs holding the same triples behave identically no matter how they were
-built.
+The store keeps two nested-dict indexes, subject-first (``_spo``) and
+predicate-first (``_pos``), plus a triple count.  The innermost level of
+each index maps its last term to the stored :class:`Triple`
+(``_spo[s][p][o] is triple``), so reads hand back the stored objects and
+never build a new triple.  A pattern with its subject or predicate bound is
+answered from one index entry.  The two other shapes scan: ``(s, -, o)``
+walks the predicates of ``_spo[s]``, and ``(-, -, o)`` probes each
+predicate's entry in ``_pos``; predicates are few.  The public reads,
+``match`` and iteration, return results sorted by term order, so two graphs
+holding the same triples behave identically no matter how they were built.
 
 Inside the package, evaluators that collect results into sets or sort them
 later read through :meth:`Graph._match` and :meth:`Graph._nodes` instead.
@@ -37,26 +38,15 @@ def _index_add(index: dict, a: Term, b: Term, c: Term, triple: Triple) -> None:
         third[c] = triple
 
 
-def _index_remove(index: dict, a: Term, b: Term, c: Term) -> None:
-    second = index[a]
-    third = second[b]
-    del third[c]
-    if not third:
-        del second[b]
-    if not second:
-        del index[a]
-
-
 class Graph:
-    """A mutable set of triples indexed for pattern matching."""
+    """A growing set of triples indexed for pattern matching."""
 
-    __slots__ = ("_triples", "_spo", "_pos", "_osp")
+    __slots__ = ("_spo", "_pos", "_size")
 
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
-        self._triples: set[Triple] = set()
         self._spo: dict[Term, dict[Term, dict[Term, Triple]]] = {}
         self._pos: dict[Term, dict[Term, dict[Term, Triple]]] = {}
-        self._osp: dict[Term, dict[Term, dict[Term, Triple]]] = {}
+        self._size = 0
         for triple in triples:
             self.insert(triple)
 
@@ -64,7 +54,7 @@ class Graph:
         """Add a triple; return True when it was not already present."""
         if not isinstance(triple, Triple):
             raise TypeError(f"expected a Triple, got {type(triple).__name__}")
-        if triple in self._triples:
+        if triple in self:
             return False
         self._store(triple)
         return True
@@ -86,20 +76,9 @@ class Graph:
         return triple
 
     def _store(self, triple: Triple) -> None:
-        self._triples.add(triple)
         _index_add(self._spo, triple.s, triple.p, triple.o, triple)
         _index_add(self._pos, triple.p, triple.o, triple.s, triple)
-        _index_add(self._osp, triple.o, triple.s, triple.p, triple)
-
-    def remove(self, triple: Triple) -> bool:
-        """Discard a triple; return True when it was present."""
-        if triple not in self._triples:
-            return False
-        self._triples.remove(triple)
-        _index_remove(self._spo, triple.s, triple.p, triple.o)
-        _index_remove(self._pos, triple.p, triple.o, triple.s)
-        _index_remove(self._osp, triple.o, triple.s, triple.p)
-        return True
+        self._size += 1
 
     def _match(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> list[Triple]:
         """All triples matching the pattern, None acting as a wildcard, in no
@@ -123,7 +102,7 @@ class Graph:
                     return [] if stored is None else [stored]
                 return list(by_o.values())
             if o is not None:
-                return list(self._osp.get(o, {}).get(s, {}).values())
+                return [by_o[o] for by_o in by_p.values() if o in by_o]
             return [stored for by_o in by_p.values() for stored in by_o.values()]
         if p is not None:
             by_o = self._pos.get(p)
@@ -133,13 +112,14 @@ class Graph:
                 return list(by_o.get(o, {}).values())
             return [stored for by_s in by_o.values() for stored in by_s.values()]
         if o is not None:
-            return [stored for by_p in self._osp.get(o, {}).values() for stored in by_p.values()]
-        return list(self._triples)
+            return [stored for by_o in self._pos.values() if o in by_o for stored in by_o[o].values()]
+        return [stored for by_p in self._spo.values() for by_o in by_p.values() for stored in by_o.values()]
 
     def _nodes(self) -> set[Term]:
         """Every IRI or blank node in subject or object position, unordered."""
         seen = set(self._spo)
-        seen.update(term for term in self._osp if term.kind != "literal")
+        for by_o in self._pos.values():
+            seen.update(term for term in by_o if term.kind != "literal")
         return seen
 
     def match(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> list[Triple]:
@@ -151,34 +131,24 @@ class Graph:
         """
         return sorted(self._match(s, p, o), key=Triple.sort_key)
 
-    def subjects(self, p: Term | None = None, o: Term | None = None) -> list[Term]:
-        """Distinct subjects of triples matching (?, p, o), sorted."""
-        return sorted({t.s for t in self._match(None, p, o)}, key=Term.sort_key)
-
-    def objects(self, s: Term | None = None, p: Term | None = None) -> list[Term]:
-        """Distinct objects of triples matching (s, p, ?), sorted."""
-        return sorted({t.o for t in self._match(s, p, None)}, key=Term.sort_key)
-
-    def nodes(self) -> list[Term]:
-        """Every IRI or blank node appearing in subject or object position, sorted."""
-        return sorted(self._nodes(), key=Term.sort_key)
-
-    def predicates(self) -> list[Term]:
-        return sorted(self._pos, key=Term.sort_key)
-
     def copy(self) -> "Graph":
         clone = Graph()
-        clone._triples = set(self._triples)
         clone._spo = {a: {b: dict(c) for b, c in inner.items()} for a, inner in self._spo.items()}
         clone._pos = {a: {b: dict(c) for b, c in inner.items()} for a, inner in self._pos.items()}
-        clone._osp = {a: {b: dict(c) for b, c in inner.items()} for a, inner in self._osp.items()}
+        clone._size = self._size
         return clone
 
-    def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
+    def __contains__(self, triple: object) -> bool:
+        if not isinstance(triple, Triple):
+            return False
+        by_p = self._spo.get(triple.s)
+        if by_p is None:
+            return False
+        by_o = by_p.get(triple.p)
+        return by_o is not None and triple.o in by_o
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._size
 
     def __iter__(self) -> Iterator[Triple]:
         return iter(self.match())
@@ -186,7 +156,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._triples == other._triples
+        return self._spo == other._spo
 
     def __repr__(self) -> str:
-        return f"Graph({len(self._triples)} triples)"
+        return f"Graph({self._size} triples)"

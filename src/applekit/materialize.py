@@ -94,8 +94,9 @@ def materialize(graph: Graph, schema: SchemaIndex) -> Graph:
     out = graph.copy()
 
     # The copy's own Term per IRI, so that index probes with a schema IRI
-    # find their key by identity.
-    own = {t.value: t for index in (out._spo, out._pos, out._osp) for t in index if t.kind == "iri"}
+    # find their key by identity: subjects, predicates, then each
+    # predicate's objects.
+    own = {t.value: t for index in (out._spo, out._pos, *out._pos.values()) for t in index if t.kind == "iri"}
 
     def term(value: str) -> Term:
         found = own.get(value)

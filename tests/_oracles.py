@@ -84,7 +84,12 @@ def _nominal_terms(expr) -> set[Term]:
 
 
 def brute_instances(expr, graph: Graph) -> list[str]:
-    candidates = set(graph.nodes()) | _nominal_terms(expr)
+    # Scan the triples rather than read Graph._nodes, which production uses.
+    candidates = _nominal_terms(expr)
+    for triple in graph:
+        candidates.add(triple.s)
+        if triple.o.kind != "literal":
+            candidates.add(triple.o)
     found = [term for term in candidates if satisfies(term, expr, graph)]
     return sorted(render_node(term) for term in found)
 

@@ -1,4 +1,5 @@
-"""The public names: ``applekit.__all__`` and the functions the benchmark traces.
+"""The public names: ``applekit.__all__``, the functions the benchmark traces
+and the ``Graph`` surface.
 
 The benchmark's tracer wraps functions by name, so a name deleted from the
 package would break ``perfbench/run.py --trace`` without failing any other
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 import applekit
+from applekit.graph import Graph
 
 
 def _tracing():
@@ -37,3 +39,14 @@ def test_every_traced_function_resolves():
 def test_every_public_name_resolves():
     missing = [name for name in applekit.__all__ if not hasattr(applekit, name)]
     assert missing == []
+
+
+def test_graph_public_surface():
+    """``Graph``'s public methods are exactly insert, match and copy, besides
+    ``len``, ``in``, iteration and ``==``.
+
+    A new public read needs a caller in ``src/`` or ``perfbench/``: one that
+    only tests call belongs in the tests, as a scan over ``match()``.
+    """
+    public = {name for name in dir(Graph) if not name.startswith("_")}
+    assert public == {"insert", "match", "copy"}

@@ -1,7 +1,5 @@
 """Triple store: set semantics, index-backed matching, deterministic reads."""
 
-import random
-
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -53,13 +51,6 @@ class TestSetSemantics:
         else:
             raise AssertionError("tuple accepted")
 
-    def test_remove_reports_presence(self):
-        g = Graph([t("s", "p", "o")])
-        assert g.remove(t("s", "p", "o")) is True
-        assert g.remove(t("s", "p", "o")) is False
-        assert len(g) == 0
-        assert g.match(None, None, None) == []
-
     def test_contains_and_eq(self):
         g1 = Graph([t("s", "p", "o"), t("s", "p", "o2")])
         g2 = Graph([t("s", "p", "o2"), t("s", "p", "o")])
@@ -68,17 +59,18 @@ class TestSetSemantics:
         assert g1 != Graph()
         assert (g1 == 42) is False
 
-    @given(triples_strategy)
-    def test_insert_remove_inverse(self, triples):
-        g = Graph()
-        for x in triples:
-            g.insert(x)
-        for x in set(triples):
-            assert g.remove(x)
-        assert len(g) == 0
-        # Indexes must be fully cleaned, not just emptied sets.
-        assert g.match(None, None, None) == []
-        assert g.subjects() == [] and g.predicates() == []
+    @given(triples_strategy, triples_strategy)
+    def test_agrees_with_set_model(self, triples, others):
+        g = Graph(triples)
+        model = set(triples)
+        assert len(g) == len(model)
+        for x in triples + others:
+            assert (x in g) == (x in model), x
+        # A non-Triple is never a member, as with a plain set of Triples.
+        assert all((x.s, x.p, x.o) not in g for x in triples)
+        assert (g == Graph(others)) == (set(others) == model)
+        assert g == Graph(reversed(triples)) == g.copy()
+        assert len(g.copy()) == len(g)
 
 
 def triples_built(monkeypatch, read):
@@ -97,33 +89,25 @@ def triples_built(monkeypatch, read):
 
 
 class TestMatch:
-    def test_every_bound_combination_agrees_with_scan(self):
-        rng = random.Random(4)
-        triples = [
-            Triple(rng.choice(SUBJECTS), rng.choice(PREDICATES), rng.choice(OBJECTS))
-            for _ in range(40)
-        ]
+    @given(triples_strategy, st.data())
+    def test_every_bound_combination_agrees_with_scan(self, triples, data):
         g = Graph(triples)
-        probes_s = SUBJECTS + [None, iri(EX + "absent")]
-        probes_p = PREDICATES + [None, iri(EX + "absent")]
-        probes_o = OBJECTS + [None, literal("2")]
-
-        def agrees(stored):
-            for s in probes_s:
-                for p in probes_p:
-                    for o in probes_o:
-                        assert g.match(s, p, o) == brute_match(stored, s, p, o), (s, p, o)
-
-        agrees(triples)
-        # Delete in small batches, removing equal copies rather than the
-        # inserted objects, and re-check every index after each batch.
-        remaining = sorted(set(triples), key=Triple.sort_key)
-        rng.shuffle(remaining)
-        while remaining:
-            for gone in remaining[:3]:
-                assert g.remove(Triple(gone.s, gone.p, gone.o))
-            del remaining[:3]
-            agrees(remaining)
+        # Equal triples may be distinct objects; the graph keeps the first.
+        stored = {}
+        for x in triples:
+            stored.setdefault(x, x)
+        inside = sorted({term for x in triples for term in (x.s, x.p, x.o)}, key=Term.sort_key)
+        outside = [iri(EX + "absent"), literal("2"), blank("c")]
+        probe = st.sampled_from(inside + outside)
+        for shape in range(8):
+            s, p, o = (data.draw(probe) if shape & bit else None for bit in (4, 2, 1))
+            expected = brute_match(triples, s, p, o)
+            assert g.match(s, p, o) == expected, (s, p, o)
+            hits = g._match(s, p, o)
+            assert len(hits) == len(set(hits)) and set(hits) == set(expected), (s, p, o)
+            assert all(hit is stored[hit] for hit in hits), (s, p, o)
+        nodes = {x.s for x in triples} | {x.o for x in triples if x.o.kind != "literal"}
+        assert g._nodes() == nodes
 
     def test_index_reads_build_no_triples(self, monkeypatch):
         # Reads hand back the stored Triples; rebuilding one per result
@@ -169,26 +153,21 @@ class TestAccessors:
             ]
         )
 
-    def test_subjects_objects_distinct_sorted(self):
-        assert self.g.subjects(p=iri(EX + "p")) == [blank("b"), iri(EX + "s")]
-        assert self.g.objects(s=iri(EX + "s")) == [iri(EX + "o"), literal("v")]
-
     def test_nodes_excludes_literals_includes_blank_objects(self):
-        nodes = self.g.nodes()
+        nodes = self.g._nodes()
         assert literal("v") not in nodes
         assert blank("b") in nodes and iri(EX + "o") in nodes
-        assert nodes == sorted(nodes, key=Term.sort_key)
-
-    def test_predicates(self):
-        assert self.g.predicates() == [iri(EX + "p"), iri(EX + "q")]
 
     def test_copy_is_deep_for_indexes(self):
+        before = self.g.match()
         clone = self.g.copy()
         clone.insert(t("new", "p", "o"))
-        clone.remove(t("s", "p", "o"))
-        assert t("new", "p", "o") not in self.g
-        assert t("s", "p", "o") in self.g
-        assert self.g.match(iri(EX + "s"), iri(EX + "p"), None) != clone.match(iri(EX + "s"), iri(EX + "p"), None)
+        clone.insert(t("s", "p", "new"))
+        clone.insert(t("s", "new", "o"))
+        assert len(clone) == len(self.g) + 3
+        assert self.g.match() == before and len(self.g) == len(before)
+        assert t("new", "p", "o") not in self.g and t("s", "p", "new") not in self.g
+        assert self.g.match(None, iri(EX + "p"), iri(EX + "o")) == [t("s", "p", "o")]
 
     @given(triples_strategy)
     def test_construction_order_is_irrelevant(self, triples):
@@ -196,4 +175,4 @@ class TestAccessors:
         backward = Graph(reversed(triples))
         assert forward == backward
         assert list(forward) == list(backward)
-        assert forward.nodes() == backward.nodes()
+        assert forward._nodes() == backward._nodes()
