@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, formats, exit codes, determinism."""
 
 import gc
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -28,6 +29,7 @@ from applekit.assets import (
 from applekit.cli import main
 from applekit.graph import Graph
 from applekit.turtle import parse_turtle, serialize_turtle
+from applekit.validate import inputs_digest
 from applekit.vocab import APPLE
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -129,6 +131,27 @@ class TestInputHandling:
         union = Graph(parse_turtle(bundled)._match() + parse_turtle(alone)._match())
         assert parse_turtle(both) == union
         assert "ex:i a ex:A, ex:B ." in both
+
+
+# Digests of the bundled commands' stdout, and of the bundled input, pinned
+# so that a change to the writers or to the digest cannot move a byte.
+GOLDEN_STDOUT_SHA256 = {
+    "reason": "c4d64bc81cf7150573d6924761d02f404e67a628752e6eeafd34fe97ce454ee0",
+    "classify": "62b738143ffc6aba9c75a755ddedd854b5d24c7e294069c649043671349aef12",
+    "validate": "ba7f31d4407b7edddbb7c94576615be6a76faf9823c6b96f81b89fa0800a68dc",
+}
+GOLDEN_INPUTS_DIGEST = "524cf50f16e05e8adfb3d086d823be5748384cc9db002b179d181d1c17532972"
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT_SHA256))
+    def test_bundled_stdout(self, capsys, command):
+        code, out, _ = run(capsys, command, "--bundled")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT_SHA256[command]
+
+    def test_bundled_inputs_digest(self):
+        assert inputs_digest(load_assets().combined()) == GOLDEN_INPUTS_DIGEST
 
 
 class TestReason:
