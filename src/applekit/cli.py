@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .assets import AssetError, load_assets, parse_cq_manifest
 from .cq import format_cq_table, run_cq_suite
 from .graph import Graph
-from .materialize import materialize
+from .materialize import _materialize
 from .query import (
     QueryParseError,
     parse_class_expression,
@@ -42,7 +42,7 @@ from .rules import RuleError, VerdictConflictError, _classify, parse_rules
 from .schema import NameCatalog, SchemaError, SchemaIndex, extract_schema
 from .terms import PrefixMap, StructuralError
 from .turtle import TurtleParseError, parse_document, serialize_turtle
-from .validate import validate_graph
+from .validate import _validate, inputs_digest
 from .vocab import DEFAULT_PREFIXES
 
 EXIT_OK = 0
@@ -102,18 +102,17 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Graph, PrefixMap]:
 
 
 class _Reasoned(NamedTuple):
-    graph: Graph
     prefixes: PrefixMap
     schema: SchemaIndex
     catalog: NameCatalog
     materialized: Graph
 
 
-def _load_and_reason(args: argparse.Namespace) -> _Reasoned:
-    """The inputs, their schema and name catalog, and their materialization."""
-    graph, prefixes = _load_inputs(args)
+def _reason(graph: Graph, prefixes: PrefixMap) -> _Reasoned:
+    """The schema and name catalog of the loaded inputs, and the inputs
+    graph itself, which only the command holds, materialized in place."""
     schema = extract_schema(graph)
-    return _Reasoned(graph, prefixes, schema, NameCatalog.from_graph(graph, schema), materialize(graph, schema))
+    return _Reasoned(prefixes, schema, NameCatalog.from_graph(graph, schema), _materialize(graph, schema))
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -124,13 +123,15 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _cmd_reason(args: argparse.Namespace) -> int:
-    inputs = _load_and_reason(args)
+    inputs = _reason(*_load_inputs(args))
     _emit(args, serialize_turtle(inputs.materialized, inputs.prefixes))
     return EXIT_OK
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    inputs = _load_and_reason(args)
+    graph, prefixes = _load_inputs(args)
+    digest = inputs_digest(graph)  # of the inputs, before they are extended
+    inputs = _reason(graph, prefixes)
     if args.rules:
         try:
             rules_text = Path(args.rules).read_text(encoding="utf-8")
@@ -141,11 +142,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         rules = load_assets().rules
     else:
         raise CliError("classify needs --rules FILE or --bundled", EXIT_CONFIG)
-    verdicts = _classify(inputs.materialized, rules)  # materialize's output is ours to extend
-    from .validate import inputs_digest
-
+    verdicts = _classify(inputs.materialized, rules)
     payload = {
-        "inputs_digest": inputs_digest(inputs.graph),
+        "inputs_digest": digest,
         "verdicts": [
             {
                 "action": v.action,
@@ -167,7 +166,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    inputs = _load_and_reason(args)
+    inputs = _reason(*_load_inputs(args))
     if args.mode == "select":
         parsed = parse_select(args.expression, inputs.catalog)
         rows = select(parsed, inputs.materialized)
@@ -191,14 +190,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     graph, _ = _load_inputs(args)
-    schema = extract_schema(graph)
-    report = validate_graph(graph, schema, mode=args.world)
+    report = _validate(graph, extract_schema(graph), args.world)
     _emit(args, report.render_json())
     return EXIT_CONSISTENCY if report.error_count else EXIT_OK
 
 
 def _cmd_cq(args: argparse.Namespace) -> int:
-    inputs = _load_and_reason(args)
+    inputs = _reason(*_load_inputs(args))
     if args.manifest:
         try:
             cases = parse_cq_manifest(Path(args.manifest).read_text(encoding="utf-8"))

@@ -10,6 +10,9 @@ walks the predicates of ``_spo[s]``, and ``(-, -, o)`` probes each
 predicate's entry in ``_pos``; predicates are few.  The public reads,
 ``match`` and iteration, return results sorted by term order, so two graphs
 holding the same triples behave identically no matter how they were built.
+Iteration and the writers walk ``_spo`` through :meth:`Graph._sorted`,
+which sorts subjects, then each subject's predicates, then each group's
+objects, instead of sorting every triple by its nested key.
 
 Inside the package, evaluators that collect results into sets or sort them
 later read through :meth:`Graph._match` and :meth:`Graph._nodes` instead.
@@ -21,8 +24,15 @@ may insert into the graph while it walks the result.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from operator import attrgetter
 
 from .terms import Term, Triple
+
+
+# Term.sort_key for subjects and predicates, which are never literals: the
+# kind names sort as the kinds do ("blank" < "iri"), and an attrgetter
+# builds the key without a Python-level call.
+_node_key = attrgetter("value", "kind")
 
 
 def _index_add(index: dict, a: Term, b: Term, c: Term, triple: Triple) -> None:
@@ -64,15 +74,24 @@ class Graph:
         or None when it was already present.
 
         The probe is up to three dict lookups in ``_spo``, so a triple
-        already present builds no Triple.
+        already present builds no Triple, and a new one is stored into the
+        ``_spo`` dicts the probe found.
         """
         by_p = self._spo.get(s)
-        if by_p is not None:
+        if by_p is None:
+            triple = Triple(s, p, o)
+            self._spo[s] = {p: {o: triple}}
+        else:
             by_o = by_p.get(p)
-            if by_o is not None and o in by_o:
+            if by_o is None:
+                triple = Triple(s, p, o)
+                by_p[p] = {o: triple}
+            elif o in by_o:
                 return None
-        triple = Triple(s, p, o)
-        self._store(triple)
+            else:
+                triple = by_o[o] = Triple(s, p, o)
+        _index_add(self._pos, p, o, s, triple)
+        self._size += 1
         return triple
 
     def _store(self, triple: Triple) -> None:
@@ -150,8 +169,24 @@ class Graph:
     def __len__(self) -> int:
         return self._size
 
+    def _sorted(self) -> Iterator[tuple[Term, Term, dict[Term, Triple]]]:
+        """Every ``(subject, predicate, objects)`` group in term order.
+
+        ``objects`` maps each object to its stored Triple in term order.
+        Subjects are sorted once and each subject's predicates once; a
+        group with a single object is the index's own dict, so callers
+        must not change it.
+        """
+        spo = self._spo
+        for s in sorted(spo, key=_node_key):
+            by_p = spo[s]
+            for p in sorted(by_p, key=_node_key) if len(by_p) > 1 else by_p:
+                by_o = by_p[p]
+                yield s, p, by_o if len(by_o) == 1 else {o: by_o[o] for o in sorted(by_o, key=Term.sort_key)}
+
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self.match())
+        # A snapshot, as match() is, so the caller may insert while walking it.
+        return iter([triple for _, _, objects in self._sorted() for triple in objects.values()])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -38,8 +38,11 @@ closure's subclass pairs, that builds each derived triple once:
   :class:`~applekit.terms.Triple` is built, so only new triples are
   built, validated and stored.
 - The schema's IRIs are resolved, through one dict per call, to the Term
-  objects the copied graph already holds, so index probes find their
-  keys by identity.
+  objects the graph already holds, so index probes find their keys by
+  identity.
+
+:func:`materialize` copies its input; the command line hands its own
+freshly parsed graph to ``_materialize``, which extends it in place.
 """
 
 from __future__ import annotations
@@ -91,9 +94,13 @@ def materialize(graph: Graph, schema: SchemaIndex) -> Graph:
     domain, range and inverse edges between IRIs that the graph itself
     asserts.  The input graph is never mutated.
     """
-    out = graph.copy()
+    return _materialize(graph.copy(), schema)
 
-    # The copy's own Term per IRI, so that index probes with a schema IRI
+
+def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
+    """:func:`materialize` on a graph the caller owns: the entailments are
+    inserted into ``out`` itself, which is returned."""
+    # The graph's own Term per IRI, so that index probes with a schema IRI
     # find their key by identity: subjects, predicates, then each
     # predicate's objects.
     own = {t.value: t for index in (out._spo, out._pos, *out._pos.values()) for t in index if t.kind == "iri"}
@@ -108,14 +115,14 @@ def materialize(graph: Graph, schema: SchemaIndex) -> Graph:
     subclass = term(RDFS_SUBCLASSOF)
 
     # Every IRI a consequence can carry, built once per class or property.
-    superclasses = _cached_closure(schema.sub_class_of | _iri_pairs(graph, subclass))
-    superproperties = _cached_closure(schema.sub_property_of | _iri_pairs(graph, term(RDFS_SUBPROPERTYOF)))
+    superclasses = _cached_closure(schema.sub_class_of | _iri_pairs(out, subclass))
+    superproperties = _cached_closure(schema.sub_property_of | _iri_pairs(out, term(RDFS_SUBPROPERTYOF)))
     ancestors = {c: tuple(term(a) for a in parents) for c, parents in superclasses.items()}
     superprops = {p: tuple(term(q) for q in parents if q != p) for p, parents in superproperties.items()}
-    partners = _cached_inverse_map(schema.inverse_of | _iri_pairs(graph, term(OWL_INVERSE_OF)))
+    partners = _cached_inverse_map(schema.inverse_of | _iri_pairs(out, term(OWL_INVERSE_OF)))
     inverses = {p: tuple(term(q) for q in qs) for p, qs in partners.items()}
-    domain_of = _joined(schema.domain_of, _iri_pairs(graph, term(RDFS_DOMAIN)))
-    data_ranges = [(p, c) for p, c in _iri_pairs(graph, term(RDFS_RANGE)) if not _is_builtin(c)]
+    domain_of = _joined(schema.domain_of, _iri_pairs(out, term(RDFS_DOMAIN)))
+    data_ranges = [(p, c) for p, c in _iri_pairs(out, term(RDFS_RANGE)) if not _is_builtin(c)]
     range_of = _joined(schema.range_of, data_ranges)
     domains = {p: tuple(term(c) for c in classes) for p, classes in domain_of.items()}
     ranges = {p: tuple(term(c) for c in classes) for p, classes in range_of.items()}

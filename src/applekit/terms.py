@@ -50,6 +50,9 @@ class StructuralError(ValueError):
 
 _KIND_ORDER = {"blank": 0, "iri": 1, "literal": 2}
 _IRI_FORBIDDEN = re.compile('[<>" \n\t]')
+# A language tag as Turtle writes it after '@' (BCP 47 shape, unchecked
+# against the registry).
+_LANGTAG = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:-[A-Za-z0-9]+)*")
 
 _LITERAL_ESCAPES = {
     "\\": "\\\\",
@@ -60,17 +63,18 @@ _LITERAL_ESCAPES = {
 }
 
 
+# The characters escape_literal_value rewrites: quote, backslash, controls.
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
+
+
+def _escape_char(match: re.Match) -> str:
+    ch = match[0]
+    return _LITERAL_ESCAPES.get(ch) or f"\\u{ord(ch):04X}"
+
+
 def escape_literal_value(value: str) -> str:
     """Escape a literal's lexical form for quoting inside double quotes."""
-    out = []
-    for ch in value:
-        if ch in _LITERAL_ESCAPES:
-            out.append(_LITERAL_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _NEEDS_ESCAPE.sub(_escape_char, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,8 +95,16 @@ class Term:
             if not self.value:
                 raise StructuralError("blank node label must be non-empty")
         elif self.kind == "literal":
-            if self.datatype is not None and self.lang is not None:
-                raise StructuralError("literal cannot carry both a datatype and a language tag")
+            if self.datatype is not None:
+                if self.lang is not None:
+                    raise StructuralError("literal cannot carry both a datatype and a language tag")
+                if self.datatype == XSD_STRING:
+                    # A simple literal is an xsd:string: one Term for both spellings.
+                    object.__setattr__(self, "datatype", None)
+                elif ":" not in self.datatype or _IRI_FORBIDDEN.search(self.datatype):
+                    raise StructuralError(f"literal datatype is not an absolute IRI: {self.datatype!r}")
+            elif self.lang is not None and not _LANGTAG.fullmatch(self.lang):
+                raise StructuralError(f"invalid language tag: {self.lang!r}")
         else:
             raise StructuralError(f"unknown term kind: {self.kind!r}")
         if self.kind != "literal" and (self.datatype is not None or self.lang is not None):
@@ -126,7 +138,7 @@ class Term:
         quoted = f'"{escape_literal_value(self.value)}"'
         if self.lang is not None:
             return f"{quoted}@{self.lang}"
-        if self.datatype is not None and self.datatype != XSD_STRING:
+        if self.datatype is not None:
             return f"{quoted}^^<{self.datatype}>"
         return quoted
 

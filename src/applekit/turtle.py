@@ -19,23 +19,26 @@ a second look at that spot names the malformed or unsupported construct.
 The writer is deterministic: prefixes, subjects, predicates, and objects are
 all emitted in sorted order, with ``rdf:type`` rendered as ``a`` and sorted
 first.  Parsing the output of :func:`serialize_turtle` yields a graph equal
-to the one serialized.
+to the one serialized.  Both writers walk the graph's subject index one
+``(subject, predicate)`` group at a time (``Graph._sorted``), so subjects
+and predicates are sorted once per group, not once per triple.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from urllib.parse import urljoin
 
 from .graph import Graph
 from .terms import (
+    _LANGTAG,
     RDF_TYPE,
-    XSD_STRING,
     PrefixMap,
     StructuralError,
     Term,
-    Triple,
     blank,
     escape_literal_value,
     iri,
@@ -114,7 +117,6 @@ _TOKEN = re.compile(
 _STRING_PREFIX = re.compile(_STRING_BODY)
 _IRI_PREFIX = re.compile(_IRI_BODY)
 _ESCAPE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)", re.DOTALL)
-_LANGTAG = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:-[A-Za-z0-9]+)*")
 
 # Token kinds whose value is the text of their group.
 _TEXT_KINDS = frozenset({"dot", "semi", "comma", "iriref", "caret"})
@@ -246,6 +248,7 @@ class _Parser:
         # The Term of each (prefix, local) name, emptied whenever a prefix
         # is bound.
         self._pnames: dict[tuple[str, str], Term] = {}
+        self._type = self._iri(RDF_TYPE)
 
     def error(self, message: str, token: _Token | None = None) -> TurtleParseError:
         token = token or self._peek()
@@ -327,12 +330,27 @@ class _Parser:
         self._expect("dot", "'.' to end the statement")
 
     def _parse_predicate_object_list(self, subject: Term) -> None:
-        insert = self.graph.insert
+        add = self.graph._add
         tokens = self.tokens
+        pnames = self._pnames
+        rdf_type = self._type
         while True:
-            predicate = self._parse_verb()
+            # 'a' or a name seen before resolves with one dict probe; anything
+            # else, errors included, goes through _parse_verb/_parse_object.
+            kind, value, _ = tokens[self.index]
+            predicate = rdf_type if kind == "a" else pnames.get(value) if kind == "pname" else None
+            if predicate is None:
+                predicate = self._parse_verb()
+            else:
+                self.index += 1
             while True:
-                insert(Triple(subject, predicate, self._parse_object()))
+                kind, value, _ = tokens[self.index]
+                obj = pnames.get(value) if kind == "pname" else None
+                if obj is None:
+                    obj = self._parse_object()
+                else:
+                    self.index += 1
+                add(subject, predicate, obj)
                 if tokens[self.index][0] != "comma":
                     break
                 self.index += 1
@@ -362,7 +380,7 @@ class _Parser:
         if kind == "pname":
             return self._pname(token)
         if kind == "a":
-            return self._iri(RDF_TYPE)
+            return self._type
         if kind == "iriref":
             return self._iri(self._resolve_iri(token))
         raise self.error(f"expected a predicate (IRI, prefixed name, or 'a'), found {_describe(token)}", token)
@@ -394,9 +412,7 @@ class _Parser:
                 datatype = self._expand_pname(dt_token)
             else:
                 raise self.error(f"expected a datatype IRI after '^^', found {_describe(dt_token)}", dt_token)
-            if datatype == XSD_STRING:
-                return literal(lexical)  # simple literals are plain xsd:string
-            return literal(lexical, datatype=datatype)
+            return literal(lexical, datatype=datatype)  # an xsd:string is a simple literal
         return literal(lexical)
 
     def _expand_pname(self, token: _Token) -> str:
@@ -436,7 +452,7 @@ def _render_term(term: Term, prefixes: PrefixMap) -> str:
     quoted = f'"{escape_literal_value(term.value)}"'
     if term.lang is not None:
         return f"{quoted}@{term.lang}"
-    if term.datatype is not None and term.datatype != XSD_STRING:
+    if term.datatype is not None:
         dt = prefixes.compress(term.datatype)
         return f"{quoted}^^{dt}" if dt is not None else f"{quoted}^^<{term.datatype}>"
     return quoted
@@ -451,7 +467,6 @@ def serialize_turtle(graph: Graph, prefixes: PrefixMap | None = None) -> str:
     """
     prefixes = prefixes if prefixes is not None else DEFAULT_PREFIXES
     lines = [f"@prefix {prefix}: <{namespace}> ." for prefix, namespace in prefixes.items()]
-    rdf_type = iri(RDF_TYPE)
     rendered: dict[Term, str] = {}
 
     def render(term: Term) -> str:
@@ -460,23 +475,17 @@ def serialize_turtle(graph: Graph, prefixes: PrefixMap | None = None) -> str:
             text = rendered[term] = _render_term(term, prefixes)
         return text
 
-    by_subject: dict[Term, dict[Term, list[Term]]] = {}
-    for triple in graph._match():
-        by_subject.setdefault(triple.s, {}).setdefault(triple.p, []).append(triple.o)
-
-    for subject in sorted(by_subject, key=Term.sort_key):
-        lines.append("")
-        predicates = sorted(by_subject[subject], key=Term.sort_key)
-        if rdf_type in by_subject[subject]:
-            predicates.remove(rdf_type)
-            predicates.insert(0, rdf_type)
-        subject_text = render(subject)
-        parts = []
-        for predicate in predicates:
-            verb = "a" if predicate == rdf_type else render(predicate)
-            objects = sorted(by_subject[subject][predicate], key=Term.sort_key)
+    # One statement per subject: its predicate-object parts, rdf:type first.
+    for subject, groups in groupby(graph._sorted(), key=itemgetter(0)):
+        parts: list[str] = []
+        for _, predicate, objects in groups:
             object_text = ", ".join(render(o) for o in objects)
-            parts.append(f"{verb} {object_text}")
+            if predicate.value == RDF_TYPE:
+                parts.insert(0, f"a {object_text}")
+            else:
+                parts.append(f"{render(predicate)} {object_text}")
+        lines.append("")
+        subject_text = render(subject)
         if len(parts) == 1:
             lines.append(f"{subject_text} {parts[0]} .")
         else:
@@ -489,4 +498,12 @@ def serialize_turtle(graph: Graph, prefixes: PrefixMap | None = None) -> str:
 
 def canonical_ntriples(graph: Graph) -> str:
     """Sorted N-Triples text, the canonical form hashed into report digests."""
-    return "".join(triple.n3() + "\n" for triple in graph)
+    lines = []
+    subject = None
+    for s, p, objects in graph._sorted():
+        if s is not subject:
+            subject, subject_text = s, s.n3()
+        head = f"{subject_text} {p.n3()} "
+        for o in objects:
+            lines.append(f"{head}{o.n3()} .\n")
+    return "".join(lines)

@@ -146,15 +146,21 @@ class ValidationReport:
 
 
 def validate_graph(raw_graph: Graph, schema: SchemaIndex | None = None, mode: str = "closed") -> ValidationReport:
-    """Materialize a raw graph and run both checks; digest covers the raw input."""
-    from .materialize import materialize
+    """Materialize a raw graph and run both checks; digest covers the raw input.
 
+    The input graph is never mutated.
+    """
     if schema is None:
         schema = extract_schema(raw_graph)
-    materialized = materialize(raw_graph, schema)
+    return _validate(raw_graph.copy(), schema, mode)
+
+
+def _validate(owned: Graph, schema: SchemaIndex, mode: str) -> ValidationReport:
+    """:func:`validate_graph` on a graph the caller owns: it is digested,
+    then materialized in place."""
+    from .materialize import _materialize
+
+    digest = inputs_digest(owned)
+    materialized = _materialize(owned, schema)
     violations = check_disjointness(materialized, schema) + check_obligations(materialized, schema, mode)
-    return ValidationReport(
-        tuple(sorted(violations, key=Violation.sort_key)),
-        mode,
-        inputs_digest(raw_graph),
-    )
+    return ValidationReport(tuple(sorted(violations, key=Violation.sort_key)), mode, digest)

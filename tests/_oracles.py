@@ -335,6 +335,21 @@ def brute_violations(graph: Graph, schema: SchemaIndex, mode: str = "closed") ->
 
 
 # ---------------------------------------------------------------------------
+# Term-ordered reads and canonical N-Triples by one flat sort
+
+
+def flat_sorted(triples) -> list[Triple]:
+    """The distinct triples, sorted by their nested key, as one list."""
+    return sorted(set(triples), key=Triple.sort_key)
+
+
+def flat_ntriples(triples) -> str:
+    """Canonical N-Triples text: one line per distinct triple, all three
+    terms rendered on every line, in the flat sort's order."""
+    return "".join(f"{t.s.n3()} {t.p.n3()} {t.o.n3()} .\n" for t in flat_sorted(triples))
+
+
+# ---------------------------------------------------------------------------
 # Turtle tokens, one character at a time
 #
 # The character-walking Turtle lexer that applekit.turtle used before its

@@ -1,5 +1,6 @@
 """The public names: ``applekit.__all__``, the functions the benchmark traces
-and the ``Graph`` surface.
+and the ``Graph`` surface, and the promise that library functions leave the
+graph they are given unchanged.
 
 The benchmark's tracer wraps functions by name, so a name deleted from the
 package would break ``perfbench/run.py --trace`` without failing any other
@@ -11,8 +12,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import applekit
+from applekit.assets import load_assets
 from applekit.graph import Graph
+from applekit.materialize import materialize
+from applekit.rules import classify_actions, evaluate_with_provenance
+from applekit.validate import validate_graph
 
 
 def _tracing():
@@ -50,3 +57,26 @@ def test_graph_public_surface():
     """
     public = {name for name in dir(Graph) if not name.startswith("_")}
     assert public == {"insert", "match", "copy"}
+
+
+@pytest.mark.parametrize(
+    "materialized, call",
+    [
+        (False, lambda graph, assets: materialize(graph, assets.schema)),
+        (False, lambda graph, assets: validate_graph(graph, assets.schema)),
+        (False, lambda graph, assets: validate_graph(graph)),
+        (True, lambda graph, assets: evaluate_with_provenance(graph, assets.rules)),
+        (True, lambda graph, assets: classify_actions(graph, assets.rules)),
+    ],
+    ids=["materialize", "validate_graph", "validate_graph-own-schema", "evaluate_with_provenance", "classify_actions"],
+)
+def test_public_functions_leave_their_input_unchanged(materialized, call):
+    """Library functions copy their input; only the command line hands its
+    own graph to the in-place entries."""
+    assets = load_assets()
+    graph = assets.combined()
+    if materialized:  # the rules add verdicts only over the entailed types
+        graph = materialize(graph, assets.schema)
+    snapshot = graph.copy()
+    call(graph, assets)
+    assert graph == snapshot and len(graph) == len(snapshot)

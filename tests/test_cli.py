@@ -28,7 +28,7 @@ from applekit.assets import (
 )
 from applekit.cli import main
 from applekit.graph import Graph
-from applekit.turtle import parse_turtle, serialize_turtle
+from applekit.turtle import parse_document, parse_turtle, serialize_turtle
 from applekit.validate import inputs_digest
 from applekit.vocab import APPLE
 
@@ -398,6 +398,40 @@ def scenario_inputs(tmp_path_factory):
         path.write_text(serialize_turtle(graph, assets.prefixes), encoding="utf-8")
         paths.append(path)
     return paths
+
+
+class TestOwnership:
+    """A command parses its inputs into a graph only it holds and extends
+    that graph in place; it never copies it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reason"],
+            ["classify", "--rules", str(asset_dir() / RULES_FILE)],
+            ["validate"],
+            ["query", "Agent"],
+            ["cq"],
+        ],
+        ids=["reason", "classify", "validate", "query", "cq"],
+    )
+    def test_no_graph_copy(self, monkeypatch, tmp_path, argv):
+        load_assets()  # the cached bundle cq reads its cases from
+        inputs = ["-i", str(asset_dir() / TAXONOMY_FILE), "-i", str(asset_dir() / SCENARIO_FILE)]
+        copies = []
+        original = Graph.copy
+        monkeypatch.setattr(Graph, "copy", lambda graph: copies.append(len(graph)) or original(graph))
+        assert main([*argv, *inputs, "-o", str(tmp_path / "out")]) == 0
+        assert copies == []
+
+    @pytest.mark.parametrize("command", ["classify", "validate"])
+    def test_digest_is_of_the_parsed_input(self, tmp_path, scenario_inputs, command):
+        path = scenario_inputs[0]
+        expected = inputs_digest(parse_document(path.read_text(encoding="utf-8")).graph)
+        extra = ["--rules", str(asset_dir() / RULES_FILE)] if command == "classify" else []
+        out = tmp_path / "out.json"
+        assert main([command, *extra, "-i", str(path), "-o", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["inputs_digest"] == expected
 
 
 def _exit_case(tmp_path, micro_ttl, code):

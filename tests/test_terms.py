@@ -56,6 +56,26 @@ class TestTermConstruction:
         with pytest.raises(StructuralError):
             Term("blank", "b", datatype=XSD_STRING)
 
+    def test_xsd_string_literal_is_the_simple_literal(self):
+        typed, plain = literal("x", datatype=XSD_STRING), literal("x")
+        assert typed == plain and hash(typed) == hash(plain) and typed.datatype is None
+        assert len({typed, plain}) == 1
+        assert typed.sort_key() == plain.sort_key()
+
+    @pytest.mark.parametrize("datatype", ["", "integer", "http://x/a b", "http://x/<dt>"])
+    def test_datatype_must_be_an_absolute_iri(self, datatype):
+        with pytest.raises(StructuralError, match="literal datatype is not an absolute IRI"):
+            literal("v", datatype=datatype)
+
+    @pytest.mark.parametrize("lang", ["", "en us", "-en", "en-", "e\n", "en_GB"])
+    def test_language_tag_must_be_well_formed(self, lang):
+        with pytest.raises(StructuralError, match="invalid language tag"):
+            literal("v", lang=lang)
+
+    @pytest.mark.parametrize("lang", ["en", "en-GB", "zh-Hant-TW", "x-private1"])
+    def test_well_formed_language_tags_accepted(self, lang):
+        assert literal("v", lang=lang).n3() == f'"v"@{lang}'
+
     def test_terms_are_hashable_values(self):
         assert iri(EX + "a") == iri(EX + "a")
         assert len({iri(EX + "a"), iri(EX + "a"), blank("a"), literal("a")}) == 3
@@ -132,12 +152,18 @@ term_args = (
 )
 
 
+def normalised(args):
+    """Term keyword arguments with an ``xsd:string`` datatype dropped."""
+    return {key: value for key, value in args.items() if (key, value) != ("datatype", XSD_STRING)}
+
+
 class TestHashContract:
     @given(term_args, term_args)
     def test_equal_terms_hash_equal(self, a, b):
         first, second = Term(**a), Term(**a)
         assert first == second and hash(first) == hash(second)
-        assert (first == Term(**b)) == (a == b)
+        # An xsd:string datatype is the simple literal's, so the model drops it.
+        assert (first == Term(**b)) == (normalised(a) == normalised(b))
 
     @given(node_args, iri_args, term_args)
     def test_equal_triples_hash_equal(self, s, p, o):

@@ -9,6 +9,7 @@ from applekit.graph import Graph
 from applekit.terms import (
     RDF_TYPE,
     XSD_NS,
+    XSD_STRING,
     PrefixMap,
     Triple,
     blank,
@@ -23,6 +24,9 @@ from applekit.turtle import (
     parse_turtle,
     serialize_turtle,
 )
+
+from _oracles import flat_ntriples, flat_sorted
+from test_graph import triples_built
 
 EX = "http://example.org/"
 HEADER = f"@prefix ex: <{EX}> .\n"
@@ -321,3 +325,55 @@ class TestRoundTrip:
         assert parse_turtle(text) == g
         # Serializing the reparsed graph reproduces the bytes exactly.
         assert serialize_turtle(parse_turtle(text), pm) == text
+
+
+class TestWritersAgainstFlatSort:
+    """Iteration, canonical N-Triples and Turtle walk the index group by
+    group; each must agree with one flat sort of the triples."""
+
+    local = st.sampled_from(["a", "b", "c"])
+    literal_text = st.text(alphabet='ab"\\\n\t é', max_size=6)
+    subject = st.one_of(local.map(lambda s: iri(EX + s)), st.sampled_from([blank("b0"), blank("b1")]))
+    predicate = st.one_of(local.map(lambda s: iri(EX + "p" + s)), st.just(iri(RDF_TYPE)))
+    obj = st.one_of(
+        subject,
+        st.builds(literal, literal_text),
+        st.builds(lambda v, tag: literal(v, lang=tag), literal_text, st.sampled_from(["en", "en-GB", "de"])),
+        st.builds(
+            lambda v, dt: literal(v, datatype=dt),
+            literal_text,
+            st.sampled_from([XSD_NS + "date", XSD_STRING, EX + "dt"]),
+        ),
+    )
+
+    @given(st.lists(st.builds(Triple, subject, predicate, obj), max_size=30))
+    def test_agree_with_the_flat_sort(self, triples):
+        g = Graph(triples)
+        assert list(g) == flat_sorted(triples)
+        assert canonical_ntriples(g) == flat_ntriples(triples)
+        assert parse_turtle(serialize_turtle(g, PrefixMap({"ex": EX}))) == g
+        assert parse_turtle(canonical_ntriples(g)) == g
+
+    def test_equal_values_order_by_kind(self):
+        # Term order breaks a tie on the value by kind: blank before IRI.
+        p = iri(EX + "p")
+        triples = [Triple(iri("urn:x"), p, literal("1")), Triple(blank("urn:x"), p, literal("2"))]
+        for ordered in (triples, triples[::-1]):
+            g = Graph(ordered)
+            assert list(g) == flat_sorted(triples) == [triples[1], triples[0]]
+            assert canonical_ntriples(g) == flat_ntriples(triples)
+
+    def test_xsd_string_literal_is_one_triple(self):
+        s, p = iri(EX + "s"), iri(EX + "p")
+        g = Graph([Triple(s, p, literal("x", datatype=XSD_STRING)), Triple(s, p, literal("x"))])
+        assert len(g) == 1
+        assert canonical_ntriples(g) == f'<{EX}s> <{EX}p> "x" .\n'
+        text = serialize_turtle(g, PrefixMap({"ex": EX}))
+        assert text.endswith('ex:s ex:p "x" .\n')
+        assert parse_turtle(text) == g
+
+
+def test_repeated_statement_builds_one_triple(monkeypatch):
+    text = HEADER + "ex:s ex:p ex:o .\nex:s ex:p ex:o, ex:o .\n"
+    graph, built = triples_built(monkeypatch, lambda: parse_turtle(text))
+    assert len(graph) == 1 and built == 1
