@@ -104,8 +104,7 @@ class AppleAssets:
 
 def _merged(taxonomy: Graph, scenario: Graph) -> Graph:
     merged = taxonomy.copy()
-    for triple in scenario._match():
-        merged.insert(triple)
+    merged._merge(scenario)
     return merged
 
 

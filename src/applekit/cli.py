@@ -71,7 +71,8 @@ def _add_io_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[Graph, PrefixMap]:
-    """Union of the bundled graphs (if requested) and every -i file."""
+    """Union of the bundled graphs (if requested) and every -i file, each
+    file's blank nodes kept apart from those of the graphs before it."""
     if not args.bundled and not args.input:
         raise CliError("no inputs: pass --bundled and/or -i FILE", EXIT_CONFIG)
     merged: Graph | None = None
@@ -94,8 +95,7 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Graph, PrefixMap]:
         if merged is None:
             merged = document.graph  # the first graph is fresh: extend it in place
         else:
-            for triple in document.graph._match():
-                merged.insert(triple)
+            merged._merge(document.graph)
         for prefix, namespace in document.prefixes.items():
             prefixes.bind(prefix, namespace)
     return merged, prefixes

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from operator import attrgetter
 
-from .terms import Term, Triple
+from .terms import Term, Triple, blank
 
 
 # Term.sort_key for subjects and predicates, which are never literals: the
@@ -133,6 +133,28 @@ class Graph:
         if o is not None:
             return [stored for by_o in self._pos.values() if o in by_o for stored in by_o[o].values()]
         return [stored for by_p in self._spo.values() for by_o in by_p.values() for stored in by_o.values()]
+
+    def _merge(self, other: "Graph") -> None:
+        """Add the triples of ``other``, a graph read from another document.
+
+        A blank node label names a node only inside its document, so each
+        blank node of ``other`` whose label this graph already uses is
+        renamed ``<label>_<n>``, with the smallest ``n`` from 2 that
+        neither graph uses, taking the clashing labels in sorted order.
+        """
+        ours = {term.value for term in self._nodes() if term.kind == "blank"}
+        theirs = {term.value for term in other._nodes() if term.kind == "blank"}
+        taken = ours | theirs
+        renamed: dict[Term, Term] = {}
+        for label in sorted(ours & theirs):
+            n = 2
+            while f"{label}_{n}" in taken:
+                n += 1
+            taken.add(f"{label}_{n}")
+            renamed[blank(label)] = blank(f"{label}_{n}")
+        get = renamed.get
+        for triple in other._match():
+            self._add(get(triple.s, triple.s), triple.p, get(triple.o, triple.o))
 
     def _nodes(self) -> set[Term]:
         """Every IRI or blank node in subject or object position, unordered."""

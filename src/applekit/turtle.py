@@ -11,10 +11,30 @@ anonymous blank nodes ``[ ]``, collections ``( )``, quoted triples ``<< >>``,
 triple-quoted strings, single-quoted strings, and bare numeric or boolean
 literals.
 
-The lexer is one compiled master regex: each match skips whitespace and
-comments, then takes one token.  Tokens carry only their offset; a line and
-column are counted only when an error is reported.  Where no token starts,
-a second look at that spot names the malformed or unsupported construct.
+The reader takes one regex match per triple.  After a subject or ';' the
+step pattern ``_VERB_OBJECT`` takes a verb, an object and the '.', ';' or
+',' that ends it; after ',' the step pattern ``_OBJECT`` takes an object
+and its end.  Each match ends in one insert, and the raw text of each term
+(``ex:a``, ``<iri>``, ``_:b``, ``a``) resolves through one dict per
+document, emptied by every ``@prefix`` or ``@base``.  The steps are built
+from the sub-patterns of ``_TOKEN``, the master regex of the lexer, so
+they take the same tokens: a subject is one ``_TOKEN`` match, and a name in
+a step is followed by no character that could lengthen it.  A comment
+before a step runs to the end of its line (``#[^\\n]*(?=\\n|\\Z)``), so a
+step that fails after a comment cannot backtrack into it and match its
+text; Python 3.10 has no atomic groups to say so.
+
+Where no step matches, the recursive descent parses that one statement
+from where the step started, or one directive, or reaches the end of the
+text; then the steps resume.  That covers directives, ';' runs before '.',
+a comment inside a triple, a string with an escape, a language tag or
+datatype set apart from its string by whitespace, and every error.  The
+descent reads its tokens lazily, one ``_TOKEN`` match at a time.  Tokens
+carry only their offset; a line and column are counted only when an error
+is reported.  Where no token starts, a second look at that spot names the
+malformed or unsupported construct.  Before a grammar error is reported
+the rest of the text is lexed, so that a lexical error anywhere is
+reported first, as when the whole text was lexed ahead of the parse.
 
 The writer is deterministic: prefixes, subjects, predicates, and objects are
 all emitted in sorted order, with ``rdf:type`` rendered as ``a`` and sorted
@@ -96,14 +116,17 @@ _STRING_ESCAPES = {
 _STRING_BODY = r"""[^"\\\n]*(?:\\(?:[tbnrf"'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^"\\\n]*)*"""
 _IRI_BODY = r"""[^<>"{}|^`\\ \n\t\r]*"""
 # A name run never ends with '.': trailing dots are left for the next token.
-_NAME = r"[A-Za-z0-9_\-]*(?:\.+[A-Za-z0-9_\-]+)*"
+_NAME = r"[A-Za-z0-9_.\-]*(?<!\.)"
+# Whitespace and comments.  A comment runs to the end of its line even when
+# a longer pattern fails after it, so no step can match inside a comment.
+_WS = r"[ \t\r\n]*(?:#[^\n]*(?=\n|\Z)[ \t\r\n]*)*"
 
 # Each match skips whitespace and comments (group 1), then takes one token,
 # or the end of the text.  It takes nothing where a malformed or unsupported
 # construct starts, and _fail explains that spot.  A prefix label, unlike a
 # local name, keeps its trailing dots ('ex.:a' has the prefix 'ex.').
 _TOKEN = re.compile(
-    r"([ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*)"
+    r"(" + _WS + r")"
     r"(?:(?P<pname>(?!_:)(?P<prefix>[A-Za-z_][A-Za-z0-9_.\-]*|):(?P<local>" + _NAME + r"))"
     r"|(?P<dot>\.)|(?P<semi>;)|(?P<comma>,)"
     r'|"(?!"")(?P<string>' + _STRING_BODY + r')"'
@@ -114,12 +137,31 @@ _TOKEN = re.compile(
     r"|(?P<caret>\^\^)"
     r"|(?P<eof>\Z))?"
 )
-_STRING_PREFIX = re.compile(_STRING_BODY)
-_IRI_PREFIX = re.compile(_IRI_BODY)
+
+# The steps take the same tokens as _TOKEN, several at a time, as raw text.
+# A name is followed by no character that would lengthen it, so a failing
+# step cannot backtrack into a shorter name.
+_NAME_END = r"(?!\.*[A-Za-z0-9_\-])"
+_PNAME = r"(?!_:)(?:[A-Za-z_][A-Za-z0-9_.\-]*)?:" + _NAME + _NAME_END
+_IRI = r"<" + _IRI_BODY + r">"
+# Inside a step, between the tokens of one triple, only whitespace: a comment
+# there, like a string with an escape or a tag or datatype set apart from
+# its string, is left to the descent.
+_SPACE = r"[ \t\r\n]*"
+# An object, then the token that ends it: groups name, body, lang, datatype,
+# end.
+_OBJECT_END = (
+    r"(?:(" + _PNAME + r"|" + _IRI + r"|_:" + _NAME + _NAME_END + r')|"(?!"")([^"\\\n]*)"'
+    r"(?:@(" + _LANGTAG.pattern + r")" + _NAME_END + r"|\^\^(" + _PNAME + r"|" + _IRI + r"))?)"
+    + _SPACE + r"([.;,])"
+)
+# After a subject or ';': a verb (group 1), an object and its end.
+_VERB_OBJECT = re.compile(_WS + r"(" + _PNAME + r"|" + _IRI + r"|a(?![A-Za-z0-9_.:\-]))" + _SPACE + _OBJECT_END)
+# After ',': an object and its end.
+_OBJECT = re.compile(_WS + _OBJECT_END)
+
 _ESCAPE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)", re.DOTALL)
 
-# Token kinds whose value is the text of their group.
-_TEXT_KINDS = frozenset({"dot", "semi", "comma", "iriref", "caret"})
 # A token is (kind, value, offset of its first character).
 _Token = tuple[str, object, int]
 
@@ -131,47 +173,45 @@ def _error(text: str, offset: int, message: str) -> TurtleParseError:
     return TurtleParseError(ParseDiagnostic(line, column, message))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of a Turtle document, ending with one ``eof`` token."""
-    tokens: list[_Token] = []
-    append = tokens.append
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        start = match.end(1)
-        if kind == "pname":
-            append((kind, match.group("prefix", "local"), start))
-        elif kind in _TEXT_KINDS:
-            append((kind, match[kind], start))
-        elif kind == "string":
-            value = match["string"]
-            if "\\" in value:
-                value = _unescape(text, start + 1, match.end(kind))
-            append((kind, value, start))
-        elif kind == "bare":
-            name = match[kind]
-            if name != "a":
-                if name in ("true", "false"):
-                    raise _error(text, start, "bare boolean literals are not supported; quote the value and add a datatype")
-                raise _error(text, start, f"bare name {name!r} is not valid Turtle here (missing prefix or quotes?)")
-            append(("a", name, start))
-        elif kind == "at":
-            word = match[kind]
-            if word in ("prefix", "base"):
-                append((word + "_kw", word, start))
-            elif _LANGTAG.fullmatch(word):
-                append(("langtag", word, start))
-            else:
-                raise _error(text, start, f"unknown directive or language tag '@{word}'")
-        elif kind == "blank":
-            if not match[kind]:
-                raise _error(text, start, "blank node label must be non-empty")
-            append((kind, match[kind], start))
-        elif kind == "eof":
-            append((kind, None, start))
-            return tokens
+def _lex(text: str, pos: int) -> tuple[_Token, int]:
+    """The token after ``pos`` and the offset where it ends; the ``eof``
+    token at the end of the text."""
+    match = _TOKEN.match(text, pos)
+    kind = match.lastgroup
+    start = match.end(1)
+    if kind == "pname":
+        token = (kind, match.group("prefix", "local"), start)
+    elif kind in ("dot", "semi", "comma", "iriref", "caret"):
+        token = (kind, match[kind], start)
+    elif kind == "string":
+        value = match["string"]
+        if "\\" in value:
+            value = _unescape(text, start + 1, match.end(kind))
+        token = (kind, value, start)
+    elif kind == "bare":
+        name = match[kind]
+        if name != "a":
+            if name in ("true", "false"):
+                raise _error(text, start, "bare boolean literals are not supported; quote the value and add a datatype")
+            raise _error(text, start, f"bare name {name!r} is not valid Turtle here (missing prefix or quotes?)")
+        token = ("a", name, start)
+    elif kind == "at":
+        word = match[kind]
+        if word in ("prefix", "base"):
+            token = (word + "_kw", word, start)
+        elif _LANGTAG.fullmatch(word):
+            token = ("langtag", word, start)
         else:
-            raise _fail(text, start)
-    raise AssertionError("the token pattern always matches")  # pragma: no cover
+            raise _error(text, start, f"unknown directive or language tag '@{word}'")
+    elif kind == "blank":
+        if not match[kind]:
+            raise _error(text, start, "blank node label must be non-empty")
+        token = (kind, match[kind], start)
+    elif kind == "eof":
+        token = (kind, None, start)
+    else:
+        raise _fail(text, start)
+    return token, match.end()
 
 
 def _unescape(text: str, start: int, end: int) -> str:
@@ -199,14 +239,14 @@ def _fail(text: str, start: int) -> TurtleParseError:
     if ch == "<":
         if text.startswith("<<", start):
             return _error(text, start, "quoted triples ('<<') are not supported")
-        end = _IRI_PREFIX.match(text, start + 1).end()
+        end = re.compile(_IRI_BODY).match(text, start + 1).end()  # compiled only on an error
         if end == len(text):
             return _error(text, start, "unterminated IRI (missing '>')")
         return _error(text, start, f"character {text[end]!r} is not allowed inside an IRI")
     if ch == '"':
         if text.startswith('"""', start):
             return _error(text, start, 'triple-quoted string literals (\'"""\') are not supported')
-        end = _STRING_PREFIX.match(text, start + 1).end()
+        end = re.compile(_STRING_BODY).match(text, start + 1).end()
         _unescape(text, start + 1, end)  # an escape before the fault is reported first
         if end == len(text):
             return _error(text, start, "unterminated string literal")
@@ -234,10 +274,19 @@ def _fail(text: str, start: int) -> TurtleParseError:
 
 
 class _Parser:
+    """Steps of one regex match per triple; the descent where none matches.
+
+    The step loop keeps a statement's subject, and its predicate after ',',
+    in locals.  Where no step matches, or a term in one cannot be resolved
+    without an error, the descent parses the rest of that statement, or one
+    directive, reading one token at a time from where the step started;
+    the loop then resumes where the descent stopped.
+    """
+
     def __init__(self, text: str) -> None:
         self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
+        self.pos = 0  # where the descent reads its next token
+        self._ahead: tuple[_Token, int] | None = None  # the token at pos and its end, once peeked
         self.prefixes = PrefixMap()
         self.base: str | None = None
         self.graph = Graph()
@@ -245,22 +294,115 @@ class _Parser:
         # names share a Term and its cached hash.  Keyed by the expanded
         # string, never the prefixed name, since a prefix may be rebound.
         self._iris: dict[str, Term] = {}
-        # The Term of each (prefix, local) name, emptied whenever a prefix
-        # is bound.
-        self._pnames: dict[tuple[str, str], Term] = {}
         self._type = self._iri(RDF_TYPE)
+        # The Term of each raw term text a step took ('ex:a', '<s>', '_:b',
+        # 'a'), emptied by every directive.
+        self._terms: dict[str, Term] = {}
 
-    def error(self, message: str, token: _Token | None = None) -> TurtleParseError:
-        token = token or self._peek()
-        return _error(self.text, token[2], message)
+    def parse(self) -> ParsedDocument:
+        text, terms, add, node = self.text, self._terms, self.graph._add, self._node
+        token_at, verb_object_at, object_at = _TOKEN.match, _VERB_OBJECT.match, _OBJECT.match
+        pos = 0
+        while True:
+            match = token_at(text, pos)
+            subject = None
+            if match.lastgroup in ("pname", "iriref", "blank"):
+                raw = text[match.end(1) : match.end()]
+                subject = terms.get(raw) or node(raw)
+            if subject is None:  # a directive, the end of the text, or an error
+                self._seek(pos)
+                if not self._parse_statement():
+                    return ParsedDocument(self.graph, self.prefixes, self.base)
+                pos = self.pos
+                continue
+            pos = match.end()
+            predicate = None
+            after_semi = False
+            while True:
+                if predicate is None:
+                    match = verb_object_at(text, pos)
+                    if match is None:
+                        break
+                    verb, name, body, lang, datatype, end = match.groups()
+                    p = terms.get(verb) or node(verb)
+                    if p is None:
+                        break
+                else:
+                    match = object_at(text, pos)
+                    if match is None:
+                        break
+                    name, body, lang, datatype, end = match.groups()
+                    p = predicate
+                o = (terms.get(name) or node(name)) if name is not None else self._literal(body, lang, datatype)
+                if o is None:
+                    break
+                add(subject, p, o)
+                pos = match.end()
+                if end == ".":
+                    subject = None
+                    break
+                if end == ",":
+                    predicate = p
+                else:
+                    predicate, after_semi = None, True
+            if subject is not None:  # no step matched inside the statement
+                self._seek(pos)
+                self._parse_predicate_object_list(subject, predicate, after_semi)
+                self._expect("dot", "'.' to end the statement")
+                pos = self.pos
+
+    def _node(self, raw: str) -> Term | None:
+        """The Term for the raw text of a name, an IRI, a blank node or 'a';
+        None where resolving it fails, for the descent to report."""
+        if raw.startswith("_:"):
+            if len(raw) == 2:
+                return None
+            term = self._terms[raw] = blank(raw[2:])
+            return term
+        if raw[0] == "<":
+            value = self._resolved(raw[1:-1])
+        elif raw == "a":
+            value = RDF_TYPE
+        else:
+            prefix, _, local = raw.partition(":")
+            value = self.prefixes.expand(prefix, local)
+        if value is None:
+            return None
+        term = self._terms[raw] = self._iri(value)
+        return term
+
+    def _literal(self, body: str, lang: str | None, datatype: str | None) -> Term | None:
+        if lang is not None:  # '@prefix' and '@base' are directives, for the descent to report
+            return None if lang in ("prefix", "base") else literal(body, lang=lang)
+        if datatype is None:
+            return literal(body)
+        dt = self._terms.get(datatype) or self._node(datatype)
+        return None if dt is None else literal(body, datatype=dt.value)  # an xsd:string is a simple literal
+
+    # The descent
+
+    def _seek(self, pos: int) -> None:
+        self.pos = pos
+        self._ahead = None
+
+    def error(self, message: str, token: _Token) -> TurtleParseError:
+        # A lexical error anywhere in the text is reported ahead of any
+        # grammar error, so the rest of the text is lexed first.
+        pos = self.pos
+        while True:
+            later, pos = _lex(self.text, pos)
+            if later[0] == "eof":
+                return _error(self.text, token[2], message)
 
     def _peek(self) -> _Token:
-        return self.tokens[self.index]
+        if self._ahead is None:
+            self._ahead = _lex(self.text, self.pos)
+        return self._ahead[0]
 
     def _next(self) -> _Token:
-        token = self.tokens[self.index]
+        token = self._peek()
         if token[0] != "eof":
-            self.index += 1
+            self._seek(self._ahead[1])
         return token
 
     def _expect(self, kind: str, what: str) -> _Token:
@@ -269,17 +411,19 @@ class _Parser:
             raise self.error(f"expected {what}, found {_describe(token)}", token)
         return token
 
-    def parse(self) -> ParsedDocument:
-        while True:
-            kind = self._peek()[0]
-            if kind == "eof":
-                return ParsedDocument(self.graph, self.prefixes, self.base)
-            if kind == "prefix_kw":
-                self._parse_prefix_directive()
-            elif kind == "base_kw":
-                self._parse_base_directive()
-            else:
-                self._parse_triples()
+    def _parse_statement(self) -> bool:
+        """Parse one directive or statement; False at the end of the text."""
+        kind = self._peek()[0]
+        if kind == "eof":
+            return False
+        if kind == "prefix_kw":
+            self._parse_prefix_directive()
+        elif kind == "base_kw":
+            self._parse_base_directive()
+        else:
+            self._parse_predicate_object_list(self._parse_term(_SUBJECT_KINDS, _SUBJECT_WHAT))
+            self._expect("dot", "'.' to end the statement")
+        return True
 
     def _parse_prefix_directive(self) -> None:
         self._next()
@@ -293,24 +437,29 @@ class _Parser:
             self.prefixes.bind(prefix, namespace)
         except StructuralError as exc:  # a label the lexer takes but Turtle forbids, such as '_x'
             raise self.error(str(exc), name_token) from None
-        self._pnames.clear()
+        self._terms.clear()
         self._expect("dot", "'.' after the @prefix directive")
 
     def _parse_base_directive(self) -> None:
         self._next()
         iri_token = self._expect("iriref", "a base IRI in angle brackets")
         self.base = self._resolve_iri(iri_token)
+        self._terms.clear()
         self._expect("dot", "'.' after the @base directive")
 
+    def _resolved(self, raw: str) -> str | None:
+        """``raw`` resolved against the base; None while it is still relative."""
+        resolved = urljoin(self.base, raw) if self.base is not None else raw
+        return resolved if ":" in resolved else None
+
     def _resolve_iri(self, token: _Token) -> str:
-        raw = token[1]
-        if self.base is not None:
-            resolved = urljoin(self.base, raw)
-        else:
-            resolved = raw
-        if ":" not in resolved:
-            raise self.error(f"relative IRI <{raw}> needs a @base declaration", token)
-        return resolved
+        resolved = self._resolved(token[1])
+        if resolved is not None:
+            return resolved
+        if self.base is None:
+            raise self.error(f"relative IRI <{token[1]}> needs a @base declaration", token)
+        # urljoin resolves against a base only in the schemes it knows, not urn: or tag:.
+        raise self.error(f"relative IRI <{token[1]}> cannot be resolved against base <{self.base}>", token)
 
     def _iri(self, value: str) -> Term:
         term = self._iris.get(value)
@@ -318,93 +467,51 @@ class _Parser:
             term = self._iris[value] = iri(value)
         return term
 
-    def _pname(self, token: _Token) -> Term:
-        term = self._pnames.get(token[1])
-        if term is None:
-            term = self._pnames[token[1]] = self._iri(self._expand_pname(token))
-        return term
-
-    def _parse_triples(self) -> None:
-        subject = self._parse_subject()
-        self._parse_predicate_object_list(subject)
-        self._expect("dot", "'.' to end the statement")
-
-    def _parse_predicate_object_list(self, subject: Term) -> None:
+    def _parse_predicate_object_list(self, subject: Term, predicate: Term | None = None, after_semi: bool = False) -> None:
+        """The rest of a statement, up to its '.': from its first verb, from
+        a verb after ';' (``after_semi``), or from an object after ','
+        (``predicate``)."""
         add = self.graph._add
-        tokens = self.tokens
-        pnames = self._pnames
-        rdf_type = self._type
         while True:
-            # 'a' or a name seen before resolves with one dict probe; anything
-            # else, errors included, goes through _parse_verb/_parse_object.
-            kind, value, _ = tokens[self.index]
-            predicate = rdf_type if kind == "a" else pnames.get(value) if kind == "pname" else None
             if predicate is None:
-                predicate = self._parse_verb()
-            else:
-                self.index += 1
+                # A trailing semicolon before '.' is tolerated.
+                if after_semi and self._peek()[0] in ("dot", "semi"):
+                    while self._peek()[0] == "semi":
+                        self._next()
+                    return
+                predicate = self._parse_term(_VERB_KINDS, _VERB_WHAT)
             while True:
-                kind, value, _ = tokens[self.index]
-                obj = pnames.get(value) if kind == "pname" else None
-                if obj is None:
-                    obj = self._parse_object()
-                else:
-                    self.index += 1
-                add(subject, predicate, obj)
-                if tokens[self.index][0] != "comma":
+                add(subject, predicate, self._parse_term(_OBJECT_KINDS, _OBJECT_WHAT))
+                if self._peek()[0] != "comma":
                     break
-                self.index += 1
-            if tokens[self.index][0] != "semi":
+                self._next()
+            if self._peek()[0] != "semi":
                 return
-            self.index += 1
-            # A trailing semicolon before '.' is tolerated.
-            if tokens[self.index][0] in ("dot", "semi"):
-                while tokens[self.index][0] == "semi":
-                    self.index += 1
-                return
+            self._next()
+            predicate, after_semi = None, True
 
-    def _parse_subject(self) -> Term:
+    def _parse_term(self, kinds: tuple[str, ...], what: str) -> Term:
         token = self._next()
         kind = token[0]
+        if kind not in kinds:
+            raise self.error(f"expected {what}, found {_describe(token)}", token)
         if kind == "pname":
-            return self._pname(token)
+            return self._iri(self._expand_pname(token))
         if kind == "iriref":
             return self._iri(self._resolve_iri(token))
         if kind == "blank":
             return blank(token[1])
-        raise self.error(f"expected a subject (IRI, prefixed name, or blank node), found {_describe(token)}", token)
-
-    def _parse_verb(self) -> Term:
-        token = self._next()
-        kind = token[0]
-        if kind == "pname":
-            return self._pname(token)
         if kind == "a":
             return self._type
-        if kind == "iriref":
-            return self._iri(self._resolve_iri(token))
-        raise self.error(f"expected a predicate (IRI, prefixed name, or 'a'), found {_describe(token)}", token)
-
-    def _parse_object(self) -> Term:
-        token = self._next()
-        kind = token[0]
-        if kind == "pname":
-            return self._pname(token)
-        if kind == "string":
-            return self._finish_literal(token[1])
-        if kind == "iriref":
-            return self._iri(self._resolve_iri(token))
-        if kind == "blank":
-            return blank(token[1])
-        raise self.error(f"expected an object (IRI, prefixed name, blank node, or literal), found {_describe(token)}", token)
+        return self._finish_literal(token[1])
 
     def _finish_literal(self, lexical: str) -> Term:
         kind, value, _ = self._peek()
         if kind == "langtag":
-            self.index += 1
+            self._next()
             return literal(lexical, lang=value)
         if kind == "caret":
-            self.index += 1
+            self._next()
             dt_token = self._next()
             if dt_token[0] == "iriref":
                 datatype = self._resolve_iri(dt_token)
@@ -421,6 +528,14 @@ class _Parser:
         if expanded is None:
             raise self.error(f"undeclared prefix '{prefix}:'", token)
         return expanded
+
+
+# The token kinds the descent takes in each position, and what it names
+# when it finds another.
+_SUBJECT_KINDS, _SUBJECT_WHAT = ("pname", "iriref", "blank"), "a subject (IRI, prefixed name, or blank node)"
+_VERB_KINDS, _VERB_WHAT = ("pname", "a", "iriref"), "a predicate (IRI, prefixed name, or 'a')"
+_OBJECT_KINDS = ("pname", "string", "iriref", "blank")
+_OBJECT_WHAT = "an object (IRI, prefixed name, blank node, or literal)"
 
 
 def _describe(token: _Token) -> str:

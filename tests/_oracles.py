@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
+from urllib.parse import urljoin
 
 from applekit.graph import Graph
 from applekit.query import And, Anything, Named, OneOf, SelectQuery, Some
@@ -25,11 +26,15 @@ from applekit.terms import (
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
+    PrefixMap,
+    StructuralError,
     Term,
     Triple,
+    blank,
     iri,
+    literal,
 )
-from applekit.turtle import ParseDiagnostic, TurtleParseError
+from applekit.turtle import ParseDiagnostic, ParsedDocument, TurtleParseError, _lex, parse_document
 
 _TYPE = iri(RDF_TYPE)
 _SUBCLASS = iri(RDFS_SUBCLASSOF)
@@ -578,3 +583,212 @@ class CharLexer:
         for _ in range(count):
             self.pos -= 1
             self.column -= 1
+
+
+# ---------------------------------------------------------------------------
+# Turtle parsing over a whole-document token list
+#
+# The recursive-descent parser that applekit.turtle used before its step
+# loop: it lexes the whole text into a token list first, so a lexical
+# error anywhere wins over any grammar error, then walks the list.  One
+# change: a relative IRI that a declared base cannot resolve names that
+# base.  Its tokens come from turtle._lex one at a time, and test_fuzz.py
+# checks those against CharLexer above.  The differential tests in
+# test_fuzz.py and test_turtle.py require the two parsers to agree on the
+# graph, prefixes and base, or on the diagnostic.
+
+
+def tokenize(text: str) -> list[tuple[str, object, int]]:
+    """The tokens of a Turtle document, ending with one ``eof`` token."""
+    tokens, pos = [], 0
+    while True:
+        token, pos = _lex(text, pos)
+        tokens.append(token)
+        if token[0] == "eof":
+            return tokens
+
+
+def _token_error(text: str, offset: int, message: str) -> TurtleParseError:
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return TurtleParseError(ParseDiagnostic(line, column, message))
+
+
+def _describe(token) -> str:
+    kind, value, _ = token
+    if kind == "eof":
+        return "end of input"
+    if kind == "pname":
+        prefix, local = value
+        return f"'{prefix}:{local}'"
+    return f"'{value}'"
+
+
+class TokenListParser:
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens = tokenize(text)
+        self.index = 0
+        self.prefixes = PrefixMap()
+        self.base: str | None = None
+        self.graph = Graph()
+
+    def error(self, message: str, token=None) -> TurtleParseError:
+        token = token or self.tokens[self.index]
+        return _token_error(self.text, token[2], message)
+
+    def _peek(self):
+        return self.tokens[self.index]
+
+    def _next(self):
+        token = self.tokens[self.index]
+        if token[0] != "eof":
+            self.index += 1
+        return token
+
+    def _expect(self, kind: str, what: str):
+        token = self._next()
+        if token[0] != kind:
+            raise self.error(f"expected {what}, found {_describe(token)}", token)
+        return token
+
+    def parse(self) -> ParsedDocument:
+        while True:
+            kind = self._peek()[0]
+            if kind == "eof":
+                return ParsedDocument(self.graph, self.prefixes, self.base)
+            if kind == "prefix_kw":
+                self._parse_prefix_directive()
+            elif kind == "base_kw":
+                self._parse_base_directive()
+            else:
+                self._parse_triples()
+
+    def _parse_prefix_directive(self) -> None:
+        self._next()
+        name_token = self._expect("pname", "a prefix label like 'apple:'")
+        prefix, local = name_token[1]
+        if local:
+            raise self.error(f"prefix label must end at ':', found extra name part {local!r}", name_token)
+        iri_token = self._expect("iriref", "a namespace IRI in angle brackets")
+        namespace = self._resolve_iri(iri_token)
+        try:
+            self.prefixes.bind(prefix, namespace)
+        except StructuralError as exc:
+            raise self.error(str(exc), name_token) from None
+        self._expect("dot", "'.' after the @prefix directive")
+
+    def _parse_base_directive(self) -> None:
+        self._next()
+        iri_token = self._expect("iriref", "a base IRI in angle brackets")
+        self.base = self._resolve_iri(iri_token)
+        self._expect("dot", "'.' after the @base directive")
+
+    def _resolve_iri(self, token) -> str:
+        raw = token[1]
+        resolved = urljoin(self.base, raw) if self.base is not None else raw
+        if ":" not in resolved:
+            if self.base is None:
+                raise self.error(f"relative IRI <{raw}> needs a @base declaration", token)
+            raise self.error(f"relative IRI <{raw}> cannot be resolved against base <{self.base}>", token)
+        return resolved
+
+    def _parse_triples(self) -> None:
+        subject = self._parse_subject()
+        self._parse_predicate_object_list(subject)
+        self._expect("dot", "'.' to end the statement")
+
+    def _parse_predicate_object_list(self, subject: Term) -> None:
+        while True:
+            predicate = self._parse_verb()
+            while True:
+                self.graph.insert(Triple(subject, predicate, self._parse_object()))
+                if self._peek()[0] != "comma":
+                    break
+                self._next()
+            if self._peek()[0] != "semi":
+                return
+            self._next()
+            # A trailing semicolon before '.' is tolerated.
+            if self._peek()[0] in ("dot", "semi"):
+                while self._peek()[0] == "semi":
+                    self._next()
+                return
+
+    def _parse_subject(self) -> Term:
+        token = self._next()
+        kind = token[0]
+        if kind == "pname":
+            return iri(self._expand_pname(token))
+        if kind == "iriref":
+            return iri(self._resolve_iri(token))
+        if kind == "blank":
+            return blank(token[1])
+        raise self.error(f"expected a subject (IRI, prefixed name, or blank node), found {_describe(token)}", token)
+
+    def _parse_verb(self) -> Term:
+        token = self._next()
+        kind = token[0]
+        if kind == "pname":
+            return iri(self._expand_pname(token))
+        if kind == "a":
+            return iri(RDF_TYPE)
+        if kind == "iriref":
+            return iri(self._resolve_iri(token))
+        raise self.error(f"expected a predicate (IRI, prefixed name, or 'a'), found {_describe(token)}", token)
+
+    def _parse_object(self) -> Term:
+        token = self._next()
+        kind = token[0]
+        if kind == "pname":
+            return iri(self._expand_pname(token))
+        if kind == "string":
+            return self._finish_literal(token[1])
+        if kind == "iriref":
+            return iri(self._resolve_iri(token))
+        if kind == "blank":
+            return blank(token[1])
+        raise self.error(f"expected an object (IRI, prefixed name, blank node, or literal), found {_describe(token)}", token)
+
+    def _finish_literal(self, lexical: str) -> Term:
+        kind, value, _ = self._peek()
+        if kind == "langtag":
+            self.index += 1
+            return literal(lexical, lang=value)
+        if kind == "caret":
+            self.index += 1
+            dt_token = self._next()
+            if dt_token[0] == "iriref":
+                datatype = self._resolve_iri(dt_token)
+            elif dt_token[0] == "pname":
+                datatype = self._expand_pname(dt_token)
+            else:
+                raise self.error(f"expected a datatype IRI after '^^', found {_describe(dt_token)}", dt_token)
+            return literal(lexical, datatype=datatype)
+        return literal(lexical)
+
+    def _expand_pname(self, token) -> str:
+        prefix, local = token[1]
+        expanded = self.prefixes.expand(prefix, local)
+        if expanded is None:
+            raise self.error(f"undeclared prefix '{prefix}:'", token)
+        return expanded
+
+
+def _outcome(parse, text: str):
+    try:
+        document = parse(text)
+    except TurtleParseError as err:
+        return err.diagnostic
+    return document.graph, document.prefixes.items(), document.base
+
+
+def reference_parse(text: str):
+    """The token-list parser's result as ``(graph, prefixes, base)``, or its
+    diagnostic."""
+    return _outcome(lambda t: TokenListParser(t).parse(), text)
+
+
+def parsed(text: str):
+    """``parse_document``'s result in the shape of :func:`reference_parse`."""
+    return _outcome(parse_document, text)

@@ -133,6 +133,32 @@ class TestInputHandling:
         assert "ex:i a ex:A, ex:B ." in both
 
 
+    def test_blank_labels_are_scoped_to_their_file(self, capsys, tmp_path):
+        # The bundled taxonomy has a restriction _:needsDomain; a file's own
+        # _:needsDomain is another node, renamed _:needsDomain_2.
+        extra = tmp_path / "extra.ttl"
+        extra.write_text(HEADER + "_:needsDomain owl:onProperty ex:p .\n", encoding="utf-8")
+        code, out, err = run(capsys, "reason", "--bundled", "-i", str(extra))
+        assert (code, err) == (0, "")
+        assert "_:needsDomain_2 owl:onProperty ex:p ." in out
+        _, bundled, _ = run(capsys, "reason", "--bundled")
+        renamed = parse_turtle(HEADER + "_:needsDomain_2 owl:onProperty ex:p .\n")
+        assert parse_turtle(out) == Graph(parse_turtle(bundled)._match() + renamed._match())
+
+    def test_blank_labels_of_two_files_stay_apart(self, capsys, tmp_path):
+        paths = []
+        for name in ("one", "two", "three"):
+            path = tmp_path / f"{name}.ttl"
+            path.write_text(HEADER + f"_:x ex:p ex:{name} .\n_:x_2 ex:q ex:{name} .\n", encoding="utf-8")
+            paths += ["-i", str(path)]
+        code, out, _ = run(capsys, "reason", *paths)
+        assert code == 0
+        subjects = {t.s.value: t.o.value for t in parse_turtle(out) if t.p.value == EX + "p"}
+        assert subjects == {"x": EX + "one", "x_3": EX + "two", "x_4": EX + "three"}
+        seconds = {t.s.value: t.o.value for t in parse_turtle(out) if t.p.value == EX + "q"}
+        assert seconds == {"x_2": EX + "one", "x_2_2": EX + "two", "x_2_3": EX + "three"}
+
+
 # Digests of the bundled commands' stdout, and of the bundled input, pinned
 # so that a change to the writers or to the digest cannot move a byte.
 GOLDEN_STDOUT_SHA256 = {

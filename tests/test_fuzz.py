@@ -5,7 +5,9 @@ Inputs are arbitrary text and text assembled from each language's tokens,
 so that the fuzzer reaches the grammar as well as the lexer.  The Turtle
 lexer is also checked against the character-walking oracle lexer, token by
 token and diagnostic by diagnostic, on the fuzz corpus, the bundled assets
-and small benchmark inputs.
+and small benchmark inputs.  The Turtle parser is checked against the
+token-list parser on the same inputs, on the writers' output for random
+graphs, and on those texts cut or spliced with a fuzz token.
 """
 
 import importlib.util
@@ -18,14 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _oracles import CharLexer  # noqa: E402
+from _oracles import CharLexer, parsed, reference_parse, tokenize  # noqa: E402
+from test_turtle import TestWritersAgainstFlatSort as W  # noqa: E402
 
 from applekit.assets import asset_dir
+from applekit.graph import Graph
 from applekit.query import QueryParseError, parse_class_expression, parse_select
 from applekit.rules import RuleError, parse_rules
 from applekit.schema import NameCatalog
-from applekit.terms import PrefixMap
-from applekit.turtle import TurtleParseError, _tokenize, parse_document, parse_turtle
+from applekit.terms import XSD_NS, PrefixMap, Triple
+from applekit.turtle import TurtleParseError, canonical_ntriples, parse_document, parse_turtle, serialize_turtle
+from applekit.vocab import DEFAULT_PREFIXES
 
 EX = "http://example.org/"
 CATALOG = NameCatalog.from_graph(
@@ -47,7 +52,7 @@ RULES = SHARED + ["R1:", "R2", "A", "B", "p", "x", "?y", "not", f"<{EX}p>"]
 TURTLE = SHARED + ["@prefix", "@prefix _x:", "@base", "ex:", f"<{EX}>", "ex:a", "a", ";", '"x"', "^^", "xsd:string", "@en",
                    "_:b", '"', "\\", "true", "1", "[", "<<", "'",
                    "\\n", "\\u00e9", "\\U0001F600", "\\UFFFFFFFF", "\\uD800", '"a\\"b"', "# c\n", "\r\n", "\t",
-                   "ex:a.", "_:b..", "a.", "a..:x", "@en-US", '"""', "@prefix ex.:"]
+                   "ex:a.", "_:b..", "a.", "a..:x", "@en-US", '"""', "@prefix ex.:", "ex:a.b", "_:b.c", "@en.b"]
 
 
 def texts(tokens):
@@ -106,7 +111,7 @@ def _position(text, offset):
 
 def _regex_lexer(text):
     try:
-        return [(kind, value, *_position(text, offset)) for kind, value, offset in _tokenize(text)]
+        return [(kind, value, *_position(text, offset)) for kind, value, offset in tokenize(text)]
     except TurtleParseError as err:
         return err.diagnostic
 
@@ -148,7 +153,70 @@ def _documents():
         yield pytest.param(gen.ontology(10, seed).text, id=f"ontology-{seed}")
 
 
-@pytest.mark.parametrize("text", list(_documents()))
+DOCUMENTS = list(_documents())
+
+
+@pytest.mark.parametrize("text", DOCUMENTS)
 def test_turtle_lexer_matches_oracle_on_documents(text):
     tokens = _regex_lexer(text)
     assert isinstance(tokens, list) and tokens == _oracle_lexer(text)
+
+
+# ---------------------------------------------------------------------------
+# The Turtle parser against the token-list oracle
+
+
+def _spliced(data, text):
+    """``text`` with a random span replaced by a fuzz token, or unchanged."""
+    if not text or not data.draw(st.booleans()):
+        return text
+    start = data.draw(st.integers(0, len(text) - 1))
+    end = data.draw(st.integers(start, min(len(text), start + 3)))
+    return text[:start] + data.draw(st.sampled_from(TURTLE + [""])) + text[end:]
+
+
+@FUZZ
+@given(st.sampled_from(["", f"@prefix ex: <{EX}> .\n"]), texts(TURTLE))
+def test_turtle_parser_matches_oracle(header, text):
+    text = header + text
+    assert parsed(text) == reference_parse(text)
+
+
+# Statement-shaped texts, so that most of each is taken by the steps: a
+# subject, a verb, an object and an end from short lists, with names that
+# hold dots, whitespace or a comment between them, directives that rebind
+# a name between statements, and now and then a missing end or one fuzz
+# token spliced in.
+NODES = ["ex:a", "ex:a.b", "a:b", "_:b", "_:b.c", "<a>", f"<{EX}a>"]
+OBJECTS = NODES + ['"x"', '"x"@en', '"x" @en.b', '"x"@base', '"x"^^xsd:string', '"x" ^^ ex:a.b', '"a\\"b"', "a"]
+GAPS = [" ", "", "\n", "# ex:a ex:a ex:a .\n"]
+ENDS = [" .", ".", " ;", ";", " , ex:a .", " ; .", ";;", ""]
+DIRECTIVES = [f"@base <{EX}> .\n", "@base <http://b.test/> .\n", "@prefix ex: <http://b.test/> .\n"]
+statement = st.tuples(*(st.sampled_from(part) for part in (NODES, GAPS, ["a"] + NODES, GAPS, OBJECTS, ENDS, GAPS)))
+statements = st.lists(st.tuples(st.sampled_from([""] + DIRECTIVES), statement.map("".join)), min_size=1, max_size=4).map(
+    lambda parts: "".join(map("".join, parts)))
+
+
+@FUZZ
+@given(statements, st.data())
+def test_turtle_parser_matches_oracle_on_statements(text, data):
+    text = _spliced(data, f"@prefix ex: <{EX}> .\n@prefix xsd: <{XSD_NS}> .\n" + text)
+    assert parsed(text) == reference_parse(text)
+
+
+@FUZZ
+@given(st.lists(st.builds(Triple, W.subject, W.predicate, W.obj), max_size=12), st.data())
+def test_turtle_parser_matches_oracle_on_written_graphs(triples, data):
+    graph = Graph(triples)
+    prefixes = data.draw(st.sampled_from([PrefixMap({"ex": EX}), DEFAULT_PREFIXES, PrefixMap()]))
+    for text in (serialize_turtle(graph, prefixes), canonical_ntriples(graph)):
+        text = _spliced(data, text)
+        assert parsed(text) == reference_parse(text)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("text", DOCUMENTS)
+def test_turtle_parser_matches_oracle_on_documents(text, data):
+    text = _spliced(data, text)
+    assert parsed(text) == reference_parse(text)

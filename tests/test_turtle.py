@@ -25,7 +25,7 @@ from applekit.turtle import (
     serialize_turtle,
 )
 
-from _oracles import flat_ntriples, flat_sorted
+from _oracles import flat_ntriples, flat_sorted, parsed, reference_parse
 from test_graph import triples_built
 
 EX = "http://example.org/"
@@ -136,6 +136,71 @@ class TestBasics:
     def test_empty_and_comment_only_documents(self):
         assert len(parse_turtle("")) == 0
         assert len(parse_turtle("# nothing here\n\n")) == 0
+
+
+XSD_HEADER = HEADER + f"@prefix xsd: <{XSD_NS}> .\n"
+
+# Texts where the steps and the descent meet: each must parse as the
+# token-list parser parses it, to the same graph or the same diagnostic.
+STEP_EDGES = {
+    "comment-then-directive": HEADER + "# ex:a ex:b ex:c .\n@prefix ex2: <http://two.test/> .\nex2:s ex2:p ex2:o .\n",
+    "comment-then-error": HEADER + "# ex:a ex:b ex:c .\nex:s ex:p 42 .\n",
+    "comment-then-end": HEADER + "ex:s ex:p ex:o . # ex:a ex:b ex:c .",
+    "comments-inside-a-statement": HEADER + "ex:s # c\n ex:p # c\n ex:o # c\n ; # c\n ex:q ex:r # c\n , ex:t # c\n .",
+    "semi-dot": HEADER + "ex:s ex:p ex:o ; .\nex:t ex:p ex:o .",
+    "semi-semi-dot": HEADER + "ex:s ex:p ex:o ;; .\nex:t ex:p ex:o .",
+    "semi-semi-verb": HEADER + "ex:s ex:p ex:o ;; ex:q ex:r .",
+    "comma-then-semi-dot": HEADER + "ex:s ex:p ex:o, ex:o2 ; .",
+    "spaced-langtag": HEADER + 'ex:s ex:p "x" @en, "y"\n@en-GB .',
+    "spaced-datatype": XSD_HEADER + 'ex:s ex:p "x" ^^ xsd:date, "y"^^ <http://x.test/t> .',
+    "directive-word-as-tag": HEADER + 'ex:s ex:p "x" @base .',
+    "a-prefix-verb": HEADER + "@prefix a: <http://a.test/> .\nex:s a:b ex:o ; a ex:C ; a: ex:o .",
+    "a-then-iri": HEADER + "ex:s a<http://x.test/C>.",
+    "prefix-rebound": HEADER + "ex:s ex:p ex:o .\n@prefix ex: <http://two.test/> .\nex:s ex:p ex:o .",
+    "base-rebound": "@base <http://one.test/> .\n<s> <p> <o> .\n@base <http://two.test/> .\n<s> <p> <o> .",
+    "name-with-dots-then-junk": HEADER + "ex:s ex:p ex:o.c ex:z .",
+    "grammar-error-before-lex-error": HEADER + "ex:s ex:p ex:o ex:q .\nex:t ex:p 42 .",
+}
+
+
+@pytest.mark.parametrize("text", STEP_EDGES.values(), ids=STEP_EDGES.keys())
+def test_step_edges_parse_as_the_token_list_parser(text):
+    assert parsed(text) == reference_parse(text)
+
+
+class TestStepEdges:
+    def test_commented_statement_is_skipped(self):
+        g = parse_turtle(STEP_EDGES["comment-then-directive"])
+        assert list(g) == [Triple(iri("http://two.test/s"), iri("http://two.test/p"), iri("http://two.test/o"))]
+
+    def test_comments_inside_a_statement(self):
+        g = parse_turtle(STEP_EDGES["comments-inside-a-statement"])
+        assert {(t.p.value, t.o.value) for t in g} == {(EX + "p", EX + "o"), (EX + "q", EX + "r"), (EX + "q", EX + "t")}
+
+    def test_lexical_error_wins_over_an_earlier_grammar_error(self):
+        with pytest.raises(TurtleParseError, match="bare numeric") as err:
+            parse_turtle(STEP_EDGES["grammar-error-before-lex-error"])
+        assert (err.value.line, err.value.column) == (3, 11)
+
+    def test_spaced_tags_and_datatypes(self):
+        g = parse_turtle(STEP_EDGES["spaced-langtag"])
+        assert objects(g) == [literal("x", lang="en"), literal("y", lang="en-GB")]
+        g = parse_turtle(STEP_EDGES["spaced-datatype"])
+        assert objects(g) == [literal("x", datatype=XSD_NS + "date"), literal("y", datatype="http://x.test/t")]
+
+    def test_a_prefix_is_not_the_a_keyword(self):
+        g = parse_turtle(STEP_EDGES["a-prefix-verb"])
+        assert {t.p.value for t in g} == {"http://a.test/b", "http://a.test/", RDF_TYPE}
+
+    def test_base_rebound_gives_new_iris(self):
+        g = parse_turtle(STEP_EDGES["base-rebound"])
+        assert {t.s.value for t in g} == {"http://one.test/s", "http://two.test/s"}
+
+    @pytest.mark.parametrize("base", ["urn:ex:", "tag:example.org,2024:"])
+    def test_relative_iri_against_an_unresolvable_base_names_the_base(self, base):
+        with pytest.raises(TurtleParseError) as err:
+            parse_turtle(f"@base <{base}> .\n<s> <p> <o> .")
+        assert err.value.diagnostic == ParseDiagnostic(2, 1, f"relative IRI <s> cannot be resolved against base <{base}>")
 
 
 UNSUPPORTED = [
