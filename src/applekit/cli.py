@@ -117,7 +117,10 @@ def _reason(graph: Graph, prefixes: PrefixMap) -> _Reasoned:
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise CliError(f"cannot write output file {args.output}: {exc}", EXIT_CONFIG) from exc
     else:
         sys.stdout.write(text)
 

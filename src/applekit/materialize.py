@@ -26,7 +26,7 @@ under its own schema.  Existential obligations are never skolemized; the
 closed-world validator audits them instead.
 
 Evaluation is one worklist, seeded with the input triples and the
-closure's subclass pairs, that builds each derived triple once:
+closure's subclass pairs, that queues each derived triple once:
 
 - Each pending triple carries the rule that first derived it.  The
   subclass and subproperty closures are computed up front, so a triple
@@ -34,9 +34,9 @@ closure's subclass pairs, that builds each derived triple once:
   ``subproperty-propagation`` derived already has, from its source,
   everything that same rule would derive from it; that rule skips it.
   Every other rule runs on every triple.
-- A candidate is probed in the graph's index before a
-  :class:`~applekit.terms.Triple` is built, so only new triples are
-  built, validated and stored.
+- A candidate is an ``(s, p, o, rule)`` tuple, inserted into the graph
+  as three Terms and queued as it is when new; no
+  :class:`~applekit.terms.Triple` is built.
 - The schema's IRIs are resolved, through one dict per call, to the Term
   objects the graph already holds, so index probes find their keys by
   identity.
@@ -59,7 +59,6 @@ from .terms import (
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
     Term,
-    Triple,
     iri,
 )
 
@@ -75,7 +74,7 @@ _INVERSE = "inverse-propagation"
 
 def _iri_pairs(graph: Graph, predicate: Term) -> frozenset[tuple[str, str]]:
     edges = graph._match(None, predicate, None)
-    return frozenset((t.s.value, t.o.value) for t in edges if t.s.is_iri() and t.o.is_iri())
+    return frozenset((s.value, o.value) for s, _, o in edges if s.is_iri() and o.is_iri())
 
 
 def _joined(axioms: dict[str, frozenset[str]], pairs) -> dict[str, set[str]]:
@@ -127,22 +126,19 @@ def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
     domains = {p: tuple(term(c) for c in classes) for p, classes in domain_of.items()}
     ranges = {p: tuple(term(c) for c in classes) for p, classes in range_of.items()}
 
-    pending: deque[tuple[Triple, str | None]] = deque((t, None) for t in out._match())
+    pending: deque[tuple[Term, Term, Term, str | None]] = deque((s, p, o, None) for s, p, o in out._match())
 
     # The closure of the asserted pairs, including pairs the data graph
     # itself may not carry when the schema came from another graph.
     for child, parents in ancestors.items():
         child_term = term(child)
         for parent in parents:
-            if parent.value != child:
-                new = out._add(child_term, subclass, parent)
-                if new is not None:
-                    pending.append((new, _TRANSITIVITY))
+            if parent.value != child and out._add(child_term, subclass, parent):
+                pending.append((child_term, subclass, parent, _TRANSITIVITY))
 
     while pending:
-        triple, rule = pending.popleft()
-        s, o = triple.s, triple.o
-        predicate = triple.p.value
+        s, p, o, rule = pending.popleft()
+        predicate = p.value
         derived: list[tuple[Term, Term, Term, str]] = []
         # ancestors and superprops are transitive closures, so a closure step
         # adds nothing to a triple it derived itself.
@@ -166,8 +162,8 @@ def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
                 derived.append((o, rdf_type, cls, _RANGE))
             for partner in inverses.get(predicate, ()):
                 derived.append((o, partner, s, _INVERSE))
-        for ds, dp, do, by in derived:
-            new = out._add(ds, dp, do)
-            if new is not None:
-                pending.append((new, by))
+        for candidate in derived:
+            ds, dp, do, _ = candidate
+            if out._add(ds, dp, do):
+                pending.append(candidate)
     return out

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .graph import Graph
 from .schema import PUNCTUATION, LexError, NameCatalog, SchemaIndex, Token, TokenCursor, tokenize
-from .terms import RDF_TYPE, Term, Triple, iri
+from .terms import RDF_TYPE, Term, iri
 
 _TYPE = iri(RDF_TYPE)
 
@@ -197,7 +197,7 @@ def parse_class_expression(text: str, catalog: NameCatalog | None = None) -> Cla
 
 def _extension(expr: ClassExpression, graph: Graph) -> set[Term]:
     if isinstance(expr, Named):
-        return {t.s for t in graph._match(None, _TYPE, iri(expr.iri))}
+        return set(graph._by_object(_TYPE).get(iri(expr.iri), ()))
     if isinstance(expr, OneOf):
         # Nominals denote their members whether or not the graph mentions them.
         return {iri(value) for value in expr.iris}
@@ -210,16 +210,14 @@ def _extension(expr: ClassExpression, graph: Graph) -> set[Term]:
             common &= part
         return common
     if isinstance(expr, Some):
-        prop = iri(expr.path.iri)
-        edges = graph._match(None, prop, None)
+        edges = graph._by_object(iri(expr.path.iri))
+        targets = None if isinstance(expr.filler, Anything) else _extension(expr.filler, graph)
         if expr.path.inverted:
-            pairs = [(t.o, t.s) for t in edges if not t.o.is_literal()]
-        else:
-            pairs = [(t.s, t.o) for t in edges]
-        if isinstance(expr.filler, Anything):
-            return {x for x, _ in pairs}
-        targets = _extension(expr.filler, graph)
-        return {x for x, y in pairs if y in targets}
+            return {
+                o for o, subjects in edges.items()
+                if not o.is_literal() and (targets is None or not targets.isdisjoint(subjects))
+            }
+        return {s for o, subjects in edges.items() if targets is None or o in targets for s in subjects}
     raise TypeError(f"unknown expression node: {type(expr).__name__}")
 
 
@@ -241,7 +239,7 @@ def _filler_accepts_object(filler: ClassExpression, obj: Term, schema: SchemaInd
     if isinstance(filler, OneOf):
         return obj.is_iri() and obj.value in filler.iris
     if isinstance(filler, Named):
-        if Triple(obj, _TYPE, iri(filler.iri)) in graph:
+        if graph._has(obj, _TYPE, iri(filler.iri)):
             return True
         return obj.is_iri() and obj.value in schema.classes and schema.is_subclass(obj.value, filler.iri)
     if isinstance(filler, And):
@@ -341,8 +339,7 @@ def solutions(patterns: tuple[TriplePattern, ...], graph: Graph, first: Graph | 
             if not free:
                 extended.append(binding)  # a ground or wildcard match binds nothing new
                 continue
-            for triple in matched:
-                terms = (triple.s, triple.p, triple.o)
+            for terms in matched:
                 bound = dict(binding)
                 for position, name in free:
                     term = terms[position]

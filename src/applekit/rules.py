@@ -335,10 +335,9 @@ def _extend(out: Graph, rules: list[Rule]) -> list[Firing]:
                     s, p, o = rule.head.ground(binding)
                     if s.is_literal():
                         continue
-                    derived = Triple(s, p, o)
-                    firings.append(Firing(rule.id, bound, derived))
-                    if out.insert(derived):
-                        added.insert(derived)
+                    firings.append(Firing(rule.id, bound, Triple(s, p, o)))
+                    if out._add(s, p, o):
+                        added._add(s, p, o)
             if not added:
                 break
             delta = added
@@ -386,19 +385,19 @@ def _classify(final: Graph, rules: list[Rule]) -> list[Verdict]:
     action_type = iri(ACTION)
     verdict_types = [iri(vc) for vc in VERDICT_CLASSES]
     linked = {
-        triple.s
+        s
         for prop in (UPHOLDS_PRINCIPLE, VIOLATES_PRINCIPLE)
-        for triple in final._match(None, iri(prop), None)
-        if Triple(triple.s, _TYPE, action_type) in final
+        for s, _, _ in final._match(None, iri(prop), None)
+        if final._has(s, _TYPE, action_type)
     }
     verdicts: list[Verdict] = []
     for action in sorted(linked, key=Term.sort_key):
-        found = [typed for typed in (Triple(action, _TYPE, vc) for vc in verdict_types) if typed in final]
+        found = [vc for vc in verdict_types if final._has(action, _TYPE, vc)]
         if len(found) > 1:
-            raise VerdictConflictError(action.value, tuple(typed.o.value for typed in found))
+            raise VerdictConflictError(action.value, tuple(vc.value for vc in found))
         if not found:
             continue
-        relevant = tuple(sorted(by_derived.get(found[0], ()), key=_firing_order))
+        relevant = tuple(sorted(by_derived.get(Triple(action, _TYPE, found[0]), ()), key=_firing_order))
         rule_ids = tuple(sorted({f.rule_id for f in relevant}))
-        verdicts.append(Verdict(action.value, found[0].o.value, rule_ids, relevant))
+        verdicts.append(Verdict(action.value, found[0].value, rule_ids, relevant))
     return verdicts

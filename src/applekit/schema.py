@@ -68,6 +68,11 @@ def _is_builtin(iri_value: str) -> bool:
     return iri_value.startswith(BUILTIN_NAMESPACES)
 
 
+def _edge_key(edge: tuple[Term, Term, Term]) -> tuple:
+    """Triple.sort_key of an ``(s, p, o)`` tuple."""
+    return (edge[0].sort_key(), edge[1].sort_key(), edge[2].sort_key())
+
+
 def _transitive_closure(pairs: frozenset[tuple[str, str]]) -> dict[str, frozenset[str]]:
     direct: dict[str, set[str]] = {}
     for child, parent in pairs:
@@ -187,78 +192,75 @@ def extract_schema(graph: Graph) -> SchemaIndex:
     classes: set[str] = set()
     properties: set[str] = set()
 
-    for t in graph._match(None, type_iri, None):
-        if not t.o.is_iri():
+    for s, _, o in graph._match(None, type_iri, None):
+        if not o.is_iri():
             continue
-        if t.o.value == OWL_CLASS and t.s.is_iri():
-            classes.add(t.s.value)
-        elif t.o.value in (OWL_OBJECT_PROPERTY, OWL_DATATYPE_PROPERTY, RDF_PROPERTY) and t.s.is_iri():
-            properties.add(t.s.value)
-        elif not _is_builtin(t.o.value):
-            classes.add(t.o.value)
+        if o.value == OWL_CLASS and s.is_iri():
+            classes.add(s.value)
+        elif o.value in (OWL_OBJECT_PROPERTY, OWL_DATATYPE_PROPERTY, RDF_PROPERTY) and s.is_iri():
+            properties.add(s.value)
+        elif not _is_builtin(o.value):
+            classes.add(o.value)
 
-    restriction_nodes = {
-        t.s for t in graph._match(None, type_iri, iri(OWL_RESTRICTION)) if t.s.is_blank()
-    }
+    restriction_nodes = {s for s, _, _ in graph._match(None, type_iri, iri(OWL_RESTRICTION)) if s.is_blank()}
 
     sub_class_pairs: set[tuple[str, str]] = set()
     restriction_supers: dict[Term, list[str]] = {}
-    for t in graph.match(None, iri(RDFS_SUBCLASSOF), None):  # sorted: decides the first error
-        if t.s.is_iri() and t.o.is_iri():
-            sub_class_pairs.add((t.s.value, t.o.value))
-            classes.add(t.s.value)
-            classes.add(t.o.value)
-        elif t.s.is_iri() and t.o.is_blank():
-            if t.o not in restriction_nodes:
-                raise SchemaError(
-                    f"blank node _:{t.o.value} is used as a superclass but is not typed owl:Restriction"
-                )
-            restriction_supers.setdefault(t.o, []).append(t.s.value)
-            classes.add(t.s.value)
+    edges = graph._match(None, iri(RDFS_SUBCLASSOF), None)
+    for s, _, o in sorted(edges, key=_edge_key):  # sorted: decides the first error
+        if s.is_iri() and o.is_iri():
+            sub_class_pairs.add((s.value, o.value))
+            classes.add(s.value)
+            classes.add(o.value)
+        elif s.is_iri() and o.is_blank():
+            if o not in restriction_nodes:
+                raise SchemaError(f"blank node _:{o.value} is used as a superclass but is not typed owl:Restriction")
+            restriction_supers.setdefault(o, []).append(s.value)
+            classes.add(s.value)
 
     sub_property_pairs: set[tuple[str, str]] = set()
-    for t in graph._match(None, iri(RDFS_SUBPROPERTYOF), None):
-        if t.s.is_iri() and t.o.is_iri():
-            sub_property_pairs.add((t.s.value, t.o.value))
-            properties.add(t.s.value)
-            properties.add(t.o.value)
+    for s, _, o in graph._match(None, iri(RDFS_SUBPROPERTYOF), None):
+        if s.is_iri() and o.is_iri():
+            sub_property_pairs.add((s.value, o.value))
+            properties.add(s.value)
+            properties.add(o.value)
 
     domain_of: dict[str, set[str]] = {}
-    for t in graph._match(None, iri(RDFS_DOMAIN), None):
-        if t.s.is_iri() and t.o.is_iri():
-            domain_of.setdefault(t.s.value, set()).add(t.o.value)
-            properties.add(t.s.value)
-            classes.add(t.o.value)
+    for s, _, o in graph._match(None, iri(RDFS_DOMAIN), None):
+        if s.is_iri() and o.is_iri():
+            domain_of.setdefault(s.value, set()).add(o.value)
+            properties.add(s.value)
+            classes.add(o.value)
 
     range_of: dict[str, set[str]] = {}
-    for t in graph._match(None, iri(RDFS_RANGE), None):
-        if t.s.is_iri() and t.o.is_iri():
-            if _is_builtin(t.o.value):
+    for s, _, o in graph._match(None, iri(RDFS_RANGE), None):
+        if s.is_iri() and o.is_iri():
+            if _is_builtin(o.value):
                 continue  # datatype ranges carry no instance typing
-            range_of.setdefault(t.s.value, set()).add(t.o.value)
-            properties.add(t.s.value)
-            classes.add(t.o.value)
+            range_of.setdefault(s.value, set()).add(o.value)
+            properties.add(s.value)
+            classes.add(o.value)
 
     inverse_pairs: set[tuple[str, str]] = set()
-    for t in graph._match(None, iri(OWL_INVERSE_OF), None):
-        if t.s.is_iri() and t.o.is_iri():
-            pair = tuple(sorted((t.s.value, t.o.value)))
+    for s, _, o in graph._match(None, iri(OWL_INVERSE_OF), None):
+        if s.is_iri() and o.is_iri():
+            pair = tuple(sorted((s.value, o.value)))
             inverse_pairs.add((pair[0], pair[1]))
-            properties.add(t.s.value)
-            properties.add(t.o.value)
+            properties.add(s.value)
+            properties.add(o.value)
 
     disjoint_pairs: set[tuple[str, str]] = set()
-    for t in graph._match(None, iri(OWL_DISJOINT_WITH), None):
-        if t.s.is_iri() and t.o.is_iri() and t.s.value != t.o.value:
-            first, second = sorted((t.s.value, t.o.value))
+    for s, _, o in graph._match(None, iri(OWL_DISJOINT_WITH), None):
+        if s.is_iri() and o.is_iri() and s.value != o.value:
+            first, second = sorted((s.value, o.value))
             disjoint_pairs.add((first, second))
-            classes.add(t.s.value)
-            classes.add(t.o.value)
+            classes.add(s.value)
+            classes.add(o.value)
 
     obligations: list[Obligation] = []
     for node in sorted(restriction_nodes, key=Term.sort_key):
-        on_property = [t.o for t in graph._match(node, iri(OWL_ON_PROPERTY), None) if t.o.is_iri()]
-        fillers = [t.o for t in graph._match(node, iri(OWL_SOME_VALUES_FROM), None) if t.o.is_iri()]
+        on_property = [o for _, _, o in graph._match(node, iri(OWL_ON_PROPERTY), None) if o.is_iri()]
+        fillers = [o for _, _, o in graph._match(node, iri(OWL_SOME_VALUES_FROM), None) if o.is_iri()]
         if len(on_property) != 1 or len(fillers) != 1:
             raise SchemaError(
                 f"restriction _:{node.value} needs exactly one owl:onProperty and one owl:someValuesFrom"
@@ -275,9 +277,7 @@ def extract_schema(graph: Graph) -> SchemaIndex:
     if cycle:
         raise SchemaError("subclass cycle detected: " + " < ".join(cycle))
 
-    class_level = [
-        t for c in classes for t in graph._match(iri(c)) if not _is_builtin(t.p.value)
-    ]
+    class_level = [Triple(*t) for c in classes for t in graph._match(iri(c)) if not _is_builtin(t[1].value)]
 
     for ob in obligations:
         if ob.property not in properties:
@@ -342,9 +342,9 @@ class NameCatalog:
         for p in schema.properties:
             properties.setdefault(local_name(p), set()).add(p)
         class_iris = {iri(c) for c in schema.classes}
-        for t in graph._match(None, iri(RDF_TYPE), None):
-            if t.s.is_iri() and t.s not in class_iris and t.o.is_iri() and not _is_builtin(t.o.value):
-                individuals.setdefault(local_name(t.s.value), set()).add(t.s.value)
+        for s, _, o in graph._match(None, iri(RDF_TYPE), None):
+            if s.is_iri() and s not in class_iris and o.is_iri() and not _is_builtin(o.value):
+                individuals.setdefault(local_name(s.value), set()).add(s.value)
         return cls(classes, properties, individuals, prefixes)
 
     def ambiguous_names(self) -> dict[str, set[str]]:

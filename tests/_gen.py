@@ -35,7 +35,9 @@ from applekit.terms import (
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
+    XSD_NS,
     XSD_STRING,
+    Term,
     Triple,
     blank,
     iri,
@@ -190,6 +192,26 @@ def add_meta_axioms(rng: random.Random, graph: Graph) -> Graph:
         for predicate in (RDFS_DOMAIN, RDFS_RANGE):
             if rng.random() < 0.3:
                 graph.insert(Triple(meta, iri(predicate), iri(rng.choice(classes))))
+    return graph
+
+
+def add_literals(rng: random.Random, graph: Graph, count: int = 80) -> Graph:
+    """Add ``count`` literal objects to subjects the graph already has, over
+    two fresh properties: plain, language-tagged and datatyped forms of a
+    few lexical values, so one subject's group can hold several literals
+    that differ only in their tag or datatype.  Kept apart from the other
+    generators so the graphs existing seeds produce do not change."""
+    subjects = sorted({t.s for t in graph.match()}, key=Term.sort_key)
+    props = [iri(f"{NS}label"), iri(f"{NS}note")]
+    for _ in range(count):
+        value, roll = f"v{rng.randint(0, 3)}", rng.random()
+        if roll < 0.3:
+            term = literal(value)
+        elif roll < 0.65:
+            term = literal(value, lang=rng.choice(("en", "de", "en-GB")))
+        else:
+            term = literal(value, datatype=XSD_NS + rng.choice(("token", "integer", "anyURI")))
+        graph.insert(Triple(rng.choice(subjects), rng.choice(props), term))
     return graph
 
 

@@ -5,6 +5,7 @@ import hashlib
 import importlib.metadata
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -28,12 +29,13 @@ from applekit.assets import (
 )
 from applekit.cli import main
 from applekit.graph import Graph
+from applekit.terms import Triple, blank, iri
 from applekit.turtle import parse_document, parse_turtle, serialize_turtle
 from applekit.validate import inputs_digest
 from applekit.vocab import APPLE
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _gen import renamed_scenario_copies  # noqa: E402
+from _gen import add_literals, random_graph, renamed_scenario_copies  # noqa: E402
 
 SRC_DIR = Path(applekit.__file__).resolve().parents[1]
 PYPROJECT = Path(applekit.__file__).resolve().parents[2] / "pyproject.toml"
@@ -78,6 +80,14 @@ class TestInputHandling:
         code, _, err = run(capsys, "reason", "-i", "/nonexistent/x.ttl")
         assert code == 2
         assert "cannot read input file" in err
+
+    @pytest.mark.parametrize("target", ["missing-parent", "directory"])
+    @pytest.mark.parametrize("command", ["reason", "classify", "validate"])
+    def test_unwritable_output_is_config_error(self, capsys, tmp_path, command, target):
+        path = tmp_path / "no" / "such" / "out" if target == "missing-parent" else tmp_path
+        code, out, err = run(capsys, command, "--bundled", "-o", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"applekit: cannot write output file {path}: ") and err.count("\n") == 1, err
 
     def test_parse_error_reports_file_line_column(self, capsys, tmp_path):
         bad = tmp_path / "bad.ttl"
@@ -128,7 +138,7 @@ class TestInputHandling:
         assert code == 0
         _, bundled, _ = run(capsys, "reason", "--bundled")
         _, alone, _ = run(capsys, "reason", "-i", str(micro_ttl))
-        union = Graph(parse_turtle(bundled)._match() + parse_turtle(alone)._match())
+        union = Graph([*parse_turtle(bundled), *parse_turtle(alone)])
         assert parse_turtle(both) == union
         assert "ex:i a ex:A, ex:B ." in both
 
@@ -143,7 +153,7 @@ class TestInputHandling:
         assert "_:needsDomain_2 owl:onProperty ex:p ." in out
         _, bundled, _ = run(capsys, "reason", "--bundled")
         renamed = parse_turtle(HEADER + "_:needsDomain_2 owl:onProperty ex:p .\n")
-        assert parse_turtle(out) == Graph(parse_turtle(bundled)._match() + renamed._match())
+        assert parse_turtle(out) == Graph([*parse_turtle(bundled), *renamed])
 
     def test_blank_labels_of_two_files_stay_apart(self, capsys, tmp_path):
         paths = []
@@ -602,6 +612,29 @@ RECURSIVE_RULES = (
 )
 
 
+@pytest.fixture(scope="module")
+def hash_order_inputs(tmp_path_factory):
+    """Two input files where a writer or a query that skipped a sort would
+    show string hashing: multi-object ``(s, p)`` groups, many subjects per
+    ``(p, o)`` (renamed scenario copies share every class), literals that
+    differ only in tag or datatype, and blank labels used in both files."""
+    assets = load_assets()
+    rng = random.Random(1501)
+    one = add_literals(rng, renamed_scenario_copies(assets.taxonomy, assets.scenario, 12))
+    two = add_literals(rng, random_graph(rng, max_triples=300, max_individuals=40))
+    for graph in (one, two):
+        for k in range(3):
+            graph.insert(Triple(blank(f"shared{k}"), iri(EX + "p"), iri(f"{EX}o{rng.randint(0, 4)}")))
+            graph.insert(Triple(blank("needsDomain"), iri(EX + "q"), blank(f"shared{k}")))
+    folder = tmp_path_factory.mktemp("hash-order")
+    paths = []
+    for name, graph in (("one", one), ("two", two)):
+        path = folder / f"{name}.ttl"
+        path.write_text(serialize_turtle(graph, assets.prefixes), encoding="utf-8")
+        paths.append(str(path))
+    return ("-i", paths[0], "-i", paths[1])
+
+
 class TestHashSeedIndependence:
     """Output is byte-identical in fresh processes under different
     ``PYTHONHASHSEED`` values, which a rerun in one process cannot show."""
@@ -616,6 +649,22 @@ class TestHashSeedIndependence:
         assert first.returncode == second.returncode == 0, first.stderr + second.stderr
         assert first.stdout, f"{argv[0]} produced no output"
         assert first.stdout == second.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("reason",),
+            ("classify", "--rules", str(asset_dir() / RULES_FILE)),
+            ("validate",),
+            ("query", "?a violatesEthicalPrinciple ?p . ?a ?r ?o", "--mode", "select"),
+        ],
+        ids=["reason", "classify", "validate", "select"],
+    )
+    def test_generated_inputs(self, argv, hash_order_inputs, tmp_path):
+        argv = (*argv, *hash_order_inputs)
+        first, second = (_run_in_process(argv, seed, tmp_path) for seed in HASH_SEEDS)
+        assert first.returncode == second.returncode, first.stderr + second.stderr
+        assert first.stdout and first.stdout == second.stdout
 
     def test_recursive_rules_firing_order(self, tmp_path):
         rules = tmp_path / "recursive.rules"

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from applekit.assets import load_assets
 from applekit.graph import Graph
 from applekit.materialize import materialize
-from applekit.query import parse_class_expression, retrieve_instances
+from applekit.query import parse_class_expression, parse_select, retrieve_instances, select
 from applekit.terms import Term, Triple, blank, iri, literal
+from applekit.turtle import canonical_ntriples, serialize_turtle
 
 EX = "http://example.org/"
 
@@ -92,10 +93,6 @@ class TestMatch:
     @given(triples_strategy, st.data())
     def test_every_bound_combination_agrees_with_scan(self, triples, data):
         g = Graph(triples)
-        # Equal triples may be distinct objects; the graph keeps the first.
-        stored = {}
-        for x in triples:
-            stored.setdefault(x, x)
         inside = sorted({term for x in triples for term in (x.s, x.p, x.o)}, key=Term.sort_key)
         outside = [iri(EX + "absent"), literal("2"), blank("c")]
         probe = st.sampled_from(inside + outside)
@@ -104,26 +101,41 @@ class TestMatch:
             expected = brute_match(triples, s, p, o)
             assert g.match(s, p, o) == expected, (s, p, o)
             hits = g._match(s, p, o)
-            assert len(hits) == len(set(hits)) and set(hits) == set(expected), (s, p, o)
-            assert all(hit is stored[hit] for hit in hits), (s, p, o)
+            assert all(type(hit) is tuple and len(hit) == 3 for hit in hits), (s, p, o)
+            assert len(hits) == len(set(hits)), (s, p, o)
+            assert set(hits) == {(x.s, x.p, x.o) for x in expected}, (s, p, o)
         nodes = {x.s for x in triples} | {x.o for x in triples if x.o.kind != "literal"}
         assert g._nodes() == nodes
 
     def test_index_reads_build_no_triples(self, monkeypatch):
-        # Reads hand back the stored Triples; rebuilding one per result
-        # would cost a construction and a hash per row.
+        # The store holds Terms: internal reads hand back term tuples, and
+        # only the public match builds a Triple, one per hit.
         g = Graph([t("s", "p", "o"), t("s", "p", "x"), t("s", "q", "o"), t("u", "p", "o")])
         s, p, o = iri(EX + "s"), iri(EX + "p"), iri(EX + "o")
         for shape in range(8):
             probe = [s if shape & 4 else None, p if shape & 2 else None, o if shape & 1 else None]
-            hits, built = triples_built(monkeypatch, lambda: g.match(*probe))
-            assert built == 0 and hits and all(x in g for x in hits), probe
+            hits, built = triples_built(monkeypatch, lambda: g._match(*probe))
+            assert built == 0 and hits and all(g._has(*hit) for hit in hits), probe
+            public, built = triples_built(monkeypatch, lambda: g.match(*probe))
+            assert built == len(public) == len(hits) and all(x in g for x in public), probe
 
         assets = load_assets()
         materialized = materialize(assets.combined(), assets.schema)
         agent = parse_class_expression("Agent", assets.catalog)
         found, built = triples_built(monkeypatch, lambda: retrieve_instances(agent, materialized))
         assert built == 0 and found
+
+    def test_writers_and_select_build_no_triples(self, monkeypatch):
+        assets = load_assets()
+        materialized = materialize(assets.combined(), assets.schema)
+        query = parse_select("Deforestation resolvedBy ?x", assets.catalog)
+        for read in (
+            lambda: canonical_ntriples(materialized),
+            lambda: serialize_turtle(materialized),
+            lambda: select(query, materialized),
+        ):
+            result, built = triples_built(monkeypatch, read)
+            assert built == 0 and result
 
     def test_match_results_sorted(self):
         g = Graph([t("s", "p", "z"), t("s", "p", "a"), t("a", "p", "a")])

@@ -193,6 +193,7 @@ def subclass_chain(depth, individuals):
 
 class TestDeriveOnce:
     def test_builds_only_the_triples_it_derives(self, monkeypatch):
+        # The graph stores Terms, so deriving builds no Triple at all.
         assets = load_assets()
         cases = [(assets.combined(), assets.schema)]
         for depth in (10, 20, 40):
@@ -200,7 +201,7 @@ class TestDeriveOnce:
             cases.append((chain, extract_schema(chain)))
         for graph, schema in cases:
             out, built = triples_built(monkeypatch, lambda: materialize(graph, schema))
-            assert built == len(out) - len(graph), len(graph)
+            assert built == 0 and len(out) > len(graph), len(graph)
 
     def test_each_individual_probes_its_ancestors_once(self, monkeypatch):
         # Re-applying type inheritance to the supertypes it derived would
@@ -251,7 +252,7 @@ class TestEntails:
         assert derived in materialize(combined, assets.schema)
         # doesAction < isParticipantIn would be wrong; check provenance is the
         # inverse axiom by rebuilding the input without it.
-        axioms = combined._match(None, iri(OWL_INVERSE_OF), iri(IS_PARTICIPANT_IN))
+        axioms = [x for x in combined if x.p == iri(OWL_INVERSE_OF) and x.o == iri(IS_PARTICIPANT_IN)]
         assert len(axioms) == 1
         without_inverse = Graph(x for x in combined if x != axioms[0])
         assert derived not in materialize(without_inverse, extract_schema(without_inverse))
