@@ -104,15 +104,21 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Graph, PrefixMap]:
 class _Reasoned(NamedTuple):
     prefixes: PrefixMap
     schema: SchemaIndex
-    catalog: NameCatalog
+    catalog: NameCatalog | None
     materialized: Graph
 
 
-def _reason(graph: Graph, prefixes: PrefixMap) -> _Reasoned:
-    """The schema and name catalog of the loaded inputs, and the inputs
-    graph itself, which only the command holds, materialized in place."""
+def _reason(graph: Graph, prefixes: PrefixMap, *, names: bool = False) -> _Reasoned:
+    """The schema of the loaded inputs, with ``names`` their name catalog,
+    and the inputs graph itself, which only the command holds, materialized
+    in place.
+
+    The catalog is built before materializing: it lists as individuals the
+    typed subjects, and entailment would type more of them.
+    """
     schema = extract_schema(graph)
-    return _Reasoned(prefixes, schema, NameCatalog.from_graph(graph, schema), _materialize(graph, schema))
+    catalog = NameCatalog.from_graph(graph, schema) if names else None
+    return _Reasoned(prefixes, schema, catalog, _materialize(graph, schema))
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -134,7 +140,7 @@ def _cmd_reason(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     graph, prefixes = _load_inputs(args)
     digest = inputs_digest(graph)  # of the inputs, before they are extended
-    inputs = _reason(graph, prefixes)
+    inputs = _reason(graph, prefixes, names=bool(args.rules))
     if args.rules:
         try:
             rules_text = Path(args.rules).read_text(encoding="utf-8")
@@ -169,7 +175,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    inputs = _reason(*_load_inputs(args))
+    inputs = _reason(*_load_inputs(args), names=True)
     if args.mode == "select":
         parsed = parse_select(args.expression, inputs.catalog)
         rows = select(parsed, inputs.materialized)
@@ -199,7 +205,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_cq(args: argparse.Namespace) -> int:
-    inputs = _reason(*_load_inputs(args))
+    inputs = _reason(*_load_inputs(args), names=True)
     if args.manifest:
         try:
             cases = parse_cq_manifest(Path(args.manifest).read_text(encoding="utf-8"))

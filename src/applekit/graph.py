@@ -19,7 +19,8 @@ its nested key.
 
 Inside the package, evaluators read through :meth:`Graph._match`,
 :meth:`Graph._has`, :meth:`Graph._by_object` and :meth:`Graph._nodes`
-instead, and insert through :meth:`Graph._add`.  These skip the sort, so
+instead, and insert through :meth:`Graph._add`, or :meth:`Graph._add_objects`
+for many objects of one subject and predicate.  These skip the sort, so
 their order is unspecified: a set leaf's order follows term hashing.
 ``_match`` returns a new list of ``(s, p, o)`` tuples, a snapshot taken at
 call time, so a caller may insert into the graph while it walks the result.
@@ -89,6 +90,43 @@ class Graph:
                 by_s.add(s)
         self._size += 1
         return True
+
+    def _add_objects(self, s: Term, p: Term, objects: set[Term] | frozenset[Term]) -> set[Term] | frozenset[Term]:
+        """Insert ``(s, p, o)`` for every ``o`` in ``objects``; return the
+        objects whose triple was not already present.
+
+        The objects already stored are removed by one set difference, which
+        hashes in C, so only the new triples are written into ``_pos`` one
+        by one.  The result may be ``objects`` itself; the graph keeps no
+        reference to either.
+        """
+        if not objects:
+            return objects
+        if s.kind == "literal" or p.kind != "iri":
+            Triple(s, p, next(iter(objects)))  # raises the StructuralError that names the fault
+        by_p = self._spo.get(s)
+        if by_p is None:
+            by_p = self._spo[s] = {}
+        stored = by_p.get(p)
+        if stored is None:
+            new = objects
+            by_p[p] = set(objects)
+        else:
+            new = objects - stored
+            if not new:
+                return new
+            stored |= new
+        by_o = self._pos.get(p)
+        if by_o is None:
+            by_o = self._pos[p] = {}
+        for o in new:
+            by_s = by_o.get(o)
+            if by_s is None:
+                by_o[o] = {s}
+            else:
+                by_s.add(s)
+        self._size += len(new)
+        return new
 
     def _has(self, s: Term, p: Term, o: Term) -> bool:
         """True when ``(s, p, o)`` is stored."""

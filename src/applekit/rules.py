@@ -256,11 +256,6 @@ def parse_rules(text: str, catalog=None) -> list[Rule]:
     return _stratify(rules, line_of)
 
 
-def assign_strata(rules: list[Rule]) -> list[Rule]:
-    """Recompute strata for rules built programmatically (ids must be unique)."""
-    return _stratify(rules, {rule.id: 0 for rule in rules})
-
-
 def _check_safety(rule: Rule, line: int) -> None:
     positive_vars = {name for pattern in rule.positives for name in pattern.variables()}
     for slot in rule.head:

@@ -20,6 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .graph import Graph
 from .terms import (
@@ -119,22 +120,11 @@ class SchemaIndex:
     def is_subproperty(self, sub: str, sup: str) -> bool:
         return sub == sup or sup in self.superproperties(sub)
 
-    def inverse_partners(self, prop: str) -> frozenset[str]:
-        return self._inverse_map().get(prop, frozenset())
-
-    def inherited_obligations(self, cls: str) -> tuple[Obligation, ...]:
-        """Obligations asserted on ``cls`` or any of its superclasses."""
-        lineage = {cls} | set(self.superclasses(cls))
-        return tuple(ob for ob in self.obligations if ob.on_class in lineage)
-
     def _superclass_closure(self) -> dict[str, frozenset[str]]:
         return _cached_closure(self.sub_class_of)
 
     def _superproperty_closure(self) -> dict[str, frozenset[str]]:
         return _cached_closure(self.sub_property_of)
-
-    def _inverse_map(self) -> dict[str, frozenset[str]]:
-        return _cached_inverse_map(self.inverse_of)
 
 
 @lru_cache(maxsize=64)
@@ -180,6 +170,39 @@ def _detect_subclass_cycle(pairs: frozenset[tuple[str, str]]) -> list[str] | Non
     return None
 
 
+class AxiomPairs(NamedTuple):
+    """The ``(subject, object)`` IRI pairs of a graph's subclass,
+    subproperty, domain, range and inverse edges."""
+
+    sub_class_of: frozenset[tuple[str, str]]
+    sub_property_of: frozenset[tuple[str, str]]
+    domain: frozenset[tuple[str, str]]
+    range: frozenset[tuple[str, str]]
+    inverse_of: frozenset[tuple[str, str]]
+
+
+def axiom_pairs(graph: Graph) -> AxiomPairs:
+    """The five pair sets that both :func:`extract_schema` and the
+    materializer read from a graph, taking only edges between two IRIs.
+
+    A range in a built-in namespace names a datatype, which types no
+    instance, so it is dropped.  ``owl:inverseOf`` is symmetric, so each
+    inverse pair is stored in sorted order.
+    """
+
+    def pairs(predicate: str) -> frozenset[tuple[str, str]]:
+        edges = graph._match(None, iri(predicate), None)
+        return frozenset((s.value, o.value) for s, _, o in edges if s.kind == "iri" and o.kind == "iri")
+
+    return AxiomPairs(
+        sub_class_of=pairs(RDFS_SUBCLASSOF),
+        sub_property_of=pairs(RDFS_SUBPROPERTYOF),
+        domain=pairs(RDFS_DOMAIN),
+        range=frozenset(pair for pair in pairs(RDFS_RANGE) if not _is_builtin(pair[1])),
+        inverse_of=frozenset((min(pair), max(pair)) for pair in pairs(OWL_INVERSE_OF)),
+    )
+
+
 def extract_schema(graph: Graph) -> SchemaIndex:
     """Build a SchemaIndex from a graph's schema-level triples.
 
@@ -204,50 +227,32 @@ def extract_schema(graph: Graph) -> SchemaIndex:
 
     restriction_nodes = {s for s, _, _ in graph._match(None, type_iri, iri(OWL_RESTRICTION)) if s.is_blank()}
 
-    sub_class_pairs: set[tuple[str, str]] = set()
+    axioms = axiom_pairs(graph)
+    for pairs, subjects, objects in (
+        (axioms.sub_class_of, classes, classes),
+        (axioms.sub_property_of, properties, properties),
+        (axioms.domain, properties, classes),
+        (axioms.range, properties, classes),
+        (axioms.inverse_of, properties, properties),
+    ):
+        for s, o in pairs:
+            subjects.add(s)
+            objects.add(o)
+    domain_of: dict[str, set[str]] = {}
+    for p, c in axioms.domain:
+        domain_of.setdefault(p, set()).add(c)
+    range_of: dict[str, set[str]] = {}
+    for p, c in axioms.range:
+        range_of.setdefault(p, set()).add(c)
+
     restriction_supers: dict[Term, list[str]] = {}
     edges = graph._match(None, iri(RDFS_SUBCLASSOF), None)
-    for s, _, o in sorted(edges, key=_edge_key):  # sorted: decides the first error
-        if s.is_iri() and o.is_iri():
-            sub_class_pairs.add((s.value, o.value))
-            classes.add(s.value)
-            classes.add(o.value)
-        elif s.is_iri() and o.is_blank():
-            if o not in restriction_nodes:
-                raise SchemaError(f"blank node _:{o.value} is used as a superclass but is not typed owl:Restriction")
-            restriction_supers.setdefault(o, []).append(s.value)
-            classes.add(s.value)
-
-    sub_property_pairs: set[tuple[str, str]] = set()
-    for s, _, o in graph._match(None, iri(RDFS_SUBPROPERTYOF), None):
-        if s.is_iri() and o.is_iri():
-            sub_property_pairs.add((s.value, o.value))
-            properties.add(s.value)
-            properties.add(o.value)
-
-    domain_of: dict[str, set[str]] = {}
-    for s, _, o in graph._match(None, iri(RDFS_DOMAIN), None):
-        if s.is_iri() and o.is_iri():
-            domain_of.setdefault(s.value, set()).add(o.value)
-            properties.add(s.value)
-            classes.add(o.value)
-
-    range_of: dict[str, set[str]] = {}
-    for s, _, o in graph._match(None, iri(RDFS_RANGE), None):
-        if s.is_iri() and o.is_iri():
-            if _is_builtin(o.value):
-                continue  # datatype ranges carry no instance typing
-            range_of.setdefault(s.value, set()).add(o.value)
-            properties.add(s.value)
-            classes.add(o.value)
-
-    inverse_pairs: set[tuple[str, str]] = set()
-    for s, _, o in graph._match(None, iri(OWL_INVERSE_OF), None):
-        if s.is_iri() and o.is_iri():
-            pair = tuple(sorted((s.value, o.value)))
-            inverse_pairs.add((pair[0], pair[1]))
-            properties.add(s.value)
-            properties.add(o.value)
+    restricted = [edge for edge in edges if edge[0].kind == "iri" and edge[2].kind == "blank"]
+    for s, _, o in sorted(restricted, key=_edge_key):  # sorted: decides the first error
+        if o not in restriction_nodes:
+            raise SchemaError(f"blank node _:{o.value} is used as a superclass but is not typed owl:Restriction")
+        restriction_supers.setdefault(o, []).append(s.value)
+        classes.add(s.value)
 
     disjoint_pairs: set[tuple[str, str]] = set()
     for s, _, o in graph._match(None, iri(OWL_DISJOINT_WITH), None):
@@ -273,7 +278,7 @@ def extract_schema(graph: Graph) -> SchemaIndex:
     classes = {c for c in classes if not _is_builtin(c)}
     properties = {p for p in properties if not _is_builtin(p)}
 
-    cycle = _detect_subclass_cycle(frozenset(sub_class_pairs))
+    cycle = _detect_subclass_cycle(axioms.sub_class_of)
     if cycle:
         raise SchemaError("subclass cycle detected: " + " < ".join(cycle))
 
@@ -286,11 +291,11 @@ def extract_schema(graph: Graph) -> SchemaIndex:
             raise SchemaError(f"obligation on {ob.on_class} names undeclared class {ob.filler}")
 
     return SchemaIndex(
-        sub_class_of=frozenset(sub_class_pairs),
-        sub_property_of=frozenset(sub_property_pairs),
+        sub_class_of=axioms.sub_class_of,
+        sub_property_of=axioms.sub_property_of,
         domain_of={p: frozenset(cs) for p, cs in sorted(domain_of.items())},
         range_of={p: frozenset(cs) for p, cs in sorted(range_of.items())},
-        inverse_of=frozenset(inverse_pairs),
+        inverse_of=axioms.inverse_of,
         disjoint_pairs=frozenset(disjoint_pairs),
         obligations=tuple(sorted(obligations, key=Obligation.sort_key)),
         class_level_triples=tuple(sorted(class_level, key=Triple.sort_key)),
@@ -346,15 +351,6 @@ class NameCatalog:
             if s.is_iri() and s not in class_iris and o.is_iri() and not _is_builtin(o.value):
                 individuals.setdefault(local_name(s.value), set()).add(s.value)
         return cls(classes, properties, individuals, prefixes)
-
-    def ambiguous_names(self) -> dict[str, set[str]]:
-        """Bare names that map to more than one IRI within a category."""
-        out: dict[str, set[str]] = {}
-        for table in self._by_category.values():
-            for name, iris in table.items():
-                if len(iris) > 1:
-                    out.setdefault(name, set()).update(iris)
-        return out
 
     def resolve(self, name: str, category: str, *more: str) -> str:
         """Resolve a name as written in a query or rule to an IRI.

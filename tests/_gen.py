@@ -21,7 +21,7 @@ from applekit.query import (
     Some,
     TriplePattern,
 )
-from applekit.rules import Rule, assign_strata
+from applekit.rules import Rule, _stratify
 from applekit.terms import (
     OWL_CLASS,
     OWL_DISJOINT_WITH,
@@ -195,6 +195,57 @@ def add_meta_axioms(rng: random.Random, graph: Graph) -> Graph:
     return graph
 
 
+def typing_graph(rng: random.Random) -> Graph:
+    """A graph of the shapes that typing a node at a time must get right:
+    many parallel edges from one subject over predicates sharing a domain,
+    one object reached over several range predicates that also carry
+    literal objects, inverse pairs declared both ways (and a property its
+    own inverse), and ``rdf:type`` with a domain or a range but no
+    superproperty.  Subclass and subproperty edges point from a higher
+    index to a lower one, so they form no cycle."""
+    classes = [iri(f"{NS}C{i}") for i in range(6)]
+    props = [iri(f"{NS}p{i}") for i in range(6)]
+    nodes = [iri(f"{NS}i{i}") for i in range(6)] + [blank("b0")]
+    graph = Graph()
+
+    def add(s: Term, p: str | Term, o: Term) -> None:
+        graph.insert(Triple(s, iri(p) if isinstance(p, str) else p, o))
+
+    for i in range(1, len(classes)):
+        if rng.random() < 0.5:
+            add(classes[i], RDFS_SUBCLASSOF, classes[rng.randrange(i)])
+    for i in range(1, len(props)):
+        if rng.random() < 0.25:
+            add(props[i], RDFS_SUBPROPERTYOF, props[rng.randrange(i)])
+    shared = rng.choice(classes)
+    for prop in rng.sample(props, rng.randint(2, 4)):
+        add(prop, RDFS_DOMAIN, shared)
+    for prop in rng.sample(props, rng.randint(2, 4)):
+        add(prop, RDFS_RANGE, rng.choice(classes))
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(props, 2)
+        add(a, OWL_INVERSE_OF, b)
+        add(b, OWL_INVERSE_OF, a)
+    if rng.random() < 0.3:
+        prop = rng.choice(props)
+        add(prop, OWL_INVERSE_OF, prop)
+    for predicate in (RDFS_DOMAIN, RDFS_RANGE):
+        if rng.random() < 0.4:
+            add(iri(RDF_TYPE), predicate, rng.choice(classes))
+
+    hub = rng.choice(nodes)
+    for _ in range(rng.randint(3, 12)):
+        add(hub, rng.choice(props), rng.choice(nodes))
+    target = rng.choice(nodes)
+    for prop in rng.sample(props, rng.randint(2, 5)):
+        add(rng.choice(nodes), prop, target)
+        if rng.random() < 0.5:
+            add(rng.choice(nodes), prop, literal(f"v{rng.randint(0, 2)}"))
+    for _ in range(rng.randint(0, 6)):
+        add(rng.choice(nodes), RDF_TYPE, rng.choice(classes))
+    return graph
+
+
 def add_literals(rng: random.Random, graph: Graph, count: int = 80) -> Graph:
     """Add ``count`` literal objects to subjects the graph already has, over
     two fresh properties: plain, language-tagged and datatyped forms of a
@@ -329,6 +380,12 @@ def random_rules(rng: random.Random, classes: list[str], props: list[str], indiv
             head = TriplePattern("x", rdf_type, heads[k])
         rules.append(Rule(f"G{k}", tuple(positives), tuple(negatives), head))
     return assign_strata(rules)
+
+
+def assign_strata(rules: list[Rule]) -> list[Rule]:
+    """The rules with the strata :func:`applekit.rules.parse_rules` would
+    give them, for rules built programmatically (ids must be unique)."""
+    return _stratify(rules, {rule.id: 0 for rule in rules})
 
 
 def random_rule_text(rng: random.Random, classes: list[str], props: list[str]) -> str:

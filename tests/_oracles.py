@@ -16,7 +16,7 @@ from urllib.parse import urljoin
 from applekit.graph import Graph
 from applekit.query import And, Anything, Named, OneOf, SelectQuery, Some
 from applekit.rules import Rule
-from applekit.schema import SchemaIndex
+from applekit.schema import NameCatalog, SchemaIndex
 from applekit.terms import (
     BUILTIN_NAMESPACES,
     OWL_DISJOINT_WITH,
@@ -792,3 +792,17 @@ def reference_parse(text: str):
 def parsed(text: str):
     """``parse_document``'s result in the shape of :func:`reference_parse`."""
     return _outcome(parse_document, text)
+
+
+# ---------------------------------------------------------------------------
+# Name catalogs
+
+
+def ambiguous_names(catalog: NameCatalog) -> dict[str, set[str]]:
+    """Bare names that map to more than one IRI within a category."""
+    out: dict[str, set[str]] = {}
+    for table in catalog._by_category.values():
+        for name, iris in table.items():
+            if len(iris) > 1:
+                out.setdefault(name, set()).update(iris)
+    return out

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _gen import add_data_axioms, add_meta_axioms, random_data_graph, random_graph  # noqa: E402
+from _gen import add_data_axioms, add_meta_axioms, random_data_graph, random_graph, typing_graph  # noqa: E402
 from _oracles import naive_materialize  # noqa: E402
 from test_graph import triples_built  # noqa: E402
 
@@ -171,6 +171,15 @@ class TestFixpointProperties:
         out = materialize(add_data_axioms(rng, random_data_graph(rng)), schema)
         assert materialize(out, extract_schema(out)) == out
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_typing_shapes_agree_with_naive(self, seed):
+        # Typing works a node at a time; these shapes give a node the same
+        # class over many edges, or over several predicates at once.
+        graph = typing_graph(random.Random(seed))
+        for schema in (extract_schema(graph), extract_schema(Graph())):
+            assert materialize(graph, schema) == naive_materialize(graph, schema)
+
     def test_monotone_in_input(self):
         base = parse_turtle(HEADER + "ex:A rdfs:subClassOf ex:B . ex:i a ex:A .")
         bigger = base.copy()
@@ -204,24 +213,34 @@ class TestDeriveOnce:
             assert built == 0 and len(out) > len(graph), len(graph)
 
     def test_each_individual_probes_its_ancestors_once(self, monkeypatch):
-        # Re-applying type inheritance to the supertypes it derived would
-        # probe depth**2 / 2 triples per individual instead of depth.
-        probes = [0]
-        original = Graph._add
+        # Every triple offered to the graph, one by one or as a set, is new:
+        # re-applying type inheritance to the supertypes it derived, or
+        # chaining the asserted subclass edges again, would offer some twice.
+        offered = []  # (triples offered, triples new) per write
+        add, add_objects = Graph._add, Graph._add_objects
 
-        def counting(graph, s, p, o):
-            probes[0] += 1
-            return original(graph, s, p, o)
+        def counting_add(graph, s, p, o):
+            new = add(graph, s, p, o)
+            offered.append((1, int(new)))
+            return new
 
-        monkeypatch.setattr(Graph, "_add", counting)
+        def counting_add_objects(graph, s, p, objects):
+            new = add_objects(graph, s, p, objects)
+            offered.append((len(objects), len(new)))
+            return new
+
+        monkeypatch.setattr(Graph, "_add", counting_add)
+        monkeypatch.setattr(Graph, "_add_objects", counting_add_objects)
         for depth in (10, 20, 40):
-            counts = []
             for individuals in (50, 100):
                 chain = subclass_chain(depth, individuals)
-                probes[0] = 0
-                materialize(chain, extract_schema(chain))
-                counts.append(probes[0])
-            assert counts[1] - counts[0] == 50 * depth, depth
+                offered.clear()
+                out = materialize(chain, extract_schema(chain))
+                assert all(count == new for count, new in offered), depth
+                derived = individuals * depth + depth * (depth - 1) // 2
+                assert sum(count for count, _ in offered) == derived == len(out) - len(chain)
+                for k in range(individuals):
+                    assert len(out._match(iri(f"{EX}x{k}"), TYPE, None)) == depth + 1
 
 
 class TestEntails:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _gen import graph_vocabulary, random_graph, random_rule_text, random_rules, renamed_scenario_copies  # noqa: E402
+from _gen import assign_strata, graph_vocabulary, random_graph, random_rule_text, random_rules, renamed_scenario_copies  # noqa: E402
 from _oracles import ground_firings, ground_fixpoint, stratification_violations  # noqa: E402
 
 from applekit.assets import load_assets
@@ -18,7 +18,6 @@ from applekit.rules import (
     Rule,
     RuleError,
     VerdictConflictError,
-    assign_strata,
     classify_actions,
     evaluate_rules,
     evaluate_with_provenance,
