@@ -70,7 +70,8 @@ from .terms import RDF_TYPE, RDFS_SUBCLASSOF, Term, iri
 
 # Tags naming the closure rule that derived a pending triple.  A pending
 # triple that inverse-propagation derived carries its source predicate's
-# IRI instead, and an input triple None.
+# IRI instead, and an input triple None.  An IRI holds a ':' and the tags
+# do not, so no tag equals a predicate's IRI.
 _TRANSITIVITY = "subclass-transitivity"
 _SUBPROPERTY = "subproperty-propagation"
 
