@@ -21,7 +21,8 @@ Inside the package, evaluators read through :meth:`Graph._match`,
 :meth:`Graph._has`, :meth:`Graph._by_object` and :meth:`Graph._nodes`
 instead, and insert through :meth:`Graph._add`, or :meth:`Graph._add_objects`
 for many objects of one subject and predicate.  These skip the sort, so
-their order is unspecified: a set leaf's order follows term hashing.
+their order is unspecified: a term hashes by identity, so a set leaf's
+order follows where its terms lie in memory.
 ``_match`` returns a new list of ``(s, p, o)`` tuples, a snapshot taken at
 call time, so a caller may insert into the graph while it walks the result.
 """

@@ -52,9 +52,9 @@ Then the phases alternate: phase 2's type triples are queued into phase 1
 when ``rdf:type`` feeds an edge rule, and phase 2 runs again over every
 node, until it adds nothing.
 
-The schema's IRIs are resolved, through one dict per call, to the Term
-objects the graph already holds, so index probes and set differences find
-their keys by identity.  :func:`materialize` copies its input; the command
+Terms are interned, so a schema IRI turned into a Term is the object the
+graph already holds, and index probes and set differences hash in C.
+:func:`materialize` copies its input; the command
 line hands its own freshly parsed graph to ``_materialize``, which extends
 it in place.
 """
@@ -89,22 +89,11 @@ def materialize(graph: Graph, schema: SchemaIndex) -> Graph:
 def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
     """:func:`materialize` on a graph the caller owns: the entailments are
     inserted into ``out`` itself, which is returned."""
-    # The graph's own Term per IRI, so that index probes with a schema IRI
-    # find their key by identity: subjects, predicates, then each
-    # predicate's objects.
-    own = {t.value: t for index in (out._spo, out._pos, *out._pos.values()) for t in index if t.kind == "iri"}
-
-    def term(value: str) -> Term:
-        found = own.get(value)
-        if found is None:
-            found = own[value] = iri(value)
-        return found
-
     def terms(values: Iterable[str]) -> frozenset[Term]:
-        return frozenset(term(value) for value in values)
+        return frozenset(map(iri, values))
 
-    rdf_type = term(RDF_TYPE)
-    subclass = term(RDFS_SUBCLASSOF)
+    rdf_type = iri(RDF_TYPE)
+    subclass = iri(RDFS_SUBCLASSOF)
 
     data = axiom_pairs(out)
     superclasses = _cached_closure(schema.sub_class_of | data.sub_class_of)
@@ -112,20 +101,20 @@ def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
     partners = _cached_inverse_map(schema.inverse_of | data.inverse_of)
 
     # Phase 1 tables, keyed by IRI: the Terms each edge rule derives with.
-    ancestors = {c: tuple(term(a) for a in parents) for c, parents in superclasses.items()}
-    superprops = {p: tuple(term(q) for q in parents if q != p) for p, parents in superproperties.items()}
-    inverses = {p: tuple(term(q) for q in qs) for p, qs in partners.items()}
+    ancestors = {c: tuple(map(iri, parents)) for c, parents in superclasses.items()}
+    superprops = {p: tuple(iri(q) for q in parents if q != p) for p, parents in superproperties.items()}
+    inverses = {p: tuple(map(iri, qs)) for p, qs in partners.items()}
     edge_rules = {RDFS_SUBCLASSOF, *superprops, *inverses}
 
     # Phase 2 tables, keyed by Term: each class's ancestors, and each
     # property's domain and range classes together with their ancestors.
-    lineage = {term(c): terms(parents) for c, parents in superclasses.items()}
+    lineage = {iri(c): terms(parents) for c, parents in superclasses.items()}
 
     def with_ancestors(pairs: Iterable[tuple[str, str]]) -> dict[Term, frozenset[Term]]:
         classes: dict[str, set[str]] = {}
         for p, c in pairs:
             classes.setdefault(p, set()).update((c, *superclasses.get(c, ())))
-        return {term(p): terms(cs) for p, cs in classes.items()}
+        return {iri(p): terms(cs) for p, cs in classes.items()}
 
     schema_domains = ((p, c) for p, cs in schema.domain_of.items() for c in cs)
     schema_ranges = ((p, c) for p, cs in schema.range_of.items() for c in cs)
@@ -197,9 +186,9 @@ def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
     pending: deque[tuple[Term, Term, Term, str | None]] = deque()
     for predicate in edge_rules:
         origin = _TRANSITIVITY if predicate == RDFS_SUBCLASSOF else None
-        pending.extend((s, p, o, origin) for s, p, o in out._match(None, term(predicate), None))
+        pending.extend((s, p, o, origin) for s, p, o in out._match(None, iri(predicate), None))
     for child, parents in ancestors.items():
-        child_term = term(child)
+        child_term = iri(child)
         for parent in parents:
             if parent.value != child and (child, parent.value) not in data.sub_class_of:
                 out._add(child_term, subclass, parent)

@@ -35,7 +35,8 @@ triples a pattern can match.  Negated patterns are checked after the join.
 The canonical firing order, used for each verdict's firings, is by rule
 id, then by the :meth:`~applekit.terms.Term.sort_key` of each bound term
 in variable-name order.  It does not depend on evaluation order, so
-``classify`` output is the same under every ``PYTHONHASHSEED``.
+``classify`` output is the same under every ``PYTHONHASHSEED`` and
+wherever the terms lie in memory.
 """
 
 from __future__ import annotations

@@ -1,21 +1,31 @@
 """Atomic RDF-style values: terms, triples, and prefix maps.
 
 A term is an IRI, a labeled blank node, or a literal (optionally carrying a
-datatype IRI or a language tag, never both).  Terms and triples are frozen
-dataclasses so they can live in sets and dict keys; every container in the
-toolkit sorts them with :func:`Term.sort_key` so output order never depends
-on insertion order.
+datatype IRI or a language tag, never both).  Every container in the
+toolkit sorts terms with :func:`Term.sort_key`, so output order never
+depends on insertion order or on where a term lives in memory.
 
-Both classes use ``__slots__`` and compute their hash once, at construction,
-into a private ``_hash`` field that takes no part in equality or ``repr``.
-A triple's hash combines the cached hashes of its three terms, so set and
-dict lookups never rehash the strings inside.  Pickling rebuilds from the
-public fields, so a hash never crosses a process boundary.
+Terms are interned: ``Term(...)`` returns the one live object with those
+four fields, building and checking a new one only when none is alive.  So
+two terms are equal exactly when they are the same object, and a term
+hashes by identity; both run in C, with no Python frame per dict or set
+probe.  The table behind this holds its terms through weak references, so
+a term no caller holds is freed and its entry removed, and the table never
+grows beyond the terms alive.  Pickling, ``copy`` and ``deepcopy`` give back
+the interned object.
+
+A triple is a frozen slots dataclass that hashes its three terms once, at
+construction, into a private ``_hash`` field that takes no part in equality
+or ``repr``.  Pickling rebuilds it from its terms, so a hash never crosses a
+process boundary.
 """
 
 from __future__ import annotations
 
 import re
+import string
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -77,45 +87,111 @@ def escape_literal_value(value: str) -> str:
     return _NEEDS_ESCAPE.sub(_escape_char, value)
 
 
-@dataclass(frozen=True, slots=True)
+class _Entry(weakref.ref):
+    """The interning table's weak reference to a term, carrying its key."""
+
+    __slots__ = ("key",)
+
+
+# The live Term of each key, held weakly: an IRI's key is its value, any
+# other term's is (kind, value, datatype, lang).  Holding no Term alive, the
+# table shrinks as terms die.
+_interned: dict[str | tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry) -> None:
+    """A dead term's weakref callback: drop its entry, unless a term built
+    again since has replaced it; the check and the delete are one C call."""
+    _remove_dead_weakref(_interned, entry.key)
+
+
+def _check(kind: str, value: str, datatype: str | None, lang: str | None) -> None:
+    """Raise StructuralError when the fields do not form a term."""
+    if kind == "iri":
+        if ":" not in value:
+            raise StructuralError(f"IRI is not absolute: {value!r}")
+        if _IRI_FORBIDDEN.search(value):
+            raise StructuralError(f"IRI contains a forbidden character: {value!r}")
+    elif kind == "blank":
+        if not value:
+            raise StructuralError("blank node label must be non-empty")
+    elif kind == "literal":
+        if datatype is not None:
+            if lang is not None:
+                raise StructuralError("literal cannot carry both a datatype and a language tag")
+            if ":" not in datatype or _IRI_FORBIDDEN.search(datatype):
+                raise StructuralError(f"literal datatype is not an absolute IRI: {datatype!r}")
+        elif lang is not None and not _LANGTAG.fullmatch(lang):
+            raise StructuralError(f"invalid language tag: {lang!r}")
+    else:
+        raise StructuralError(f"unknown term kind: {kind!r}")
+    if kind != "literal" and (datatype is not None or lang is not None):
+        raise StructuralError(f"only literals may carry a datatype or language tag, not {kind}")
+
+
 class Term:
+    """An IRI, a blank node or a literal; one live object per distinct value.
+
+    ``Term(...)`` returns the existing object when one with the same four
+    fields is alive, so equality is identity and hashing is the object's
+    own, both in C.  The fields cannot be set.
+    """
+
+    __slots__ = ("kind", "value", "datatype", "lang", "__weakref__")
+
     kind: str  # "iri" | "blank" | "literal"
     value: str
-    datatype: str | None = None
-    lang: str | None = None
-    _hash: int = field(init=False, repr=False, compare=False)
+    datatype: str | None
+    lang: str | None
 
-    def __post_init__(self) -> None:
-        if self.kind == "iri":
-            if ":" not in self.value:
-                raise StructuralError(f"IRI is not absolute: {self.value!r}")
-            if _IRI_FORBIDDEN.search(self.value):
-                raise StructuralError(f"IRI contains a forbidden character: {self.value!r}")
-        elif self.kind == "blank":
-            if not self.value:
-                raise StructuralError("blank node label must be non-empty")
-        elif self.kind == "literal":
-            if self.datatype is not None:
-                if self.lang is not None:
-                    raise StructuralError("literal cannot carry both a datatype and a language tag")
-                if self.datatype == XSD_STRING:
-                    # A simple literal is an xsd:string: one Term for both spellings.
-                    object.__setattr__(self, "datatype", None)
-                elif ":" not in self.datatype or _IRI_FORBIDDEN.search(self.datatype):
-                    raise StructuralError(f"literal datatype is not an absolute IRI: {self.datatype!r}")
-            elif self.lang is not None and not _LANGTAG.fullmatch(self.lang):
-                raise StructuralError(f"invalid language tag: {self.lang!r}")
+    def __new__(cls, kind: str, value: str, datatype: str | None = None, lang: str | None = None) -> "Term":
+        if datatype == XSD_STRING and lang is None and kind == "literal":
+            datatype = None  # a simple literal is an xsd:string: one Term for both spellings
+        if kind == "iri" and datatype is None and lang is None:
+            key: str | tuple = value
         else:
-            raise StructuralError(f"unknown term kind: {self.kind!r}")
-        if self.kind != "literal" and (self.datatype is not None or self.lang is not None):
-            raise StructuralError(f"only literals may carry a datatype or language tag, not {self.kind}")
-        object.__setattr__(self, "_hash", hash((self.kind, self.value, self.datatype, self.lang)))
+            key = (kind, value, datatype, lang)
+        entry = _interned.get(key)
+        if entry is not None:
+            term = entry()
+            if term is not None:
+                return term
+        _check(kind, value, datatype, lang)
+        term = object.__new__(cls)
+        _set_kind(term, kind)
+        _set_value(term, value)
+        _set_datatype(term, datatype)
+        _set_lang(term, lang)
+        entry = _Entry(term, _forget)
+        entry.key = key
+        while True:
+            # setdefault is one atomic step, so of two threads building the
+            # same term, the second gets the first's object.
+            stored = _interned.setdefault(key, entry)
+            if stored is entry:
+                return term
+            other = stored()
+            if other is not None:
+                return other
+            _remove_dead_weakref(_interned, key)  # a dead entry whose callback has not run yet
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an interned Term")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an interned Term")
+
+    def __repr__(self) -> str:
+        return f"Term(kind={self.kind!r}, value={self.value!r}, datatype={self.datatype!r}, lang={self.lang!r})"
 
     def __reduce__(self) -> tuple:
         return (Term, (self.kind, self.value, self.datatype, self.lang))
+
+    def __copy__(self) -> "Term":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "Term":
+        return self
 
     def is_iri(self) -> bool:
         return self.kind == "iri"
@@ -142,6 +218,12 @@ class Term:
             return f"{quoted}^^<{self.datatype}>"
         return quoted
 
+# The slots' own setters: Term.__new__ fills a new term through them, past
+# Term.__setattr__, at about half the cost of object.__setattr__.
+_set_kind, _set_value, _set_datatype, _set_lang = (
+    Term.__dict__[name].__set__ for name in ("kind", "value", "datatype", "lang")
+)
+
 
 def iri(value: str) -> Term:
     return Term("iri", value)
@@ -167,7 +249,7 @@ class Triple:
             raise StructuralError("triple subject cannot be a literal")
         if self.p.kind != "iri":
             raise StructuralError("triple predicate must be an IRI")
-        object.__setattr__(self, "_hash", hash((self.s._hash, self.p._hash, self.o._hash)))
+        object.__setattr__(self, "_hash", hash((self.s, self.p, self.o)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -192,11 +274,19 @@ def valid_local_name(local: str) -> bool:
     return bool(_PNAME_LOCAL_RE.fullmatch(local)) and not local.endswith(".")
 
 
+# The characters a local name can hold (``_PNAME_LOCAL_RE``).
+_LOCAL_CHARS = string.ascii_letters + string.digits + "_.-"
+
+
 class PrefixMap:
     """Bidirectional prefix/namespace bindings with longest-match compression."""
 
     def __init__(self, bindings: dict[str, str] | None = None) -> None:
         self._bindings: dict[str, str] = {}
+        # Built by compress, dropped by bind: each namespace's head (itself
+        # without its trailing local-name characters) -> its bindings,
+        # longest namespace first, then by prefix.
+        self._heads: dict[str, list[tuple[str, str]]] | None = None
         if bindings:
             for prefix, namespace in bindings.items():
                 self.bind(prefix, namespace)
@@ -207,6 +297,7 @@ class PrefixMap:
         if ":" not in namespace:
             raise StructuralError(f"namespace is not an absolute IRI: {namespace!r}")
         self._bindings[prefix] = namespace
+        self._heads = None
 
     def namespace(self, prefix: str) -> str | None:
         return self._bindings.get(prefix)
@@ -218,18 +309,24 @@ class PrefixMap:
         return namespace + local
 
     def compress(self, iri_value: str) -> str | None:
-        """Return ``prefix:local`` for the longest matching namespace, or None."""
-        best: tuple[int, str, str] | None = None
-        for prefix, namespace in self._bindings.items():
+        """Return ``prefix:local`` for the longest matching namespace, or None.
+
+        A local name holds only ``_LOCAL_CHARS``, so a namespace that can
+        compress the IRI is the IRI's head followed by local-name characters:
+        its own head is the IRI's.  One ``rstrip`` and one dict probe find
+        those namespaces, already in the order that picks the answer.
+        """
+        heads = self._heads
+        if heads is None:
+            heads = self._heads = {}
+            for prefix, namespace in sorted(self._bindings.items(), key=lambda item: (-len(item[1]), item[0])):
+                heads.setdefault(namespace.rstrip(_LOCAL_CHARS), []).append((prefix, namespace))
+        for prefix, namespace in heads.get(iri_value.rstrip(_LOCAL_CHARS), ()):
             if iri_value.startswith(namespace) and len(namespace) < len(iri_value):
                 local = iri_value[len(namespace):]
-                if not valid_local_name(local):
-                    continue
-                if best is None or len(namespace) > best[0] or (len(namespace) == best[0] and prefix < best[1]):
-                    best = (len(namespace), prefix, local)
-        if best is None:
-            return None
-        return f"{best[1]}:{best[2]}"
+                if valid_local_name(local):
+                    return f"{prefix}:{local}"
+        return None
 
     def items(self) -> list[tuple[str, str]]:
         return sorted(self._bindings.items())

@@ -290,11 +290,7 @@ class _Parser:
         self.prefixes = PrefixMap()
         self.base: str | None = None
         self.graph = Graph()
-        # One Term per distinct expanded IRI in this document, so repeated
-        # names share a Term and its cached hash.  Keyed by the expanded
-        # string, never the prefixed name, since a prefix may be rebound.
-        self._iris: dict[str, Term] = {}
-        self._type = self._iri(RDF_TYPE)
+        self._type = iri(RDF_TYPE)
         # The Term of each raw term text a step took ('ex:a', '<s>', '_:b',
         # 'a'), emptied by every directive.
         self._terms: dict[str, Term] = {}
@@ -368,7 +364,7 @@ class _Parser:
             value = self.prefixes.expand(prefix, local)
         if value is None:
             return None
-        term = self._terms[raw] = self._iri(value)
+        term = self._terms[raw] = iri(value)
         return term
 
     def _literal(self, body: str, lang: str | None, datatype: str | None) -> Term | None:
@@ -461,12 +457,6 @@ class _Parser:
         # urljoin resolves against a base only in the schemes it knows, not urn: or tag:.
         raise self.error(f"relative IRI <{token[1]}> cannot be resolved against base <{self.base}>", token)
 
-    def _iri(self, value: str) -> Term:
-        term = self._iris.get(value)
-        if term is None:
-            term = self._iris[value] = iri(value)
-        return term
-
     def _parse_predicate_object_list(self, subject: Term, predicate: Term | None = None, after_semi: bool = False) -> None:
         """The rest of a statement, up to its '.': from its first verb, from
         a verb after ';' (``after_semi``), or from an object after ','
@@ -496,9 +486,9 @@ class _Parser:
         if kind not in kinds:
             raise self.error(f"expected {what}, found {_describe(token)}", token)
         if kind == "pname":
-            return self._iri(self._expand_pname(token))
+            return iri(self._expand_pname(token))
         if kind == "iriref":
-            return self._iri(self._resolve_iri(token))
+            return iri(self._resolve_iri(token))
         if kind == "blank":
             return blank(token[1])
         if kind == "a":

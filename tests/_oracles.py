@@ -33,6 +33,7 @@ from applekit.terms import (
     blank,
     iri,
     literal,
+    valid_local_name,
 )
 from applekit.turtle import ParseDiagnostic, ParsedDocument, TurtleParseError, _lex, parse_document
 
@@ -46,6 +47,22 @@ def render_node(term: Term) -> str:
     if term.is_blank():
         return f"_:{term.value}"
     return term.n3()
+
+
+def compress_by_scan(prefixes: PrefixMap, iri_value: str) -> str | None:
+    """``PrefixMap.compress`` by testing every binding: the longest namespace
+    that leaves a valid local name, then the smallest prefix."""
+    best: tuple[int, str, str] | None = None
+    for prefix, namespace in prefixes.items():
+        if iri_value.startswith(namespace) and len(namespace) < len(iri_value):
+            local = iri_value[len(namespace):]
+            if not valid_local_name(local):
+                continue
+            if best is None or len(namespace) > best[0] or (len(namespace) == best[0] and prefix < best[1]):
+                best = (len(namespace), prefix, local)
+    if best is None:
+        return None
+    return f"{best[1]}:{best[2]}"
 
 
 # ---------------------------------------------------------------------------

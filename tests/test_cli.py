@@ -576,11 +576,12 @@ def _child_env():
     return env
 
 
-def _run_in_process(argv, hash_seed, cwd):
-    """Run ``python -m applekit.cli`` from this checkout under a hash seed."""
+def _run_in_process(argv, settings, cwd):
+    """Run ``python -m applekit.cli`` from this checkout with the
+    environment variables ``settings`` added."""
     env = _child_env()
     env["PYTHONPATH"] = str(SRC_DIR)
-    env["PYTHONHASHSEED"] = hash_seed
+    env.update(settings)
     return subprocess.run(
         [sys.executable, "-m", "applekit.cli", *argv],
         capture_output=True,
@@ -591,7 +592,10 @@ def _run_in_process(argv, hash_seed, cwd):
     )
 
 
-HASH_SEEDS = ("0", "2")
+# The two processes of each pair.  Strings hash differently in each, and
+# the second takes its memory from the system allocator, so its terms lie at
+# other addresses: a term hashes by identity, so set order follows address.
+PAIR_SETTINGS = ({"PYTHONHASHSEED": "0"}, {"PYTHONHASHSEED": "2", "PYTHONMALLOC": "malloc"})
 
 # The commands acceptance criterion 5 reruns in one process.
 CRITERION_5_COMMANDS = [
@@ -605,7 +609,7 @@ CRITERION_5_COMMANDS = [
 ]
 
 # S2 matches the edges S1 derives only in a later semi-naive round, where
-# evaluation order follows string hashing.
+# evaluation order follows set order.
 RECURSIVE_RULES = (
     "S2: Action(?a), <http://example.org/viol>(?a, ?p) -> MorallyWrongAction(?a) .\n"
     "S1: violatesEthicalPrinciple(?a, ?p) -> <http://example.org/viol>(?a, ?p) .\n"
@@ -637,7 +641,8 @@ def hash_order_inputs(tmp_path_factory):
 
 class TestHashSeedIndependence:
     """Output is byte-identical in fresh processes under different
-    ``PYTHONHASHSEED`` values, which a rerun in one process cannot show."""
+    ``PYTHONHASHSEED`` values and allocators, which a rerun in one process
+    cannot show."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -645,7 +650,7 @@ class TestHashSeedIndependence:
         ids=["reason", "classify", "instances", "classes", "select", "validate", "cq"],
     )
     def test_criterion_5_commands(self, argv, tmp_path):
-        first, second = (_run_in_process(argv, seed, tmp_path) for seed in HASH_SEEDS)
+        first, second = (_run_in_process(argv, settings, tmp_path) for settings in PAIR_SETTINGS)
         assert first.returncode == second.returncode == 0, first.stderr + second.stderr
         assert first.stdout, f"{argv[0]} produced no output"
         assert first.stdout == second.stdout
@@ -662,7 +667,7 @@ class TestHashSeedIndependence:
     )
     def test_generated_inputs(self, argv, hash_order_inputs, tmp_path):
         argv = (*argv, *hash_order_inputs)
-        first, second = (_run_in_process(argv, seed, tmp_path) for seed in HASH_SEEDS)
+        first, second = (_run_in_process(argv, settings, tmp_path) for settings in PAIR_SETTINGS)
         assert first.returncode == second.returncode, first.stderr + second.stderr
         assert first.stdout and first.stdout == second.stdout
 
@@ -670,7 +675,7 @@ class TestHashSeedIndependence:
         rules = tmp_path / "recursive.rules"
         rules.write_text(RECURSIVE_RULES, encoding="utf-8")
         argv = ("classify", "--bundled", "--rules", str(rules))
-        first, second = (_run_in_process(argv, seed, tmp_path) for seed in HASH_SEEDS)
+        first, second = (_run_in_process(argv, settings, tmp_path) for settings in PAIR_SETTINGS)
         assert first.returncode == second.returncode == 0, first.stderr + second.stderr
         assert first.stdout == second.stdout
         (verdict,) = json.loads(first.stdout)["verdicts"]

@@ -454,23 +454,24 @@ class TestVerdicts:
 
 class TestScaling:
     def test_classify_builds_terms_near_linearly(self, monkeypatch):
-        # Counts work rather than time: Terms built while classifying k and
-        # 4k scenario copies.  A per-action scan of every firing builds
-        # Terms quadratically in k.
+        # Counts work rather than time: Term constructor calls while
+        # classifying k and 4k scenario copies, those that return an
+        # existing term included.  A per-action scan of every firing calls
+        # the constructor quadratically often in k.
         assets = load_assets()
-        original = Term.__post_init__
+        original = Term.__new__
         built = [0]
 
-        def counting(term):
+        def counting(cls, *args, **kwargs):
             built[0] += 1
-            original(term)
+            return original(cls, *args, **kwargs)
 
         def terms_built(copies):
             graph = renamed_scenario_copies(assets.taxonomy, assets.scenario, copies)
             materialized = materialize(graph, extract_schema(graph))
             built[0] = 0
             with monkeypatch.context() as patch:
-                patch.setattr(Term, "__post_init__", counting)
+                patch.setattr(Term, "__new__", counting)
                 verdicts = classify_actions(materialized, assets.rules)
             assert len(verdicts) == copies
             return built[0]

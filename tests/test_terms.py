@@ -1,9 +1,12 @@
 """Term, Triple, and PrefixMap invariants."""
 
+import copy
+import gc
 import os
 import pickle
 import subprocess
 import sys
+import threading
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
@@ -12,7 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import applekit
+from applekit import terms
 from applekit.terms import (
+    XSD_NS,
     PrefixMap,
     StructuralError,
     Term,
@@ -24,6 +29,9 @@ from applekit.terms import (
     literal,
     valid_local_name,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+from _oracles import compress_by_scan  # noqa: E402
 
 EX = "http://example.org/"
 
@@ -175,21 +183,32 @@ class TestHashContract:
     @given(term_args)
     def test_hash_is_outside_repr_and_equality(self, args):
         term = Term(**args)
-        twin = Term(**args)
-        object.__setattr__(twin, "_hash", term._hash + 1)
-        assert twin == term
-        assert "_hash" not in repr(term)
-        triple = Triple(iri(EX + "s"), iri(EX + "p"), term)
-        assert "_hash" not in repr(triple)
-        assert triple == Triple(iri(EX + "s"), iri(EX + "p"), twin)
+        # A Term's repr shows its four fields and nothing else.
+        fields_ = normalised(args)
+        assert repr(term) == "Term(kind=%r, value=%r, datatype=%r, lang=%r)" % (
+            fields_["kind"], fields_["value"], fields_.get("datatype"), fields_.get("lang"))
+        s, p = iri(EX + "s"), iri(EX + "p")
+        triple, twin = Triple(s, p, term), Triple(s, p, term)
+        object.__setattr__(twin, "_hash", triple._hash + 1)
+        # Exact, since a literal's own text may contain "_hash".
+        assert repr(triple) == f"Triple(s={s!r}, p={p!r}, o={term!r})"
+        assert triple == twin
 
     @pytest.mark.parametrize("value", [iri(EX + "a"), Triple(iri(EX + "s"), iri(EX + "p"), literal("v"))])
     def test_every_field_is_frozen(self, value):
-        names = [f.name for f in fields(value)]
-        assert "_hash" in names
+        if isinstance(value, Triple):
+            names = [f.name for f in fields(value)]
+            assert "_hash" in names
+            frozen = FrozenInstanceError
+        else:
+            # A Term is a plain slots class holding its four fields only,
+            # and no attribute of it can be set.
+            assert Term.__slots__ == ("kind", "value", "datatype", "lang", "__weakref__")
+            names = ["kind", "value", "datatype", "lang", "unknown"]
+            frozen = AttributeError
         for name in names:
-            with pytest.raises(FrozenInstanceError):
-                setattr(value, name, getattr(value, name))
+            with pytest.raises(frozen):
+                setattr(value, name, getattr(value, name, None))
         assert not hasattr(value, "__dict__")
 
     def test_unpickling_recomputes_the_hash(self):
@@ -206,6 +225,96 @@ class TestHashContract:
         loaded = pickle.loads(bytes.fromhex(dumped.stdout))
         local = Triple(iri(EX + "s"), iri(EX + "p"), literal("v", lang="en"))
         assert loaded == local and hash(loaded) == hash(local) and loaded in {local}
+
+
+class TestInterning:
+    """One live Term per distinct (kind, value, datatype, lang)."""
+
+    @given(term_args, term_args)
+    def test_equal_arguments_give_one_object(self, a, b):
+        term = Term(**a)
+        # An xsd:string literal is the plain literal.
+        assert Term(**a) is term and Term(**normalised(a)) is term
+        assert (Term(**b) is term) == (normalised(a) == normalised(b))
+
+    def test_pickle_copy_and_deepcopy_give_the_interned_object(self):
+        values = [iri(EX + "a"), blank("b0"), literal("v", lang="en"), literal("5", datatype=XSD_NS + "integer")]
+        for term in values:
+            assert pickle.loads(pickle.dumps(term)) is term
+            assert copy.copy(term) is term and copy.deepcopy(term) is term
+        triple = Triple(values[1], values[0], values[2])
+        for twin in (pickle.loads(pickle.dumps(triple)), copy.deepcopy(triple)):
+            assert twin == triple
+            assert twin.s is values[1] and twin.p is values[0] and twin.o is values[2]
+
+    def test_unpickling_from_another_process_gives_the_interned_object(self):
+        code = (
+            "import pickle, sys\n"
+            "from applekit.terms import iri, literal\n"
+            f"sys.stdout.write(pickle.dumps([iri({EX + 'a'!r}), literal('v', lang='en')]).hex())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(applekit.__file__).resolve().parents[1]))
+        dumped = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        loaded = pickle.loads(bytes.fromhex(dumped.stdout))
+        assert loaded[0] is iri(EX + "a") and loaded[1] is literal("v", lang="en")
+
+    def test_table_shrinks_back_when_terms_are_dropped(self):
+        gc.collect()
+        gc.disable()  # no other term dies between the counts
+        try:
+            before = len(terms._interned)
+            fresh = [iri(f"urn:shrink:{i}") for i in range(10_000)]
+            assert len(terms._interned) == before + len(fresh)
+            del fresh
+            assert len(terms._interned) == before
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: iri("no-scheme"),
+            lambda: literal("v", lang="en us"),
+            lambda: Term("blank", "b", datatype=XSD_STRING),
+        ],
+        ids=["iri", "literal", "blank"],
+    )
+    def test_a_rejected_term_leaves_no_entry(self, build):
+        gc.collect()
+        gc.disable()
+        try:
+            before = set(terms._interned)
+            with pytest.raises(StructuralError):
+                build()
+            assert set(terms._interned) == before
+        finally:
+            gc.enable()
+
+    def test_threads_building_the_same_terms_get_one_object(self):
+        values = [f"urn:race:{i}" for i in range(2_000)]
+        workers = 4
+        start = threading.Barrier(workers)
+        built: list[list[Term] | None] = [None] * workers
+
+        def build(slot):
+            start.wait(timeout=30)
+            built[slot] = [iri(value) for value in values]
+
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        first = built[0]
+        assert first is not None and [term.value for term in first] == values
+        for other in built[1:]:
+            assert other is not None and all(a is b for a, b in zip(first, other, strict=True))
 
 
 class TestPrefixMap:
@@ -258,3 +367,19 @@ class TestPrefixMap:
         assert not valid_local_name("ends.")
         assert not valid_local_name("")
         assert not valid_local_name("has space")
+
+    @given(st.data())
+    def test_compress_agrees_with_the_scan(self, data):
+        # Namespaces that end inside a local name ('x/a', 'x/a.') as well as
+        # at '/' or '#', and IRIs that extend a bound namespace or not.
+        piece = st.text(alphabet="ab1/#.-_: ", max_size=4)
+        namespace = st.builds("urn:x/{}".format, piece.filter(lambda tail: " " not in tail))
+        bindings = data.draw(st.dictionaries(st.sampled_from(["", "a", "b", "ex", "e.x"]), namespace, max_size=4))
+        prefixes = PrefixMap(bindings)
+        bound = sorted(bindings.values())
+        for _ in range(3):
+            head = data.draw(st.sampled_from(bound) | namespace if bound else namespace)
+            value = head + data.draw(piece)
+            assert prefixes.compress(value) == compress_by_scan(prefixes, value), (bindings, value)
+            rebound = data.draw(st.sampled_from(["", "a", "z"]))
+            prefixes.bind(rebound, data.draw(namespace))
