@@ -19,17 +19,19 @@ its nested key.
 
 Inside the package, evaluators read through :meth:`Graph._match`,
 :meth:`Graph._has`, :meth:`Graph._by_object` and :meth:`Graph._nodes`
-instead, and insert through :meth:`Graph._add`, or :meth:`Graph._add_objects`
-for many objects of one subject and predicate.  These skip the sort, so
-their order is unspecified: a term hashes by identity, so a set leaf's
-order follows where its terms lie in memory.
+instead, and insert through :meth:`Graph._add`, :meth:`Graph._add_objects`
+for many objects of one subject and predicate, or :meth:`Graph._saturate`,
+the one fixpoint loop, which materialization and the rules both run on.
+The reads skip the sort, so their order is unspecified: a term hashes by
+identity, so a set leaf's order follows where its terms lie in memory.
 ``_match`` returns a new list of ``(s, p, o)`` tuples, a snapshot taken at
 call time, so a caller may insert into the graph while it walks the result.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from operator import attrgetter
 
 from .terms import Term, Triple, blank
@@ -128,6 +130,24 @@ class Graph:
                 by_s.add(s)
         self._size += len(new)
         return new
+
+    def _saturate(self, entries: Iterable[tuple], derive: Callable[[tuple], Iterable[tuple]]) -> None:
+        """Insert each candidate entry, and each entry a new one derives,
+        until nothing new is left.
+
+        An entry is a tuple that starts with a triple's three terms.  New
+        entries are queued, and each queued entry adds ``derive(entry)`` to
+        the candidates.  An entry already stored is not queued, so a caller
+        starting from stored triples passes what ``derive`` gives for them.
+        """
+        queue: deque[tuple] = deque()
+        while True:
+            for entry in entries:
+                if self._add(entry[0], entry[1], entry[2]):
+                    queue.append(entry)
+            if not queue:
+                return
+            entries = derive(queue.popleft())
 
     def _has(self, s: Term, p: Term, o: Term) -> bool:
         """True when ``(s, p, o)`` is stored."""

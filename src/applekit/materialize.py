@@ -25,18 +25,16 @@ schema's: each closure is computed once over both, so the output is closed
 under its own schema.  Existential obligations are never skolemized; the
 closed-world validator audits them instead.
 
-Evaluation is one loop of two phases, after the closure's subclass pairs
-are written:
+Evaluation is one loop of two phases:
 
-1. **Edge rules.**  A worklist runs ``subclass-transitivity``,
-   ``subproperty-propagation`` and ``inverse-propagation``.  It is seeded
-   with the triples whose predicate one of them reads, and it queues each
-   derived triple once.  Each entry carries what derived it, so that it
-   skips what its source already gave: a closure step adds nothing to a
-   triple it derived itself, and the inverse of an inverse-derived triple
-   over its source predicate is the source triple.  A candidate is an
-   ``(s, p, o, origin)`` tuple, inserted into the graph as three Terms; no
-   :class:`~applekit.terms.Triple` is built.
+1. **Edge rules.**  ``subclass-transitivity``, ``subproperty-propagation``
+   and ``inverse-propagation`` run on :meth:`~applekit.graph.Graph._saturate`,
+   the fixpoint loop of the verdict rules too, from the closure's subclass
+   pairs the graph lacks and what the stored triples derive.  Each
+   ``(s, p, o, origin)`` entry carries what derived it, so that it skips
+   what its source already gave: a closure step adds nothing to a triple it
+   derived itself, and the inverse of an inverse-derived triple over its
+   source predicate is the source triple.
 2. **Typing per node.**  The three typing rules depend on which predicates
    leave or reach a node and which types it has, not on how many edges
    there are.  Each property's domain and range classes are precomputed
@@ -48,9 +46,8 @@ are written:
 
 The type triples of phase 2 feed nothing but themselves, unless the
 schema gives ``rdf:type`` a superproperty, an inverse, a domain or a range.
-Then the phases alternate: phase 2's type triples are queued into phase 1
-when ``rdf:type`` feeds an edge rule, and phase 2 runs again over every
-node, until it adds nothing.
+Then the phases alternate: phase 2's type triples enter phase 1 as what
+they derive, and phase 2 runs again over every node, until it adds nothing.
 
 Terms are interned, so a schema IRI turned into a Term is the object the
 graph already holds, and index probes and set differences hash in C.
@@ -61,17 +58,14 @@ it in place.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 
 from .graph import Graph
 from .schema import SchemaIndex, _cached_closure, _cached_inverse_map, axiom_pairs
 from .terms import RDF_TYPE, RDFS_SUBCLASSOF, Term, iri
 
-# Tags naming the closure rule that derived a pending triple.  A pending
-# triple that inverse-propagation derived carries its source predicate's
-# IRI instead, and an input triple None.  An IRI holds a ':' and the tags
-# do not, so no tag equals a predicate's IRI.
+# Tags naming the closure rule that derived an entry.  An entry that
+# inverse-propagation derived carries its source predicate's Term instead.
 _TRANSITIVITY = "subclass-transitivity"
 _SUBPROPERTY = "subproperty-propagation"
 
@@ -100,16 +94,14 @@ def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
     superproperties = _cached_closure(schema.sub_property_of | data.sub_property_of)
     partners = _cached_inverse_map(schema.inverse_of | data.inverse_of)
 
-    # Phase 1 tables, keyed by IRI: the Terms each edge rule derives with.
-    ancestors = {c: tuple(map(iri, parents)) for c, parents in superclasses.items()}
-    superprops = {p: tuple(iri(q) for q in parents if q != p) for p, parents in superproperties.items()}
-    inverses = {p: tuple(map(iri, qs)) for p, qs in partners.items()}
-    edge_rules = {RDFS_SUBCLASSOF, *superprops, *inverses}
+    # Keyed by Term: each class's ancestors, read by both phases, and each
+    # property's proper superproperties and inverses.
+    ancestors = {iri(c): terms(parents) for c, parents in superclasses.items()}
+    superprops = {iri(p): tuple(iri(q) for q in parents if q != p) for p, parents in superproperties.items()}
+    inverses = {iri(p): tuple(map(iri, qs)) for p, qs in partners.items()}
+    edge_rules = {subclass, *superprops, *inverses}
 
-    # Phase 2 tables, keyed by Term: each class's ancestors, and each
-    # property's domain and range classes together with their ancestors.
-    lineage = {iri(c): terms(parents) for c, parents in superclasses.items()}
-
+    # Phase 2: each property's domain and range classes, with their ancestors.
     def with_ancestors(pairs: Iterable[tuple[str, str]]) -> dict[Term, frozenset[Term]]:
         classes: dict[str, set[str]] = {}
         for p, c in pairs:
@@ -123,34 +115,29 @@ def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
 
     # With none of these, a type triple derives only types, which phase 2
     # closes in one pass.
-    type_feeds_edges = RDF_TYPE in edge_rules
+    type_feeds_edges = rdf_type in edge_rules
     type_is_typed = rdf_type in domains or rdf_type in ranges
 
-    def edges(pending: deque) -> None:
-        """Phase 1: run the edge rules to a fixpoint from ``pending``."""
-        while pending:
-            s, p, o, origin = pending.popleft()
-            predicate = p.value
-            derived: list[tuple[Term, Term, Term, str]] = []
-            # ancestors and superprops are transitive closures, so a closure
-            # step adds nothing to a triple it derived itself.
-            if predicate == RDFS_SUBCLASSOF and origin is not _TRANSITIVITY and s.kind == "iri" and o.kind == "iri":
-                # A derived subclass edge chains through the closure.
-                for ancestor in ancestors.get(o.value, ()):
-                    if ancestor.value != s.value:
-                        derived.append((s, subclass, ancestor, _TRANSITIVITY))
-            if origin is not _SUBPROPERTY:
-                for parent in superprops.get(predicate, ()):
-                    derived.append((s, parent, o, _SUBPROPERTY))
-            if o.kind != "literal":
-                for partner in inverses.get(predicate, ()):
-                    # The inverse over the source predicate is the source.
-                    if partner.value != origin:
-                        derived.append((o, partner, s, predicate))
-            for candidate in derived:
-                ds, dp, do, _ = candidate
-                if out._add(ds, dp, do) and dp.value in edge_rules:
-                    pending.append(candidate)
+    def edges(entry: tuple[Term, Term, Term, str | Term]) -> list[tuple[Term, Term, Term, str | Term]]:
+        """Phase 1: the edge rules' candidates from one entry."""
+        s, p, o, origin = entry
+        derived = []
+        # ancestors and superprops are transitive closures, so a closure
+        # step adds nothing to a triple it derived itself.
+        if p is subclass and origin is not _TRANSITIVITY and s.kind == "iri" and o.kind == "iri":
+            # A derived subclass edge chains through the closure.
+            for ancestor in ancestors.get(o, ()):
+                if ancestor is not s:
+                    derived.append((s, subclass, ancestor, _TRANSITIVITY))
+        if origin is not _SUBPROPERTY:
+            for parent in superprops.get(p, ()):
+                derived.append((s, parent, o, _SUBPROPERTY))
+        if o.kind != "literal":
+            for partner in inverses.get(p, ()):
+                # The inverse over the source predicate is the source.
+                if partner is not origin:
+                    derived.append((o, partner, s, p))
+        return derived
 
     def types() -> list[tuple[Term, Iterable[Term]]]:
         """Phase 2: give every node the classes it needs; return each node
@@ -164,7 +151,7 @@ def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
                 if classes:
                     needed |= classes
             for cls in by_p.get(rdf_type, ()):
-                classes = lineage.get(cls)
+                classes = ancestors.get(cls)
                 if classes:
                     needed |= classes
             if needed:
@@ -179,25 +166,21 @@ def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
                     written.append((o, new))
         return written
 
-    # The closure of the asserted pairs, including pairs the data graph
-    # itself may not carry when the schema came from another graph.  The
-    # graph's own pairs are already stored, and their input triples enter
-    # phase 1 as closure steps: the closure holds what they chain to.
-    pending: deque[tuple[Term, Term, Term, str | None]] = deque()
-    for predicate in edge_rules:
-        origin = _TRANSITIVITY if predicate == RDFS_SUBCLASSOF else None
-        pending.extend((s, p, o, origin) for s, p, o in out._match(None, iri(predicate), None))
-    for child, parents in ancestors.items():
-        child_term = iri(child)
-        for parent in parents:
-            if parent.value != child and (child, parent.value) not in data.sub_class_of:
-                out._add(child_term, subclass, parent)
-                pending.append((child_term, subclass, parent, _TRANSITIVITY))
-
+    # The closure's pairs the graph lacks (the schema may come from another
+    # graph), then what the graph's triples over an edge rule's predicate,
+    # and later phase 2's, derive as closure steps: the closure's pairs are
+    # what a stored subclass edge chains to, and the tag skips no other rule.
+    entries = [
+        (child, subclass, parent, _TRANSITIVITY)
+        for child, parents in ancestors.items()
+        for parent in parents
+        if parent is not child and not out._has(child, subclass, parent)
+    ]
+    for p in edge_rules:
+        entries += [c for s, _, o in out._match(None, p, None) for c in edges((s, p, o, _TRANSITIVITY))]
     while True:
-        edges(pending)
+        out._saturate(entries, edges)
         written = types()
         if not written or not (type_feeds_edges or type_is_typed):
             return out
-        if type_feeds_edges:
-            pending.extend((node, rdf_type, cls, None) for node, classes in written for cls in classes)
+        entries = [c for node, classes in written for cls in classes for c in edges((node, rdf_type, cls, _TRANSITIVITY))]

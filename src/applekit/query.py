@@ -315,9 +315,9 @@ class TriplePattern(NamedTuple):
         return [binding.get(slot) if isinstance(slot, str) else slot for slot in self]
 
 
-def solutions(patterns: tuple[TriplePattern, ...], graph: Graph, first: Graph | None = None) -> list[dict[str, Term]]:
-    """Every binding under which all the patterns match triples of
-    ``graph``; the first pattern matches in ``first`` instead, when given.
+def solutions(patterns: tuple[TriplePattern, ...], graph: Graph, start: dict[str, Term] | None = None) -> list[dict[str, Term]]:
+    """Every binding that extends ``start`` (empty when not given) and under
+    which all the patterns match triples of ``graph``.
 
     This is the package's one join.  Each pattern in turn extends every
     binding so far, looking up the slots already bound in the graph's
@@ -325,13 +325,12 @@ def solutions(patterns: tuple[TriplePattern, ...], graph: Graph, first: Graph | 
     repeat inside one pattern.  The same binding can appear more than once;
     callers that need a set collect the bindings into one.
     """
-    bindings: list[dict[str, Term]] = [{}]
-    source = graph if first is None else first
+    bindings: list[dict[str, Term]] = [{} if start is None else start]
     for pattern in patterns:
         extended: list[dict[str, Term]] = []
         for binding in bindings:
             ground = pattern.ground(binding)
-            matched = source._match(*ground)
+            matched = graph._match(*ground)
             if not matched:
                 continue
             # (slot position, variable) for each variable the binding leaves open
@@ -349,7 +348,6 @@ def solutions(patterns: tuple[TriplePattern, ...], graph: Graph, first: Graph | 
                 else:
                     extended.append(bound)
         bindings = extended
-        source = graph
     return bindings
 
 

@@ -22,15 +22,18 @@ overlap when, in each slot where both hold a constant, the constants are
 equal.  A rule sits at or above every rule whose head one of its positive
 patterns overlaps, and strictly above every rule whose head one of its
 negated patterns overlaps.  Rules whose negations form a cycle are
-rejected.  Evaluation runs strata in ascending order, semi-naive within a
-stratum, and records a :class:`Firing` (rule id plus variable bindings)
-for every distinct body match, so each derived triple can be replayed.
+rejected.  Evaluation runs strata in ascending order, each to its fixpoint
+on :meth:`~applekit.graph.Graph._saturate`, the worklist the materializer
+runs on too, and records a :class:`Firing` (rule id plus variable
+bindings) for every distinct body match, so each derived triple can be
+replayed.
 
 A body is matched by the package's one join,
-:func:`~applekit.query.solutions`.  Each round's new triples form a small
-indexed graph (the delta), and the next round matches each positive
-pattern in turn against the delta first, so it looks up only the delta
-triples a pattern can match.  Negated patterns are checked after the join.
+:func:`~applekit.query.solutions`.  A stratum starts with one join of each
+rule's whole body.  Then each new triple is matched against the stratum's
+positive patterns over its predicate whose constants it shares, and each
+such body is joined again from the pattern's variables bound to the
+triple's terms.  Negated patterns are checked after the join.
 
 The canonical firing order, used for each verdict's firings, is by rule
 id, then by the :meth:`~applekit.terms.Term.sort_key` of each bound term
@@ -41,6 +44,7 @@ wherever the terms lie in memory.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from .graph import Graph
@@ -279,34 +283,15 @@ def _check_safety(rule: Rule, line: int) -> None:
 # Evaluation
 
 
-def _match_body(rule: Rule, graph: Graph, delta: Graph | None):
-    """Yield every binding under which the rule body holds in ``graph``.
-
-    With a delta (the triples the previous round added), yield only the
-    bindings that use at least one delta triple: for each positive pattern
-    in turn, match that pattern against the delta first and join the others
-    against the whole graph.  A binding using several delta triples is
-    yielded once per such pattern; the caller drops the repeats.
-    """
-    positives = rule.positives
-    if delta is None:
-        orders = [positives]
-    else:
-        orders = [(positives[i], *positives[:i], *positives[i + 1:]) for i in range(len(positives))]
-    for patterns in orders:
-        for binding in solutions(patterns, graph, delta):
-            if not any(graph._match(*pattern.ground(binding)) for pattern in rule.negatives):
-                yield binding
-
-
 def evaluate_with_provenance(graph: Graph, rules: list[Rule]) -> tuple[Graph, list[Firing]]:
     """Evaluate stratified rules to fixpoint; return the extended graph and
     one Firing per distinct (rule, binding) body match.
 
     A binding that grounds the head's subject to a literal derives nothing
     and records no Firing, since no triple has a literal subject.  Firings
-    come in derivation order: strata ascending, then semi-naive rounds; the
-    order within a round is unspecified.  The input graph is never mutated.
+    come in derivation order: strata ascending, then each rule's whole-body
+    join, then the joins each new triple starts; the order within a join is
+    unspecified.  The input graph is never mutated.
     """
     out = graph.copy()
     return out, _extend(out, rules)
@@ -317,26 +302,39 @@ def _extend(out: Graph, rules: list[Rule]) -> list[Firing]:
     derived triples are inserted into ``out`` itself."""
     firings: list[Firing] = []
     seen: set[tuple[str, tuple[tuple[str, Term], ...]]] = set()
+
+    def fire(rule: Rule, bindings: list[dict[str, Term]]) -> Iterator[tuple[Term, Term, Term]]:
+        """Record a Firing for each new binding no negated pattern blocks; yield its head."""
+        for binding in bindings:
+            if any(out._match(*pattern.ground(binding)) for pattern in rule.negatives):
+                continue
+            bound = tuple(sorted(binding.items()))
+            if (rule.id, bound) not in seen:
+                seen.add((rule.id, bound))
+                s, p, o = rule.head.ground(binding)
+                if not s.is_literal():
+                    firings.append(Firing(rule.id, bound, Triple(s, p, o)))
+                    yield s, p, o
+
     for stratum in sorted({rule.stratum for rule in rules}):
         group = [rule for rule in rules if rule.stratum == stratum]
-        delta: Graph | None = None
-        while True:
-            added = Graph()
-            for rule in group:
-                for binding in _match_body(rule, out, delta):
-                    bound = tuple(sorted(binding.items()))
-                    if (rule.id, bound) in seen:
-                        continue
-                    seen.add((rule.id, bound))
-                    s, p, o = rule.head.ground(binding)
-                    if s.is_literal():
-                        continue
-                    firings.append(Firing(rule.id, bound, Triple(s, p, o)))
-                    if out._add(s, p, o):
-                        added._add(s, p, o)
-            if not added:
-                break
-            delta = added
+        # Each positive pattern under its predicate, a constant in every atom.
+        readers: dict[Term, list[tuple[Rule, TriplePattern]]] = {}
+        for rule in group:
+            for pattern in rule.positives:
+                readers.setdefault(pattern.p, []).append((rule, pattern))
+
+        def derive(fact: tuple[Term, Term, Term]) -> Iterator[tuple[Term, Term, Term]]:
+            """Join each body again from a pattern ``fact`` may match, its variables
+            bound to the fact's terms; the join checks a repeated variable."""
+            s, p, o = fact
+            for rule, pattern in readers.get(p, ()):
+                ps, _, po = pattern
+                if (ps is s or not isinstance(ps, Term)) and (po is o or not isinstance(po, Term)):
+                    start = {slot: term for slot, term in zip(pattern, fact) if isinstance(slot, str)}
+                    yield from fire(rule, solutions(rule.positives, out, start))
+
+        out._saturate([head for rule in group for head in fire(rule, solutions(rule.positives, out))], derive)
     return firings
 
 

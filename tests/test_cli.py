@@ -608,8 +608,8 @@ CRITERION_5_COMMANDS = [
     ("cq", "--bundled"),
 ]
 
-# S2 matches the edges S1 derives only in a later semi-naive round, where
-# evaluation order follows set order.
+# S2 matches the edges S1 derives only in the joins those edges start, whose
+# order follows set order.
 RECURSIVE_RULES = (
     "S2: Action(?a), <http://example.org/viol>(?a, ?p) -> MorallyWrongAction(?a) .\n"
     "S1: violatesEthicalPrinciple(?a, ?p) -> <http://example.org/viol>(?a, ?p) .\n"

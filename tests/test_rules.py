@@ -14,6 +14,7 @@ from _oracles import ground_firings, ground_fixpoint, stratification_violations 
 from applekit.assets import load_assets
 from applekit.materialize import materialize
 from applekit.query import TriplePattern
+import applekit.rules as rules_module
 from applekit.rules import (
     Rule,
     RuleError,
@@ -311,6 +312,33 @@ class TestEvaluation:
         out = evaluate_rules(graph, rules)
         assert evaluate_rules(out, rules) == out
 
+    def test_a_fact_starts_no_join_from_a_pattern_it_cannot_match(self, micro, monkeypatch):
+        # In stratum 1, S1 derives D(b) and D(c).  Each has the predicate of
+        # S1's own C(?x) pattern but not its class, so it must start no join
+        # of S1's body; it does start one of S2's, whose D(?x) it matches.
+        graph, catalog = micro
+        rules = parse_rules(
+            "S0: q(?x, ?y) -> E(?y) .\n"
+            "S1: C(?x), p(?x, ?y), not E(?x) -> D(?y) .\n"
+            "S2: D(?x) -> F(?x) .",
+            catalog,
+        )
+        assert [rule.stratum for rule in rules] == [0, 1, 1]
+        solutions = rules_module.solutions
+        started = []  # (body, start binding) of each join a new fact starts
+
+        def counting(patterns, graph, start=None):
+            if start is not None:
+                started.append((patterns, {name: term.value for name, term in start.items()}))
+            return solutions(patterns, graph, start)
+
+        monkeypatch.setattr(rules_module, "solutions", counting)
+        out = evaluate_rules(graph, rules)
+        assert typed(out, "D") == {EX + "b", EX + "c"} and typed(out, "F") == {EX + "b", EX + "c"}
+        body = {rule.id: rule.positives for rule in rules}
+        assert [start for patterns, start in started if patterns == body["S1"]] == []
+        assert sorted(start["x"] for patterns, start in started if patterns == body["S2"]) == [EX + "b", EX + "c"]
+
 
 class TestProvenance:
     def test_firings_record_sorted_bindings(self, micro):
@@ -353,7 +381,7 @@ class TestProvenance:
 class TestRandomEquivalence:
     def test_engine_matches_grounding_oracle(self):
         # The seeds and rule orders of the firing sweep below: only these
-        # reach a semi-naive delta round.
+        # make a rule match a head derived after its own seed join.
         for seed in range(120):
             rng = random.Random(1000 + seed)
             graph = random_graph(rng)
@@ -364,8 +392,8 @@ class TestRandomEquivalence:
                 assert evaluate_rules(materialized, ordered) == expected, seed
 
     def test_firings_match_grounding_oracle(self):
-        # More seeds than the graph sweep: only about one seed in fifteen
-        # yields a rule that matches a head derived in an earlier round.
+        # Many seeds: only about one in twelve yields a rule that matches a
+        # head derived after the rule's own seed join.
         for seed in range(120):
             rng = random.Random(1000 + seed)
             graph = random_graph(rng)
@@ -373,8 +401,8 @@ class TestRandomEquivalence:
             rules = random_rules(rng, *graph_vocabulary(graph))
             expected = ground_firings(materialized, rules)
             heads = {rule.id: rule.head for rule in rules}
-            # Reversed, a rule runs before the rules it chains on, so its
-            # matches on their heads come only from later semi-naive rounds.
+            # In either order, a rule's matches on a head its stratum derives
+            # come from the join that head starts, after the rule's seed join.
             for ordered in (rules, rules[::-1]):
                 _, firings = evaluate_with_provenance(materialized, ordered)
                 keys = [(f.rule_id, f.bindings) for f in firings]
