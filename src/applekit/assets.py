@@ -14,16 +14,18 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
+from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
-from .graph import Graph
-from .rules import Rule, parse_rules
-from .schema import NameCatalog, SchemaIndex, extract_schema
-from .terms import PrefixMap
+from .schema import NameCatalog, extract_schema
+from .terms import AssetError, PrefixMap
 from .turtle import parse_document
+
+if TYPE_CHECKING:
+    from .graph import Graph
+    from .rules import Rule
+    from .schema import SchemaIndex
 
 ASSET_ENV_VAR = "APPLE_ASSET_DIR"
 
@@ -34,20 +36,15 @@ CQ_MANIFEST_FILE = "cq-manifest.json"
 COUNTS_FILE = "manifest.json"
 
 
-class AssetError(Exception):
-    """A bundled asset is missing, unreadable, or fails its integrity check."""
-
-
 def asset_dir() -> Path:
     """The directory holding the assets, honoring APPLE_ASSET_DIR."""
     override = os.environ.get(ASSET_ENV_VAR)
     if override:
         return Path(override)
-    return Path(str(resources.files("applekit"))) / "assets"
+    return Path(__file__).parent / "assets"
 
 
-@dataclass(frozen=True)
-class CqCase:
+class CqCase(NamedTuple):
     id: str
     question: str
     mode: str
@@ -83,20 +80,39 @@ def parse_cq_manifest(text: str) -> tuple[CqCase, ...]:
     return tuple(cases)
 
 
-@dataclass
 class AppleAssets:
     """The loaded bundle.  Treat the graphs as read-only; the loader caches
-    per asset directory and hands every caller the same objects."""
+    per asset directory and hands every caller the same objects.
 
-    taxonomy: Graph
-    scenario: Graph
-    prefixes: PrefixMap
-    schema: SchemaIndex
-    catalog: NameCatalog
-    rules: list[Rule]
-    rules_text: str
-    cq_cases: tuple[CqCase, ...]
-    counts: dict[str, int]
+    ``rules`` is parsed from ``rules_text`` when it is first read, so a
+    command that runs no rules never imports the rule engine.
+    """
+
+    def __init__(
+        self,
+        taxonomy: Graph,
+        scenario: Graph,
+        prefixes: PrefixMap,
+        schema: SchemaIndex,
+        catalog: NameCatalog,
+        rules_text: str,
+        cq_cases: tuple[CqCase, ...],
+        counts: dict[str, int],
+    ) -> None:
+        self.taxonomy = taxonomy
+        self.scenario = scenario
+        self.prefixes = prefixes
+        self.schema = schema
+        self.catalog = catalog
+        self.rules_text = rules_text
+        self.cq_cases = cq_cases
+        self.counts = counts
+
+    @cached_property
+    def rules(self) -> list[Rule]:
+        from .rules import parse_rules
+
+        return parse_rules(self.rules_text, self.catalog)
 
     def combined(self) -> Graph:
         return _merged(self.taxonomy, self.scenario)
@@ -146,19 +162,14 @@ def _cached_assets(path: Path) -> AppleAssets:
     schema = extract_schema(combined)
     catalog = NameCatalog.from_graph(combined, schema, prefixes)
 
-    rules_text = _read(path, RULES_FILE)
-    rules = parse_rules(rules_text, catalog)
-    cq_cases = parse_cq_manifest(_read(path, CQ_MANIFEST_FILE))
-
     return AppleAssets(
         taxonomy=taxonomy_doc.graph,
         scenario=scenario_doc.graph,
         prefixes=prefixes,
         schema=schema,
         catalog=catalog,
-        rules=rules,
-        rules_text=rules_text,
-        cq_cases=cq_cases,
+        rules_text=_read(path, RULES_FILE),
+        cq_cases=parse_cq_manifest(_read(path, CQ_MANIFEST_FILE)),
         counts=counts,
     )
 

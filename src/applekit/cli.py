@@ -14,6 +14,10 @@ competency questions), 2 configuration or rule errors, 3 query errors,
 
 All commands are deterministic: given the same inputs they produce byte
 identical output.
+
+The module imports only the standard library.  Each command imports the
+layers it runs when it runs, so ``reason`` loads no rule, query,
+competency-question or validation code.
 """
 
 from __future__ import annotations
@@ -23,27 +27,12 @@ import gc
 import json
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .assets import AssetError, load_assets, parse_cq_manifest
-from .cq import format_cq_table, run_cq_suite
-from .graph import Graph
-from .materialize import _materialize
-from .query import (
-    QueryParseError,
-    parse_class_expression,
-    parse_select,
-    render_term,
-    retrieve_classes,
-    retrieve_instances,
-    select,
-)
-from .rules import RuleError, VerdictConflictError, _classify, parse_rules
-from .schema import NameCatalog, SchemaError, SchemaIndex, extract_schema
-from .terms import PrefixMap, StructuralError
-from .turtle import TurtleParseError, parse_document, serialize_turtle
-from .validate import _validate, inputs_digest
-from .vocab import DEFAULT_PREFIXES
+if TYPE_CHECKING:
+    from .graph import Graph
+    from .schema import NameCatalog, SchemaIndex
+    from .terms import PrefixMap
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -73,11 +62,16 @@ def _add_io_options(parser: argparse.ArgumentParser) -> None:
 def _load_inputs(args: argparse.Namespace) -> tuple[Graph, PrefixMap]:
     """Union of the bundled graphs (if requested) and every -i file, each
     file's blank nodes kept apart from those of the graphs before it."""
+    from .turtle import TurtleParseError, parse_document
+    from .vocab import DEFAULT_PREFIXES
+
     if not args.bundled and not args.input:
         raise CliError("no inputs: pass --bundled and/or -i FILE", EXIT_CONFIG)
     merged: Graph | None = None
     prefixes = DEFAULT_PREFIXES.copy()
     if args.bundled:
+        from .assets import load_assets
+
         assets = load_assets()
         merged = assets.combined()  # a fresh graph, safe to extend
         for prefix, namespace in assets.prefixes.items():
@@ -116,6 +110,9 @@ def _reason(graph: Graph, prefixes: PrefixMap, *, names: bool = False) -> _Reaso
     The catalog is built before materializing: it lists as individuals the
     typed subjects, and entailment would type more of them.
     """
+    from .materialize import _materialize
+    from .schema import NameCatalog, extract_schema
+
     schema = extract_schema(graph)
     catalog = NameCatalog.from_graph(graph, schema) if names else None
     return _Reasoned(prefixes, schema, catalog, _materialize(graph, schema))
@@ -132,12 +129,18 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _cmd_reason(args: argparse.Namespace) -> int:
+    from .turtle import serialize_turtle
+
     inputs = _reason(*_load_inputs(args))
     _emit(args, serialize_turtle(inputs.materialized, inputs.prefixes))
     return EXIT_OK
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .query import render_term
+    from .rules import _classify, parse_rules
+    from .validate import inputs_digest
+
     graph, prefixes = _load_inputs(args)
     digest = inputs_digest(graph)  # of the inputs, before they are extended
     inputs = _reason(graph, prefixes, names=bool(args.rules))
@@ -148,6 +151,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             raise CliError(f"cannot read rules file {args.rules}: {exc}", EXIT_CONFIG) from exc
         rules = parse_rules(rules_text, inputs.catalog)
     elif args.bundled:
+        from .assets import load_assets
+
         rules = load_assets().rules
     else:
         raise CliError("classify needs --rules FILE or --bundled", EXIT_CONFIG)
@@ -175,6 +180,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from .query import parse_class_expression, parse_select, retrieve_classes, retrieve_instances, select
+
     inputs = _reason(*_load_inputs(args), names=True)
     if args.mode == "select":
         parsed = parse_select(args.expression, inputs.catalog)
@@ -198,6 +205,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .schema import extract_schema
+    from .validate import _validate
+
     graph, _ = _load_inputs(args)
     report = _validate(graph, extract_schema(graph), args.world)
     _emit(args, report.render_json())
@@ -205,6 +215,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_cq(args: argparse.Namespace) -> int:
+    from .assets import load_assets, parse_cq_manifest
+    from .cq import format_cq_table, run_cq_suite
+
     inputs = _reason(*_load_inputs(args), names=True)
     if args.manifest:
         try:
@@ -265,6 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .terms import (
+        AssetError,
+        QueryParseError,
+        RuleError,
+        SchemaError,
+        StructuralError,
+        TurtleParseError,
+        VerdictConflictError,
+    )
+
     parser = build_parser()
     args = parser.parse_args(argv)
     # A command builds many long-lived containers and frees them together,

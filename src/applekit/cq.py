@@ -3,16 +3,17 @@ answer set against the recorded expectation (exact set equality)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from .assets import CqCase
-from .graph import Graph
 from .query import parse_class_expression, parse_select, retrieve_classes, retrieve_instances, select
-from .schema import NameCatalog, SchemaIndex
+
+if TYPE_CHECKING:
+    from .assets import CqCase
+    from .graph import Graph
+    from .schema import NameCatalog, SchemaIndex
 
 
-@dataclass(frozen=True)
-class CqResult:
+class CqResult(NamedTuple):
     id: str
     question: str
     mode: str

@@ -30,66 +30,85 @@ instance-retrieval extensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import Graph
 from .schema import PUNCTUATION, LexError, NameCatalog, SchemaIndex, Token, TokenCursor, tokenize
-from .terms import RDF_TYPE, Term, iri
+from .terms import RDF_TYPE, QueryParseError, Term, iri
 
 _TYPE = iri(RDF_TYPE)
-
-
-class QueryParseError(Exception):
-    """The query text cannot be parsed or references unknown names."""
-
-    def __init__(self, message: str, position: int | None = None) -> None:
-        suffix = f" (at offset {position})" if position is not None else ""
-        super().__init__(message + suffix)
-        self.position = position
 
 
 # ---------------------------------------------------------------------------
 # AST
 
 
-@dataclass(frozen=True)
-class PropertyPath:
+class PropertyPath(NamedTuple):
     iri: str
     inverted: bool = False
 
 
-@dataclass(frozen=True)
-class Named:
+class Named(NamedTuple):
     iri: str
 
 
-@dataclass(frozen=True)
-class OneOf:
+class OneOf(NamedTuple):
     iris: frozenset[str]
 
 
-@dataclass(frozen=True)
 class Anything:
-    pass
+    """Any node.  Every instance is equal to ``ANYTHING``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Anything:
+            return NotImplemented
+        return True
+
+    def __hash__(self) -> int:
+        return hash(Anything)
+
+    def __repr__(self) -> str:
+        return "Anything()"
 
 
 ANYTHING = Anything()
 
 
-@dataclass(frozen=True)
-class Some:
+class Some(NamedTuple):
     path: PropertyPath
-    filler: "ClassExpression" = ANYTHING
+    filler: ClassExpression = ANYTHING
 
 
-@dataclass(frozen=True)
 class And:
-    parts: tuple["ClassExpression", ...]
+    """A conjunction of two or more class expressions; it cannot be changed."""
 
-    def __post_init__(self) -> None:
-        if len(self.parts) < 2:
+    __slots__ = ("parts",)
+
+    parts: tuple[ClassExpression, ...]
+
+    def __init__(self, parts: tuple[ClassExpression, ...]) -> None:
+        if len(parts) < 2:
             raise ValueError("And requires at least two conjuncts")
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an And")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an And")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not And:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"And(parts={self.parts!r})"
 
 
 ClassExpression = Named | OneOf | Anything | Some | And
@@ -351,8 +370,7 @@ def solutions(patterns: tuple[TriplePattern, ...], graph: Graph, start: dict[str
     return bindings
 
 
-@dataclass(frozen=True)
-class SelectQuery:
+class SelectQuery(NamedTuple):
     patterns: tuple[TriplePattern, ...]
     variables: tuple[str, ...]  # in first-appearance order
 

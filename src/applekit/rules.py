@@ -45,32 +45,18 @@ wherever the terms lie in memory.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .graph import Graph
 from .query import TriplePattern, solutions
 from .schema import PUNCTUATION, LexError, Token, TokenCursor, tokenize
-from .terms import RDF_TYPE, Term, Triple, iri
+from .terms import RDF_TYPE, RuleError, Term, Triple, VerdictConflictError, iri
 from .vocab import ACTION, UPHOLDS_PRINCIPLE, VERDICT_CLASSES, VIOLATES_PRINCIPLE
 
 _TYPE = iri(RDF_TYPE)
 
 
-class RuleError(Exception):
-    """A rule file is syntactically or semantically unusable."""
-
-
-class VerdictConflictError(RuleError):
-    """An action was derived into more than one verdict class."""
-
-    def __init__(self, action: str, classes: tuple[str, ...]) -> None:
-        super().__init__(f"action {action} received contradictory verdicts: {', '.join(classes)}")
-        self.action = action
-        self.classes = classes
-
-
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """``id: positives, not negatives -> head .`` with every atom a triple
     pattern: ``C(?x)`` is ``("x", rdf:type, C)`` and ``p(?x, b)`` is
     ``("x", p, b)``."""
@@ -82,8 +68,7 @@ class Rule:
     stratum: int = 0
 
 
-@dataclass(frozen=True)
-class Firing:
+class Firing(NamedTuple):
     """One successful body match: the rule, its bindings, and what it derived."""
 
     rule_id: str
@@ -232,7 +217,7 @@ def _stratify(rules: list[Rule], line_of: dict[str, int]) -> list[Rule]:
                         f"line {line_of[rule_id]}: rule {rule_id}: rules are not stratifiable "
                         "(cycle through negation)"
                     )
-    return [replace(rule, stratum=stratum) for rule, stratum in zip(rules, strata)]
+    return [rule._replace(stratum=stratum) for rule, stratum in zip(rules, strata)]
 
 
 def parse_rules(text: str, catalog=None) -> list[Rule]:
@@ -344,12 +329,47 @@ def evaluate_rules(graph: Graph, rules: list[Rule]) -> Graph:
     return out
 
 
-@dataclass(frozen=True)
 class Verdict:
+    """An action's verdict class and the rules that derived it.  Two
+    verdicts are equal when all but their firings are; it cannot be changed."""
+
+    __slots__ = ("action", "verdict_class", "fired_rules", "firings")
+
     action: str
     verdict_class: str
     fired_rules: tuple[str, ...]
-    firings: tuple[Firing, ...] = field(compare=False, default=())
+    firings: tuple[Firing, ...]
+
+    def __init__(
+        self, action: str, verdict_class: str, fired_rules: tuple[str, ...], firings: tuple[Firing, ...] = ()
+    ) -> None:
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "verdict_class", verdict_class)
+        object.__setattr__(self, "fired_rules", fired_rules)
+        object.__setattr__(self, "firings", firings)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Verdict")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a Verdict")
+
+    def _compared(self) -> tuple:
+        return (self.action, self.verdict_class, self.fired_rules)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Verdict:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        return (
+            f"Verdict(action={self.action!r}, verdict_class={self.verdict_class!r}, "
+            f"fired_rules={self.fired_rules!r}, firings={self.firings!r})"
+        )
 
 
 def _firing_order(firing: Firing) -> tuple:

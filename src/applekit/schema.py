@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
@@ -40,6 +39,7 @@ from .terms import (
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
     PrefixMap,
+    SchemaError,
     StructuralError,
     Term,
     Triple,
@@ -48,12 +48,7 @@ from .terms import (
 from .vocab import DEFAULT_PREFIXES, NAME_ALIASES
 
 
-class SchemaError(Exception):
-    """The graph's schema-level statements are malformed or inconsistent."""
-
-
-@dataclass(frozen=True)
-class Obligation:
+class Obligation(NamedTuple):
     """An existential requirement: instances of ``on_class`` need a
     ``property`` link to some instance of ``filler``."""
 
@@ -93,8 +88,7 @@ def _transitive_closure(pairs: frozenset[tuple[str, str]]) -> dict[str, frozense
     return {node: frozenset(parents) for node, parents in closure.items()}
 
 
-@dataclass(frozen=True)
-class SchemaIndex:
+class SchemaIndex(NamedTuple):
     sub_class_of: frozenset[tuple[str, str]]
     sub_property_of: frozenset[tuple[str, str]]
     domain_of: dict[str, frozenset[str]]

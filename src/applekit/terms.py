@@ -14,10 +14,15 @@ a term no caller holds is freed and its entry removed, and the table never
 grows beyond the terms alive.  Pickling, ``copy`` and ``deepcopy`` give back
 the interned object.
 
-A triple is a frozen slots dataclass that hashes its three terms once, at
-construction, into a private ``_hash`` field that takes no part in equality
-or ``repr``.  Pickling rebuilds it from its terms, so a hash never crosses a
-process boundary.
+A triple is a slots class like a term, but not interned.  It hashes its
+three terms once, at construction, into a private ``_hash`` slot that takes
+no part in equality or ``repr``, and none of its attributes can be set.
+Pickling rebuilds it from its terms, so a hash never crosses a process
+boundary.
+
+The module also defines the error types the CLI maps to exit codes, so
+that the CLI can catch each of them without importing the layer that
+raises it.  Each layer re-exports its own.
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ import re
 import string
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .turtle import ParseDiagnostic
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -56,6 +64,52 @@ BUILTIN_NAMESPACES = (RDF_NS, RDFS_NS, OWL_NS, XSD_NS)
 
 class StructuralError(ValueError):
     """A term or triple violates its structural invariants."""
+
+
+class SchemaError(Exception):
+    """The graph's schema-level statements are malformed or inconsistent."""
+
+
+class TurtleParseError(Exception):
+    """Raised on the first syntax or reference error in a document."""
+
+    def __init__(self, diagnostic: ParseDiagnostic) -> None:
+        super().__init__(diagnostic.render())
+        self.diagnostic = diagnostic
+
+    @property
+    def line(self) -> int:
+        return self.diagnostic.line
+
+    @property
+    def column(self) -> int:
+        return self.diagnostic.column
+
+
+class QueryParseError(Exception):
+    """The query text cannot be parsed or references unknown names."""
+
+    def __init__(self, message: str, position: int | None = None) -> None:
+        suffix = f" (at offset {position})" if position is not None else ""
+        super().__init__(message + suffix)
+        self.position = position
+
+
+class RuleError(Exception):
+    """A rule file is syntactically or semantically unusable."""
+
+
+class VerdictConflictError(RuleError):
+    """An action was derived into more than one verdict class."""
+
+    def __init__(self, action: str, classes: tuple[str, ...]) -> None:
+        super().__init__(f"action {action} received contradictory verdicts: {', '.join(classes)}")
+        self.action = action
+        self.classes = classes
+
+
+class AssetError(Exception):
+    """A bundled asset is missing, unreadable, or fails its integrity check."""
 
 
 _KIND_ORDER = {"blank": 0, "iri": 1, "literal": 2}
@@ -237,22 +291,46 @@ def literal(value: str, datatype: str | None = None, lang: str | None = None) ->
     return Term("literal", value, datatype=datatype, lang=lang)
 
 
-@dataclass(frozen=True, slots=True)
 class Triple:
+    """An ``(s, p, o)`` statement, checked and hashed once when built.
+
+    Two triples are equal when their terms are; terms are interned, so that
+    is identity.  The fields cannot be set.
+    """
+
+    __slots__ = ("s", "p", "o", "_hash")
+
     s: Term
     p: Term
     o: Term
-    _hash: int = field(init=False, repr=False, compare=False)
+    _hash: int
 
-    def __post_init__(self) -> None:
-        if self.s.kind == "literal":
+    def __init__(self, s: Term, p: Term, o: Term) -> None:
+        if s.kind == "literal":
             raise StructuralError("triple subject cannot be a literal")
-        if self.p.kind != "iri":
+        if p.kind != "iri":
             raise StructuralError("triple predicate must be an IRI")
-        object.__setattr__(self, "_hash", hash((self.s, self.p, self.o)))
+        _set_s(self, s)
+        _set_p(self, p)
+        _set_o(self, o)
+        _set_hash(self, hash((s, p, o)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Triple")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a Triple")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Triple:
+            return NotImplemented
+        return self.s is other.s and self.p is other.p and self.o is other.o
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"Triple(s={self.s!r}, p={self.p!r}, o={self.o!r})"
 
     def __reduce__(self) -> tuple:
         return (Triple, (self.s, self.p, self.o))
@@ -262,6 +340,9 @@ class Triple:
 
     def n3(self) -> str:
         return f"{self.s.n3()} {self.p.n3()} {self.o.n3()} ."
+
+# As for Term: Triple.__init__ fills its slots past Triple.__setattr__.
+_set_s, _set_p, _set_o, _set_hash = (Triple.__dict__[name].__set__ for name in ("s", "p", "o", "_hash"))
 
 
 # PN_PREFIX: a '.' may appear inside a prefix label but not at its end.

@@ -47,9 +47,9 @@ and predicates are sorted once per group, not once per triple.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 from urllib.parse import urljoin
 
 from .graph import Graph
@@ -59,6 +59,7 @@ from .terms import (
     PrefixMap,
     StructuralError,
     Term,
+    TurtleParseError,
     blank,
     escape_literal_value,
     iri,
@@ -67,8 +68,7 @@ from .terms import (
 from .vocab import DEFAULT_PREFIXES
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     line: int
     column: int
     message: str
@@ -77,27 +77,16 @@ class ParseDiagnostic:
         return f"{source}:{self.line}:{self.column}: error: {self.message}"
 
 
-class TurtleParseError(Exception):
-    """Raised on the first syntax or reference error in a document."""
-
-    def __init__(self, diagnostic: ParseDiagnostic) -> None:
-        super().__init__(diagnostic.render())
-        self.diagnostic = diagnostic
-
-    @property
-    def line(self) -> int:
-        return self.diagnostic.line
-
-    @property
-    def column(self) -> int:
-        return self.diagnostic.column
-
-
-@dataclass
 class ParsedDocument:
-    graph: Graph
-    prefixes: PrefixMap
-    base: str | None = None
+    """A parsed document: its graph, its prefixes and its last ``@base``."""
+
+    def __init__(self, graph: Graph, prefixes: PrefixMap, base: str | None = None) -> None:
+        self.graph = graph
+        self.prefixes = prefixes
+        self.base = base
+
+    def __repr__(self) -> str:
+        return f"ParsedDocument(graph={self.graph!r}, prefixes={self.prefixes!r}, base={self.base!r})"
 
 
 _STRING_ESCAPES = {
@@ -444,8 +433,13 @@ class _Parser:
         self._expect("dot", "'.' after the @base directive")
 
     def _resolved(self, raw: str) -> str | None:
-        """``raw`` resolved against the base; None while it is still relative."""
-        resolved = urljoin(self.base, raw) if self.base is not None else raw
+        """``raw`` resolved against the base; None while it is still
+        relative, or where urljoin rejects the base or ``raw`` (a host that
+        opens '[' and does not close it)."""
+        try:
+            resolved = urljoin(self.base, raw) if self.base is not None else raw
+        except ValueError:
+            return None
         return resolved if ":" in resolved else None
 
     def _resolve_iri(self, token: _Token) -> str:

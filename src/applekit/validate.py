@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
 from .query import Named, PropertyPath, Some, _extension, render_term
@@ -34,8 +34,7 @@ SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # "disjointness-clash" | "unsatisfied-obligation"
     severity: str
     subject: str
@@ -109,8 +108,7 @@ def inputs_digest(graph: Graph) -> str:
     return hashlib.sha256(canonical_ntriples(graph).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
     mode: str
     digest: str

@@ -703,7 +703,10 @@ class TokenListParser:
 
     def _resolve_iri(self, token) -> str:
         raw = token[1]
-        resolved = urljoin(self.base, raw) if self.base is not None else raw
+        try:
+            resolved = urljoin(self.base, raw) if self.base is not None else raw
+        except ValueError:  # a '[' host left open
+            resolved = ""
         if ":" not in resolved:
             if self.base is None:
                 raise self.error(f"relative IRI <{raw}> needs a @base declaration", token)

@@ -48,6 +48,44 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
+# The public names, in the order ``applekit.__all__`` lists them.
+PUBLIC = """
+    ANYTHING And Anything AppleAssets AssetError CqCase CqResult Firing Graph NameCatalog Named Obligation
+    OneOf ParseDiagnostic ParsedDocument PrefixMap PropertyPath QueryParseError Rule RuleError SchemaError
+    SchemaIndex SelectQuery Some StructuralError Term Triple TriplePattern TurtleParseError ValidationReport
+    Verdict VerdictConflictError Violation blank canonical_ntriples check_disjointness check_obligations
+    classify_actions evaluate_rules evaluate_with_provenance extract_schema format_cq_table inputs_digest iri
+    literal load_assets local_name materialize parse_class_expression parse_document parse_rules parse_select
+    parse_turtle retrieve_classes retrieve_instances run_case run_cq_suite select serialize_turtle validate_graph
+""".split()
+LAYERS = ("assets", "cq", "graph", "materialize", "query", "rules", "schema", "terms", "turtle", "validate", "vocab")
+
+
+def test_public_names_are_the_layers_own_objects():
+    """``from applekit import X`` gives the object its layer defines or
+    re-exports, however the layers were imported before."""
+    assert applekit.__all__ == PUBLIC
+    homes = [importlib.import_module(f"applekit.{layer}") for layer in LAYERS]
+    for name in PUBLIC:
+        value = getattr(applekit, name)
+        assert any(vars(home).get(name) is value for home in homes), name
+    # The function, not the module of the same name that the line above imported.
+    assert applekit.materialize is materialize
+    star: dict = {}
+    exec("from applekit import *", star)
+    assert {name: star[name] for name in PUBLIC} == {name: getattr(applekit, name) for name in PUBLIC}
+
+
+def test_dir_lists_the_public_names_and_layers():
+    listed = dir(applekit)
+    assert listed == sorted(listed)
+    assert set(PUBLIC) | set(LAYERS) | {"__version__"} <= set(listed)
+    assert all(getattr(applekit, layer) is importlib.import_module(f"applekit.{layer}")
+               for layer in LAYERS if layer != "materialize")
+    with pytest.raises(AttributeError):
+        applekit.no_such_name
+
+
 def test_graph_public_surface():
     """``Graph``'s public methods are exactly insert, match and copy, besides
     ``len``, ``in``, iteration and ``==``.

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -170,11 +171,15 @@ class TestInputHandling:
 
 
 # Digests of the bundled commands' stdout, and of the bundled input, pinned
-# so that a change to the writers or to the digest cannot move a byte.
+# so that a change to the writers or to the digest cannot move a byte.  Each
+# key is a command line (shell quoting) that runs with --bundled added.
 GOLDEN_STDOUT_SHA256 = {
     "reason": "c4d64bc81cf7150573d6924761d02f404e67a628752e6eeafd34fe97ce454ee0",
     "classify": "62b738143ffc6aba9c75a755ddedd854b5d24c7e294069c649043671349aef12",
     "validate": "ba7f31d4407b7edddbb7c94576615be6a76faf9823c6b96f81b89fa0800a68dc",
+    "cq": "26bf494e5e6238b10bff7e0937f9aeea668462e1dc6a1ceaf8374ccc87dc162b",
+    "query Agent": "6b6bd68b6de7e7332837835a9bc54acce7431aae04b6d7860a8ccc1303f53183",
+    "query '?x resolvedBy ?y' --mode select": "2d54e9d54611540c41bbafdbffc5e7c9ba4a82efb98b33a084ecc5c284cb98fc",
 }
 GOLDEN_INPUTS_DIGEST = "524cf50f16e05e8adfb3d086d823be5748384cc9db002b179d181d1c17532972"
 
@@ -182,7 +187,7 @@ GOLDEN_INPUTS_DIGEST = "524cf50f16e05e8adfb3d086d823be5748384cc9db002b179d181d1c
 class TestGoldenOutput:
     @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT_SHA256))
     def test_bundled_stdout(self, capsys, command):
-        code, out, _ = run(capsys, command, "--bundled")
+        code, out, _ = run(capsys, *shlex.split(command), "--bundled")
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT_SHA256[command]
 

@@ -76,15 +76,15 @@ class TestSetSemantics:
 
 def triples_built(monkeypatch, read):
     """Call ``read()``; return its result and the Triples constructed meanwhile."""
-    original = Triple.__post_init__
+    original = Triple.__init__
     built = [0]
 
-    def counting(triple):
+    def counting(triple, s, p, o):
         built[0] += 1
-        original(triple)
+        original(triple, s, p, o)
 
     with monkeypatch.context() as patch:
-        patch.setattr(Triple, "__post_init__", counting)
+        patch.setattr(Triple, "__init__", counting)
         result = read()
     return result, built[0]
 

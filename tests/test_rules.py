@@ -277,13 +277,19 @@ class TestEvaluation:
         assert typed(out, "F") == set()
 
     def test_chaining_within_stratum(self, micro):
-        graph, catalog = micro
+        _, catalog = micro
+        # Without the asserted a-q-c edge, D(a) can only come from B0's
+        # derived q, which B1 reads in the same stratum.
+        graph = parse_turtle(MICRO.replace(" ex:a ex:q ex:c .", ""))
+        q_edge = Triple(iri(EX + "a"), iri(EX + "q"), iri(EX + "c"))
+        assert q_edge not in graph
         rules = parse_rules(
             "B0: p(?x, ?y), p(?y, ?z) -> q(?x, ?z) .\nB1: q(?x, ?y) -> D(?x) .",
             catalog,
         )
+        assert {rule.stratum for rule in rules} == {0}
         out = evaluate_rules(graph, rules)
-        assert Triple(iri(EX + "a"), iri(EX + "q"), iri(EX + "c")) in out
+        assert q_edge in out
         assert EX + "a" in typed(out, "D")
 
     def test_binary_head(self, micro):

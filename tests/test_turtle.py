@@ -202,6 +202,13 @@ class TestStepEdges:
             parse_turtle(f"@base <{base}> .\n<s> <p> <o> .")
         assert err.value.diagnostic == ParseDiagnostic(2, 1, f"relative IRI <s> cannot be resolved against base <{base}>")
 
+    @pytest.mark.parametrize("text", ["@base <http://[> .\n<s> <p> <o> .", "@base <http://b/> .\n<http://[s> <p> <o> ."])
+    def test_a_host_left_open_is_a_parse_error(self, text):
+        # urljoin raises ValueError on a '[' host left open, in the base or the IRI.
+        with pytest.raises(TurtleParseError) as err:
+            parse_turtle(text)
+        assert (err.value.line, err.value.column) == (2, 1)
+
 
 UNSUPPORTED = [
     ("ex:s ex:p [ ex:q ex:o ] .", "anonymous blank nodes"),
