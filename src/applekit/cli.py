@@ -13,7 +13,9 @@ competency questions), 2 configuration or rule errors, 3 query errors,
 4 consistency errors (disjointness clashes, contradictory verdicts).
 
 All commands are deterministic: given the same inputs they produce byte
-identical output.
+identical output.  ``query`` and ``cq`` answer each question through
+:func:`applekit.query.answer`, with a name catalog that resolves every
+prefix the inputs declare.
 
 The module imports only the standard library.  Each command imports the
 layers it runs when it runs, so ``reason`` loads no rule, query,
@@ -27,7 +29,7 @@ import gc
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -95,17 +97,10 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Graph, PrefixMap]:
     return merged, prefixes
 
 
-class _Reasoned(NamedTuple):
-    prefixes: PrefixMap
-    schema: SchemaIndex
-    catalog: NameCatalog | None
-    materialized: Graph
-
-
-def _reason(graph: Graph, prefixes: PrefixMap, *, names: bool = False) -> _Reasoned:
-    """The schema of the loaded inputs, with ``names`` their name catalog,
-    and the inputs graph itself, which only the command holds, materialized
-    in place.
+def _reason(graph: Graph, prefixes: PrefixMap, *, names: bool = False) -> tuple[SchemaIndex, NameCatalog | None]:
+    """Materialize the loaded inputs in place (a graph only the command
+    holds); return their schema and, with ``names``, their name catalog,
+    which resolves the inputs' ``prefixes``.
 
     The catalog is built before materializing: it lists as individuals the
     typed subjects, and entailment would type more of them.
@@ -114,8 +109,9 @@ def _reason(graph: Graph, prefixes: PrefixMap, *, names: bool = False) -> _Reaso
     from .schema import NameCatalog, extract_schema
 
     schema = extract_schema(graph)
-    catalog = NameCatalog.from_graph(graph, schema) if names else None
-    return _Reasoned(prefixes, schema, catalog, _materialize(graph, schema))
+    catalog = NameCatalog.from_graph(graph, schema, prefixes) if names else None
+    _materialize(graph, schema)
+    return schema, catalog
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -128,11 +124,16 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(args: argparse.Namespace, payload: object) -> None:
+    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _cmd_reason(args: argparse.Namespace) -> int:
     from .turtle import serialize_turtle
 
-    inputs = _reason(*_load_inputs(args))
-    _emit(args, serialize_turtle(inputs.materialized, inputs.prefixes))
+    graph, prefixes = _load_inputs(args)
+    _reason(graph, prefixes)
+    _emit(args, serialize_turtle(graph, prefixes))
     return EXIT_OK
 
 
@@ -143,20 +144,20 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
     graph, prefixes = _load_inputs(args)
     digest = inputs_digest(graph)  # of the inputs, before they are extended
-    inputs = _reason(graph, prefixes, names=bool(args.rules))
+    _, catalog = _reason(graph, prefixes, names=bool(args.rules))
     if args.rules:
         try:
             rules_text = Path(args.rules).read_text(encoding="utf-8")
         except OSError as exc:
             raise CliError(f"cannot read rules file {args.rules}: {exc}", EXIT_CONFIG) from exc
-        rules = parse_rules(rules_text, inputs.catalog)
+        rules = parse_rules(rules_text, catalog)
     elif args.bundled:
         from .assets import load_assets
 
         rules = load_assets().rules
     else:
         raise CliError("classify needs --rules FILE or --bundled", EXIT_CONFIG)
-    verdicts = _classify(inputs.materialized, rules)
+    verdicts = _classify(graph, rules)
     payload = {
         "inputs_digest": digest,
         "verdicts": [
@@ -175,32 +176,22 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             for v in verdicts
         ],
     }
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit_json(args, payload)
     return EXIT_OK
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from .query import parse_class_expression, parse_select, retrieve_classes, retrieve_instances, select
+    from .query import answer
 
-    inputs = _reason(*_load_inputs(args), names=True)
-    if args.mode == "select":
-        parsed = parse_select(args.expression, inputs.catalog)
-        rows = select(parsed, inputs.materialized)
-        if args.format == "json":
-            payload = {"variables": list(parsed.variables), "rows": [list(row) for row in rows]}
-            _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        else:
-            _emit(args, "".join("\t".join(row) + "\n" for row in rows))
-        return EXIT_OK
-    expr = parse_class_expression(args.expression, inputs.catalog)
-    if args.mode == "instances":
-        results = retrieve_instances(expr, inputs.materialized)
-    else:
-        results = retrieve_classes(expr, inputs.schema, inputs.materialized)
+    graph, prefixes = _load_inputs(args)
+    schema, catalog = _reason(graph, prefixes, names=True)
+    variables, rows = answer(args.expression, args.mode, graph, schema, catalog)
     if args.format == "json":
-        _emit(args, json.dumps(results, indent=2, sort_keys=True) + "\n")
+        _emit_json(args, rows if variables is None else {"variables": variables, "rows": rows})
+    elif variables is None:
+        _emit(args, "".join(line + "\n" for line in rows))
     else:
-        _emit(args, "".join(line + "\n" for line in results))
+        _emit(args, "".join("\t".join(row) + "\n" for row in rows))
     return EXIT_OK
 
 
@@ -218,7 +209,8 @@ def _cmd_cq(args: argparse.Namespace) -> int:
     from .assets import load_assets, parse_cq_manifest
     from .cq import format_cq_table, run_cq_suite
 
-    inputs = _reason(*_load_inputs(args), names=True)
+    graph, prefixes = _load_inputs(args)
+    schema, catalog = _reason(graph, prefixes, names=True)
     if args.manifest:
         try:
             cases = parse_cq_manifest(Path(args.manifest).read_text(encoding="utf-8"))
@@ -226,9 +218,9 @@ def _cmd_cq(args: argparse.Namespace) -> int:
             raise CliError(f"cannot read manifest {args.manifest}: {exc}", EXIT_CONFIG) from exc
     else:
         cases = load_assets().cq_cases
-    results = run_cq_suite(cases, inputs.materialized, inputs.schema, inputs.catalog)
+    results = run_cq_suite(cases, graph, schema, catalog)
     if args.format == "json":
-        _emit(args, json.dumps([r.to_json() for r in results], indent=2, sort_keys=True) + "\n")
+        _emit_json(args, [r.to_json() for r in results])
     else:
         _emit(args, format_cq_table(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_PARSE

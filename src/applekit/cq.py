@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .query import parse_class_expression, parse_select, retrieve_classes, retrieve_instances, select
+from .query import answer
 
 if TYPE_CHECKING:
     from .assets import CqCase
@@ -41,21 +41,13 @@ class CqResult(NamedTuple):
 
 def run_case(case: CqCase, graph: Graph, schema: SchemaIndex, catalog: NameCatalog) -> CqResult:
     """Evaluate one case against a materialized graph."""
-    if case.mode == "select":
-        query = parse_select(case.query, catalog)
-        rows = select(query, graph)
-        if query.variables and len(query.variables) == 1:
-            actual = tuple(row[0] for row in rows)
-        else:
-            actual = tuple("\t".join(row) for row in rows)
+    variables, rows = answer(case.query, case.mode, graph, schema, catalog)
+    if variables is None:
+        actual = tuple(rows)
+    elif len(variables) == 1:
+        actual = tuple(row[0] for row in rows)
     else:
-        expr = parse_class_expression(case.query, catalog)
-        if case.mode == "instances":
-            actual = tuple(retrieve_instances(expr, graph))
-        elif case.mode == "classes":
-            actual = tuple(retrieve_classes(expr, schema, graph))
-        else:
-            raise ValueError(f"unknown competency-question mode: {case.mode!r}")
+        actual = tuple("\t".join(row) for row in rows)
     return CqResult(case.id, case.question, case.mode, case.query, case.expected, actual, case.reconstructed)
 
 

@@ -9,7 +9,9 @@ The expression language is a compact Manchester-like grammar::
     primary    := class-name | '{' name (',' name)* '}' | '(' expression ')'
 
 Names resolve through a :class:`~applekit.schema.NameCatalog` (bare names,
-registered aliases, prefixed names, or ``<iri>``).
+registered aliases, prefixed names, or ``<iri>``); a parser given none uses
+the bundled assets' catalog.  :func:`answer` is the one path from query
+text in a mode to sorted rows, for the CLI and the competency questions.
 
 Two retrieval modes share the AST.  Instance retrieval is extensional and
 closed-world over a materialized graph: a restriction is satisfied by the
@@ -33,7 +35,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graph import Graph
-from .schema import PUNCTUATION, LexError, NameCatalog, SchemaIndex, Token, TokenCursor, tokenize
+from .schema import PUNCTUATION, LexError, NameCatalog, SchemaIndex, Token, TokenCursor, catalog_or_bundled, tokenize
 from .terms import RDF_TYPE, QueryParseError, Term, iri
 
 _TYPE = iri(RDF_TYPE)
@@ -201,10 +203,7 @@ class _ExpressionParser:
 def parse_class_expression(text: str, catalog: NameCatalog | None = None) -> ClassExpression:
     """Parse a class expression; bare names resolve through the catalog
     (defaulting to the bundled assets' catalog)."""
-    if catalog is None:
-        from .assets import default_catalog
-
-        catalog = default_catalog()
+    catalog = catalog_or_bundled(catalog)
     if not text.strip():
         raise QueryParseError("empty class expression", 0)
     return _ExpressionParser(text, catalog).parse()
@@ -384,10 +383,7 @@ def parse_select(text: str, catalog: NameCatalog | None = None) -> SelectQuery:
     individuals (falling back to classes, for punned IRIs), predicates as
     properties.  All patterns must share variables transitively.
     """
-    if catalog is None:
-        from .assets import default_catalog
-
-        catalog = default_catalog()
+    catalog = catalog_or_bundled(catalog)
     cursor = _cursor(text)
     patterns: list[TriplePattern] = []
     starts: list[int] = []
@@ -461,3 +457,25 @@ def render_term(term: Term) -> str:
     """A term as the package prints it in results: an IRI as its value, a
     blank node as ``_:label``, a literal in N-Triples form."""
     return term.value if term.is_iri() else term.n3()
+
+
+# ---------------------------------------------------------------------------
+# Query text to answer
+
+
+def answer(
+    text: str, mode: str, graph: Graph, schema: SchemaIndex, catalog: NameCatalog
+) -> tuple[tuple[str, ...] | None, list]:
+    """Parse query text in ``mode`` and evaluate it over a materialized
+    graph: the variables and sorted rows of a ``select``, or None and the
+    sorted answers of a class expression in ``instances`` or ``classes``
+    mode.  Raises ValueError for any other mode."""
+    if mode == "select":
+        query = parse_select(text, catalog)
+        return query.variables, select(query, graph)
+    expr = parse_class_expression(text, catalog)
+    if mode == "instances":
+        return None, retrieve_instances(expr, graph)
+    if mode == "classes":
+        return None, retrieve_classes(expr, schema, graph)
+    raise ValueError(f"unknown query mode: {mode!r}")

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from .graph import Graph
 from .query import TriplePattern, solutions
-from .schema import PUNCTUATION, LexError, Token, TokenCursor, tokenize
+from .schema import PUNCTUATION, LexError, Token, TokenCursor, catalog_or_bundled, tokenize
 from .terms import RDF_TYPE, RuleError, Term, Triple, VerdictConflictError, iri
 from .vocab import ACTION, UPHOLDS_PRINCIPLE, VERDICT_CLASSES, VIOLATES_PRINCIPLE
 
@@ -226,10 +226,7 @@ def parse_rules(text: str, catalog=None) -> list[Rule]:
     ``catalog`` resolves bare names; when omitted, the catalog of the
     bundled assets is used.
     """
-    if catalog is None:
-        from .assets import default_catalog
-
-        catalog = default_catalog()
+    catalog = catalog_or_bundled(catalog)
     rules: list[Rule] = []
     line_of: dict[str, int] = {}
     for line, tokens, end in _statements(text):

@@ -388,6 +388,15 @@ class NameCatalog:
         raise KeyError(message)
 
 
+def catalog_or_bundled(catalog: NameCatalog | None) -> NameCatalog:
+    """``catalog``, or the bundled assets' catalog when it is None."""
+    if catalog is not None:
+        return catalog
+    from .assets import default_catalog
+
+    return default_catalog()
+
+
 # ---------------------------------------------------------------------------
 # Name syntax: the one lexer and token cursor behind class expressions,
 # select queries and rule files.

@@ -279,7 +279,6 @@ class _Parser:
         self.prefixes = PrefixMap()
         self.base: str | None = None
         self.graph = Graph()
-        self._type = iri(RDF_TYPE)
         # The Term of each raw term text a step took ('ex:a', '<s>', '_:b',
         # 'a'), emptied by every directive.
         self._terms: dict[str, Term] = {}
@@ -479,15 +478,16 @@ class _Parser:
         kind = token[0]
         if kind not in kinds:
             raise self.error(f"expected {what}, found {_describe(token)}", token)
-        if kind == "pname":
-            return iri(self._expand_pname(token))
+        if kind == "string":
+            return self._finish_literal(token[1])
+        # A name, an IRI, a blank node or 'a': its raw text resolves as in a step.
+        raw = self.text[token[2] : self.pos]
+        term = self._terms.get(raw) or self._node(raw)
+        if term is not None:
+            return term
         if kind == "iriref":
-            return iri(self._resolve_iri(token))
-        if kind == "blank":
-            return blank(token[1])
-        if kind == "a":
-            return self._type
-        return self._finish_literal(token[1])
+            self._resolve_iri(token)  # raises: the IRI does not resolve
+        raise self.error(f"undeclared prefix '{token[1][0]}:'", token)
 
     def _finish_literal(self, lexical: str) -> Term:
         kind, value, _ = self._peek()
@@ -496,22 +496,9 @@ class _Parser:
             return literal(lexical, lang=value)
         if kind == "caret":
             self._next()
-            dt_token = self._next()
-            if dt_token[0] == "iriref":
-                datatype = self._resolve_iri(dt_token)
-            elif dt_token[0] == "pname":
-                datatype = self._expand_pname(dt_token)
-            else:
-                raise self.error(f"expected a datatype IRI after '^^', found {_describe(dt_token)}", dt_token)
+            datatype = self._parse_term(("iriref", "pname"), "a datatype IRI after '^^'").value
             return literal(lexical, datatype=datatype)  # an xsd:string is a simple literal
         return literal(lexical)
-
-    def _expand_pname(self, token: _Token) -> str:
-        prefix, local = token[1]
-        expanded = self.prefixes.expand(prefix, local)
-        if expanded is None:
-            raise self.error(f"undeclared prefix '{prefix}:'", token)
-        return expanded
 
 
 # The token kinds the descent takes in each position, and what it names
@@ -543,18 +530,16 @@ def parse_turtle(text: str) -> Graph:
 
 
 def _render_term(term: Term, prefixes: PrefixMap) -> str:
+    """``term.n3()``, but an IRI or a datatype that ``prefixes`` compresses is a prefixed name."""
     if term.kind == "iri":
         compressed = prefixes.compress(term.value)
-        return compressed if compressed is not None else f"<{term.value}>"
-    if term.kind == "blank":
-        return f"_:{term.value}"
-    quoted = f'"{escape_literal_value(term.value)}"'
-    if term.lang is not None:
-        return f"{quoted}@{term.lang}"
-    if term.datatype is not None:
+        if compressed is not None:
+            return compressed
+    elif term.datatype is not None:
         dt = prefixes.compress(term.datatype)
-        return f"{quoted}^^{dt}" if dt is not None else f"{quoted}^^<{term.datatype}>"
-    return quoted
+        if dt is not None:
+            return f'"{escape_literal_value(term.value)}"^^{dt}'
+    return term.n3()
 
 
 def serialize_turtle(graph: Graph, prefixes: PrefixMap | None = None) -> str:

@@ -180,6 +180,10 @@ GOLDEN_STDOUT_SHA256 = {
     "cq": "26bf494e5e6238b10bff7e0937f9aeea668462e1dc6a1ceaf8374ccc87dc162b",
     "query Agent": "6b6bd68b6de7e7332837835a9bc54acce7431aae04b6d7860a8ccc1303f53183",
     "query '?x resolvedBy ?y' --mode select": "2d54e9d54611540c41bbafdbffc5e7c9ba4a82efb98b33a084ecc5c284cb98fc",
+    "query Agent --format tsv": "70c2d042cbcf3d0886f969210553e4c7c2664ac5d46c453d2ae7138a4293ca36",
+    "query '?x resolvedBy ?y' --mode select --format tsv": "82397dd45b8a1c69e3adcd09de3242128260a2513fc990669294af2fcb28a028",
+    "query 'AppliedEthics and appliesTo some {ProfessionalDomain}' --mode classes": "a6dfd7845ee3aed952984a812d4a19d4abc60da90adb13d7c000ca749bf2f8c0",
+    "cq --format json": "54128aa4fc179a081dee88fb3c895063ea51508a6dd1ac5bb43fa29394fb58ed",
 }
 GOLDEN_INPUTS_DIGEST = "524cf50f16e05e8adfb3d086d823be5748384cc9db002b179d181d1c17532972"
 
@@ -425,6 +429,41 @@ class TestCq:
         assert "FAIL" in out
         assert "0/1 competency questions passed" in out
         assert "expected" in out and "actual" in out
+
+
+class TestInputPrefixes:
+    """Prefixed names in queries and rules may use any prefix an input declares."""
+
+    MY = "http://my.example/ns#"
+
+    @pytest.fixture()
+    def declared(self, tmp_path):
+        path = tmp_path / "declared.ttl"
+        path.write_text(
+            f"@prefix my: <{self.MY}> .\n"
+            "my:a a my:C, <http://schema.org/Action> .\nmy:a my:p my:b .\n"
+            f"my:a <{APPLE}violatesEthicalPrinciple> my:b .\n",
+            encoding="utf-8",
+        )
+        return path
+
+    def test_class_expression(self, capsys, declared):
+        code, out, err = run(capsys, "query", "my:C", "-i", str(declared))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [self.MY + "a"]
+
+    def test_select(self, capsys, declared):
+        code, out, err = run(capsys, "query", "?x my:p ?y", "--mode", "select", "-i", str(declared))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["rows"] == [[self.MY + "a", self.MY + "b"]]
+
+    def test_rule_file(self, capsys, tmp_path, declared):
+        rules = tmp_path / "declared.rules"
+        rules.write_text("R1: my:C(?x) -> apple:MorallyWrongAction(?x) .\n", encoding="utf-8")
+        code, out, err = run(capsys, "classify", "--rules", str(rules), "-i", str(declared))
+        assert (code, err) == (0, "")
+        (verdict,) = json.loads(out)["verdicts"]
+        assert (verdict["action"], verdict["fired_rules"]) == (self.MY + "a", ["R1"])
 
 
 @pytest.fixture(scope="module")

@@ -21,6 +21,7 @@ from applekit.query import (
     QueryParseError,
     Some,
     TriplePattern,
+    answer,
     parse_class_expression,
     parse_select,
     retrieve_classes,
@@ -412,3 +413,17 @@ class TestBundledQueries:
         graph = materialize(assets.combined(), assets.schema)
         expr = parse_class_expression("Agent and (isParticipantIn some {DentalSurgeryAftercare})")
         assert retrieve_instances(expr, graph) == [APPLE + "Doctor", APPLE + "Patient"]
+
+
+class TestAnswer:
+    def test_each_mode(self, micro):
+        graph, schema, catalog = micro
+        assert answer("B", "instances", graph, schema, catalog) == (None, retrieve_instances(parse("B", catalog), graph))
+        assert answer("B", "classes", graph, schema, catalog) == (None, retrieve_classes(parse("B", catalog), schema, graph))
+        query = parse_select("?s p ?o", catalog)
+        assert answer("?s p ?o", "select", graph, schema, catalog) == (("?s", "?o"), select(query, graph))
+
+    def test_unknown_mode(self, micro):
+        graph, schema, catalog = micro
+        with pytest.raises(ValueError, match="unknown query mode: 'bogus'"):
+            answer("B", "bogus", graph, schema, catalog)
