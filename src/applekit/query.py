@@ -24,14 +24,22 @@ sorted, duplicate-free rows; its patterns must share variables so the query
 forms one connected component.
 
 :func:`solutions` is the package's one pattern matcher: it joins triple
-patterns through the graph's indexes.  ``select`` projects and sorts its
-bindings, rule bodies in :mod:`applekit.rules` are matched by it, and the
-validator's checks in :mod:`applekit.validate` are set operations over
-instance-retrieval extensions.
+patterns through the graph's two indexes.  Each call plans its join once,
+bound-first: it runs next the remaining pattern with the most fixed slots
+(constants and variables already bound), taking ties in text order, and
+extends tuple rows by direct index probes.  The plan depends only on the
+patterns and which variables are bound; there is no cache, statistics
+table or option, and nothing is kept between calls.  ``select`` projects
+and renders the rows, rule bodies in :mod:`applekit.rules` are matched by
+it, and the validator's checks in :mod:`applekit.validate` are set
+operations over instance-retrieval extensions.  An existential
+restriction ``p some F`` is evaluated from whichever side is smaller: the
+filler's extension or p's object map.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .graph import Graph
@@ -39,6 +47,8 @@ from .schema import PUNCTUATION, LexError, NameCatalog, SchemaIndex, Token, Toke
 from .terms import RDF_TYPE, QueryParseError, Term, iri
 
 _TYPE = iri(RDF_TYPE)
+# An empty index entry, read and never written.
+_EMPTY: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +238,19 @@ def _extension(expr: ClassExpression, graph: Graph) -> set[Term]:
             common &= part
         return common
     if isinstance(expr, Some):
-        edges = graph._by_object(iri(expr.path.iri))
+        p = iri(expr.path.iri)
+        edges = graph._by_object(p)
         targets = None if isinstance(expr.filler, Anything) else _extension(expr.filler, graph)
+        # Walk the smaller side: every edge of p, or the filler's terms.
+        if targets is not None and len(targets) < len(edges):
+            found: set[Term] = set()
+            if expr.path.inverted:
+                for s in targets:
+                    found.update(graph._spo.get(s, _EMPTY).get(p, ()))
+                return {o for o in found if not o.is_literal()}
+            for o in targets:
+                found.update(edges.get(o, ()))
+            return found
         if expr.path.inverted:
             return {
                 o for o, subjects in edges.items()
@@ -241,7 +262,7 @@ def _extension(expr: ClassExpression, graph: Graph) -> set[Term]:
 
 def retrieve_instances(expr: ClassExpression, graph: Graph) -> list[str]:
     """Individuals satisfying the expression, as sorted IRI/blank strings."""
-    return sorted(render_term(term) for term in _extension(expr, graph))
+    return sorted(map(render_term, _extension(expr, graph)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,36 +358,102 @@ def solutions(patterns: tuple[TriplePattern, ...], graph: Graph, start: dict[str
     """Every binding that extends ``start`` (empty when not given) and under
     which all the patterns match triples of ``graph``.
 
-    This is the package's one join.  Each pattern in turn extends every
-    binding so far, looking up the slots already bound in the graph's
-    index.  A variable may stand in any slot, predicates included, and may
-    repeat inside one pattern.  The same binding can appear more than once;
-    callers that need a set collect the bindings into one.
+    This is the package's one join.  It runs the patterns bound-first, not
+    in the order given: next comes the remaining pattern with the most
+    fixed slots, ties in the order given (see :func:`_join`).  The order is
+    planned once per call and not cached.  A variable may stand in any
+    slot, predicates included, and may repeat inside one pattern.  The same
+    binding can appear more than once; callers that need a set collect the
+    bindings into one.
     """
-    bindings: list[dict[str, Term]] = [{} if start is None else start]
+    start = {} if start is None else start
+    at, rows = _join(patterns, graph, start)
+    names = [slot for slot in at if isinstance(slot, str)]
+    skip = len(at) - len(names)  # the constants lead every row
+    return [dict(zip(names, row[skip:])) for row in rows]
+
+
+def _join(
+    patterns: tuple[TriplePattern, ...], graph: Graph, start: dict[str, Term]
+) -> tuple[dict[Term | str, int], list[tuple[Term, ...]]]:
+    """The rows of every solution, and the row position of each constant
+    and variable.
+
+    A row is a tuple: the patterns' constants first, then the terms of
+    ``start``, then each variable in the order the join binds it, so each
+    fixed slot is read from the row at a position worked out once per
+    pattern.  The join runs next the remaining pattern with the most fixed
+    slots (a constant, or a variable bound by ``start`` or an earlier
+    pattern), taking ties in the order given, and extends every row by it
+    at once.  The order comes from the patterns alone: there is no
+    statistics table, and nothing is kept between calls.
+    """
+    at: dict[Term | str, int] = {}
     for pattern in patterns:
-        extended: list[dict[str, Term]] = []
-        for binding in bindings:
-            ground = pattern.ground(binding)
-            matched = graph._match(*ground)
-            if not matched:
-                continue
-            # (slot position, variable) for each variable the binding leaves open
-            free = [(position, slot) for position, slot in enumerate(pattern) if slot is not None and ground[position] is None]
-            if not free:
-                extended.append(binding)  # a ground or wildcard match binds nothing new
-                continue
-            for terms in matched:
-                bound = dict(binding)
-                for position, name in free:
-                    term = terms[position]
-                    held = bound.setdefault(name, term)
-                    if held is not term and held != term:
-                        break  # a variable repeated in the pattern met two terms
-                else:
-                    extended.append(bound)
-        bindings = extended
-    return bindings
+        for slot in pattern:
+            if isinstance(slot, Term):
+                at.setdefault(slot, len(at))
+    rows = [(*at, *start.values())]
+    for name in start:
+        at[name] = len(at)
+    remaining = list(patterns)
+    while remaining:
+        fixed = [(s in at) + (p in at) + (o in at) for s, p, o in remaining]
+        rows = _extend(remaining.pop(fixed.index(max(fixed))), at, rows, graph)
+    return at, rows
+
+
+def _extend(
+    pattern: TriplePattern, at: dict[Term | str, int], rows: list[tuple[Term, ...]], graph: Graph
+) -> list[tuple[Term, ...]]:
+    """Every row extended by each match of ``pattern``; ``at`` gains the
+    position of each variable the pattern binds.
+
+    The common shapes probe ``_spo`` and ``_pos`` directly.  As in
+    :meth:`Graph._match`, a literal subject or a predicate that is not a
+    stored predicate finds no index entry and matches nothing.
+    """
+    spo, pos = graph._spo, graph._pos
+    fixed = [at.get(slot) for slot in pattern]  # a row position, or None for an open slot
+    s, p, o = fixed
+    new: list[int] = []  # the open slots whose terms extend the row, in slot order
+    repeats: list[tuple[int, int]] = []  # (slot, earlier slot) of a variable repeated in the pattern
+    for k, slot in enumerate(pattern):
+        if fixed[k] is None and slot is not None:
+            if slot in at:
+                repeats.append((k, pattern.index(slot)))
+            else:
+                at[slot] = len(at)
+                new.append(k)
+    open_slots = fixed.count(None)
+    if not open_slots:
+        return [row for row in rows if row[o] in spo.get(row[s], _EMPTY).get(row[p], ())]
+    if open_slots == 1:
+        if o is None:
+            def terms(row: tuple[Term, ...]) -> Iterable[Term]:
+                return spo.get(row[s], _EMPTY).get(row[p], ())
+        elif s is None:
+            def terms(row: tuple[Term, ...]) -> Iterable[Term]:
+                return pos.get(row[p], _EMPTY).get(row[o], ())
+        else:
+            def terms(row: tuple[Term, ...]) -> Iterable[Term]:
+                return [q for q, objects in spo.get(row[s], _EMPTY).items() if row[o] in objects]
+        if new:
+            return [row + (term,) for row in rows for term in terms(row)]
+        return [row for row in rows if terms(row)]  # a wildcard binds nothing
+    if new == [0, 2] and p is not None:
+        return [row + (x, y) for row in rows for y, subjects in pos.get(row[p], _EMPTY).items() for x in subjects]
+    out = []
+    for row in rows:
+        matched = graph._match(*[None if k is None else row[k] for k in fixed])
+        if not new:
+            if matched:
+                out.append(row)
+            continue
+        for triple in matched:
+            if all(triple[k] is triple[j] for k, j in repeats):
+                out.append(row + tuple([triple[k] for k in new]))
+    return out
 
 
 class SelectQuery(NamedTuple):
@@ -446,11 +533,9 @@ def select(query: SelectQuery, graph: Graph) -> list[tuple[str, ...]]:
     An empty variable list yields one empty row when every ground pattern
     holds, and no rows otherwise.
     """
-    rows = {
-        tuple(render_term(binding[var]) for var in query.variables)
-        for binding in solutions(query.patterns, graph)
-    }
-    return sorted(rows)
+    at, rows = _join(query.patterns, graph, {})
+    positions = [at[var] for var in query.variables]
+    return sorted({tuple([render_term(row[k]) for k in positions]) for row in rows})
 
 
 def render_term(term: Term) -> str:

@@ -304,7 +304,11 @@ def random_select(rng: random.Random, props: list[str], individuals: list[str]) 
     """A connected conjunctive query: patterns chain through a shared
     variable.  A pattern's object may repeat its subject variable
     (``?x p ?x``) and its predicate may be a variable (``?a ?p ?b``); a
-    query has at most four variables, so the brute-force oracle stays fast."""
+    query has at most four variables, so the brute-force oracle stays fast.
+    A pattern may have a constant subject, its object then the shared
+    variable (``i p ?x``), or a constant object, so a later pattern can have
+    more fixed slots than an earlier one and the join's order differ from
+    the text's."""
     n_patterns = rng.randint(1, 3)
     patterns: list[TriplePattern] = []
     current = "?v0"
@@ -317,6 +321,9 @@ def random_select(rng: random.Random, props: list[str], individuals: list[str]) 
 
     for _ in range(n_patterns):
         roll = rng.random()
+        if individuals and rng.random() < 0.2:
+            patterns.append(TriplePattern(iri(rng.choice(individuals)), iri(rng.choice(props)), current))
+            continue
         if individuals and roll < 0.25:
             obj = iri(rng.choice(individuals))
         elif roll < 0.4 or fresh == 4:

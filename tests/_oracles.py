@@ -225,34 +225,41 @@ def ground_firings(graph: Graph, rules: list[Rule]) -> set[tuple[str, tuple[tupl
 # Conjunctive select by enumerating every assignment of the variables
 
 
-def brute_select(query: SelectQuery, graph: Graph) -> list[tuple[str, ...]]:
-    """Give each variable every term of the graph in turn; test a pattern
+def brute_solutions(patterns, graph: Graph, start: dict[str, Term] | None = None) -> list[dict[str, Term]]:
+    """Every extension of ``start`` under which all the patterns hold: give
+    each other variable every term of the graph in turn, and test a pattern
     against the set of stated triples once all its variables have a value."""
     stated = {(triple.s, triple.p, triple.o) for triple in graph}
     universe = sorted({term for spo in stated for term in spo}, key=Term.sort_key)
-    variables = list(dict.fromkeys(v for pattern in query.patterns for v in pattern.variables()))
-    # tests[i]: the patterns whose last variable to get a value is variables[i].
-    tests: list[list] = [[] for _ in variables]
-    for pattern in query.patterns:
-        if pattern.variables():
-            tests[max(variables.index(v) for v in pattern.variables())].append(pattern)
-        elif tuple(pattern) not in stated:
-            return []
-    rows: set[tuple[str, ...]] = set()
+    assignment = dict(start or {})
+    variables = [v for v in dict.fromkeys(v for pattern in patterns for v in pattern.variables()) if v not in assignment]
+    # tests[i]: the patterns whose variables all have a value once variables[:i] do.
+    tests: list[list] = [[] for _ in range(len(variables) + 1)]
+    for pattern in patterns:
+        tests[max((variables.index(v) + 1 for v in pattern.variables() if v in variables), default=0)].append(pattern)
+    found: list[dict[str, Term]] = []
 
-    def assign(index: int, assignment: dict[str, Term]) -> None:
+    def assign(index: int) -> None:
+        if not all(
+            tuple(assignment[slot] if isinstance(slot, str) else slot for slot in pattern) in stated
+            for pattern in tests[index]
+        ):
+            return
         if index == len(variables):
-            rows.add(tuple(render_node(assignment[v]) for v in query.variables))
+            found.append(dict(assignment))
             return
         for term in universe:
             assignment[variables[index]] = term
-            if all(
-                tuple(assignment[slot] if isinstance(slot, str) else slot for slot in pattern) in stated
-                for pattern in tests[index]
-            ):
-                assign(index + 1, assignment)
+            assign(index + 1)
+        assignment.pop(variables[index], None)
 
-    assign(0, {})
+    assign(0)
+    return found
+
+
+def brute_select(query: SelectQuery, graph: Graph) -> list[tuple[str, ...]]:
+    """The sorted, duplicate-free projections of :func:`brute_solutions`."""
+    rows = {tuple(render_node(found[v]) for v in query.variables) for found in brute_solutions(query.patterns, graph)}
     return sorted(rows)
 
 

@@ -184,6 +184,9 @@ GOLDEN_STDOUT_SHA256 = {
     "query '?x resolvedBy ?y' --mode select --format tsv": "82397dd45b8a1c69e3adcd09de3242128260a2513fc990669294af2fcb28a028",
     "query 'AppliedEthics and appliesTo some {ProfessionalDomain}' --mode classes": "a6dfd7845ee3aed952984a812d4a19d4abc60da90adb13d7c000ca749bf2f8c0",
     "cq --format json": "54128aa4fc179a081dee88fb3c895063ea51508a6dd1ac5bb43fa29394fb58ed",
+    # The join runs the last pattern, the one with two constants, first.
+    "query '?a upholdsEthicalPrinciple ?p . ?a hasConsequence ?c . ?c hasSeverityOfConsequence SignificantConsequence'"
+    " --mode select": "92cfe793e6904679f97381586d7a6dbef68c3ac24f43c48026457c1feaad51dc",
 }
 GOLDEN_INPUTS_DIGEST = "524cf50f16e05e8adfb3d086d823be5748384cc9db002b179d181d1c17532972"
 

@@ -1,5 +1,6 @@
 """Class-expression parsing, instance/class retrieval, conjunctive select."""
 
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _gen import graph_vocabulary, random_expression, random_graph, random_select  # noqa: E402
-from _oracles import brute_instances, brute_select  # noqa: E402
+from _oracles import brute_instances, brute_select, brute_solutions, brute_violations  # noqa: E402
 
 from applekit.assets import load_assets
 from applekit.graph import Graph
@@ -19,18 +20,22 @@ from applekit.query import (
     OneOf,
     PropertyPath,
     QueryParseError,
+    SelectQuery,
     Some,
     TriplePattern,
+    _extension,
     answer,
     parse_class_expression,
     parse_select,
     retrieve_classes,
     retrieve_instances,
     select,
+    solutions,
 )
 from applekit.schema import NameCatalog, extract_schema
-from applekit.terms import RDF_TYPE, PrefixMap, Triple, iri, literal
+from applekit.terms import RDF_TYPE, PrefixMap, Term, Triple, iri, literal
 from applekit.turtle import parse_turtle
+from applekit.validate import validate_graph
 from applekit.vocab import APPLE, UPHOLDS_PRINCIPLE, VIOLATES_PRINCIPLE
 
 EX = "http://example.org/"
@@ -232,6 +237,46 @@ class TestInstances:
             assert before <= set(retrieve_instances(expr, bigger)), seed
 
 
+def some_graph(inverted: bool, smaller: bool):
+    """ex:p edges from ex:s0-ex:s5 to eight objects, two of them literals,
+    and ex:F typed on the side a path of that direction reads, with fewer
+    or more members than ex:p's eight objects.  Each ex:s is an ex:A, and
+    ex:A carries the obligation ``ex:p some ex:F``."""
+    side = "s" if inverted else "o"
+    members = [f"ex:{side}0", f"ex:{side}1"] if smaller else [f"ex:{side}{i}" for i in range(6)] + [f"ex:x{i}" for i in range(6)]
+    graph = parse_turtle(HEADER + (
+        "ex:A a owl:Class . ex:F a owl:Class . ex:p a owl:ObjectProperty .\n"
+        "ex:A rdfs:subClassOf _:r .\n"
+        "_:r a owl:Restriction ; owl:onProperty ex:p ; owl:someValuesFrom ex:F .\n"
+        'ex:s0 ex:p ex:o0, "v0" . ex:s1 ex:p ex:o1, "v1"@en . ex:s2 ex:p ex:o2, ex:o3 .\n'
+        "ex:s3 ex:p ex:o3 . ex:s4 ex:p ex:o4, ex:o5 .\n"
+    ) + "".join(f"ex:s{i} a ex:A .\n" for i in range(6)) + "".join(f"{m} a ex:F .\n" for m in members))
+    return graph, frozenset(EX + m[3:] for m in members)
+
+
+@pytest.mark.parametrize("smaller", [True, False], ids=["smaller-filler", "larger-filler"])
+@pytest.mark.parametrize("inverted", [False, True], ids=["forward", "inverse"])
+class TestSomeFromSmallerSide:
+    """``p some F`` walks the filler's terms when it has fewer than p has
+    objects, and p's object map otherwise."""
+
+    def test_matches_oracle(self, inverted, smaller):
+        graph, members = some_graph(inverted, smaller)
+        for filler in (Named(EX + "F"), OneOf(members), And((Named(EX + "F"), ANYTHING))):
+            assert (len(_extension(filler, graph)) < len(graph._by_object(iri(EX + "p")))) == smaller
+            restriction = Some(PropertyPath(EX + "p", inverted), filler)
+            for expr in (restriction, And((Named(EX + "A"), restriction))):
+                got = retrieve_instances(expr, graph)
+                assert got == brute_instances(expr, graph), expr
+                assert all(not value.startswith('"') for value in got)
+
+    def test_obligation_check_matches_oracle(self, inverted, smaller):
+        graph, _ = some_graph(inverted, smaller)
+        schema = extract_schema(graph)
+        got = [(v.kind, v.severity, v.subject, v.detail) for v in validate_graph(graph, schema).violations]
+        assert got and got == brute_violations(graph, schema)
+
+
 class TestClasses:
     def test_named_returns_subtree(self, micro):
         graph, schema, catalog = micro
@@ -395,6 +440,79 @@ class TestSelectEvaluation:
             for _ in range(2):
                 query = random_select(rng, props, inds)
                 assert select(query, graph) == brute_select(query, graph), seed
+
+    def test_pattern_order_does_not_change_rows(self):
+        reordered = 0
+        for seed in range(40):
+            rng = random.Random(4100 + seed)
+            graph = random_graph(rng)
+            _, props, inds = graph_vocabulary(graph)
+            query = random_select(rng, props, inds)
+            want = brute_select(query, graph)
+            for order in itertools.permutations(query.patterns):
+                assert select(SelectQuery(order, query.variables), graph) == want, (seed, order)
+            # A later pattern with more constants runs before the first one.
+            constants = [sum(isinstance(slot, Term) for slot in pattern) for pattern in query.patterns]
+            reordered += max(constants) > constants[0]
+        assert reordered
+
+    def test_solutions_from_a_start_match_oracle(self):
+        """The join rule bodies run from a fact's terms: every solution that
+        agrees with ``start``, which may bind a literal or a term that is
+        no predicate."""
+        nonempty = 0
+        for seed in range(60):
+            rng = random.Random(4200 + seed)
+            graph = random_graph(rng)
+            _, props, inds = graph_vocabulary(graph)
+            query = random_select(rng, props, inds)
+            every = brute_solutions(query.patterns, graph)
+            terms = sorted({term for triple in graph for term in (triple.s, triple.p, triple.o)}, key=Term.sort_key)
+            for _ in range(3):
+                names = rng.sample(query.variables, rng.randint(1, len(query.variables)))
+                source = rng.choice(every) if every and rng.random() < 0.6 else None
+                start = {name: source[name] if source else rng.choice(terms) for name in names}
+                got = {tuple(sorted(found.items())) for found in solutions(query.patterns, graph, dict(start))}
+                want = {tuple(sorted(found.items())) for found in brute_solutions(query.patterns, graph, start)}
+                assert got == want, (seed, query, start)
+                nonempty += bool(want)
+        assert nonempty
+
+
+# ex:a's ex:p objects: an IRI, a literal, a blank node and ex:q, a stored
+# predicate that is no subject.
+GUARDED = HEADER + 'ex:a ex:p ex:b, "lit", _:n, ex:q .\nex:b ex:q ex:c . _:n ex:q ex:c .\n'
+A, B, C, P, Q = (iri(EX + name) for name in ("a", "b", "c", "p", "q"))
+
+
+class TestJoinGuards:
+    """A bound variable meets a slot no stored triple can fill with its
+    term: that branch gives no rows, whatever shape the probe has."""
+
+    @pytest.mark.parametrize("second, want", [
+        (TriplePattern("?y", Q, "?z"), [("_:n", EX + "c"), (EX + "b", EX + "c")]),
+        (TriplePattern("?y", Q, C), [("_:n",), (EX + "b",)]),
+        (TriplePattern("?y", "?r", "?z"), [("_:n", EX + "q", EX + "c"), (EX + "b", EX + "q", EX + "c")]),
+        (TriplePattern("?y", "?r", C), [("_:n", EX + "q"), (EX + "b", EX + "q")]),
+    ])
+    def test_literal_in_subject_slot(self, second, want):
+        graph = parse_turtle(GUARDED)
+        first = TriplePattern(A, P, "?y")
+        query = SelectQuery((first, second), tuple(dict.fromkeys(first.variables() + second.variables())))
+        assert select(query, graph) == want == brute_select(query, graph)
+
+    @pytest.mark.parametrize("second, want", [
+        (TriplePattern("?x", "?r", "?y"), [(EX + "q", "_:n", EX + "c"), (EX + "q", EX + "b", EX + "c")]),
+        (TriplePattern(B, "?r", "?y"), [(EX + "q", EX + "c")]),
+        (TriplePattern("?x", "?r", C), [(EX + "q", "_:n"), (EX + "q", EX + "b")]),
+        (TriplePattern(B, "?r", C), [(EX + "q",)]),
+    ])
+    def test_predicate_slot_holds_no_predicate(self, second, want):
+        # ?r is also bound to ex:b, a literal and a blank node, none of them a predicate.
+        graph = parse_turtle(GUARDED)
+        first = TriplePattern(A, P, "?r")
+        query = SelectQuery((first, second), tuple(dict.fromkeys(first.variables() + second.variables())))
+        assert select(query, graph) == want == brute_select(query, graph)
 
 
 class TestBundledQueries:
