@@ -428,16 +428,13 @@ def _extend(
     open_slots = fixed.count(None)
     if not open_slots:
         return [row for row in rows if row[o] in spo.get(row[s], _EMPTY).get(row[p], ())]
-    if open_slots == 1:
+    if open_slots == 1 and p is not None:
         if o is None:
             def terms(row: tuple[Term, ...]) -> Iterable[Term]:
                 return spo.get(row[s], _EMPTY).get(row[p], ())
-        elif s is None:
-            def terms(row: tuple[Term, ...]) -> Iterable[Term]:
-                return pos.get(row[p], _EMPTY).get(row[o], ())
         else:
             def terms(row: tuple[Term, ...]) -> Iterable[Term]:
-                return [q for q, objects in spo.get(row[s], _EMPTY).items() if row[o] in objects]
+                return pos.get(row[p], _EMPTY).get(row[o], ())
         if new:
             return [row + (term,) for row in rows for term in terms(row)]
         return [row for row in rows if terms(row)]  # a wildcard binds nothing

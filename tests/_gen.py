@@ -300,15 +300,16 @@ def random_expression(rng: random.Random, classes: list[str], props: list[str], 
     return ANYTHING
 
 
-def random_select(rng: random.Random, props: list[str], individuals: list[str]) -> SelectQuery:
+def random_select(rng: random.Random, props: list[str], individuals: list[str], constant_subjects: bool = False) -> SelectQuery:
     """A connected conjunctive query: patterns chain through a shared
     variable.  A pattern's object may repeat its subject variable
     (``?x p ?x``) and its predicate may be a variable (``?a ?p ?b``); a
     query has at most four variables, so the brute-force oracle stays fast.
-    A pattern may have a constant subject, its object then the shared
-    variable (``i p ?x``), or a constant object, so a later pattern can have
-    more fixed slots than an earlier one and the join's order differ from
-    the text's."""
+    A pattern may have a constant object; with ``constant_subjects`` it may
+    instead have a constant subject, its object then the shared variable
+    (``i p ?x``), so a later pattern can have more fixed slots than an
+    earlier one and the join's order differ from the text's.  Left off, it
+    draws nothing from ``rng``, so seeded callers keep their queries."""
     n_patterns = rng.randint(1, 3)
     patterns: list[TriplePattern] = []
     current = "?v0"
@@ -321,7 +322,7 @@ def random_select(rng: random.Random, props: list[str], individuals: list[str]) 
 
     for _ in range(n_patterns):
         roll = rng.random()
-        if individuals and rng.random() < 0.2:
+        if constant_subjects and individuals and rng.random() < 0.2:
             patterns.append(TriplePattern(iri(rng.choice(individuals)), iri(rng.choice(props)), current))
             continue
         if individuals and roll < 0.25:
