@@ -22,9 +22,7 @@ Inside the package, evaluators read through :meth:`Graph._match`,
 instead, and insert through :meth:`Graph._add`, :meth:`Graph._add_objects`
 for many objects of one subject and predicate, or :meth:`Graph._saturate`,
 the one fixpoint loop, which materialization and the rules both run on.
-The query join (:func:`applekit.query.solutions`) and ``p some F`` probe
-``_spo`` and ``_pos`` themselves, with ``get``, so a term no index holds
-finds nothing.  The reads skip the sort, so their order is unspecified: a term hashes by
+The reads skip the sort, so their order is unspecified: a term hashes by
 identity, so a set leaf's order follows where its terms lie in memory.
 ``_match`` returns a new list of ``(s, p, o)`` tuples, a snapshot taken at
 call time, so a caller may insert into the graph while it walks the result.

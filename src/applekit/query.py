@@ -27,19 +27,20 @@ forms one connected component.
 patterns through the graph's two indexes.  Each call plans its join once,
 bound-first: it runs next the remaining pattern with the most fixed slots
 (constants and variables already bound), taking ties in text order, and
-extends tuple rows by direct index probes.  The plan depends only on the
-patterns and which variables are bound; there is no cache, statistics
-table or option, and nothing is kept between calls.  ``select`` projects
-and renders the rows, rule bodies in :mod:`applekit.rules` are matched by
-it, and the validator's checks in :mod:`applekit.validate` are set
-operations over instance-retrieval extensions.  An existential
-restriction ``p some F`` is evaluated from whichever side is smaller: the
-filler's extension or p's object map.
+extends tuple rows, probing the graph through ``Graph._match`` once per
+row and pattern.  The plan depends only on the patterns and which
+variables are bound; there is no cache, statistics table or option, and
+nothing is kept between calls.  ``select`` projects and renders the rows,
+rule bodies in :mod:`applekit.rules` are matched by it, and the
+validator's checks in :mod:`applekit.validate` are set operations over
+instance-retrieval extensions.  An existential restriction ``p some F``
+is evaluated from whichever side is smaller: the filler's extension or
+p's object map.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from operator import itemgetter
 from typing import NamedTuple
 
 from .graph import Graph
@@ -47,8 +48,6 @@ from .schema import PUNCTUATION, LexError, NameCatalog, SchemaIndex, Token, Toke
 from .terms import RDF_TYPE, QueryParseError, Term, iri
 
 _TYPE = iri(RDF_TYPE)
-# An empty index entry, read and never written.
-_EMPTY: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +242,9 @@ def _extension(expr: ClassExpression, graph: Graph) -> set[Term]:
         targets = None if isinstance(expr.filler, Anything) else _extension(expr.filler, graph)
         # Walk the smaller side: every edge of p, or the filler's terms.
         if targets is not None and len(targets) < len(edges):
-            found: set[Term] = set()
             if expr.path.inverted:
-                for s in targets:
-                    found.update(graph._spo.get(s, _EMPTY).get(p, ()))
-                return {o for o in found if not o.is_literal()}
-            for o in targets:
-                found.update(edges.get(o, ()))
-            return found
+                return {o for s in targets for _, _, o in graph._match(s, p) if not o.is_literal()}
+            return {s for o in targets for s in edges.get(o, ())}
         if expr.path.inverted:
             return {
                 o for o, subjects in edges.items()
@@ -369,33 +363,34 @@ def solutions(patterns: tuple[TriplePattern, ...], graph: Graph, start: dict[str
     start = {} if start is None else start
     at, rows = _join(patterns, graph, start)
     names = [slot for slot in at if isinstance(slot, str)]
-    skip = len(at) - len(names)  # the constants lead every row
+    skip = len(at) - len(names) + 1  # None and the constants lead every row
     return [dict(zip(names, row[skip:])) for row in rows]
 
 
 def _join(
     patterns: tuple[TriplePattern, ...], graph: Graph, start: dict[str, Term]
-) -> tuple[dict[Term | str, int], list[tuple[Term, ...]]]:
+) -> tuple[dict[Term | str, int], list[tuple[Term | None, ...]]]:
     """The rows of every solution, and the row position of each constant
     and variable.
 
-    A row is a tuple: the patterns' constants first, then the terms of
+    A row is a tuple: None, the patterns' constants, the terms of
     ``start``, then each variable in the order the join binds it, so each
-    fixed slot is read from the row at a position worked out once per
-    pattern.  The join runs next the remaining pattern with the most fixed
-    slots (a constant, or a variable bound by ``start`` or an earlier
-    pattern), taking ties in the order given, and extends every row by it
-    at once.  The order comes from the patterns alone: there is no
-    statistics table, and nothing is kept between calls.
+    slot of a pattern is read from the row at a position worked out once
+    per pattern, an open slot from the leading None.  The join runs next
+    the remaining pattern with the most fixed slots (a constant, or a
+    variable bound by ``start`` or an earlier pattern), taking ties in the
+    order given, and extends every row by it at once.  The order comes
+    from the patterns alone: there is no statistics table, and nothing is
+    kept between calls.
     """
     at: dict[Term | str, int] = {}
     for pattern in patterns:
         for slot in pattern:
             if isinstance(slot, Term):
-                at.setdefault(slot, len(at))
-    rows = [(*at, *start.values())]
+                at.setdefault(slot, len(at) + 1)
+    rows: list[tuple[Term | None, ...]] = [(None, *at, *start.values())]
     for name in start:
-        at[name] = len(at)
+        at[name] = len(at) + 1
     remaining = list(patterns)
     while remaining:
         fixed = [(s in at) + (p in at) + (o in at) for s, p, o in remaining]
@@ -404,50 +399,37 @@ def _join(
 
 
 def _extend(
-    pattern: TriplePattern, at: dict[Term | str, int], rows: list[tuple[Term, ...]], graph: Graph
-) -> list[tuple[Term, ...]]:
+    pattern: TriplePattern, at: dict[Term | str, int], rows: list[tuple[Term | None, ...]], graph: Graph
+) -> list[tuple[Term | None, ...]]:
     """Every row extended by each match of ``pattern``; ``at`` gains the
     position of each variable the pattern binds.
 
-    The common shapes probe ``_spo`` and ``_pos`` directly.  As in
-    :meth:`Graph._match`, a literal subject or a predicate that is not a
-    stored predicate finds no index entry and matches nothing.
+    Each row probes the graph once, through :meth:`Graph._match`, which
+    matches nothing for a literal subject or a predicate that is not a
+    stored predicate.
     """
-    spo, pos = graph._spo, graph._pos
-    fixed = [at.get(slot) for slot in pattern]  # a row position, or None for an open slot
-    s, p, o = fixed
+    fixed = [at.get(slot, 0) for slot in pattern]  # a row position; 0, the leading None, for an open slot
     new: list[int] = []  # the open slots whose terms extend the row, in slot order
     repeats: list[tuple[int, int]] = []  # (slot, earlier slot) of a variable repeated in the pattern
     for k, slot in enumerate(pattern):
-        if fixed[k] is None and slot is not None:
+        if not fixed[k] and slot is not None:
             if slot in at:
                 repeats.append((k, pattern.index(slot)))
             else:
-                at[slot] = len(at)
+                at[slot] = len(at) + 1
                 new.append(k)
-    open_slots = fixed.count(None)
-    if not open_slots:
-        return [row for row in rows if row[o] in spo.get(row[s], _EMPTY).get(row[p], ())]
-    if open_slots == 1 and p is not None:
-        if o is None:
-            def terms(row: tuple[Term, ...]) -> Iterable[Term]:
-                return spo.get(row[s], _EMPTY).get(row[p], ())
-        else:
-            def terms(row: tuple[Term, ...]) -> Iterable[Term]:
-                return pos.get(row[p], _EMPTY).get(row[o], ())
-        if new:
-            return [row + (term,) for row in rows for term in terms(row)]
-        return [row for row in rows if terms(row)]  # a wildcard binds nothing
-    if new == [0, 2] and p is not None:
-        return [row + (x, y) for row in rows for y, subjects in pos.get(row[p], _EMPTY).items() for x in subjects]
-    out = []
+    probe = itemgetter(*fixed)
+    match = graph._match
+    if not new:
+        return [row for row in rows if match(*probe(row))]
+    out: list[tuple[Term | None, ...]] = []
+    if len(new) == 1 and not repeats:
+        k = new[0]
+        for row in rows:
+            out += [row + (triple[k],) for triple in match(*probe(row))]
+        return out
     for row in rows:
-        matched = graph._match(*[None if k is None else row[k] for k in fixed])
-        if not new:
-            if matched:
-                out.append(row)
-            continue
-        for triple in matched:
+        for triple in match(*probe(row)):
             if all(triple[k] is triple[j] for k, j in repeats):
                 out.append(row + tuple([triple[k] for k in new]))
     return out
