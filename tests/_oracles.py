@@ -117,6 +117,78 @@ def brute_instances(expr, graph: Graph) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Class retrieval, one candidate class at a time
+
+
+def _ancestors(node: str, pairs) -> set[str]:
+    """``node`` and everything above it, by walking the ``(child, parent)``
+    pairs from ``node`` until no new parent turns up."""
+    seen = {node}
+    frontier = [node]
+    while frontier:
+        child = frontier.pop()
+        for below, above in pairs:
+            if below == child and above not in seen:
+                seen.add(above)
+                frontier.append(above)
+    return seen
+
+
+def brute_classes(expr, schema: SchemaIndex, graph: Graph) -> list[str]:
+    """``query.retrieve_classes`` by testing each declared class against the
+    definition in the ``query`` module docstring, over closures this oracle
+    walks itself.  An object of a class-level edge is tested with the
+    instance oracle :func:`satisfies`."""
+
+    def below(sub: str, sup: str, pairs) -> bool:
+        return sup in _ancestors(sub, pairs)
+
+    def accepts(obj: Term, filler) -> bool:
+        if isinstance(filler, Anything):
+            return True
+        return not obj.is_literal() and instance_or_class(obj, filler)
+
+    def instance_or_class(obj: Term, filler) -> bool:
+        if isinstance(filler, And):
+            return all(instance_or_class(obj, part) for part in filler.parts)
+        if isinstance(filler, Named) and obj.is_iri() and obj.value in schema.classes:
+            if below(obj.value, filler.iri, schema.sub_class_of):
+                return True
+        return satisfies(obj, filler, graph)
+
+    def holds(cls: str, expr) -> bool:
+        if isinstance(expr, Named):
+            return below(cls, expr.iri, schema.sub_class_of)
+        if isinstance(expr, OneOf):
+            return cls in expr.iris
+        if isinstance(expr, Anything):
+            return True
+        if isinstance(expr, And):
+            return all(holds(cls, part) for part in expr.parts)
+        if isinstance(expr, Some):
+            path = expr.path
+            if path.inverted:
+                return any(
+                    t.o.is_iri() and t.o.value == cls
+                    and below(t.p.value, path.iri, schema.sub_property_of) and accepts(t.s, expr.filler)
+                    for t in schema.class_level_triples
+                )
+            lineage = _ancestors(cls, schema.sub_class_of)
+            return any(
+                ob.on_class in lineage
+                and below(ob.property, path.iri, schema.sub_property_of) and holds(ob.filler, expr.filler)
+                for ob in schema.obligations
+            ) or any(
+                t.s.value in lineage
+                and below(t.p.value, path.iri, schema.sub_property_of) and accepts(t.o, expr.filler)
+                for t in schema.class_level_triples
+            )
+        raise TypeError(f"unknown expression node {type(expr).__name__}")
+
+    return sorted(cls for cls in schema.classes if holds(cls, expr))
+
+
+# ---------------------------------------------------------------------------
 # Rule evaluation by full grounding enumeration
 
 

@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _gen import graph_vocabulary, random_expression, random_graph, random_select  # noqa: E402
-from _oracles import brute_instances, brute_select, brute_solutions, brute_violations  # noqa: E402
+from _gen import add_meta_axioms, add_obligations, graph_vocabulary, random_expression, random_graph, random_select  # noqa: E402
+from _oracles import brute_classes, brute_instances, brute_select, brute_solutions, brute_violations  # noqa: E402
 
 from applekit.assets import load_assets
 from applekit.graph import Graph
+from applekit.materialize import materialize
 from applekit.query import (
     ANYTHING,
     And,
@@ -327,6 +328,51 @@ class TestClasses:
         expr = OneOf(frozenset({EX + "A", EX + "x"}))
         assert retrieve_classes(expr, schema, graph) == [EX + "A"]
 
+    def test_literal_object_satisfies_only_a_bare_some(self):
+        graph = parse_turtle(HEADER + (
+            "ex:A a owl:Class . ex:Sub rdfs:subClassOf ex:A .\n"
+            'ex:note a owl:ObjectProperty . ex:A ex:note "text" .\n'
+        ))
+        schema = extract_schema(graph)
+        path = PropertyPath(EX + "note")
+        for inverted in (False, True):
+            for filler, want in ((ANYTHING, [EX + "A", EX + "Sub"]), (And((ANYTHING, ANYTHING)), [])):
+                expr = Some(path._replace(inverted=inverted), filler)
+                want = [] if inverted else want
+                assert retrieve_classes(expr, schema, graph) == want == brute_classes(expr, schema, graph), expr
+
+    def test_random_schemas_match_oracle(self):
+        for seed in range(CLASS_SEEDS):
+            rng = random.Random(7000 + seed)
+            graph, names = class_level_graph(rng)
+            schema = extract_schema(graph)
+            data = materialize(graph, schema) if rng.random() < 0.5 else graph
+            for _ in range(CLASS_EXPRESSIONS):
+                expr = random_expression(rng, *names)
+                assert retrieve_classes(expr, schema, data) == brute_classes(expr, schema, data), (seed, expr)
+
+
+CLASS_SEEDS = 300
+CLASS_EXPRESSIONS = 4
+
+
+def class_level_graph(rng: random.Random):
+    """A random schema with obligations and meta axioms, plus what class
+    retrieval reads apart from instance retrieval: classes typed as
+    instances (punning), edges from classes to individuals and back, and a
+    literal object of a class-level edge.  Returns the graph and the
+    (classes, properties, nominals) to draw expressions from; the nominals
+    hold class IRIs too."""
+    graph = add_meta_axioms(rng, add_obligations(rng, random_graph(rng)))
+    classes, props, inds = graph_vocabulary(graph)
+    for _ in range(rng.randint(0, 3)):
+        graph.insert(Triple(iri(rng.choice(classes)), iri(RDF_TYPE), iri(rng.choice(classes))))
+    for _ in range(rng.randint(0, 2) if inds else 0):
+        graph.insert(Triple(iri(rng.choice(classes)), iri(rng.choice(props)), iri(rng.choice(inds))))
+        graph.insert(Triple(iri(rng.choice(inds)), iri(rng.choice(props)), iri(rng.choice(classes))))
+    graph.insert(Triple(iri(rng.choice(classes)), iri(rng.choice(props)), literal(f"v{rng.randint(0, 9)}")))
+    return graph, (classes, props, inds + classes)
+
 
 def nominal_filter_catalog(micro):
     return micro[2]
@@ -518,7 +564,6 @@ class TestJoinGuards:
 class TestBundledQueries:
     def test_agent_query_uses_default_catalog(self):
         assets = load_assets()
-        from applekit.materialize import materialize
 
         graph = materialize(assets.combined(), assets.schema)
         got = retrieve_instances(parse_class_expression("Agent"), graph)
@@ -526,7 +571,6 @@ class TestBundledQueries:
 
     def test_inverse_participation(self):
         assets = load_assets()
-        from applekit.materialize import materialize
 
         graph = materialize(assets.combined(), assets.schema)
         expr = parse_class_expression("Agent and (isParticipantIn some {DentalSurgeryAftercare})")
