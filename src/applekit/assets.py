@@ -58,13 +58,22 @@ def parse_cq_manifest(text: str) -> tuple[CqCase, ...]:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AssetError(f"competency-question manifest is not valid JSON: {exc}") from exc
+    listed = payload.get("cases", []) if isinstance(payload, dict) else None
+    if not isinstance(listed, list):
+        raise AssetError("competency-question manifest must be a JSON object whose cases are a list")
     cases = []
-    for raw in payload.get("cases", []):
+    for number, raw in enumerate(listed, 1):
+        if not isinstance(raw, dict):
+            raise AssetError(f"manifest case {number} is not a JSON object")
         missing = {"id", "mode", "query", "expected"} - set(raw)
         if missing:
             raise AssetError(f"manifest case is missing fields: {', '.join(sorted(missing))}")
+        if not all(isinstance(raw[key], str) for key in ("id", "mode", "query")):
+            raise AssetError(f"manifest case {number}: id, mode and query must be strings")
         if raw["mode"] not in ("instances", "classes", "select"):
             raise AssetError(f"manifest case {raw['id']}: unknown mode {raw['mode']!r}")
+        if not isinstance(raw["expected"], list) or not all(isinstance(value, str) for value in raw["expected"]):
+            raise AssetError(f"manifest case {raw['id']}: expected must be a list of strings")
         cases.append(
             CqCase(
                 id=raw["id"],
@@ -128,7 +137,7 @@ def _read(path: Path, name: str) -> str:
     target = path / name
     try:
         return target.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise AssetError(f"cannot read bundled asset {target}: {exc}") from exc
 
 

@@ -61,6 +61,15 @@ def _add_io_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", metavar="FILE", help="write output here instead of stdout")
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of a file a command reads; a file that cannot be read
+    or decoded is a configuration error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {what} {path}: {exc}", EXIT_CONFIG) from exc
+
+
 def _load_inputs(args: argparse.Namespace) -> tuple[Graph, PrefixMap]:
     """Union of the bundled graphs (if requested) and every -i file, each
     file's blank nodes kept apart from those of the graphs before it."""
@@ -79,15 +88,11 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Graph, PrefixMap]:
         for prefix, namespace in assets.prefixes.items():
             prefixes.bind(prefix, namespace)
     for name in args.input:
-        path = Path(name)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CliError(f"cannot read input file {name}: {exc}", EXIT_CONFIG) from exc
+        text = _read_text(name, "input file")
         try:
             document = parse_document(text)
         except TurtleParseError as exc:
-            raise CliError(exc.diagnostic.render(str(path)), EXIT_PARSE) from exc
+            raise CliError(exc.diagnostic.render(str(Path(name))), EXIT_PARSE) from exc
         if merged is None:
             merged = document.graph  # the first graph is fresh: extend it in place
         else:
@@ -146,11 +151,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     digest = inputs_digest(graph)  # of the inputs, before they are extended
     _, catalog = _reason(graph, prefixes, names=bool(args.rules))
     if args.rules:
-        try:
-            rules_text = Path(args.rules).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CliError(f"cannot read rules file {args.rules}: {exc}", EXIT_CONFIG) from exc
-        rules = parse_rules(rules_text, catalog)
+        rules = parse_rules(_read_text(args.rules, "rules file"), catalog)
     elif args.bundled:
         from .assets import load_assets
 
@@ -212,10 +213,7 @@ def _cmd_cq(args: argparse.Namespace) -> int:
     graph, prefixes = _load_inputs(args)
     schema, catalog = _reason(graph, prefixes, names=True)
     if args.manifest:
-        try:
-            cases = parse_cq_manifest(Path(args.manifest).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise CliError(f"cannot read manifest {args.manifest}: {exc}", EXIT_CONFIG) from exc
+        cases = parse_cq_manifest(_read_text(args.manifest, "manifest"))
     else:
         cases = load_assets().cq_cases
     results = run_cq_suite(cases, graph, schema, catalog)

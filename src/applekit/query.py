@@ -15,9 +15,17 @@ text in a mode to sorted rows, for the CLI and the competency questions.
 
 Two retrieval modes share the AST.  Instance retrieval is extensional and
 closed-world over a materialized graph: a restriction is satisfied by the
-edges actually present.  Class retrieval is structural: a class satisfies a
-restriction when it inherits a matching existential obligation or a
-matching class-level (punned) edge.
+edges actually present.  Class retrieval is structural and reads the
+schema.  A class C satisfies a class name at or above C, a nominal set
+that lists C, a conjunction whose parts it all satisfies, ``p some F``
+when C or a class above it has an obligation ``q some D`` with D
+satisfying F or a class-level (punned) edge ``q o`` with o accepting F,
+and ``inverse p some F`` when a class-level edge ``s q C`` with s
+accepting F points at C itself; q is p or below it.  Any object accepts a
+bare ``some``; another filler accepts the non-literal terms of its
+instance extension and, for a class name alone or as a conjunct, the
+declared classes below it.  :func:`_classes` and :func:`_accepted`
+evaluate the two sides a set at a time.
 
 ``select`` evaluates a conjunctive basic-graph-pattern query and returns
 sorted, duplicate-free rows; its patterns must share variables so the query
@@ -260,70 +268,58 @@ def retrieve_instances(expr: ClassExpression, graph: Graph) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Class retrieval (structural subsumption)
+# Class retrieval (structural, a set at a time)
 
 
-def _filler_accepts_object(filler: ClassExpression, obj: Term, schema: SchemaIndex, graph: Graph) -> bool:
-    """Does the object of a class-level edge satisfy the query filler?"""
-    if isinstance(filler, Anything):
-        return True
-    if obj.is_literal():
-        return False
-    if isinstance(filler, OneOf):
-        return obj.is_iri() and obj.value in filler.iris
-    if isinstance(filler, Named):
-        if graph._has(obj, _TYPE, iri(filler.iri)):
-            return True
-        return obj.is_iri() and obj.value in schema.classes and schema.is_subclass(obj.value, filler.iri)
-    if isinstance(filler, And):
-        return all(_filler_accepts_object(part, obj, schema, graph) for part in filler.parts)
-    if isinstance(filler, Some):
-        return obj in _extension(filler, graph)
-    return False
-
-
-def _class_satisfies(candidate: str, expr: ClassExpression, schema: SchemaIndex, graph: Graph) -> bool:
+def _classes(expr: ClassExpression, schema: SchemaIndex, graph: Graph, universe: frozenset[str]) -> set[str]:
+    """The classes of ``universe`` that satisfy ``expr`` structurally."""
     if isinstance(expr, Named):
-        return schema.is_subclass(candidate, expr.iri)
-    if isinstance(expr, Anything):
-        return True
+        return _at_or_below({expr.iri}, schema, universe)
     if isinstance(expr, OneOf):
-        return candidate in expr.iris
+        return set(universe & expr.iris)
+    if isinstance(expr, Anything):
+        return set(universe)
     if isinstance(expr, And):
-        return all(_class_satisfies(candidate, part, schema, graph) for part in expr.parts)
+        return set.intersection(*[_classes(part, schema, graph, universe) for part in expr.parts])
     if isinstance(expr, Some):
-        lineage = {candidate} | set(schema.superclasses(candidate))
-        if not expr.path.inverted:
-            for obligation in schema.obligations:
-                if obligation.on_class not in lineage:
-                    continue
-                if not schema.is_subproperty(obligation.property, expr.path.iri):
-                    continue
-                if _class_satisfies(obligation.filler, expr.filler, schema, graph):
-                    return True
-            for triple in schema.class_level_triples:
-                if triple.s.value not in lineage:
-                    continue
-                if not schema.is_subproperty(triple.p.value, expr.path.iri):
-                    continue
-                if _filler_accepts_object(expr.filler, triple.o, schema, graph):
-                    return True
-            return False
-        # Inverted paths read class-level edges pointing at the candidate.
-        for triple in schema.class_level_triples:
-            if not (triple.o.is_iri() and triple.o.value == candidate):
-                continue
-            if not schema.is_subproperty(triple.p.value, expr.path.iri):
-                continue
-            if _filler_accepts_object(expr.filler, triple.s, schema, graph):
-                return True
-        return False
+        p = expr.path.iri
+        edges = [t for t in schema.class_level_triples if schema.is_subproperty(t.p.value, p)]
+        accepted = None if isinstance(expr.filler, Anything) else _accepted(expr.filler, schema, graph)
+        if expr.path.inverted:
+            return {t.o.value for t in edges if t.o.is_iri() and (accepted is None or t.s in accepted)} & universe
+        fillers = _classes(expr.filler, schema, graph, universe)
+        witnessed = {t.s.value for t in edges if accepted is None or t.o in accepted}
+        witnessed.update(
+            ob.on_class for ob in schema.obligations if ob.filler in fillers and schema.is_subproperty(ob.property, p)
+        )
+        return _at_or_below(witnessed, schema, universe)
     raise TypeError(f"unknown expression node: {type(expr).__name__}")
+
+
+def _at_or_below(targets: set[str], schema: SchemaIndex, universe: frozenset[str]) -> set[str]:
+    """The classes of ``universe`` that are in ``targets`` or below one."""
+    above = schema._superclass_closure()
+    return {c for c in universe if c in targets or not targets.isdisjoint(above.get(c, ()))}
+
+
+def _accepted(filler: ClassExpression, schema: SchemaIndex, graph: Graph) -> set[Term]:
+    """The terms a class-level edge may point at to satisfy ``filler``, which
+    is not bare: its extension, where a class name also takes the declared
+    classes below it.  No literal is among them."""
+    if isinstance(filler, And):
+        return set.intersection(*[_accepted(part, schema, graph) for part in filler.parts])
+    found = _extension(filler, graph)
+    if isinstance(filler, Named):
+        found.update(map(iri, _at_or_below({filler.iri}, schema, schema.classes)))
+    return found
 
 
 def retrieve_classes(expr: ClassExpression, schema: SchemaIndex, graph: Graph) -> list[str]:
     """Declared classes structurally subsumed by the expression, sorted."""
-    return sorted(c for c in schema.classes if _class_satisfies(c, expr, schema, graph))
+    # An obligation's filler is tested as a class, so it is in the universe
+    # even where a hand-built schema does not declare it.
+    universe = schema.classes | {ob.filler for ob in schema.obligations}
+    return sorted(_classes(expr, schema, graph, universe) & schema.classes)
 
 
 # ---------------------------------------------------------------------------

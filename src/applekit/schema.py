@@ -322,11 +322,9 @@ class NameCatalog:
         properties: dict[str, set[str]],
         individuals: dict[str, set[str]],
         prefixes: PrefixMap | None = None,
-        aliases: dict[str, str] | None = None,
     ) -> None:
         self._by_category = {"class": classes, "property": properties, "individual": individuals}
         self._prefixes = prefixes if prefixes is not None else DEFAULT_PREFIXES
-        self._aliases = dict(NAME_ALIASES if aliases is None else aliases)
 
     @classmethod
     def from_graph(cls, graph: Graph, schema: SchemaIndex | None = None,
@@ -350,9 +348,9 @@ class NameCatalog:
         """Resolve a name as written in a query or rule to an IRI.
 
         Accepts ``<absolute-iri>``, ``prefix:local``, a bare local name, or
-        a registered alias of one.  A bare name is tried in each category
-        in turn.  Raises KeyError with a readable message: the last
-        category's for a bare name, or why an IRI is not a valid term.
+        an alias of one in ``vocab.NAME_ALIASES``.  A bare name is tried in
+        each category in turn.  Raises KeyError with a readable message: the
+        last category's for a bare name, or why an IRI is not a valid term.
         """
         categories = (category, *more)
         for category in categories:
@@ -366,7 +364,7 @@ class NameCatalog:
             if value is None:
                 raise KeyError(f"undeclared prefix '{prefix}:' in name {name!r}")
         else:
-            return self._resolve_bare(self._aliases.get(name, name), categories)
+            return self._resolve_bare(NAME_ALIASES.get(name, name), categories)
         try:
             iri(value)
         except StructuralError as exc:

@@ -47,7 +47,6 @@ RDFS_SUBCLASSOF = RDFS_NS + "subClassOf"
 RDFS_SUBPROPERTYOF = RDFS_NS + "subPropertyOf"
 RDFS_DOMAIN = RDFS_NS + "domain"
 RDFS_RANGE = RDFS_NS + "range"
-RDFS_LABEL = RDFS_NS + "label"
 OWL_CLASS = OWL_NS + "Class"
 OWL_OBJECT_PROPERTY = OWL_NS + "ObjectProperty"
 OWL_DATATYPE_PROPERTY = OWL_NS + "DatatypeProperty"

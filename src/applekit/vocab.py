@@ -58,14 +58,7 @@ VERDICT_CLASSES = (MORALLY_RIGHT_ACTION, MORALLY_WRONG_ACTION, MORALLY_GREY_ACTI
 # Properties the verdict rules and the classifier key on.
 UPHOLDS_PRINCIPLE = APPLE + "upholdsEthicalPrinciple"
 VIOLATES_PRINCIPLE = APPLE + "violatesEthicalPrinciple"
-VIOLATED_BY = APPLE + "violatedBy"
-HAS_CONSEQUENCE = AIRO + "hasConsequence"
-HAS_CHARACTERISTIC = APPLE + "hasCharacteristicOfConsequence"
-HAS_SEVERITY = APPLE + "hasSeverityOfConsequence"
-HAS_UTILITY = APPLE + "hasUtilityOfConsequence"
-HAS_DURATION = APPLE + "hasDurationOfConsequence"
 DOES_ACTION = TRAFFIC + "doesAction"
-HAS_PARTICIPANT = PART + "hasParticipant"
 IS_PARTICIPANT_IN = PART + "isParticipantIn"
 
 #: Alternate spellings accepted by the query and rule parsers.  Queries in

@@ -74,6 +74,11 @@ class TestIntegrity:
         with pytest.raises(AssetError, match="cannot read"):
             load_assets()
 
+    def test_undecodable_file_reported(self, asset_copy):
+        (asset_copy / RULES_FILE).write_bytes("# caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(AssetError, match="cannot read bundled asset"):
+            load_assets()
+
     def test_counts_entry_missing(self, asset_copy):
         (asset_copy / COUNTS_FILE).write_text('{"taxonomy": 230}')
         with pytest.raises(AssetError, match="no entry for 'scenario'"):
@@ -103,6 +108,22 @@ class TestCqManifest:
             parse_cq_manifest(
                 '{"cases": [{"id": "C1", "mode": "ask", "query": "q", "expected": []}]}'
             )
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[]", "must be a JSON object whose cases are a list"),
+            ('{"cases": {"id": "C1"}}', "must be a JSON object whose cases are a list"),
+            ('{"cases": [7]}', "manifest case 1 is not a JSON object"),
+            ('{"cases": [{"id": "C1", "mode": "select", "query": 7, "expected": []}]}', "case 1: id, mode and query"),
+            ('{"cases": [{"id": "C1", "mode": "select", "query": "q", "expected": "ab"}]}', "case C1: expected must"),
+            ('{"cases": [{"id": "C1", "mode": "select", "query": "q", "expected": 3}]}', "case C1: expected must"),
+            ('{"cases": [{"id": "C1", "mode": "select", "query": "q", "expected": [1]}]}', "case C1: expected must"),
+        ],
+    )
+    def test_parse_rejects_misshaped(self, text, message):
+        with pytest.raises(AssetError, match=message):
+            parse_cq_manifest(text)
 
     def test_parse_rejects_empty(self):
         with pytest.raises(AssetError, match="no cases"):

@@ -82,6 +82,22 @@ class TestInputHandling:
         assert code == 2
         assert "cannot read input file" in err
 
+    @pytest.mark.parametrize(
+        "argv,what",
+        [
+            (["reason", "-i"], "input file"),
+            (["classify", "--bundled", "--rules"], "rules file"),
+            (["cq", "--bundled", "--manifest"], "manifest"),
+        ],
+        ids=["input", "rules", "manifest"],
+    )
+    def test_undecodable_file_is_config_error(self, capsys, tmp_path, argv, what):
+        path = tmp_path / "latin-1.txt"
+        path.write_bytes("ex:caf\u00e9 .\n".encode("latin-1"))
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"applekit: cannot read {what} {path}: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("target", ["missing-parent", "directory"])
     @pytest.mark.parametrize("command", ["reason", "classify", "validate"])
     def test_unwritable_output_is_config_error(self, capsys, tmp_path, command, target):
@@ -432,6 +448,23 @@ class TestCq:
         assert "FAIL" in out
         assert "0/1 competency questions passed" in out
         assert "expected" in out and "actual" in out
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            {"cases": [7]},
+            {"cases": [{"id": "X1", "mode": "instances", "query": "Agent", "expected": 3}]},
+            {"cases": [{"id": "X1", "mode": "instances", "query": "Agent", "expected": APPLE + "Doctor"}]},
+        ],
+        ids=["top-level-list", "case-not-object", "expected-number", "expected-string"],
+    )
+    def test_misshaped_manifest_is_config_error(self, capsys, tmp_path, payload):
+        manifest = tmp_path / "cq.json"
+        manifest.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, "cq", "--bundled", "--manifest", str(manifest))
+        assert (code, out) == (2, "")
+        assert err.startswith("applekit: ") and "manifest" in err and err.count("\n") == 1, err
 
 
 class TestInputPrefixes:

@@ -347,6 +347,9 @@ class TestClasses:
             graph, names = class_level_graph(rng)
             schema = extract_schema(graph)
             data = materialize(graph, schema) if rng.random() < 0.5 else graph
+            if rng.random() < 0.25:
+                # A hand-built schema may leave an obligation's filler undeclared.
+                schema = schema._replace(classes=schema.classes - {ob.filler for ob in schema.obligations})
             for _ in range(CLASS_EXPRESSIONS):
                 expr = random_expression(rng, *names)
                 assert retrieve_classes(expr, schema, data) == brute_classes(expr, schema, data), (seed, expr)

@@ -307,16 +307,12 @@ class TestNameCatalog:
             "Person": {EX + "Person", "http://other.test/Person"}
         }
 
-    def test_custom_aliases(self):
+    def test_unaliased_name_does_not_resolve(self):
         graph = parse_turtle(HEADER + "ex:Person a owl:Class .")
         catalog = NameCatalog.from_graph(graph, prefixes=PrefixMap({"ex": EX}))
-        # Default alias table has no entry for this name.
+        # The alias table has no entry for this name.
         with pytest.raises(KeyError):
             catalog.resolve("People", "class")
-        aliased = NameCatalog(
-            {"Person": {EX + "Person"}}, {}, {}, PrefixMap({"ex": EX}), {"People": "Person"}
-        )
-        assert aliased.resolve("People", "class") == EX + "Person"
 
 
 class TestTokenize:
