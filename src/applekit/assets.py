@@ -74,6 +74,8 @@ def parse_cq_manifest(text: str) -> tuple[CqCase, ...]:
             raise AssetError(f"manifest case {raw['id']}: unknown mode {raw['mode']!r}")
         if not isinstance(raw["expected"], list) or not all(isinstance(value, str) for value in raw["expected"]):
             raise AssetError(f"manifest case {raw['id']}: expected must be a list of strings")
+        if not isinstance(raw.get("question", ""), str) or not isinstance(raw.get("reconstructed", False), bool):
+            raise AssetError(f"manifest case {number}: question must be a string and reconstructed true or false")
         cases.append(
             CqCase(
                 id=raw["id"],
@@ -81,7 +83,7 @@ def parse_cq_manifest(text: str) -> tuple[CqCase, ...]:
                 mode=raw["mode"],
                 query=raw["query"],
                 expected=tuple(sorted(raw["expected"])),
-                reconstructed=bool(raw.get("reconstructed", False)),
+                reconstructed=raw.get("reconstructed", False),
             )
         )
     if not cases:
@@ -151,8 +153,12 @@ def _cached_assets(path: Path) -> AppleAssets:
     taxonomy_doc = parse_document(_read(path, TAXONOMY_FILE))
     scenario_doc = parse_document(_read(path, SCENARIO_FILE))
 
-    counts_raw = json.loads(_read(path, COUNTS_FILE))
-    counts = {key: int(value) for key, value in counts_raw.items()}
+    try:
+        counts = json.loads(_read(path, COUNTS_FILE))
+    except json.JSONDecodeError as exc:
+        raise AssetError(f"asset count manifest is not valid JSON: {exc}") from exc
+    if not isinstance(counts, dict) or not all(type(value) is int for value in counts.values()):
+        raise AssetError("asset count manifest must be a JSON object whose counts are integers")
     for name, graph in (("taxonomy", taxonomy_doc.graph), ("scenario", scenario_doc.graph)):
         expected = counts.get(name)
         if expected is None:

@@ -20,6 +20,10 @@ no part in equality or ``repr``, and none of its attributes can be set.
 Pickling rebuilds it from its terms, so a hash never crosses a process
 boundary.
 
+The module owns term syntax: ``Term``, ``PrefixMap`` and the Turtle reader
+share its IRI body, name characters and language tag, so the reader reads
+back every IRI, datatype IRI and namespace a caller can build.
+
 The module also defines the error types the CLI maps to exit codes, so
 that the CLI can catch each of them without importing the layer that
 raises it.  Each layer re-exports its own.
@@ -28,7 +32,6 @@ raises it.  Each layer re-exports its own.
 from __future__ import annotations
 
 import re
-import string
 import weakref
 from _weakref import _remove_dead_weakref
 from typing import TYPE_CHECKING
@@ -112,7 +115,11 @@ class AssetError(Exception):
 
 
 _KIND_ORDER = {"blank": 0, "iri": 1, "literal": 2}
-_IRI_FORBIDDEN = re.compile('[<>" \n\t]')
+# The body of an IRIREF between '<' and '>' (Turtle 1.1, with no escapes).
+_IRI_BODY = re.compile(r"""[^<>"{}|^`\\ \n\t\r]*""")
+# A character of a prefix label or local name; a name run does not end in '.'.
+_NAME_CHAR = r"[A-Za-z0-9_.\-]"
+_NAME = _NAME_CHAR + r"*(?<!\.)"
 # A language tag as Turtle writes it after '@' (BCP 47 shape, unchecked
 # against the registry).
 _LANGTAG = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:-[A-Za-z0-9]+)*")
@@ -163,7 +170,7 @@ def _check(kind: str, value: str, datatype: str | None, lang: str | None) -> Non
     if kind == "iri":
         if ":" not in value:
             raise StructuralError(f"IRI is not absolute: {value!r}")
-        if _IRI_FORBIDDEN.search(value):
+        if not _IRI_BODY.fullmatch(value):
             raise StructuralError(f"IRI contains a forbidden character: {value!r}")
     elif kind == "blank":
         if not value:
@@ -172,7 +179,7 @@ def _check(kind: str, value: str, datatype: str | None, lang: str | None) -> Non
         if datatype is not None:
             if lang is not None:
                 raise StructuralError("literal cannot carry both a datatype and a language tag")
-            if ":" not in datatype or _IRI_FORBIDDEN.search(datatype):
+            if ":" not in datatype or not _IRI_BODY.fullmatch(datatype):
                 raise StructuralError(f"literal datatype is not an absolute IRI: {datatype!r}")
         elif lang is not None and not _LANGTAG.fullmatch(lang):
             raise StructuralError(f"invalid language tag: {lang!r}")
@@ -344,18 +351,18 @@ class Triple:
 _set_s, _set_p, _set_o, _set_hash = (Triple.__dict__[name].__set__ for name in ("s", "p", "o", "_hash"))
 
 
-# PN_PREFIX: a '.' may appear inside a prefix label but not at its end.
-_PNAME_PREFIX_RE = re.compile(r"[A-Za-z](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?")
-_PNAME_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*")
+# PN_PREFIX and PN_LOCAL: a name does not end in '.', a local name starts with neither '.' nor '-'.
+_PNAME_PREFIX_RE = re.compile(r"[A-Za-z]" + _NAME)
+_PNAME_LOCAL_RE = re.compile(r"(?![.\-])" + _NAME_CHAR + _NAME)
 
 
 def valid_local_name(local: str) -> bool:
     """True when a local name can be written as part of a prefixed name."""
-    return bool(_PNAME_LOCAL_RE.fullmatch(local)) and not local.endswith(".")
+    return _PNAME_LOCAL_RE.fullmatch(local) is not None
 
 
-# The characters a local name can hold (``_PNAME_LOCAL_RE``).
-_LOCAL_CHARS = string.ascii_letters + string.digits + "_.-"
+# The characters a local name can hold.
+_LOCAL_CHARS = "".join(filter(re.compile(_NAME_CHAR).fullmatch, map(chr, range(128))))
 
 
 class PrefixMap:
@@ -374,7 +381,7 @@ class PrefixMap:
     def bind(self, prefix: str, namespace: str) -> None:
         if prefix and not _PNAME_PREFIX_RE.fullmatch(prefix):
             raise StructuralError(f"invalid prefix label: {prefix!r}")
-        if ":" not in namespace:
+        if ":" not in namespace or not _IRI_BODY.fullmatch(namespace):
             raise StructuralError(f"namespace is not an absolute IRI: {namespace!r}")
         self._bindings[prefix] = namespace
         self._heads = None

@@ -4,7 +4,8 @@ Supported: ``@prefix`` and ``@base`` directives, prefixed names, absolute
 IRIs in angle brackets, the ``a`` keyword, object lists (comma), predicate
 object lists (semicolon), labeled blank nodes (``_:name``), plain, typed,
 and language-tagged string literals, and ``#`` comments.  N-Triples files
-parse unchanged since the grammar is a superset.
+parse unchanged since the grammar is a superset.  ``terms.py`` owns term
+syntax: the reader takes its IRI body, name characters and language tag.
 
 Deliberately unsupported constructs fail loudly, each naming the feature:
 anonymous blank nodes ``[ ]``, collections ``( )``, quoted triples ``<< >>``,
@@ -54,7 +55,10 @@ from urllib.parse import urljoin
 
 from .graph import Graph
 from .terms import (
+    _IRI_BODY,
     _LANGTAG,
+    _NAME,
+    _NAME_CHAR,
     RDF_TYPE,
     PrefixMap,
     StructuralError,
@@ -103,23 +107,21 @@ _STRING_ESCAPES = {
 # A string body up to its closing quote: any character but a quote, a
 # backslash or a newline, and only well-formed escapes.
 _STRING_BODY = r"""[^"\\\n]*(?:\\(?:[tbnrf"'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^"\\\n]*)*"""
-_IRI_BODY = r"""[^<>"{}|^`\\ \n\t\r]*"""
-# A name run never ends with '.': trailing dots are left for the next token.
-_NAME = r"[A-Za-z0-9_.\-]*(?<!\.)"
+# A prefix label, unlike a local name, keeps its trailing dots ('ex.:a').
+_PREFIX = r"(?:[A-Za-z_]" + _NAME_CHAR + r"*)?"
 # Whitespace and comments.  A comment runs to the end of its line even when
 # a longer pattern fails after it, so no step can match inside a comment.
 _WS = r"[ \t\r\n]*(?:#[^\n]*(?=\n|\Z)[ \t\r\n]*)*"
 
 # Each match skips whitespace and comments (group 1), then takes one token,
 # or the end of the text.  It takes nothing where a malformed or unsupported
-# construct starts, and _fail explains that spot.  A prefix label, unlike a
-# local name, keeps its trailing dots ('ex.:a' has the prefix 'ex.').
+# construct starts, and _fail explains that spot.
 _TOKEN = re.compile(
     r"(" + _WS + r")"
-    r"(?:(?P<pname>(?!_:)(?P<prefix>[A-Za-z_][A-Za-z0-9_.\-]*|):(?P<local>" + _NAME + r"))"
+    r"(?:(?P<pname>(?!_:)(?P<prefix>" + _PREFIX + r"):(?P<local>" + _NAME + r"))"
     r"|(?P<dot>\.)|(?P<semi>;)|(?P<comma>,)"
     r'|"(?!"")(?P<string>' + _STRING_BODY + r')"'
-    r"|<(?P<iriref>" + _IRI_BODY + r")>"
+    r"|<(?P<iriref>" + _IRI_BODY.pattern + r")>"
     r"|_:(?P<blank>" + _NAME + r")"
     r"|(?P<bare>[A-Za-z_]" + _NAME + r")"
     r"|@(?P<at>" + _NAME + r")"
@@ -130,9 +132,9 @@ _TOKEN = re.compile(
 # The steps take the same tokens as _TOKEN, several at a time, as raw text.
 # A name is followed by no character that would lengthen it, so a failing
 # step cannot backtrack into a shorter name.
-_NAME_END = r"(?!\.*[A-Za-z0-9_\-])"
-_PNAME = r"(?!_:)(?:[A-Za-z_][A-Za-z0-9_.\-]*)?:" + _NAME + _NAME_END
-_IRI = r"<" + _IRI_BODY + r">"
+_NAME_END = r"(?!" + _NAME_CHAR + _NAME + r")"
+_PNAME = r"(?!_:)" + _PREFIX + r":" + _NAME + _NAME_END
+_IRI = r"<" + _IRI_BODY.pattern + r">"
 # Inside a step, between the tokens of one triple, only whitespace: a comment
 # there, like a string with an escape or a tag or datatype set apart from
 # its string, is left to the descent.
@@ -145,7 +147,7 @@ _OBJECT_END = (
     + _SPACE + r"([.;,])"
 )
 # After a subject or ';': a verb (group 1), an object and its end.
-_VERB_OBJECT = re.compile(_WS + r"(" + _PNAME + r"|" + _IRI + r"|a(?![A-Za-z0-9_.:\-]))" + _SPACE + _OBJECT_END)
+_VERB_OBJECT = re.compile(_WS + r"(" + _PNAME + r"|" + _IRI + r"|a(?!:|" + _NAME_CHAR + r"))" + _SPACE + _OBJECT_END)
 # After ',': an object and its end.
 _OBJECT = re.compile(_WS + _OBJECT_END)
 
@@ -228,7 +230,7 @@ def _fail(text: str, start: int) -> TurtleParseError:
     if ch == "<":
         if text.startswith("<<", start):
             return _error(text, start, "quoted triples ('<<') are not supported")
-        end = re.compile(_IRI_BODY).match(text, start + 1).end()  # compiled only on an error
+        end = _IRI_BODY.match(text, start + 1).end()
         if end == len(text):
             return _error(text, start, "unterminated IRI (missing '>')")
         return _error(text, start, f"character {text[end]!r} is not allowed inside an IRI")

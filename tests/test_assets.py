@@ -21,6 +21,7 @@ from applekit.assets import (
     load_assets,
     parse_cq_manifest,
 )
+from applekit.cli import main
 from applekit.materialize import materialize
 from applekit.terms import Triple, iri
 from applekit.vocab import (
@@ -84,6 +85,24 @@ class TestIntegrity:
         with pytest.raises(AssetError, match="no entry for 'scenario'"):
             load_assets()
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("{nope", "asset count manifest is not valid JSON"),
+            ("[230, 41, 298]", "must be a JSON object whose counts are integers"),
+            ('{"taxonomy": "x"}', "must be a JSON object whose counts are integers"),
+            ('{"taxonomy": 230.0, "scenario": 41, "materialized": 298}', "must be a JSON object whose counts"),
+            ('{"taxonomy": 230, "scenario": true, "materialized": 298}', "must be a JSON object whose counts"),
+        ],
+        ids=["invalid-json", "list", "string-count", "float-count", "boolean-count"],
+    )
+    def test_misshaped_counts_manifest(self, asset_copy, tmp_path, capsys, text, message):
+        (asset_copy / COUNTS_FILE).write_text(text)
+        with pytest.raises(AssetError, match=message):
+            load_assets()
+        assert main(["reason", "--bundled", "-o", str(tmp_path / "out.ttl")]) == 2
+        assert capsys.readouterr().err.startswith("applekit: asset count manifest")
+
 
 class TestCqManifest:
     def test_bundled_manifest_shape(self):
@@ -119,6 +138,14 @@ class TestCqManifest:
             ('{"cases": [{"id": "C1", "mode": "select", "query": "q", "expected": "ab"}]}', "case C1: expected must"),
             ('{"cases": [{"id": "C1", "mode": "select", "query": "q", "expected": 3}]}', "case C1: expected must"),
             ('{"cases": [{"id": "C1", "mode": "select", "query": "q", "expected": [1]}]}', "case C1: expected must"),
+            (
+                '{"cases": [{"id": "C1", "mode": "select", "query": "q", "expected": [], "question": 7}]}',
+                "case 1: question must be a string",
+            ),
+            (
+                '{"cases": [{"id": "C1", "mode": "select", "query": "q", "expected": [], "reconstructed": "false"}]}',
+                "case 1: .* reconstructed true or false",
+            ),
         ],
     )
     def test_parse_rejects_misshaped(self, text, message):

@@ -456,8 +456,13 @@ class TestCq:
             {"cases": [7]},
             {"cases": [{"id": "X1", "mode": "instances", "query": "Agent", "expected": 3}]},
             {"cases": [{"id": "X1", "mode": "instances", "query": "Agent", "expected": APPLE + "Doctor"}]},
+            {"cases": [{"id": "X1", "mode": "instances", "query": "Agent", "expected": [], "question": ["Who?"]}]},
+            {"cases": [{"id": "X1", "mode": "instances", "query": "Agent", "expected": [], "reconstructed": "false"}]},
         ],
-        ids=["top-level-list", "case-not-object", "expected-number", "expected-string"],
+        ids=[
+            "top-level-list", "case-not-object", "expected-number", "expected-string",
+            "question-list", "reconstructed-string",
+        ],
     )
     def test_misshaped_manifest_is_config_error(self, capsys, tmp_path, payload):
         manifest = tmp_path / "cq.json"

@@ -406,6 +406,7 @@ class TestSelectParsing:
             ("? p ?o", "variable name"),
             ("?s a <foo>", "not absolute"),
             ("?s <http://example.org/a b> ?o", "forbidden character"),
+            ("?s <http://example.org/a{b> ?o", "forbidden character"),
             ("?s p ?o ; ?o q x", "unexpected character"),
         ],
     )

@@ -127,12 +127,13 @@ class TestParsing:
             ("R: C(?x) -> D(?x) @ .", "unexpected character"),
             ("R: C(?x) -> <foo>(?x) .", "not absolute"),
             ("R: C(?x), p(?x, <http://example.org/a b>) -> D(?x) .", "forbidden character"),
+            ("R: C(?x), p(?x, <http://example.org/a{b>) -> D(?x) .", "forbidden character"),
             ("R: C(?x) -> D(<http://example.org/x .", "unterminated '<'"),
         ],
         ids=[
             "no-id", "dup-id", "no-dot", "negated-head", "two-heads",
             "missing-arrow", "unknown-name", "arity", "bare-qmark", "bad-char",
-            "relative-iri", "iri-with-space", "unterminated-iri",
+            "relative-iri", "iri-with-space", "iri-with-brace", "unterminated-iri",
         ],
     )
     def test_grammar_errors(self, micro, text, needle):

@@ -33,6 +33,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _oracles import compress_by_scan  # noqa: E402
 
 EX = "http://example.org/"
+# What Turtle's IRIREF excludes besides '<', '>', '"', space, '\n' and '\t'.
+IRIREF_EXCLUDED = "{}|^`\\\r"
 
 
 class TestTermConstruction:
@@ -40,7 +42,10 @@ class TestTermConstruction:
         with pytest.raises(StructuralError, match="not absolute"):
             iri("no-scheme")
 
-    @pytest.mark.parametrize("bad", ["http://x/<a>", "http://x/a b", 'http://x/"q', "http://x/\n"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["http://x/<a>", "http://x/a b", 'http://x/"q', "http://x/\n", *(f"http://x/a{ch}b" for ch in IRIREF_EXCLUDED)],
+    )
     def test_iri_rejects_forbidden_characters(self, bad):
         with pytest.raises(StructuralError, match="forbidden"):
             iri(bad)
@@ -69,7 +74,9 @@ class TestTermConstruction:
         assert len({typed, plain}) == 1
         assert typed.sort_key() == plain.sort_key()
 
-    @pytest.mark.parametrize("datatype", ["", "integer", "http://x/a b", "http://x/<dt>"])
+    @pytest.mark.parametrize(
+        "datatype", ["", "integer", "http://x/a b", "http://x/<dt>", *(f"http://x/d{ch}t" for ch in IRIREF_EXCLUDED)]
+    )
     def test_datatype_must_be_an_absolute_iri(self, datatype):
         with pytest.raises(StructuralError, match="literal datatype is not an absolute IRI"):
             literal("v", datatype=datatype)
@@ -333,6 +340,11 @@ class TestPrefixMap:
         with pytest.raises(StructuralError, match="invalid prefix label: 'ex.'"):
             PrefixMap({"ex.": EX})
         assert PrefixMap({"e.x": EX}).expand("e.x", "a") == EX + "a"
+
+    @pytest.mark.parametrize("ch", '<>" \n\t' + IRIREF_EXCLUDED)
+    def test_namespace_rejects_forbidden_characters(self, ch):
+        with pytest.raises(StructuralError, match="namespace is not an absolute IRI"):
+            PrefixMap().bind("ok", f"http://x/n{ch}s/")
 
     def test_empty_prefix_allowed(self):
         pm = PrefixMap({"": EX})

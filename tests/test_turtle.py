@@ -11,6 +11,7 @@ from applekit.terms import (
     XSD_NS,
     XSD_STRING,
     PrefixMap,
+    StructuralError,
     Triple,
     blank,
     iri,
@@ -19,6 +20,7 @@ from applekit.terms import (
 from applekit.turtle import (
     ParseDiagnostic,
     TurtleParseError,
+    _lex,
     canonical_ntriples,
     parse_document,
     parse_turtle,
@@ -397,6 +399,41 @@ class TestRoundTrip:
         assert parse_turtle(text) == g
         # Serializing the reparsed graph reproduces the bytes exactly.
         assert serialize_turtle(parse_turtle(text), pm) == text
+
+    # IRI tails over an alphabet holding every character Turtle's IRIREF excludes.
+    wild_tail = st.text(alphabet='aZ9_.-:/#%~\u00e9\x01{}|^`\\\r<>" \n\t', max_size=4)
+    wild_iri = st.one_of(local, wild_tail).map(lambda tail: EX + tail)
+
+    @given(wild_tail)
+    def test_iri_is_built_exactly_when_it_lexes_as_one_iriref(self, tail):
+        value = EX + tail
+        try:
+            token, end = _lex(f"<{value}>", 0)
+            lexes = token[0] == "iriref" and end == len(value) + 2
+        except TurtleParseError:
+            lexes = False
+        try:
+            iri(value)
+            built = True
+        except StructuralError:
+            built = False
+        assert built == lexes
+
+    @given(st.lists(st.tuples(wild_iri, wild_iri, wild_iri, st.booleans()), max_size=12), wild_iri)
+    def test_graphs_of_accepted_terms_round_trip(self, rows, namespace):
+        triples = []
+        for s, p, o, typed in rows:
+            try:
+                triples.append(Triple(iri(s), iri(p), literal("v", datatype=o) if typed else iri(o)))
+            except StructuralError:
+                pass  # a refused term enters no graph
+        pm = PrefixMap({"ex": EX})
+        try:
+            pm.bind("w", namespace)
+        except StructuralError:
+            pass
+        g = Graph(triples)
+        assert parse_turtle(serialize_turtle(g, pm)) == g
 
 
 class TestWritersAgainstFlatSort:
