@@ -115,8 +115,9 @@ class AssetError(Exception):
 
 
 _KIND_ORDER = {"blank": 0, "iri": 1, "literal": 2}
-# The body of an IRIREF between '<' and '>' (Turtle 1.1, with no escapes).
-_IRI_BODY = re.compile(r"""[^<>"{}|^`\\ \n\t\r]*""")
+# The body of an IRIREF between '<' and '>' (Turtle 1.1, with no escapes):
+# no control character or space, and none of <>"{}|^`\.
+_IRI_BODY = re.compile(r"""[^\x00-\x20<>"{}|^`\\]*""")
 # A character of a prefix label or local name; a name run does not end in '.'.
 _NAME_CHAR = r"[A-Za-z0-9_.\-]"
 _NAME = _NAME_CHAR + r"*(?<!\.)"

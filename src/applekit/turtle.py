@@ -12,30 +12,33 @@ anonymous blank nodes ``[ ]``, collections ``( )``, quoted triples ``<< >>``,
 triple-quoted strings, single-quoted strings, and bare numeric or boolean
 literals.
 
-The reader takes one regex match per triple.  After a subject or ';' the
-step pattern ``_VERB_OBJECT`` takes a verb, an object and the '.', ';' or
-',' that ends it; after ',' the step pattern ``_OBJECT`` takes an object
-and its end.  Each match ends in one insert, and the raw text of each term
-(``ex:a``, ``<iri>``, ``_:b``, ``a``) resolves through one dict per
-document, emptied by every ``@prefix`` or ``@base``.  The steps are built
-from the sub-patterns of ``_TOKEN``, the master regex of the lexer, so
-they take the same tokens: a subject is one ``_TOKEN`` match, and a name in
-a step is followed by no character that could lengthen it.  A comment
-before a step runs to the end of its line (``#[^\\n]*(?=\\n|\\Z)``), so a
-step that fails after a comment cannot backtrack into it and match its
-text; Python 3.10 has no atomic groups to say so.
+One loop reads the text, one triple per pass.  A statement's subject is
+one ``_TOKEN`` match.  After a subject or ';' the step pattern
+``_VERB_OBJECT`` takes a verb, an object and the '.', ';' or ',' that ends
+the triple; after ',' the step pattern ``_OBJECT`` takes an object and its
+end.  The raw text of each term (``ex:a``, ``<iri>``, ``_:b``, ``a``)
+resolves through one dict per document, emptied by every ``@prefix`` or
+``@base``.  The steps are built from the sub-patterns of ``_TOKEN``, the
+master regex of the lexer, so they take the same tokens, and a name in a
+step is followed by no character that could lengthen it.  A comment before
+a step runs to the end of its line (``#[^\\n]*(?=\\n|\\Z)``), so a step that
+fails after a comment cannot backtrack into it and match its text; Python
+3.10 has no atomic groups to say so.
 
-Where no step matches, the recursive descent parses that one statement
-from where the step started, or one directive, or reaches the end of the
-text; then the steps resume.  That covers directives, ';' runs before '.',
-a comment inside a triple, a string with an escape, a language tag or
-datatype set apart from its string by whitespace, and every error.  The
-descent reads its tokens lazily, one ``_TOKEN`` match at a time.  Tokens
-carry only their offset; a line and column are counted only when an error
-is reported.  Where no token starts, a second look at that spot names the
-malformed or unsupported construct.  Before a grammar error is reported
-the rest of the text is lexed, so that a lexical error anywhere is
-reported first, as when the whole text was lexed ahead of the parse.
+Where no step matches, or a term in the match does not resolve, the same
+pass reads that one triple from tokens: the verb and the object, then the
+'.', ';' or ',' that ends it; the steps resume at the next triple.  That
+covers a comment inside a triple, a string with an escape, a language tag
+or datatype set apart from its string by whitespace, and every error.  A
+run of ';' may be followed by a verb or by the '.' that ends the statement,
+and is read from tokens too.  At the start of a statement, a directive,
+the end of the text and a subject that does not resolve are read from
+tokens as well.  Tokens are read lazily, one ``_TOKEN`` match at a time,
+and carry only their offset; a line and column are counted only when an
+error is reported.  Where no token starts, a second look at that spot names
+the malformed or unsupported construct.  Before a grammar error is reported
+the rest of the text is lexed, so that a lexical error anywhere is reported
+first, as when the whole text was lexed ahead of the parse.
 
 The writer is deterministic: prefixes, subjects, predicates, and objects are
 all emitted in sorted order, with ``rdf:type`` rendered as ``a`` and sorted
@@ -137,7 +140,7 @@ _PNAME = r"(?!_:)" + _PREFIX + r":" + _NAME + _NAME_END
 _IRI = r"<" + _IRI_BODY.pattern + r">"
 # Inside a step, between the tokens of one triple, only whitespace: a comment
 # there, like a string with an escape or a tag or datatype set apart from
-# its string, is left to the descent.
+# its string, is read from tokens.
 _SPACE = r"[ \t\r\n]*"
 # An object, then the token that ends it: groups name, body, lang, datatype,
 # end.
@@ -265,18 +268,19 @@ def _fail(text: str, start: int) -> TurtleParseError:
 
 
 class _Parser:
-    """Steps of one regex match per triple; the descent where none matches.
+    """One loop that reads a triple per pass: by a step, or from tokens.
 
-    The step loop keeps a statement's subject, and its predicate after ',',
-    in locals.  Where no step matches, or a term in one cannot be resolved
-    without an error, the descent parses the rest of that statement, or one
-    directive, reading one token at a time from where the step started;
-    the loop then resumes where the descent stopped.
+    The loop keeps a statement's subject, and its predicate after ',', in
+    locals.  Where no step matches, or a term in one cannot be resolved
+    without an error, that pass reads the triple from tokens, one token at
+    a time from where the step started, and the next pass tries the steps
+    again.  A run of ';' may be followed by a verb or by '.'.  Directives
+    and the end of the text are read from tokens at the start of a pass.
     """
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self.pos = 0  # where the descent reads its next token
+        self.pos = 0  # where the next token is read
         self._ahead: tuple[_Token, int] | None = None  # the token at pos and its end, once peeked
         self.prefixes = PrefixMap()
         self.base: str | None = None
@@ -289,57 +293,69 @@ class _Parser:
         text, terms, add, node = self.text, self._terms, self.graph._add, self._node
         token_at, verb_object_at, object_at = _TOKEN.match, _VERB_OBJECT.match, _OBJECT.match
         pos = 0
+        subject = None
         while True:
-            match = token_at(text, pos)
-            subject = None
-            if match.lastgroup in ("pname", "iriref", "blank"):
-                raw = text[match.end(1) : match.end()]
-                subject = terms.get(raw) or node(raw)
-            if subject is None:  # a directive, the end of the text, or an error
-                self._seek(pos)
-                if not self._parse_statement():
-                    return ParsedDocument(self.graph, self.prefixes, self.base)
-                pos = self.pos
-                continue
-            pos = match.end()
-            predicate = None
-            after_semi = False
-            while True:
-                if predicate is None:
-                    match = verb_object_at(text, pos)
-                    if match is None:
-                        break
+            if subject is None:  # a statement starts
+                match = token_at(text, pos)
+                if match.lastgroup in ("pname", "iriref", "blank"):
+                    raw = text[match.end(1) : match.end()]
+                    subject = terms.get(raw) or node(raw)
+                if subject is None:  # a directive, the end of the text, or an error
+                    self._seek(pos)
+                    kind = self._peek()[0]
+                    if kind == "eof":
+                        return ParsedDocument(self.graph, self.prefixes, self.base)
+                    if kind == "prefix_kw":
+                        self._parse_prefix_directive()
+                    elif kind == "base_kw":
+                        self._parse_base_directive()
+                    else:
+                        self._parse_term(_SUBJECT_KINDS, _SUBJECT_WHAT)  # raises: no subject resolves here
+                    pos = self.pos
+                    continue
+                pos = match.end()
+                predicate, after_semi = None, False
+            # One triple: by a step, where one matches and its terms resolve.
+            if predicate is None:
+                match = verb_object_at(text, pos)
+                if match is not None:
                     verb, name, body, lang, datatype, end = match.groups()
                     p = terms.get(verb) or node(verb)
-                    if p is None:
-                        break
-                else:
-                    match = object_at(text, pos)
-                    if match is None:
-                        break
+            else:
+                match = object_at(text, pos)
+                if match is not None:
                     name, body, lang, datatype, end = match.groups()
-                    p = predicate
+                p = predicate
+            o = None
+            if match is not None and p is not None:
                 o = (terms.get(name) or node(name)) if name is not None else self._literal(body, lang, datatype)
-                if o is None:
-                    break
-                add(subject, p, o)
+            if o is not None:
                 pos = match.end()
-                if end == ".":
-                    subject = None
-                    break
-                if end == ",":
-                    predicate = p
-                else:
-                    predicate, after_semi = None, True
-            if subject is not None:  # no step matched inside the statement
+            else:  # otherwise from tokens, where the step started
                 self._seek(pos)
-                self._parse_predicate_object_list(subject, predicate, after_semi)
-                self._expect("dot", "'.' to end the statement")
-                pos = self.pos
+                if predicate is None:
+                    if after_semi and self._peek()[0] in ("semi", "dot"):  # a ';' run goes on to a verb or ends at '.'
+                        if self._next()[0] == "dot":
+                            subject = None
+                        pos = self.pos
+                        continue
+                    p = self._parse_term(_VERB_KINDS, _VERB_WHAT)
+                o = self._parse_term(_OBJECT_KINDS, _OBJECT_WHAT)
+                token = self._next()
+                if token[0] not in ("dot", "semi", "comma"):
+                    raise self.error(f"expected '.' to end the statement, found {_describe(token)}", token)
+                end, pos = token[1], self.pos
+            add(subject, p, o)
+            if end == ".":
+                subject = None
+            elif end == ",":
+                predicate = p
+            else:
+                predicate, after_semi = None, True
 
     def _node(self, raw: str) -> Term | None:
         """The Term for the raw text of a name, an IRI, a blank node or 'a';
-        None where resolving it fails, for the descent to report."""
+        None where resolving it fails, for the token path to report."""
         if raw.startswith("_:"):
             if len(raw) == 2:
                 return None
@@ -358,14 +374,14 @@ class _Parser:
         return term
 
     def _literal(self, body: str, lang: str | None, datatype: str | None) -> Term | None:
-        if lang is not None:  # '@prefix' and '@base' are directives, for the descent to report
+        if lang is not None:  # '@prefix' and '@base' are directives, for the token path to report
             return None if lang in ("prefix", "base") else literal(body, lang=lang)
         if datatype is None:
             return literal(body)
         dt = self._terms.get(datatype) or self._node(datatype)
         return None if dt is None else literal(body, datatype=dt.value)  # an xsd:string is a simple literal
 
-    # The descent
+    # The token path
 
     def _seek(self, pos: int) -> None:
         self.pos = pos
@@ -396,20 +412,6 @@ class _Parser:
         if token[0] != kind:
             raise self.error(f"expected {what}, found {_describe(token)}", token)
         return token
-
-    def _parse_statement(self) -> bool:
-        """Parse one directive or statement; False at the end of the text."""
-        kind = self._peek()[0]
-        if kind == "eof":
-            return False
-        if kind == "prefix_kw":
-            self._parse_prefix_directive()
-        elif kind == "base_kw":
-            self._parse_base_directive()
-        else:
-            self._parse_predicate_object_list(self._parse_term(_SUBJECT_KINDS, _SUBJECT_WHAT))
-            self._expect("dot", "'.' to end the statement")
-        return True
 
     def _parse_prefix_directive(self) -> None:
         self._next()
@@ -452,29 +454,6 @@ class _Parser:
         # urljoin resolves against a base only in the schemes it knows, not urn: or tag:.
         raise self.error(f"relative IRI <{token[1]}> cannot be resolved against base <{self.base}>", token)
 
-    def _parse_predicate_object_list(self, subject: Term, predicate: Term | None = None, after_semi: bool = False) -> None:
-        """The rest of a statement, up to its '.': from its first verb, from
-        a verb after ';' (``after_semi``), or from an object after ','
-        (``predicate``)."""
-        add = self.graph._add
-        while True:
-            if predicate is None:
-                # A trailing semicolon before '.' is tolerated.
-                if after_semi and self._peek()[0] in ("dot", "semi"):
-                    while self._peek()[0] == "semi":
-                        self._next()
-                    return
-                predicate = self._parse_term(_VERB_KINDS, _VERB_WHAT)
-            while True:
-                add(subject, predicate, self._parse_term(_OBJECT_KINDS, _OBJECT_WHAT))
-                if self._peek()[0] != "comma":
-                    break
-                self._next()
-            if self._peek()[0] != "semi":
-                return
-            self._next()
-            predicate, after_semi = None, True
-
     def _parse_term(self, kinds: tuple[str, ...], what: str) -> Term:
         token = self._next()
         kind = token[0]
@@ -503,7 +482,7 @@ class _Parser:
         return literal(lexical)
 
 
-# The token kinds the descent takes in each position, and what it names
+# The token kinds the token path takes in each position, and what it names
 # when it finds another.
 _SUBJECT_KINDS, _SUBJECT_WHAT = ("pname", "iriref", "blank"), "a subject (IRI, prefixed name, or blank node)"
 _VERB_KINDS, _VERB_WHAT = ("pname", "a", "iriref"), "a predicate (IRI, prefixed name, or 'a')"

@@ -581,7 +581,7 @@ class CharLexer:
             ch = self._advance()
             if ch == ">":
                 return CharToken("iriref", "".join(chars), line, column)
-            if ch in '<"{}|^`\\ ' or ch in "\n\t\r":
+            if ch in '<"{}|^`\\' or ch <= " ":
                 raise self.error(f"character {ch!r} is not allowed inside an IRI", line, column)
             chars.append(ch)
 
@@ -808,10 +808,10 @@ class TokenListParser:
             if self._peek()[0] != "semi":
                 return
             self._next()
-            # A trailing semicolon before '.' is tolerated.
-            if self._peek()[0] in ("dot", "semi"):
-                while self._peek()[0] == "semi":
-                    self._next()
+            # A ';' run goes on to a verb, or ends the list before '.'.
+            while self._peek()[0] == "semi":
+                self._next()
+            if self._peek()[0] == "dot":
                 return
 
     def _parse_subject(self) -> Term:

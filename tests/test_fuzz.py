@@ -183,16 +183,26 @@ def test_turtle_parser_matches_oracle(header, text):
 
 
 # Statement-shaped texts, so that most of each is taken by the steps: a
-# subject, a verb, an object and an end from short lists, with names that
-# hold dots, whitespace or a comment between them, directives that rebind
-# a name between statements, and now and then a missing end or one fuzz
-# token spliced in.
+# subject, a verb, an object, now and then a second verb and object after
+# ';' or a second object after ',', and an end, all from short lists, with
+# names that hold dots, whitespace or a comment between them, directives
+# that rebind a name between statements, and now and then a missing end or
+# one fuzz token spliced in.  A first object that no step reads (a string
+# with an escape, a tag set apart) is read from tokens, and the steps take
+# the second.
 NODES = ["ex:a", "ex:a.b", "a:b", "_:b", "_:b.c", "<a>", f"<{EX}a>"]
 OBJECTS = NODES + ['"x"', '"x"@en', '"x" @en.b', '"x"@base', '"x"^^xsd:string', '"x" ^^ ex:a.b', '"a\\"b"', "a"]
 GAPS = [" ", "", "\n", "# ex:a ex:a ex:a .\n"]
 ENDS = [" .", ".", " ;", ";", " , ex:a .", " ; .", ";;", ""]
 DIRECTIVES = [f"@base <{EX}> .\n", "@base <http://b.test/> .\n", "@prefix ex: <http://b.test/> .\n"]
-statement = st.tuples(*(st.sampled_from(part) for part in (NODES, GAPS, ["a"] + NODES, GAPS, OBJECTS, ENDS, GAPS)))
+VERBS = ["a"] + NODES
+second = st.one_of(
+    st.just(""),
+    st.tuples(*(st.sampled_from(part) for part in ([" ;", ";", ";;"], GAPS, VERBS, GAPS, OBJECTS))).map("".join),
+    st.tuples(*(st.sampled_from(part) for part in ([" ,", ","], GAPS, OBJECTS))).map("".join),
+)
+statement = st.tuples(*(st.sampled_from(part) for part in (NODES, GAPS, VERBS, GAPS, OBJECTS)), second,
+                      *(st.sampled_from(part) for part in (ENDS, GAPS)))
 statements = st.lists(st.tuples(st.sampled_from([""] + DIRECTIVES), statement.map("".join)), min_size=1, max_size=4).map(
     lambda parts: "".join(map("".join, parts)))
 

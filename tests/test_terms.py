@@ -28,6 +28,7 @@ from applekit.terms import (
     literal,
     valid_local_name,
 )
+from applekit.turtle import ParseDiagnostic, TurtleParseError, parse_turtle
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _oracles import compress_by_scan  # noqa: E402
@@ -35,6 +36,8 @@ from _oracles import compress_by_scan  # noqa: E402
 EX = "http://example.org/"
 # What Turtle's IRIREF excludes besides '<', '>', '"', space, '\n' and '\t'.
 IRIREF_EXCLUDED = "{}|^`\\\r"
+# Control characters, which IRIREF excludes too (U+0000-U+0020).
+IRIREF_CONTROLS = "\x00\x01\x1f"
 
 
 class TestTermConstruction:
@@ -44,11 +47,20 @@ class TestTermConstruction:
 
     @pytest.mark.parametrize(
         "bad",
-        ["http://x/<a>", "http://x/a b", 'http://x/"q', "http://x/\n", *(f"http://x/a{ch}b" for ch in IRIREF_EXCLUDED)],
+        [
+            "http://x/<a>", "http://x/a b", 'http://x/"q', "http://x/\n",
+            *(f"http://x/a{ch}b" for ch in IRIREF_EXCLUDED + IRIREF_CONTROLS),
+        ],
     )
     def test_iri_rejects_forbidden_characters(self, bad):
         with pytest.raises(StructuralError, match="forbidden"):
             iri(bad)
+
+    @pytest.mark.parametrize("ch", IRIREF_CONTROLS)
+    def test_turtle_iriref_rejects_control_characters(self, ch):
+        with pytest.raises(TurtleParseError) as err:
+            parse_turtle(f"<http://x/a{ch}b> <http://x/p> <http://x/o> .")
+        assert err.value.diagnostic == ParseDiagnostic(1, 1, f"character {ch!r} is not allowed inside an IRI")
 
     def test_blank_label_must_be_nonempty(self):
         with pytest.raises(StructuralError):
@@ -75,7 +87,8 @@ class TestTermConstruction:
         assert typed.sort_key() == plain.sort_key()
 
     @pytest.mark.parametrize(
-        "datatype", ["", "integer", "http://x/a b", "http://x/<dt>", *(f"http://x/d{ch}t" for ch in IRIREF_EXCLUDED)]
+        "datatype",
+        ["", "integer", "http://x/a b", "http://x/<dt>", *(f"http://x/d{ch}t" for ch in IRIREF_EXCLUDED + IRIREF_CONTROLS)],
     )
     def test_datatype_must_be_an_absolute_iri(self, datatype):
         with pytest.raises(StructuralError, match="literal datatype is not an absolute IRI"):
@@ -341,7 +354,7 @@ class TestPrefixMap:
             PrefixMap({"ex.": EX})
         assert PrefixMap({"e.x": EX}).expand("e.x", "a") == EX + "a"
 
-    @pytest.mark.parametrize("ch", '<>" \n\t' + IRIREF_EXCLUDED)
+    @pytest.mark.parametrize("ch", '<>" \n\t' + IRIREF_EXCLUDED + IRIREF_CONTROLS)
     def test_namespace_rejects_forbidden_characters(self, ch):
         with pytest.raises(StructuralError, match="namespace is not an absolute IRI"):
             PrefixMap().bind("ok", f"http://x/n{ch}s/")

@@ -21,6 +21,7 @@ from applekit.turtle import (
     ParseDiagnostic,
     TurtleParseError,
     _lex,
+    _Parser,
     canonical_ntriples,
     parse_document,
     parse_turtle,
@@ -142,7 +143,7 @@ class TestBasics:
 
 XSD_HEADER = HEADER + f"@prefix xsd: <{XSD_NS}> .\n"
 
-# Texts where the steps and the descent meet: each must parse as the
+# Texts where the steps and the token path meet: each must parse as the
 # token-list parser parses it, to the same graph or the same diagnostic.
 STEP_EDGES = {
     "comment-then-directive": HEADER + "# ex:a ex:b ex:c .\n@prefix ex2: <http://two.test/> .\nex2:s ex2:p ex2:o .\n",
@@ -162,6 +163,9 @@ STEP_EDGES = {
     "base-rebound": "@base <http://one.test/> .\n<s> <p> <o> .\n@base <http://two.test/> .\n<s> <p> <o> .",
     "name-with-dots-then-junk": HEADER + "ex:s ex:p ex:o.c ex:z .",
     "grammar-error-before-lex-error": HEADER + "ex:s ex:p ex:o ex:q .\nex:t ex:p 42 .",
+    "escape-then-steps": HEADER + 'ex:s ex:p "a\\nb" , ex:o ; ex:q ex:r , ex:t ; a ex:C .',
+    "escape-mid-statement": HEADER + 'ex:s ex:p ex:o , "a\\"b" , ex:o2 ; ex:q "c" @en ; ex:u ex:v .',
+    "error-after-a-token-read-triple": HEADER + 'ex:s ex:p "a\\tb" , ex:o ; ex:q ex:r ex:t .',
 }
 
 
@@ -193,6 +197,31 @@ class TestStepEdges:
     def test_a_prefix_is_not_the_a_keyword(self):
         g = parse_turtle(STEP_EDGES["a-prefix-verb"])
         assert {t.p.value for t in g} == {"http://a.test/b", "http://a.test/", RDF_TYPE}
+
+    @pytest.mark.parametrize(
+        "text", [STEP_EDGES["semi-semi-verb"], HEADER + "ex:s ex:p ex:o ; ; ex:q ex:r ."], ids=[";;", "; ;"]
+    )
+    def test_a_semicolon_run_goes_on_to_a_verb(self, text):
+        g = parse_turtle(text)
+        assert {(t.p.value, t.o.value) for t in g} == {(EX + "p", EX + "o"), (EX + "q", EX + "r")}
+
+    def test_error_after_a_token_read_triple(self):
+        with pytest.raises(TurtleParseError) as err:
+            parse_turtle(STEP_EDGES["error-after-a-token-read-triple"])
+        assert err.value.diagnostic == ParseDiagnostic(2, 37, "expected '.' to end the statement, found 'ex:t'")
+
+    def test_only_the_triple_no_step_reads_is_read_from_tokens(self, monkeypatch):
+        read = []
+        parse_term = _Parser._parse_term
+
+        def counting(parser, kinds, what):
+            term = parse_term(parser, kinds, what)
+            read.append(term)
+            return term
+
+        monkeypatch.setattr(_Parser, "_parse_term", counting)
+        g = parse('ex:s ex:p "a\\nb" ; ex:q ex:r ; ex:u ex:v .')
+        assert len(g) == 3 and read == [iri(EX + "p"), literal("a\nb")]
 
     def test_base_rebound_gives_new_iris(self):
         g = parse_turtle(STEP_EDGES["base-rebound"])
