@@ -8,10 +8,16 @@ The expression language is a compact Manchester-like grammar::
     path       := ['inverse'] property-name
     primary    := class-name | '{' name (',' name)* '}' | '(' expression ')'
 
-Names resolve through a :class:`~applekit.schema.NameCatalog` (bare names,
+Class expressions, select queries and the rule files of
+:mod:`applekit.rules` share this module's front end: :func:`tokenize`,
+:class:`TokenCursor`, :func:`statements` and :func:`resolve`.  Names
+resolve through a :class:`~applekit.schema.NameCatalog` (bare names,
 registered aliases, prefixed names, or ``<iri>``); a parser given none uses
-the bundled assets' catalog.  :func:`answer` is the one path from query
-text in a mode to sorted rows, for the CLI and the competency questions.
+the bundled assets' catalog.  A syntax error is one internal
+:class:`LexError` with an offset, which each public parser converts once,
+to :class:`QueryParseError` or :class:`RuleError`.  :func:`answer` is the
+one path from query text in a mode to sorted rows, for the CLI and the
+competency questions.
 
 Two retrieval modes share the AST.  Instance retrieval is extensional and
 closed-world over a materialized graph: a restriction is satisfied by the
@@ -48,11 +54,13 @@ p's object map.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterator
 from operator import itemgetter
 from typing import NamedTuple
 
 from .graph import Graph
-from .schema import PUNCTUATION, LexError, NameCatalog, SchemaIndex, Token, TokenCursor, catalog_or_bundled, tokenize
+from .schema import NameCatalog, SchemaIndex, catalog_or_bundled
 from .terms import RDF_TYPE, QueryParseError, Term, iri
 
 _TYPE = iri(RDF_TYPE)
@@ -134,35 +142,134 @@ ClassExpression = Named | OneOf | Anything | Some | And
 
 
 # ---------------------------------------------------------------------------
+# The front end: one lexer, cursor and name resolver for class expressions,
+# select queries and rule files.
+
+
+class LexError(ValueError):
+    """A syntax error in query or rule text, at ``offset``; the public
+    parsers convert it to their own error types."""
+
+    def __init__(self, message: str, offset: int) -> None:
+        super().__init__(message)
+        self.offset = offset
+
+
+class Token(tuple):
+    """A token, the pair ``(text, offset)``.  It is built from that pair,
+    so the lexer makes one without a Python-level constructor."""
+
+    __slots__ = ()
+    text = property(itemgetter(0))
+    offset = property(itemgetter(1))
+
+
+PUNCTUATION = frozenset({"(", ")", "{", "}", ",", ".", "->"})
+
+# Each match skips whitespace and '#' comments (group 1), then takes one
+# token (group 2), the end of the text, or the character where no token
+# starts (group 3) together with the rest of the text.  A name may contain
+# '.' but, like a Turtle local name, not end with one, so a '.' after a name
+# ends a rule statement or a select pattern; a '-' in a name never takes the
+# '>' of a following '->'.
+_TOKEN = re.compile(
+    r"(\s*(?:#[^\n]*\s*)*)"
+    r"(?:(<[^>]*>|\?\w+|[\w:]+(?:(?:-(?!>)|\.+(?=[\w:]|-(?!>)))[\w:]*)*|->|[(){},.])|\Z|(\S)[\s\S]*)"
+)
+_LEX_ERRORS = {"<": "unterminated '<'", "?": "'?' must be followed by a variable name"}
+
+
+def tokenize(text: str) -> list[Token]:
+    """The tokens of query or rule text in order: ``<iri>``, ``?variable``,
+    names, ``->`` and ``( ) { } , .``.  Whitespace and ``#`` comments are
+    skipped.  Raises :class:`LexError` where no token starts."""
+    tokens = [Token((match[2], match.end(1))) for match in _TOKEN.finditer(text)]
+    # The matches without a token come last: where no token starts, if
+    # anywhere, then the end of the text, once or twice.
+    while tokens and tokens[-1][0] is None:
+        offset = tokens.pop()[1]
+        if offset < len(text):
+            bad = text[offset]
+            raise LexError(_LEX_ERRORS.get(bad, f"unexpected character {bad!r}"), offset)
+    return tokens
+
+
+class TokenCursor:
+    """A read position in a token list; ``end`` is the offset reported past
+    the last token."""
+
+    def __init__(self, tokens: list[Token], end: int) -> None:
+        self.tokens = tokens
+        self.end = end
+        self.index = 0
+
+    def peek(self, ahead: int = 0) -> str | None:
+        index = self.index + ahead
+        return self.tokens[index][0] if index < len(self.tokens) else None
+
+    def offset(self) -> int:
+        return self.tokens[self.index].offset if self.index < len(self.tokens) else self.end
+
+    def next(self) -> Token:
+        if self.index == len(self.tokens):
+            raise LexError("unexpected end of input", self.end)
+        self.index += 1
+        return self.tokens[self.index - 1]
+
+    def expect(self, text: str) -> None:
+        token = self.next()
+        if token.text != text:
+            raise LexError(f"expected {text!r}, found {token.text!r}", token.offset)
+
+
+def statements(tokens: list[Token], end: int) -> Iterator[tuple[list[Token], int]]:
+    """The non-empty runs of tokens between '.' tokens, each with the offset
+    of the '.' after it, or ``end`` for a last run that no '.' ends."""
+    run: list[Token] = []
+    for token in tokens:
+        if token[0] != ".":
+            run.append(token)
+        elif run:
+            yield run, token[1]
+            run = []
+    if run:
+        yield run, end
+
+
+def resolve(token: Token, catalog: NameCatalog, what: str, *categories: str) -> str:
+    """The IRI a name token names, tried in each category in turn.  A
+    punctuation token is refused as not being ``what``."""
+    text, offset = token
+    if text in PUNCTUATION:
+        raise LexError(f"expected {what}, found {text!r}", offset)
+    try:
+        return catalog.resolve(text, *categories)
+    except KeyError as exc:
+        raise LexError(f"cannot resolve name {text!r}: {exc.args[0]}", offset) from None
+
+
+# ---------------------------------------------------------------------------
 # Expression parsing
 
 
-_NOT_A_NAME = PUNCTUATION | {"and", "some", "inverse"}
-
-
-def _cursor(text: str) -> TokenCursor:
-    try:
-        tokens = tokenize(text)
-    except LexError as exc:
-        raise QueryParseError(str(exc), exc.offset) from None
-    return TokenCursor(tokens, len(text), QueryParseError)
+_KEYWORDS = frozenset({"and", "some", "inverse"})
 
 
 class _ExpressionParser:
     def __init__(self, text: str, catalog: NameCatalog) -> None:
-        self.cursor = _cursor(text)
+        self.cursor = TokenCursor(tokenize(text), len(text))
         self.catalog = catalog
 
     def name(self, what: str, *categories: str) -> str:
         token = self.cursor.next()
-        if token.text in _NOT_A_NAME:
-            raise QueryParseError(f"expected {what}, found {token.text!r}", token.offset)
-        return self.cursor.resolve(token, self.catalog, *categories)
+        if token.text in _KEYWORDS:
+            raise LexError(f"expected {what}, found {token.text!r}", token.offset)
+        return resolve(token, self.catalog, what, *categories)
 
     def parse(self) -> ClassExpression:
         expr = self.parse_expression()
         if self.cursor.peek() is not None:
-            raise QueryParseError(f"unexpected trailing token {self.cursor.peek()!r}", self.cursor.offset())
+            raise LexError(f"unexpected trailing token {self.cursor.peek()!r}", self.cursor.offset())
         return expr
 
     def parse_expression(self) -> ClassExpression:
@@ -177,7 +284,7 @@ class _ExpressionParser:
     def parse_conjunct(self) -> ClassExpression:
         token = self.cursor.peek()
         if token is None:
-            raise QueryParseError("expected a class expression", self.cursor.end)
+            raise LexError("expected a class expression", self.cursor.end)
         # A bare name is a restriction when followed by 'some', else a class.
         if token == "inverse" or self.cursor.peek(1) == "some":
             return self.parse_restriction()
@@ -223,7 +330,10 @@ def parse_class_expression(text: str, catalog: NameCatalog | None = None) -> Cla
     catalog = catalog_or_bundled(catalog)
     if not text.strip():
         raise QueryParseError("empty class expression", 0)
-    return _ExpressionParser(text, catalog).parse()
+    try:
+        return _ExpressionParser(text, catalog).parse()
+    except LexError as exc:
+        raise QueryParseError(str(exc), exc.offset) from None
 
 
 # ---------------------------------------------------------------------------
@@ -446,40 +556,35 @@ def parse_select(text: str, catalog: NameCatalog | None = None) -> SelectQuery:
     properties.  All patterns must share variables transitively.
     """
     catalog = catalog_or_bundled(catalog)
-    cursor = _cursor(text)
     patterns: list[TriplePattern] = []
     starts: list[int] = []
     order: list[str] = []
 
-    def slot(token: Token, *categories: str) -> str | Term:
+    def slot(token: Token, what: str, *categories: str) -> str | Term:
         if token.text[0] == "?":
             if token.text not in order:
                 order.append(token.text)
             return token.text
-        return iri(cursor.resolve(token, catalog, *categories))
+        return iri(resolve(token, catalog, what, *categories))
 
-    fields: list[Token] = []
-    for token in [*cursor.tokens, Token((".", len(text)))]:
-        if token.text != ".":
-            fields.append(token)
-            continue
-        if not fields:
-            continue
-        start = fields[0].offset
-        if len(fields) != 3:
-            chunk = text[start:token.offset].strip()
-            raise QueryParseError(f"pattern must have exactly 3 terms, found {len(fields)}: {chunk!r}", start)
-        s, p, o = fields
-        patterns.append(TriplePattern(
-            slot(s, "individual", "class"),
-            _TYPE if p.text == "a" else slot(p, "property"),
-            slot(o, "individual", "class"),
-        ))
-        starts.append(start)
-        fields = []
-    if not patterns:
-        raise QueryParseError("select query has no patterns", len(text))
-    _check_connected(patterns, starts)
+    try:
+        for fields, stop in statements(tokenize(text), len(text)):
+            start = fields[0].offset
+            if len(fields) != 3:
+                chunk = text[start:stop].strip()
+                raise LexError(f"pattern must have exactly 3 terms, found {len(fields)}: {chunk!r}", start)
+            s, p, o = fields
+            patterns.append(TriplePattern(
+                slot(s, "an individual name", "individual", "class"),
+                _TYPE if p.text == "a" else slot(p, "a property name", "property"),
+                slot(o, "an individual name", "individual", "class"),
+            ))
+            starts.append(start)
+        if not patterns:
+            raise LexError("select query has no patterns", len(text))
+        _check_connected(patterns, starts)
+    except LexError as exc:
+        raise QueryParseError(str(exc), exc.offset) from None
     return SelectQuery(tuple(patterns), tuple(order))
 
 
@@ -499,7 +604,7 @@ def _check_connected(patterns: list[TriplePattern], starts: list[int]) -> None:
     if len(merged) > 1:
         names = " / ".join(",".join(sorted(group)) for _, group in merged)
         second = sorted(start for start, _ in merged)[1]
-        raise QueryParseError(f"select patterns are not connected; variable groups: {names}", second)
+        raise LexError(f"select patterns are not connected; variable groups: {names}", second)
 
 
 def select(query: SelectQuery, graph: Graph) -> list[tuple[str, ...]]:

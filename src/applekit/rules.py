@@ -10,7 +10,10 @@ Each rule is ``id: body-atoms -> head-atom .`` where an atom is either
 ``Class(?v)`` or ``property(?v, ?w)``; arguments may be variables (``?x``),
 the anonymous wildcard ``_``, bare or prefixed names resolved through a
 :class:`~applekit.schema.NameCatalog`, or ``<absolute-iris>``.  ``not``
-before a body atom negates it (negation as failure).
+before a body atom negates it (negation as failure).  The lexer, cursor
+and name resolver are :mod:`applekit.query`'s.  A :class:`RuleError`
+starts ``line N:``, where N is the line of the first token of the
+statement the error is about.
 
 From parsing on, every atom is a :class:`~applekit.query.TriplePattern`:
 ``C(?x)`` is ``("x", rdf:type, C)``, so it and ``rdf:type(?x, C)`` are
@@ -48,8 +51,8 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .graph import Graph
-from .query import TriplePattern, solutions
-from .schema import PUNCTUATION, LexError, Token, TokenCursor, catalog_or_bundled, tokenize
+from .query import LexError, Token, TokenCursor, TriplePattern, resolve, solutions, statements, tokenize
+from .schema import catalog_or_bundled
 from .terms import RDF_TYPE, RuleError, Term, Triple, VerdictConflictError, iri
 from .vocab import ACTION, UPHOLDS_PRINCIPLE, VERDICT_CLASSES, VIOLATES_PRINCIPLE
 
@@ -80,36 +83,6 @@ class Firing(NamedTuple):
 # Parsing
 
 
-def _statements(text: str):
-    """Yield (line, tokens, end) for each '.'-terminated statement: the line
-    of its first token, its tokens, and the offset of its '.'."""
-    tokens: list[Token] = []
-    line, counted = 1, 0  # newlines are counted up to offset `counted`
-
-    def line_at(offset: int) -> int:
-        nonlocal line, counted
-        line += text.count("\n", counted, offset)
-        counted = offset
-        return line
-
-    try:
-        found, error = tokenize(text), None
-    except LexError as exc:
-        found, error = exc.tokens, exc
-    # Statements before a lexer error are parsed, and fail, first.
-    for token in found:
-        if token.text != ".":
-            tokens.append(token)
-        elif tokens:
-            yield line_at(tokens[0].offset), tokens, token.offset
-            tokens = []
-    if error is not None:
-        raise RuleError(f"line {line_at((tokens[0] if tokens else error).offset)}: {error}")
-    if tokens:
-        leftover = text[tokens[0].offset:].strip()
-        raise RuleError(f"line {line_at(tokens[0].offset)}: rule is missing its terminating '.': {leftover[:60]!r}")
-
-
 def _split_rule_id(tokens: list[Token]) -> tuple[str | None, list[Token]]:
     """Split the leading 'id:' off a statement; 'R1:', 'R1 :' and
     'R1:Action' all start rule R1.  The id is None when there is none."""
@@ -125,21 +98,11 @@ def _split_rule_id(tokens: list[Token]) -> tuple[str | None, list[Token]]:
 
 
 class _RuleParser:
-    def __init__(self, rule_id: str, tokens: list[Token], end: int, line: int, catalog) -> None:
-        self.rule_id = rule_id
+    def __init__(self, tokens: list[Token], end: int, catalog) -> None:
+        self.cursor = TokenCursor(tokens, end)
         self.catalog = catalog
-        prefix = f"line {line}: rule {rule_id}: "
 
-        # A closure over the prefix, not a bound method: the cursor holds it,
-        # and a method would make parser and cursor a reference cycle that
-        # only the cyclic collector frees.
-        def fail(message: str, offset: int | None = None) -> RuleError:
-            return RuleError(prefix + message)
-
-        self.fail = fail
-        self.cursor = TokenCursor(tokens, end, fail)
-
-    def parse(self) -> Rule:
+    def parse(self, rule_id: str) -> Rule:
         positives: list[TriplePattern] = []
         negatives: list[TriplePattern] = []
         while True:
@@ -153,11 +116,11 @@ class _RuleParser:
             self.cursor.next()
         self.cursor.expect("->")
         if self.cursor.peek() == "not":
-            raise self.fail("negation is not allowed in a rule head")
+            raise LexError("negation is not allowed in a rule head", self.cursor.offset())
         head = self.parse_atom()
         if self.cursor.peek() is not None:
-            raise self.fail(f"unexpected trailing token {self.cursor.peek()!r}")
-        return Rule(self.rule_id, tuple(positives), tuple(negatives), head)
+            raise LexError(f"unexpected trailing token {self.cursor.peek()!r}", self.cursor.offset())
+        return Rule(rule_id, tuple(positives), tuple(negatives), head)
 
     def parse_atom(self) -> TriplePattern:
         """``C(s)`` as the pattern ``(s, rdf:type, C)``, ``p(s, o)`` as ``(s, p, o)``."""
@@ -166,11 +129,11 @@ class _RuleParser:
         subject = self.parse_arg()
         if self.cursor.peek() != ",":
             self.cursor.expect(")")
-            return TriplePattern(subject, _TYPE, iri(self.cursor.resolve(predicate, self.catalog, "class")))
+            return TriplePattern(subject, _TYPE, iri(resolve(predicate, self.catalog, "a class name", "class")))
         self.cursor.next()
         obj = self.parse_arg()
         self.cursor.expect(")")
-        return TriplePattern(subject, iri(self.cursor.resolve(predicate, self.catalog, "property")), obj)
+        return TriplePattern(subject, iri(resolve(predicate, self.catalog, "a property name", "property")), obj)
 
     def parse_arg(self) -> Term | str | None:
         token = self.cursor.next()
@@ -178,9 +141,7 @@ class _RuleParser:
             return token.text[1:]
         if token.text == "_":
             return None
-        if token.text in PUNCTUATION:
-            raise self.fail(f"expected an argument, found {token.text!r}")
-        return iri(self.cursor.resolve(token, self.catalog, "individual", "class"))
+        return iri(resolve(token, self.catalog, "an argument", "individual", "class"))
 
 
 def _overlap(a: TriplePattern, b: TriplePattern) -> bool:
@@ -190,10 +151,11 @@ def _overlap(a: TriplePattern, b: TriplePattern) -> bool:
     return all(x == y or not (isinstance(x, Term) and isinstance(y, Term)) for x, y in zip(a, b))
 
 
-def _stratify(rules: list[Rule], line_of: dict[str, int]) -> list[Rule]:
+def _stratify(rules: list[Rule], starts: dict[str, int]) -> list[Rule]:
     """Give each rule the lowest stratum at or above every rule whose head
     one of its positive patterns overlaps, and strictly above every rule
-    whose head one of its negated patterns overlaps."""
+    whose head one of its negated patterns overlaps.  ``starts`` holds the
+    offset of each rule's statement, where a cycle is reported."""
     # (reading rule, rule read, 1 when read through negation else 0)
     needs = [
         (i, j, step)
@@ -213,10 +175,8 @@ def _stratify(rules: list[Rule], line_of: dict[str, int]) -> list[Rule]:
                 # Stratifiable rules need fewer strata than there are rules.
                 if strata[i] >= len(rules):
                     rule_id = rules[i].id
-                    raise RuleError(
-                        f"line {line_of[rule_id]}: rule {rule_id}: rules are not stratifiable "
-                        "(cycle through negation)"
-                    )
+                    message = f"rule {rule_id}: rules are not stratifiable (cycle through negation)"
+                    raise LexError(message, starts[rule_id])
     return [rule._replace(stratum=stratum) for rule, stratum in zip(rules, strata)]
 
 
@@ -228,36 +188,58 @@ def parse_rules(text: str, catalog=None) -> list[Rule]:
     """
     catalog = catalog_or_bundled(catalog)
     rules: list[Rule] = []
-    line_of: dict[str, int] = {}
-    for line, tokens, end in _statements(text):
-        rule_id, tokens = _split_rule_id(tokens)
-        if rule_id is None:
-            statement = text[tokens[0].offset:end].strip()
-            raise RuleError(f"line {line}: rule must start with 'id:', found {statement[:40]!r}")
-        if rule_id in line_of:
-            raise RuleError(f"line {line}: duplicate rule id {rule_id!r}")
-        rule = _RuleParser(rule_id, tokens, end, line, catalog).parse()
-        _check_safety(rule, line)
-        rules.append(rule)
-        line_of[rule_id] = line
-    return _stratify(rules, line_of)
+    starts: dict[str, int] = {}  # the offset of each rule's statement
+    # An error names the line of the statement being read, from its first
+    # token's offset ``start``, or past the last one, of the error's own
+    # offset; inside a rule it names the rule too (``where``).
+    start: int | None = None
+    where = ""
+    try:
+        try:
+            tokens, lex_error = tokenize(text), None
+        except LexError as exc:
+            # The statements before a lexer error are read, and fail, first.
+            # The text before the error has the same tokens on its own.
+            tokens, lex_error = tokenize(text[:exc.offset]), (exc.args[0], exc.offset)
+        for run, stop in statements(tokens, len(text)):
+            start = run[0].offset
+            if stop == len(text):  # no '.' ends the run
+                if lex_error is not None:
+                    raise LexError(*lex_error)
+                raise LexError(f"rule is missing its terminating '.': {text[start:].strip()[:60]!r}", start)
+            rule_id, run = _split_rule_id(run)
+            if rule_id is None:
+                raise LexError(f"rule must start with 'id:', found {text[start:stop].strip()[:40]!r}", start)
+            if rule_id in starts:
+                raise LexError(f"duplicate rule id {rule_id!r}", start)
+            where = f"rule {rule_id}: "
+            rule = _RuleParser(run, stop, catalog).parse(rule_id)
+            _check_safety(rule)
+            where = ""
+            rules.append(rule)
+            starts[rule_id] = start
+        start = None
+        if lex_error is not None:
+            raise LexError(*lex_error)
+        return _stratify(rules, starts)
+    except LexError as exc:
+        line = text.count("\n", 0, exc.offset if start is None else start) + 1
+        raise RuleError(f"line {line}: {where}{exc}") from None
 
 
-def _check_safety(rule: Rule, line: int) -> None:
+def _check_safety(rule: Rule) -> None:
+    # The errors are reported on the rule's statement, so their offset is 0.
     positive_vars = {name for pattern in rule.positives for name in pattern.variables()}
     for slot in rule.head:
         if slot is None:
-            raise RuleError(f"line {line}: rule {rule.id}: '_' cannot appear in a rule head")
+            raise LexError("'_' cannot appear in a rule head", 0)
         if isinstance(slot, str) and slot not in positive_vars:
-            raise RuleError(
-                f"line {line}: rule {rule.id}: head variable ?{slot} is not bound by a positive body atom"
-            )
+            raise LexError(f"head variable ?{slot} is not bound by a positive body atom", 0)
     for pattern in rule.negatives:
         unbound = set(pattern.variables()) - positive_vars
         if unbound:
-            raise RuleError(
-                f"line {line}: rule {rule.id}: variable ?{min(unbound)} appears only in a negated atom; "
-                "bind it positively or use '_'"
+            raise LexError(
+                f"variable ?{min(unbound)} appears only in a negated atom; bind it positively or use '_'", 0
             )
 
 

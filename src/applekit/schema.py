@@ -8,17 +8,13 @@ made about class IRIs themselves (punning).  The result is a
 materializer, the class-expression engine, and the validator.
 
 A :class:`NameCatalog` resolves the names written in class expressions,
-select queries and rule files to IRIs.  The three languages share one
-lexer (:func:`tokenize`) and one cursor (:class:`TokenCursor`), so a name
-is spelled and resolved the same way in each.
+select queries and rule files to IRIs; the lexer and parsers of those
+languages are in :mod:`applekit.query` and :mod:`applekit.rules`.
 """
 
 from __future__ import annotations
 
-import re
-from collections.abc import Callable
 from functools import lru_cache
-from operator import itemgetter
 from typing import NamedTuple
 
 from .graph import Graph
@@ -394,92 +390,3 @@ def catalog_or_bundled(catalog: NameCatalog | None) -> NameCatalog:
 
     return default_catalog()
 
-
-# ---------------------------------------------------------------------------
-# Name syntax: the one lexer and token cursor behind class expressions,
-# select queries and rule files.
-
-
-class LexError(ValueError):
-    """Query or rule text holds a character that starts no token.
-    ``tokens`` are the tokens before it."""
-
-    def __init__(self, message: str, offset: int, tokens: list[Token]) -> None:
-        super().__init__(message)
-        self.offset = offset
-        self.tokens = tokens
-
-
-class Token(tuple):
-    """A token, the pair ``(text, offset)``.  It is built from that pair,
-    so the lexer makes one without a Python-level constructor."""
-
-    __slots__ = ()
-    text = property(itemgetter(0))
-    offset = property(itemgetter(1))
-
-
-PUNCTUATION = frozenset({"(", ")", "{", "}", ",", ".", "->"})
-
-# Each match skips whitespace and '#' comments (group 1), then takes one
-# token (group 2), the end of the text, or the character where no token
-# starts (group 3) together with the rest of the text.  A name may contain
-# '.' but, like a Turtle local name, not end with one, so a '.' after a name
-# ends a rule statement or a select pattern; a '-' in a name never takes the
-# '>' of a following '->'.
-_TOKEN = re.compile(
-    r"(\s*(?:#[^\n]*\s*)*)"
-    r"(?:(<[^>]*>|\?\w+|[\w:]+(?:(?:-(?!>)|\.+(?=[\w:]|-(?!>)))[\w:]*)*|->|[(){},.])|\Z|(\S)[\s\S]*)"
-)
-_LEX_ERRORS = {"<": "unterminated '<'", "?": "'?' must be followed by a variable name"}
-
-
-def tokenize(text: str) -> list[Token]:
-    """The tokens of query or rule text in order: ``<iri>``, ``?variable``,
-    names, ``->`` and ``( ) { } , .``.  Whitespace and ``#`` comments are
-    skipped.  Raises :class:`LexError` where no token starts."""
-    tokens = [Token((match[2], match.end(1))) for match in _TOKEN.finditer(text)]
-    # The matches without a token come last: where no token starts, if
-    # anywhere, then the end of the text, once or twice.
-    while tokens and tokens[-1][0] is None:
-        offset = tokens.pop()[1]
-        if offset < len(text):
-            bad = text[offset]
-            raise LexError(_LEX_ERRORS.get(bad, f"unexpected character {bad!r}"), offset, tokens)
-    return tokens
-
-
-class TokenCursor:
-    """A read position in a token list.  ``fail(message, offset)`` builds the
-    caller's exception; ``end`` is the offset reported past the last token."""
-
-    def __init__(self, tokens: list[Token], end: int, fail: Callable[[str, int], Exception]) -> None:
-        self.tokens = tokens
-        self.end = end
-        self.fail = fail
-        self.index = 0
-
-    def peek(self, ahead: int = 0) -> str | None:
-        index = self.index + ahead
-        return self.tokens[index][0] if index < len(self.tokens) else None
-
-    def offset(self) -> int:
-        return self.tokens[self.index].offset if self.index < len(self.tokens) else self.end
-
-    def next(self) -> Token:
-        if self.index == len(self.tokens):
-            raise self.fail("unexpected end of input", self.end)
-        self.index += 1
-        return self.tokens[self.index - 1]
-
-    def expect(self, text: str) -> None:
-        token = self.next()
-        if token.text != text:
-            raise self.fail(f"expected {text!r}, found {token.text!r}", token.offset)
-
-    def resolve(self, token: Token, catalog: NameCatalog, *categories: str) -> str:
-        """The IRI the token names, tried in each category in turn."""
-        try:
-            return catalog.resolve(token.text, *categories)
-        except KeyError as exc:
-            raise self.fail(f"cannot resolve name {token.text!r}: {exc.args[0]}", token.offset) from None

@@ -121,6 +121,7 @@ _IRI_BODY = re.compile(r"""[^\x00-\x20<>"{}|^`\\]*""")
 # A character of a prefix label or local name; a name run does not end in '.'.
 _NAME_CHAR = r"[A-Za-z0-9_.\-]"
 _NAME = _NAME_CHAR + r"*(?<!\.)"
+_BLANK_LABEL = re.compile(_NAME)  # what the Turtle reader takes after '_:'
 # A language tag as Turtle writes it after '@' (BCP 47 shape, unchecked
 # against the registry).
 _LANGTAG = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:-[A-Za-z0-9]+)*")
@@ -176,6 +177,8 @@ def _check(kind: str, value: str, datatype: str | None, lang: str | None) -> Non
     elif kind == "blank":
         if not value:
             raise StructuralError("blank node label must be non-empty")
+        if not _BLANK_LABEL.fullmatch(value):
+            raise StructuralError(f"blank node label cannot be written after '_:': {value!r}")
     elif kind == "literal":
         if datatype is not None:
             if lang is not None:

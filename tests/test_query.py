@@ -167,6 +167,11 @@ class TestExpressionParsing:
         with pytest.raises(QueryParseError, match="offset"):
             parse("A ^ B", catalog)
 
+    def test_trailing_token_is_reported_where_it_starts(self):
+        with pytest.raises(QueryParseError, match="unexpected trailing token 'Agent'") as err:
+            parse_class_expression("Agent Agent")
+        assert err.value.position == 6
+
 
 class TestInstances:
     def test_named_extension(self, micro):
@@ -408,6 +413,7 @@ class TestSelectParsing:
             ("?s <http://example.org/a b> ?o", "forbidden character"),
             ("?s <http://example.org/a{b> ?o", "forbidden character"),
             ("?s p ?o ; ?o q x", "unexpected character"),
+            ("?s ( ?o", "expected a property name"),
         ],
     )
     def test_parse_errors(self, micro, text, needle):

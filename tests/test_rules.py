@@ -129,11 +129,13 @@ class TestParsing:
             ("R: C(?x), p(?x, <http://example.org/a b>) -> D(?x) .", "forbidden character"),
             ("R: C(?x), p(?x, <http://example.org/a{b>) -> D(?x) .", "forbidden character"),
             ("R: C(?x) -> D(<http://example.org/x .", "unterminated '<'"),
+            ("R: ,(?x) -> D(?x) .", "rule R: expected a class name, found ','"),
         ],
         ids=[
             "no-id", "dup-id", "no-dot", "negated-head", "two-heads",
             "missing-arrow", "unknown-name", "arity", "bare-qmark", "bad-char",
             "relative-iri", "iri-with-space", "iri-with-brace", "unterminated-iri",
+            "punctuation-predicate",
         ],
     )
     def test_grammar_errors(self, micro, text, needle):
@@ -149,6 +151,11 @@ class TestParsing:
         _, catalog = micro
         with pytest.raises(RuleError, match="line 3"):
             parse_rules("# one\nR1: C(?x) -> D(?x) .\nR2: C(?x) -> Nope(?x) .", catalog)
+
+    def test_leading_newline_counts_as_a_line(self, micro):
+        _, catalog = micro
+        with pytest.raises(RuleError, match="^line 2: rule R: cannot resolve name 'Nope'"):
+            parse_rules("\nR: C(?x) -> Nope(?x) .", catalog)
 
     @pytest.mark.parametrize("bad", ["Nope(?x)", "D(?x) @"])
     def test_error_reports_line_of_statement(self, micro, bad):

@@ -9,14 +9,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from _oracles import ambiguous_names  # noqa: E402
 
+from applekit.query import LexError, tokenize
 from applekit.schema import (
-    LexError,
     NameCatalog,
     Obligation,
     SchemaError,
     extract_schema,
     local_name,
-    tokenize,
 )
 from applekit.terms import PrefixMap, Triple, iri, literal
 from applekit.turtle import parse_turtle
@@ -306,6 +305,11 @@ class TestNameCatalog:
         assert ambiguous_names(self.catalog) == {
             "Person": {EX + "Person", "http://other.test/Person"}
         }
+
+    def test_half_bracketed_name_is_a_bare_name(self):
+        # Only '<' and '>' together make an IRI; "<abc" is looked up as a name.
+        with pytest.raises(KeyError, match="unknown class name '<abc'"):
+            self.catalog.resolve("<abc", "class")
 
     def test_unaliased_name_does_not_resolve(self):
         graph = parse_turtle(HEADER + "ex:Person a owl:Class .")

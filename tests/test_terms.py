@@ -66,6 +66,11 @@ class TestTermConstruction:
         with pytest.raises(StructuralError):
             blank("")
 
+    @pytest.mark.parametrize("label", ["a b", "urn:x", "a.", ".", "é", "a\nb"])
+    def test_blank_label_must_read_back_after_underscore_colon(self, label):
+        with pytest.raises(StructuralError, match="cannot be written after '_:'"):
+            blank(label)
+
     def test_literal_cannot_have_datatype_and_lang(self):
         with pytest.raises(StructuralError, match="both"):
             literal("x", datatype=XSD_STRING, lang="en")
@@ -137,8 +142,11 @@ class TestTermRendering:
 
 class TestOrdering:
     def test_kind_order_breaks_value_ties(self):
-        b, i_, l = blank("same:x"), iri("same:x"), literal("same:x")
-        assert sorted([l, i_, b], key=Term.sort_key) == [b, i_, l]
+        # An IRI holds a ':' and a blank label cannot, so each ties on the
+        # value with a literal only.
+        b, i_ = blank("x"), iri("same:x")
+        assert sorted([literal("x"), b], key=Term.sort_key) == [b, literal("x")]
+        assert sorted([literal("same:x"), i_], key=Term.sort_key) == [i_, literal("same:x")]
 
     def test_sort_is_deterministic_on_metadata(self):
         plain = literal("v")
@@ -170,12 +178,14 @@ class TestTriple:
 
 # Keyword arguments for Term; drawn twice, they build separate equal Terms.
 iri_args = st.builds(dict, kind=st.just("iri"), value=st.sampled_from([EX + c for c in "abc"] + ["urn:x", "same:x"]))
-node_args = iri_args | st.builds(dict, kind=st.just("blank"), value=st.sampled_from(["b0", "b1", "same:x"]))
+node_args = iri_args | st.builds(dict, kind=st.just("blank"), value=st.sampled_from(["b0", "b1", "x"]))
+# Literal text, sometimes the value of a node above.
+literal_text = st.text(max_size=8) | st.sampled_from(["x", "same:x"])
 term_args = (
     node_args
-    | st.builds(dict, kind=st.just("literal"), value=st.text(max_size=8))
-    | st.builds(dict, kind=st.just("literal"), value=st.text(max_size=8), lang=st.sampled_from(["en", "de"]))
-    | st.builds(dict, kind=st.just("literal"), value=st.text(max_size=8), datatype=st.just(XSD_STRING))
+    | st.builds(dict, kind=st.just("literal"), value=literal_text)
+    | st.builds(dict, kind=st.just("literal"), value=literal_text, lang=st.sampled_from(["en", "de"]))
+    | st.builds(dict, kind=st.just("literal"), value=literal_text, datatype=st.just(XSD_STRING))
 )
 
 

@@ -418,7 +418,9 @@ class TestRoundTrip:
         st.builds(lambda v: literal(v, lang="en"), safe_text),
         st.builds(lambda v: literal(v, datatype=XSD_NS + "date"), safe_text),
     )
-    node = st.one_of(local.map(lambda s: iri(EX + s)), local.map(blank))
+    # Any label the reader takes after '_:', such as '-x', '.x' and 'a.b'.
+    label = st.from_regex(r"[A-Za-z0-9_.\-]*[A-Za-z0-9_\-]", fullmatch=True)
+    node = st.one_of(local.map(lambda s: iri(EX + s)), label.map(blank))
 
     @given(st.lists(st.builds(Triple, node, local.map(lambda s: iri(EX + s)), term), max_size=20))
     def test_random_graphs_round_trip(self, triples):
@@ -493,12 +495,14 @@ class TestWritersAgainstFlatSort:
         assert parse_turtle(canonical_ntriples(g)) == g
 
     def test_equal_values_order_by_kind(self):
-        # Term order breaks a tie on the value by kind: blank before IRI.
-        p = iri(EX + "p")
-        triples = [Triple(iri("urn:x"), p, literal("1")), Triple(blank("urn:x"), p, literal("2"))]
+        # Term order breaks a tie on the value by kind: a blank node or an
+        # IRI before a literal.
+        s, p = iri(EX + "s"), iri(EX + "p")
+        triples = [Triple(s, p, literal("x")), Triple(s, p, blank("x")),
+                   Triple(s, p, literal("urn:x")), Triple(s, p, iri("urn:x"))]
         for ordered in (triples, triples[::-1]):
             g = Graph(ordered)
-            assert list(g) == flat_sorted(triples) == [triples[1], triples[0]]
+            assert list(g) == flat_sorted(triples) == [triples[3], triples[2], triples[1], triples[0]]
             assert canonical_ntriples(g) == flat_ntriples(triples)
 
     def test_xsd_string_literal_is_one_triple(self):
