@@ -14,7 +14,7 @@ from itertools import product
 from urllib.parse import urljoin
 
 from applekit.graph import Graph
-from applekit.query import And, Anything, Named, OneOf, SelectQuery, Some
+from applekit.query import And, Anything, LexError, Named, OneOf, SelectQuery, Some
 from applekit.rules import Rule
 from applekit.schema import NameCatalog, SchemaIndex
 from applekit.terms import (
@@ -679,6 +679,97 @@ class CharLexer:
         for _ in range(count):
             self.pos -= 1
             self.column -= 1
+
+
+# ---------------------------------------------------------------------------
+# Query and rule tokens, one character at a time
+#
+# A reference for applekit.query.tokenize, written from the token shapes
+# rather than from the lexer's regex, and walking the text as CharLexer
+# walks Turtle.  A token is its text and the offset of its first character;
+# where no token starts, the lexer raises LexError with that offset.  The
+# differential test in test_fuzz.py requires the two lexers to agree on
+# every token, offset and error.
+
+
+def _word(ch: str) -> bool:
+    """Is ``ch`` a regex ``\\w`` character: a Unicode letter or digit, or '_'?"""
+    return ch.isalnum() or ch == "_"
+
+
+class QueryCharLexer:
+    """The tokens of the query and rule languages: ``<iri>``, ``?variable``,
+    names, ``->`` and ``( ) { } , .``, after whitespace and ``#`` comments."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.pos = 0
+
+    def _peek(self, offset: int = 0) -> str:
+        index = self.pos + offset
+        return self.text[index] if index < len(self.text) else ""
+
+    def tokens(self) -> list[tuple[str, int]]:
+        out = []
+        while True:
+            self._skip_space_and_comments()
+            if self.pos >= len(self.text):
+                return out
+            start = self.pos
+            self._next_token()
+            out.append((self.text[start:self.pos], start))
+
+    def _skip_space_and_comments(self) -> None:
+        while self.pos < len(self.text):
+            ch = self._peek()
+            if ch.isspace():
+                self.pos += 1
+            elif ch == "#":
+                while self.pos < len(self.text) and self._peek() != "\n":
+                    self.pos += 1
+            else:
+                return
+
+    def _next_token(self) -> None:
+        ch = self._peek()
+        if ch == "<":
+            end = self.pos + 1
+            while end < len(self.text) and self.text[end] != ">":
+                end += 1
+            if end == len(self.text):
+                raise LexError("unterminated '<'", self.pos)
+            self.pos = end + 1
+        elif ch == "?":
+            if not _word(self._peek(1)):
+                raise LexError("'?' must be followed by a variable name", self.pos)
+            self.pos += 1
+            while _word(self._peek()):
+                self.pos += 1
+        elif ch == "-" and self._peek(1) == ">":
+            self.pos += 2
+        elif ch in "(){},.":
+            self.pos += 1
+        elif _word(ch) or ch == ":":
+            self._name()
+        else:
+            raise LexError(f"unexpected character {ch!r}", self.pos)
+
+    def _continues_name(self, offset: int) -> bool:
+        """Does the character at ``offset`` ahead go on with a name?  A '-'
+        does unless it starts '->'."""
+        ch = self._peek(offset)
+        return _word(ch) or ch == ":" or (ch == "-" and self._peek(offset + 1) != ">")
+
+    def _name(self) -> None:
+        # A name may hold '.' runs, but a run must be followed by more of the
+        # name: a name never ends in '.'.
+        while True:
+            dots = 0
+            while self._peek(dots) == ".":
+                dots += 1
+            if not self._continues_name(dots):
+                return
+            self.pos += dots + 1
 
 
 # ---------------------------------------------------------------------------

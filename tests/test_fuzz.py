@@ -5,7 +5,8 @@ Inputs are arbitrary text and text assembled from each language's tokens,
 so that the fuzzer reaches the grammar as well as the lexer.  The Turtle
 lexer is also checked against the character-walking oracle lexer, token by
 token and diagnostic by diagnostic, on the fuzz corpus, the bundled assets
-and small benchmark inputs.  The Turtle parser is checked against the
+and small benchmark inputs, and so is the lexer the query and rule
+languages share, on their three corpora.  The Turtle parser is checked against the
 token-list parser on the same inputs, on the writers' output for random
 graphs, and on those texts cut or spliced with a fuzz token.
 """
@@ -20,12 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _oracles import CharLexer, parsed, reference_parse, tokenize  # noqa: E402
+from _oracles import CharLexer, QueryCharLexer, parsed, reference_parse, tokenize  # noqa: E402
 from test_turtle import TestWritersAgainstFlatSort as W  # noqa: E402
 
 from applekit.assets import asset_dir
 from applekit.graph import Graph
-from applekit.query import QueryParseError, parse_class_expression, parse_select
+from applekit.query import LexError, QueryParseError, parse_class_expression, parse_select
+from applekit.query import tokenize as query_tokenize
 from applekit.rules import RuleError, parse_rules
 from applekit.schema import NameCatalog
 from applekit.terms import XSD_NS, PrefixMap, Triple
@@ -98,6 +100,44 @@ def test_turtle_errors_carry_line_and_column(text):
         parse_document(text)
     except TurtleParseError as err:
         assert 1 <= err.line <= text.count("\n") + 1 and err.column >= 1
+
+
+# ---------------------------------------------------------------------------
+# The query and rule lexer against the oracle
+
+
+def _query_lexer(text):
+    """The tokens as ``(text, offset)`` pairs, or the error's ``(message, offset)``."""
+    try:
+        tokens = query_tokenize(text)
+    except LexError as err:
+        return str(err), err.offset
+    return [(token.text, token.offset) for token in tokens]
+
+
+def _query_oracle(text):
+    try:
+        return QueryCharLexer(text).tokens()
+    except LexError as err:
+        return str(err), err.offset
+
+
+@FUZZ
+@given(st.one_of(texts(EXPRESSION), texts(SELECT), texts(RULES)))
+def test_query_lexer_matches_oracle(text):
+    assert _query_lexer(text) == _query_oracle(text)
+
+
+# Names that end in or hold '.' and '-', arrows, '<' and '?' with nothing
+# after them, comments and non-ASCII text.
+QUERY_LEXER_EDGES = ["->", "a.->b", "<x", "?", "# c", "A.", "a-", "a->b", "a.-b", "a..b.", "a.-", "a-.>b", "?x.y",
+                     "?x?y", "?-", "?:", ":", "a:b:c", "<a>b", "<a\nb> c", "x # c\ny", "x #", "", " \t\n", "- >",
+                     "\u00e9t\u00e9", "\u00b2", "x\u2003y", "%", "a %", "{x,y}", "R1:A(?x)->B(?x).", "?x .. ?y"]
+
+
+@pytest.mark.parametrize("text", QUERY_LEXER_EDGES)
+def test_query_lexer_matches_oracle_on_edges(text):
+    assert _query_lexer(text) == _query_oracle(text)
 
 
 # ---------------------------------------------------------------------------

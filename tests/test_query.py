@@ -162,6 +162,44 @@ class TestExpressionParsing:
             parse(text, catalog)
         assert err.value.position is not None
 
+    # One case or more for each place the front end raises: the expression
+    # grammar, the token cursor, name resolution and the lexer.
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("and A", "expected a class name, found 'and'", 0),
+            ("p some some", "expected a class name, found 'some'", 7),
+            ("inverse and some A", "expected a property name, found 'and'", 8),
+            ("{x, inverse}", "expected an individual name, found 'inverse'", 4),
+            ("A B", "unexpected trailing token 'B'", 2),
+            ("A )", "unexpected trailing token ')'", 2),
+            ("A and", "expected a class expression", 5),
+            ("p some A and ", "expected a class expression", 13),
+            ("inverse", "unexpected end of input", 7),
+            ("(A", "unexpected end of input", 2),
+            ("{x", "unexpected end of input", 2),
+            ("inverse p A", "expected 'some', found 'A'", 10),
+            ("{x y}", "expected '}', found 'y'", 3),
+            ("(A B", "expected ')', found 'B'", 3),
+            ("( )", "expected a class name, found ')'", 2),
+            ("{,}", "expected an individual name, found ','", 1),
+            ("inverse ( some A", "expected a property name, found '('", 8),
+            ("Missing", "cannot resolve name 'Missing': unknown class name 'Missing'", 0),
+            ("{nobody}", "cannot resolve name 'nobody': unknown class name 'nobody'", 1),
+            ("zz:A", "cannot resolve name 'zz:A': undeclared prefix 'zz:' in name 'zz:A'", 0),
+            ("A and <foo>", "cannot resolve name '<foo>': IRI is not absolute: 'foo'", 6),
+            ("A %", "unexpected character '%'", 2),
+            ("A <b", "unterminated '<'", 2),
+            ("(A) ?", "'?' must be followed by a variable name", 4),
+            ("", "empty class expression", 0),
+        ],
+    )
+    def test_error_message_and_position(self, micro, text, message, position):
+        _, _, catalog = micro
+        with pytest.raises(QueryParseError) as err:
+            parse(text, catalog)
+        assert (str(err.value), err.value.position) == (f"{message} (at offset {position})", position)
+
     def test_error_position_reported(self, micro):
         _, _, catalog = micro
         with pytest.raises(QueryParseError, match="offset"):
@@ -421,6 +459,38 @@ class TestSelectParsing:
         with pytest.raises(QueryParseError, match=needle) as err:
             parse_select(text, catalog)
         assert err.value.position is not None
+
+    # One case or more for each place the select parser raises, and for
+    # name resolution and the lexer under it.
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("?s p", "pattern must have exactly 3 terms, found 2: '?s p'", 0),
+            ("?s p ?o . ?o q", "pattern must have exactly 3 terms, found 2: '?o q'", 10),
+            ("?s p ?o extra", "pattern must have exactly 3 terms, found 4: '?s p ?o extra'", 0),
+            ("", "select query has no patterns", 0),
+            (" . ", "select query has no patterns", 3),
+            ("?s p ?o . ?a q ?b", "select patterns are not connected; variable groups: ?o,?s / ?a,?b", 10),
+            ("?a p ?b . ?c p ?d . ?e p ?f . ?f q ?c",
+             "select patterns are not connected; variable groups: ?a,?b / ?c,?d,?e,?f", 10),
+            ("?a p ?b . ?c p ?d . ?e p ?f . ?f q ?a",
+             "select patterns are not connected; variable groups: ?c,?d / ?a,?b,?e,?f", 10),
+            ("?s nosuch ?o", "cannot resolve name 'nosuch': unknown property name 'nosuch'", 3),
+            ("?s ( ?o", "expected a property name, found '('", 3),
+            ("( p ?o", "expected an individual name, found '('", 0),
+            ("?s p )", "expected an individual name, found ')'", 5),
+            ("?s p nobody", "cannot resolve name 'nobody': unknown class name 'nobody'", 5),
+            ("?s a <foo>", "cannot resolve name '<foo>': IRI is not absolute: 'foo'", 5),
+            ("?s p ?o ; ?o q x", "unexpected character ';'", 8),
+            ("? p ?o", "'?' must be followed by a variable name", 0),
+            ("?s p ?o . ?o q <x", "unterminated '<'", 15),
+        ],
+    )
+    def test_error_message_and_position(self, micro, text, message, position):
+        _, _, catalog = micro
+        with pytest.raises(QueryParseError) as err:
+            parse_select(text, catalog)
+        assert (str(err.value), err.value.position) == (f"{message} (at offset {position})", position)
 
     def test_trailing_dot_and_comments(self, micro):
         _, _, catalog = micro

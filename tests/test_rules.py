@@ -157,6 +157,40 @@ class TestParsing:
         with pytest.raises(RuleError, match="^line 2: rule R: cannot resolve name 'Nope'"):
             parse_rules("\nR: C(?x) -> Nope(?x) .", catalog)
 
+    # The whole message of each kind of rule error, with the line of the
+    # statement it is about; after a lexer fault, the statements before it
+    # are read first.
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("R1: C(?x),\n Nope(?x) -> D(?x) .", "line 1: rule R1: cannot resolve name 'Nope': unknown class name 'Nope'"),
+            ("R1: C(?x)\n -> not D(?x) .", "line 1: rule R1: negation is not allowed in a rule head"),
+            ("R1: C(?x) -> D(?x) .\n R2: C(?x) ->\n D(?x) E(?x) .", "line 2: rule R2: unexpected trailing token 'E'"),
+            ("R1: C(?x) -> D(?x) .\nR2: C(?x) ->", "line 2: rule is missing its terminating '.': 'R2: C(?x) ->'"),
+            ("R1: C(?x) -> D(?x) .\nR2: C(?x) -> . ", "line 2: rule R2: unexpected end of input"),
+            ("R1: C(?x) ->\n D(?x) .\nR2: C(?x) -> D(?x) .\nR1: C(?x) -> E(?x) .", "line 4: duplicate rule id 'R1'"),
+            ("\n\nC(?x) -> D(?x) .", "line 3: rule must start with 'id:', found 'C(?x) -> D(?x)'"),
+            ("# c\n# d\nR: C(?x) -> Nope(?x) .", "line 3: rule R: cannot resolve name 'Nope': unknown class name 'Nope'"),
+            ("R1: C(?x) -> D(?x) .\nR2: C(?x) -> D(?y) .",
+             "line 2: rule R2: head variable ?y is not bound by a positive body atom"),
+            ("R1: C(?x), not D(?x) -> E(?x) .\nR2: E(?x) -> D(?x) .",
+             "line 1: rule R1: rules are not stratifiable (cycle through negation)"),
+            ("R: C(?x) -> D(?x) .\nR2: C(?x) -> D(?x) @ .", "line 2: unexpected character '@'"),
+            ("R1: Nope(?x) -> D(?x) .\nR2: @", "line 1: rule R1: cannot resolve name 'Nope': unknown class name 'Nope'"),
+            ("R1: C(?x) -> D(?x) .\n\n@", "line 3: unexpected character '@'"),
+            ("R1: C(?x) -> D(?x) .\n%\nR2: C(?x) -> D(?x) .", "line 2: unexpected character '%'"),
+            ("R1: C(?x) -> Nope(?x)\n@", "line 1: unexpected character '@'"),
+            ("R1: C(?x) -> D(?x) .\nR2: C(?x) -> D(?x) . R3: C(?x) -> <broken", "line 2: unterminated '<'"),
+            ("R1: C(?x) -> D(?x) .\n?\n", "line 2: '?' must be followed by a variable name"),
+            ("R1: C(?x) -> D(?x) .\nR2: C(?x) -> D(?x) .\nR2: # c\n%", "line 3: unexpected character '%'"),
+        ],
+    )
+    def test_error_message_and_line(self, micro, text, message):
+        _, catalog = micro
+        with pytest.raises(RuleError) as err:
+            parse_rules(text, catalog)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("bad", ["Nope(?x)", "D(?x) @"])
     def test_error_reports_line_of_statement(self, micro, bad):
         _, catalog = micro
