@@ -155,97 +155,112 @@ class LexError(ValueError):
         self.offset = offset
 
 
-class Token(tuple):
-    """A token, the pair ``(text, offset)``.  It is built from that pair,
-    so the lexer makes one without a Python-level constructor."""
-
-    __slots__ = ()
-    text = property(itemgetter(0))
-    offset = property(itemgetter(1))
-
-
 PUNCTUATION = frozenset({"(", ")", "{", "}", ",", ".", "->"})
 
-# Each match skips whitespace and '#' comments (group 1), then takes one
-# token (group 2), the end of the text, or the character where no token
-# starts (group 3) together with the rest of the text.  A name may contain
-# '.' but, like a Turtle local name, not end with one, so a '.' after a name
-# ends a rule statement or a select pattern; a '-' in a name never takes the
-# '>' of a following '->'.
+# The regex is searched, so whitespace, where it matches nothing, is
+# skipped.  Each match is a token (group 1), a '#' comment, or, from where
+# no token starts, the rest of the text.  A name may contain '.' but, like
+# a Turtle local name, not end with one, so a '.' after a name ends a rule
+# statement or a select pattern; a '-' in a name never takes the '>' of a
+# following '->'.
 _TOKEN = re.compile(
-    r"(\s*(?:#[^\n]*\s*)*)"
-    r"(?:(<[^>]*>|\?\w+|[\w:]+(?:(?:-(?!>)|\.+(?=[\w:]|-(?!>)))[\w:]*)*|->|[(){},.])|\Z|(\S)[\s\S]*)"
+    r"(<[^>]*>|\?\w+|[\w:]+(?:(?:-(?!>)|\.+(?=[\w:]|-(?!>)))[\w:]*)*|->|[(){},.])"
+    r"|#[^\n]*|\S[\s\S]*"
 )
 _LEX_ERRORS = {"<": "unterminated '<'", "?": "'?' must be followed by a variable name"}
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> list[str]:
     """The tokens of query or rule text in order: ``<iri>``, ``?variable``,
     names, ``->`` and ``( ) { } , .``.  Whitespace and ``#`` comments are
     skipped.  Raises :class:`LexError` where no token starts."""
-    tokens = [Token((match[2], match.end(1))) for match in _TOKEN.finditer(text)]
-    # The matches without a token come last: where no token starts, if
-    # anywhere, then the end of the text, once or twice.
-    while tokens and tokens[-1][0] is None:
-        offset = tokens.pop()[1]
-        if offset < len(text):
-            bad = text[offset]
-            raise LexError(_LEX_ERRORS.get(bad, f"unexpected character {bad!r}"), offset)
+    tokens = _TOKEN.findall(text)
+    if "" in tokens:  # a comment, or the rest of the text from where no token starts
+        tokens = [match[1] for match in _matches(text)]
     return tokens
 
 
-class TokenCursor:
-    """A read position in a token list; ``end`` is the offset reported past
-    the last token."""
+def offsets(text: str) -> list[int]:
+    """The offset of each token of ``text``, then ``len(text)``: the lexer's
+    matches found again, for the position of an error."""
+    return [match.start() for match in _matches(text)] + [len(text)]
 
-    def __init__(self, tokens: list[Token], end: int) -> None:
+
+def _matches(text: str) -> Iterator[re.Match]:
+    """The lexer's token matches; raises :class:`LexError` where no token
+    starts."""
+    for match in _TOKEN.finditer(text):
+        if match[1] is not None:
+            yield match
+        elif match[0][0] != "#":
+            bad = match[0][0]
+            raise LexError(_LEX_ERRORS.get(bad, f"unexpected character {bad!r}"), match.start())
+
+
+def syntax_error(text: str, index: int, message: str) -> LexError:
+    """The error at the ``index``-th token of ``text``, or at the end of the
+    text for the index past the last token."""
+    return LexError(message, offsets(text)[index])
+
+
+class TokenCursor:
+    """A read position in ``tokens``: the tokens of ``text`` from its
+    ``base``-th token on.  Reading stops at a None token, which ends the
+    list."""
+
+    __slots__ = ("text", "tokens", "base", "index")
+
+    def __init__(self, text: str, tokens: list[str | None], base: int = 0) -> None:
+        self.text = text
         self.tokens = tokens
-        self.end = end
+        self.base = base
         self.index = 0
 
-    def peek(self, ahead: int = 0) -> str | None:
-        index = self.index + ahead
-        return self.tokens[index][0] if index < len(self.tokens) else None
-
-    def offset(self) -> int:
-        return self.tokens[self.index].offset if self.index < len(self.tokens) else self.end
-
-    def next(self) -> Token:
-        if self.index == len(self.tokens):
-            raise LexError("unexpected end of input", self.end)
+    def next(self) -> str:
+        token = self.tokens[self.index]
+        if token is None:
+            raise self.error("unexpected end of input", self.index)
         self.index += 1
-        return self.tokens[self.index - 1]
+        return token
 
     def expect(self, text: str) -> None:
         token = self.next()
-        if token.text != text:
-            raise LexError(f"expected {text!r}, found {token.text!r}", token.offset)
+        if token != text:
+            raise self.error(f"expected {text!r}, found {token!r}", self.index - 1)
+
+    def error(self, message: str, index: int) -> LexError:
+        """The error at ``tokens[index]``."""
+        return syntax_error(self.text, self.base + index, message)
+
+    def resolve(
+        self, index: int, catalog: NameCatalog, what: str, categories: tuple[str, ...], refused: frozenset[str] = PUNCTUATION
+    ) -> str:
+        """The IRI that ``tokens[index]`` names, tried in each category in
+        turn.  A token in ``refused``, punctuation by default, is refused as
+        not being ``what``."""
+        name = self.tokens[index]
+        if name in refused:
+            raise self.error(f"expected {what}, found {name!r}", index)
+        try:
+            return catalog._resolve(name, categories)
+        except KeyError as exc:
+            raise self.error(f"cannot resolve name {name!r}: {exc.args[0]}", index) from None
 
 
-def statements(tokens: list[Token], end: int) -> Iterator[tuple[list[Token], int]]:
-    """The non-empty runs of tokens between '.' tokens, each with the offset
-    of the '.' after it, or ``end`` for a last run that no '.' ends."""
-    run: list[Token] = []
-    for token in tokens:
-        if token[0] != ".":
-            run.append(token)
-        elif run:
-            yield run, token[1]
-            run = []
-    if run:
-        yield run, end
-
-
-def resolve(token: Token, catalog: NameCatalog, what: str, *categories: str) -> str:
-    """The IRI a name token names, tried in each category in turn.  A
-    punctuation token is refused as not being ``what``."""
-    text, offset = token
-    if text in PUNCTUATION:
-        raise LexError(f"expected {what}, found {text!r}", offset)
-    try:
-        return catalog.resolve(text, *categories)
-    except KeyError as exc:
-        raise LexError(f"cannot resolve name {text!r}: {exc.args[0]}", offset) from None
+def statements(tokens: list[str]) -> list[tuple[int, int]]:
+    """The non-empty runs of tokens between '.' tokens, each as the indices
+    ``(start, stop)`` of its first token and of the '.' after it, or
+    ``len(tokens)`` for a last run that no '.' ends."""
+    runs = []
+    start = 0
+    for _ in range(tokens.count(".")):
+        stop = tokens.index(".", start)
+        if stop > start:
+            runs.append((start, stop))
+        start = stop + 1
+    if start < len(tokens):
+        runs.append((start, len(tokens)))
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -253,74 +268,83 @@ def resolve(token: Token, catalog: NameCatalog, what: str, *categories: str) -> 
 
 
 _KEYWORDS = frozenset({"and", "some", "inverse"})
+_NOT_NAMES = _KEYWORDS | PUNCTUATION
+# The categories a name is tried in, in turn: punned class IRIs may stand
+# for individuals, in nominals, select subjects and objects and rule
+# arguments.
+_CLASS, _PROPERTY, _INDIVIDUAL = ("class",), ("property",), ("individual", "class")
 
 
-class _ExpressionParser:
+class _ExpressionParser(TokenCursor):
+    __slots__ = ("catalog",)
+
     def __init__(self, text: str, catalog: NameCatalog) -> None:
-        self.cursor = TokenCursor(tokenize(text), len(text))
+        tokens: list[str | None] = tokenize(text)
+        tokens.append(None)
+        super().__init__(text, tokens)
         self.catalog = catalog
 
-    def name(self, what: str, *categories: str) -> str:
-        token = self.cursor.next()
-        if token.text in _KEYWORDS:
-            raise LexError(f"expected {what}, found {token.text!r}", token.offset)
-        return resolve(token, self.catalog, what, *categories)
+    def name(self, what: str, categories: tuple[str, ...]) -> str:
+        """The IRI the next token names; a keyword is not a name."""
+        index = self.index
+        self.next()
+        return self.resolve(index, self.catalog, what, categories, _NOT_NAMES)
 
     def parse(self) -> ClassExpression:
         expr = self.parse_expression()
-        if self.cursor.peek() is not None:
-            raise LexError(f"unexpected trailing token {self.cursor.peek()!r}", self.cursor.offset())
+        token = self.tokens[self.index]
+        if token is not None:
+            raise self.error(f"unexpected trailing token {token!r}", self.index)
         return expr
 
     def parse_expression(self) -> ClassExpression:
         parts = [self.parse_conjunct()]
-        while self.cursor.peek() == "and":
-            self.cursor.next()
+        while self.tokens[self.index] == "and":
+            self.index += 1
             parts.append(self.parse_conjunct())
         if len(parts) == 1:
             return parts[0]
         return And(tuple(parts))
 
     def parse_conjunct(self) -> ClassExpression:
-        token = self.cursor.peek()
+        token = self.tokens[self.index]
         if token is None:
-            raise LexError("expected a class expression", self.cursor.end)
+            raise self.error("expected a class expression", self.index)
         # A bare name is a restriction when followed by 'some', else a class.
-        if token == "inverse" or self.cursor.peek(1) == "some":
+        if token == "inverse" or self.tokens[self.index + 1] == "some":
             return self.parse_restriction()
         return self.parse_filler()
 
     def parse_restriction(self) -> Some:
-        inverted = self.cursor.peek() == "inverse"
+        inverted = self.tokens[self.index] == "inverse"
         if inverted:
-            self.cursor.next()
-        prop = self.name("a property name", "property")
-        self.cursor.expect("some")
+            self.index += 1
+        prop = self.name("a property name", _PROPERTY)
+        self.expect("some")
         filler: ClassExpression = ANYTHING
-        if self.cursor.peek() not in (None, ")", "and", ","):
+        if self.tokens[self.index] not in (None, ")", "and", ","):
             filler = self.parse_filler()
         return Some(PropertyPath(prop, inverted), filler)
 
     def parse_filler(self) -> ClassExpression:
-        token = self.cursor.peek()
+        token = self.tokens[self.index]
         if token == "(":
-            self.cursor.next()
+            self.index += 1
             inner = self.parse_expression()
-            self.cursor.expect(")")
+            self.expect(")")
             return inner
         if token == "{":
+            self.index += 1
             return self.parse_nominals()
-        return Named(self.name("a class name", "class"))
+        return Named(self.name("a class name", _CLASS))
 
     def parse_nominals(self) -> OneOf:
-        self.cursor.expect("{")
-        # Punned class IRIs may appear as nominal members, so fall back to
-        # the class table exactly as select objects and rule constants do.
-        iris = {self.name("an individual name", "individual", "class")}
-        while self.cursor.peek() == ",":
-            self.cursor.next()
-            iris.add(self.name("an individual name", "individual", "class"))
-        self.cursor.expect("}")
+        """The members of a nominal set after its '{', and its '}'."""
+        iris = {self.name("an individual name", _INDIVIDUAL)}
+        while self.tokens[self.index] == ",":
+            self.index += 1
+            iris.add(self.name("an individual name", _INDIVIDUAL))
+        self.expect("}")
         return OneOf(frozenset(iris))
 
 
@@ -557,41 +581,44 @@ def parse_select(text: str, catalog: NameCatalog | None = None) -> SelectQuery:
     """
     catalog = catalog_or_bundled(catalog)
     patterns: list[TriplePattern] = []
-    starts: list[int] = []
-    order: list[str] = []
-
-    def slot(token: Token, what: str, *categories: str) -> str | Term:
-        if token.text[0] == "?":
-            if token.text not in order:
-                order.append(token.text)
-            return token.text
-        return iri(resolve(token, catalog, what, *categories))
-
+    starts: list[int] = []  # the index of each pattern's first token
+    variables: dict[str, None] = {}  # in first-appearance order
+    connected = True  # each pattern shares a variable with those before it, or brings none
     try:
-        for fields, stop in statements(tokenize(text), len(text)):
-            start = fields[0].offset
-            if len(fields) != 3:
-                chunk = text[start:stop].strip()
-                raise LexError(f"pattern must have exactly 3 terms, found {len(fields)}: {chunk!r}", start)
-            s, p, o = fields
+        tokens = tokenize(text)
+        cursor = TokenCursor(text, tokens)  # for resolving names, not for reading
+        for start, stop in statements(tokens):
+            if stop - start != 3:
+                at = offsets(text)
+                chunk = text[at[start]:at[stop]].strip()
+                raise LexError(f"pattern must have exactly 3 terms, found {stop - start}: {chunk!r}", at[start])
+            s, p, o = tokens[start:stop]
             patterns.append(TriplePattern(
-                slot(s, "an individual name", "individual", "class"),
-                _TYPE if p.text == "a" else slot(p, "a property name", "property"),
-                slot(o, "an individual name", "individual", "class"),
+                s if s[0] == "?" else iri(cursor.resolve(start, catalog, "an individual name", _INDIVIDUAL)),
+                _TYPE if p == "a" else p if p[0] == "?" else iri(cursor.resolve(start + 1, catalog, "a property name", _PROPERTY)),
+                o if o[0] == "?" else iri(cursor.resolve(start + 2, catalog, "an individual name", _INDIVIDUAL)),
             ))
             starts.append(start)
+            before = len(variables)
+            shares = not variables.keys().isdisjoint((s, p, o))  # only variables are keys
+            for token in (s, p, o):
+                if token[0] == "?":
+                    variables[token] = None
+            if before and not shares and len(variables) > before:
+                connected = False
         if not patterns:
             raise LexError("select query has no patterns", len(text))
-        _check_connected(patterns, starts)
+        if not connected:  # the patterns may still meet through a later one
+            _check_connected(cursor, patterns, starts)
     except LexError as exc:
         raise QueryParseError(str(exc), exc.offset) from None
-    return SelectQuery(tuple(patterns), tuple(order))
+    return SelectQuery(tuple(patterns), tuple(variables))
 
 
-def _check_connected(patterns: list[TriplePattern], starts: list[int]) -> None:
+def _check_connected(cursor: TokenCursor, patterns: list[TriplePattern], starts: list[int]) -> None:
     """Raise unless the patterns' variables form one connected group; the
     error points at the first pattern outside the first group."""
-    merged: list[tuple[int, set[str]]] = []  # (first pattern's offset, variables)
+    merged: list[tuple[int, set[str]]] = []  # (first pattern's token index, variables)
     for start, pattern in zip(starts, patterns):
         group = set(pattern.variables())
         if not group:
@@ -604,7 +631,7 @@ def _check_connected(patterns: list[TriplePattern], starts: list[int]) -> None:
     if len(merged) > 1:
         names = " / ".join(",".join(sorted(group)) for _, group in merged)
         second = sorted(start for start, _ in merged)[1]
-        raise LexError(f"select patterns are not connected; variable groups: {names}", second)
+        raise cursor.error(f"select patterns are not connected; variable groups: {names}", second)
 
 
 def select(query: SelectQuery, graph: Graph) -> list[tuple[str, ...]]:

@@ -51,7 +51,7 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .graph import Graph
-from .query import LexError, Token, TokenCursor, TriplePattern, resolve, solutions, statements, tokenize
+from .query import _CLASS, _INDIVIDUAL, _PROPERTY, LexError, TokenCursor, TriplePattern, offsets, solutions, statements, syntax_error, tokenize
 from .schema import catalog_or_bundled
 from .terms import RDF_TYPE, RuleError, Term, Triple, VerdictConflictError, iri
 from .vocab import ACTION, UPHOLDS_PRINCIPLE, VERDICT_CLASSES, VIOLATES_PRINCIPLE
@@ -83,65 +83,71 @@ class Firing(NamedTuple):
 # Parsing
 
 
-def _split_rule_id(tokens: list[Token]) -> tuple[str | None, list[Token]]:
-    """Split the leading 'id:' off a statement; 'R1:', 'R1 :' and
-    'R1:Action' all start rule R1.  The id is None when there is none."""
-    first, *rest = tokens
-    if ":" not in first.text and rest and rest[0].text.startswith(":"):
-        first, rest = Token((first.text + rest[0].text, first.offset)), rest[1:]
-    rule_id, colon, local = first.text.partition(":")
-    if not colon or not rule_id or rule_id.startswith("<"):
-        return None, tokens
-    if local:
-        rest.insert(0, Token((local, first.offset + len(rule_id) + 1)))
-    return rule_id, rest
+class _RuleParser(TokenCursor):
+    """A reader of one rule statement: its tokens, then None."""
 
+    __slots__ = ("catalog",)
 
-class _RuleParser:
-    def __init__(self, tokens: list[Token], end: int, catalog) -> None:
-        self.cursor = TokenCursor(tokens, end)
+    def __init__(self, text: str, tokens: list[str | None], base: int, catalog) -> None:
+        super().__init__(text, tokens, base)
         self.catalog = catalog
+
+    def rule_id(self) -> str | None:
+        """Read the leading 'id:'; 'R1:', 'R1 :' and 'R1:Action' all start
+        rule R1.  None when the statement has no id."""
+        first = self.next()
+        if ":" not in first and (self.tokens[self.index] or "").startswith(":"):
+            first += self.next()
+        rule_id, colon, local = first.partition(":")
+        if not colon or not rule_id or rule_id.startswith("<"):
+            return None
+        if local:  # the rest of the token is read next, in its place
+            self.index -= 1
+            self.tokens[self.index] = local
+        return rule_id
 
     def parse(self, rule_id: str) -> Rule:
         positives: list[TriplePattern] = []
         negatives: list[TriplePattern] = []
         while True:
-            if self.cursor.peek() == "not":
-                self.cursor.next()
+            if self.tokens[self.index] == "not":
+                self.index += 1
                 negatives.append(self.parse_atom())
             else:
                 positives.append(self.parse_atom())
-            if self.cursor.peek() != ",":
+            if self.tokens[self.index] != ",":
                 break
-            self.cursor.next()
-        self.cursor.expect("->")
-        if self.cursor.peek() == "not":
-            raise LexError("negation is not allowed in a rule head", self.cursor.offset())
+            self.index += 1
+        self.expect("->")
+        if self.tokens[self.index] == "not":
+            raise self.error("negation is not allowed in a rule head", self.index)
         head = self.parse_atom()
-        if self.cursor.peek() is not None:
-            raise LexError(f"unexpected trailing token {self.cursor.peek()!r}", self.cursor.offset())
+        token = self.tokens[self.index]
+        if token is not None:
+            raise self.error(f"unexpected trailing token {token!r}", self.index)
         return Rule(rule_id, tuple(positives), tuple(negatives), head)
 
     def parse_atom(self) -> TriplePattern:
         """``C(s)`` as the pattern ``(s, rdf:type, C)``, ``p(s, o)`` as ``(s, p, o)``."""
-        predicate = self.cursor.next()
-        self.cursor.expect("(")
+        predicate = self.index
+        self.next()
+        self.expect("(")
         subject = self.parse_arg()
-        if self.cursor.peek() != ",":
-            self.cursor.expect(")")
-            return TriplePattern(subject, _TYPE, iri(resolve(predicate, self.catalog, "a class name", "class")))
-        self.cursor.next()
+        if self.tokens[self.index] != ",":
+            self.expect(")")
+            return TriplePattern(subject, _TYPE, iri(self.resolve(predicate, self.catalog, "a class name", _CLASS)))
+        self.index += 1
         obj = self.parse_arg()
-        self.cursor.expect(")")
-        return TriplePattern(subject, iri(resolve(predicate, self.catalog, "a property name", "property")), obj)
+        self.expect(")")
+        return TriplePattern(subject, iri(self.resolve(predicate, self.catalog, "a property name", _PROPERTY)), obj)
 
     def parse_arg(self) -> Term | str | None:
-        token = self.cursor.next()
-        if token.text.startswith("?"):
-            return token.text[1:]
-        if token.text == "_":
+        token = self.next()
+        if token.startswith("?"):
+            return token[1:]
+        if token == "_":
             return None
-        return iri(resolve(token, self.catalog, "an argument", "individual", "class"))
+        return iri(self.resolve(self.index - 1, self.catalog, "an argument", _INDIVIDUAL))
 
 
 def _overlap(a: TriplePattern, b: TriplePattern) -> bool:
@@ -151,11 +157,12 @@ def _overlap(a: TriplePattern, b: TriplePattern) -> bool:
     return all(x == y or not (isinstance(x, Term) and isinstance(y, Term)) for x, y in zip(a, b))
 
 
-def _stratify(rules: list[Rule], starts: dict[str, int]) -> list[Rule]:
+def _stratify(rules: list[Rule], starts: dict[str, int], text: str) -> list[Rule]:
     """Give each rule the lowest stratum at or above every rule whose head
     one of its positive patterns overlaps, and strictly above every rule
     whose head one of its negated patterns overlaps.  ``starts`` holds the
-    offset of each rule's statement, where a cycle is reported."""
+    index of the first token of each rule's statement in the tokens of
+    ``text``; a cycle is reported there."""
     # (reading rule, rule read, 1 when read through negation else 0)
     needs = [
         (i, j, step)
@@ -176,7 +183,7 @@ def _stratify(rules: list[Rule], starts: dict[str, int]) -> list[Rule]:
                 if strata[i] >= len(rules):
                     rule_id = rules[i].id
                     message = f"rule {rule_id}: rules are not stratifiable (cycle through negation)"
-                    raise LexError(message, starts[rule_id])
+                    raise syntax_error(text, starts[rule_id], message)
     return [rule._replace(stratum=stratum) for rule, stratum in zip(rules, strata)]
 
 
@@ -188,10 +195,12 @@ def parse_rules(text: str, catalog=None) -> list[Rule]:
     """
     catalog = catalog_or_bundled(catalog)
     rules: list[Rule] = []
-    starts: dict[str, int] = {}  # the offset of each rule's statement
+    starts: dict[str, int] = {}  # the index of the first token of each rule's statement
     # An error names the line of the statement being read, from its first
-    # token's offset ``start``, or past the last one, of the error's own
-    # offset; inside a rule it names the rule too (``where``).
+    # token ``start``, or past the last one, of the error's own offset;
+    # inside a rule it names the rule too (``where``).  The tokens are those
+    # of ``lexed``: the text, or the part of it before a lexer error.
+    lexed = text
     start: int | None = None
     where = ""
     try:
@@ -200,20 +209,23 @@ def parse_rules(text: str, catalog=None) -> list[Rule]:
         except LexError as exc:
             # The statements before a lexer error are read, and fail, first.
             # The text before the error has the same tokens on its own.
-            tokens, lex_error = tokenize(text[:exc.offset]), (exc.args[0], exc.offset)
-        for run, stop in statements(tokens, len(text)):
-            start = run[0].offset
-            if stop == len(text):  # no '.' ends the run
+            lexed = text[:exc.offset]
+            tokens, lex_error = tokenize(lexed), (exc.args[0], exc.offset)
+        for start, stop in statements(tokens):
+            if stop == len(tokens):  # no '.' ends the run
                 if lex_error is not None:
                     raise LexError(*lex_error)
-                raise LexError(f"rule is missing its terminating '.': {text[start:].strip()[:60]!r}", start)
-            rule_id, run = _split_rule_id(run)
+                at = offsets(lexed)[start]
+                raise LexError(f"rule is missing its terminating '.': {text[at:].strip()[:60]!r}", at)
+            parser = _RuleParser(lexed, [*tokens[start:stop], None], start, catalog)
+            rule_id = parser.rule_id()
             if rule_id is None:
-                raise LexError(f"rule must start with 'id:', found {text[start:stop].strip()[:40]!r}", start)
+                at = offsets(lexed)
+                raise LexError(f"rule must start with 'id:', found {text[at[start]:at[stop]].strip()[:40]!r}", at[start])
             if rule_id in starts:
-                raise LexError(f"duplicate rule id {rule_id!r}", start)
+                raise parser.error(f"duplicate rule id {rule_id!r}", 0)
             where = f"rule {rule_id}: "
-            rule = _RuleParser(run, stop, catalog).parse(rule_id)
+            rule = parser.parse(rule_id)
             _check_safety(rule)
             where = ""
             rules.append(rule)
@@ -221,9 +233,9 @@ def parse_rules(text: str, catalog=None) -> list[Rule]:
         start = None
         if lex_error is not None:
             raise LexError(*lex_error)
-        return _stratify(rules, starts)
+        return _stratify(rules, starts, lexed)
     except LexError as exc:
-        line = text.count("\n", 0, exc.offset if start is None else start) + 1
+        line = text.count("\n", 0, exc.offset if start is None else offsets(lexed)[start]) + 1
         raise RuleError(f"line {line}: {where}{exc}") from None
 
 

@@ -347,20 +347,39 @@ class NameCatalog:
         an alias of one in ``vocab.NAME_ALIASES``.  A bare name is tried in
         each category in turn.  Raises KeyError with a readable message: the
         last category's for a bare name, or why an IRI is not a valid term.
+        Raises ValueError for an unknown category, except where a bare name
+        resolves in the first one: the categories are checked only then.
         """
-        categories = (category, *more)
+        return self._resolve(name, (category, *more))
+
+    def _resolve(self, name: str, categories: tuple[str, ...]) -> str:
+        """:meth:`resolve`, with the categories in one tuple.  A bare name
+        that resolves in the first category costs an alias probe and a
+        probe of that category's names."""
+        if ":" in name or name.startswith("<") and name.endswith(">"):
+            return self._resolve_iri(name, categories)
+        bare = NAME_ALIASES.get(name, name)
+        names = self._by_category.get(categories[0])
+        candidates = names.get(bare, ()) if names is not None else ()
+        if len(candidates) == 1:
+            (value,) = candidates
+            return value
+        return self._resolve_bare(bare, categories)
+
+    def _check_categories(self, categories: tuple[str, ...]) -> None:
         for category in categories:
             if category not in self._by_category:
                 raise ValueError(f"unknown name category: {category!r}")
+
+    def _resolve_iri(self, name: str, categories: tuple[str, ...]) -> str:
+        self._check_categories(categories)
         if name.startswith("<") and name.endswith(">"):
             value = name[1:-1]
-        elif ":" in name:
+        else:
             prefix, _, local = name.partition(":")
             value = self._prefixes.expand(prefix, local)
             if value is None:
                 raise KeyError(f"undeclared prefix '{prefix}:' in name {name!r}")
-        else:
-            return self._resolve_bare(NAME_ALIASES.get(name, name), categories)
         try:
             iri(value)
         except StructuralError as exc:
@@ -368,6 +387,7 @@ class NameCatalog:
         return value
 
     def _resolve_bare(self, bare: str, categories: tuple[str, ...]) -> str:
+        self._check_categories(categories)
         for category in categories:
             candidates = self._by_category[category].get(bare, ())
             if len(candidates) == 1:

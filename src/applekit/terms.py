@@ -121,7 +121,10 @@ _IRI_BODY = re.compile(r"""[^\x00-\x20<>"{}|^`\\]*""")
 # A character of a prefix label or local name; a name run does not end in '.'.
 _NAME_CHAR = r"[A-Za-z0-9_.\-]"
 _NAME = _NAME_CHAR + r"*(?<!\.)"
-_BLANK_LABEL = re.compile(_NAME)  # what the Turtle reader takes after '_:'
+# A blank node label, what the Turtle reader takes after '_:': the ASCII
+# part of Turtle's BLANK_NODE_LABEL, a name that starts with a letter, a
+# digit or '_'.
+_BLANK_LABEL = re.compile(r"[A-Za-z0-9_]" + _NAME)
 # A language tag as Turtle writes it after '@' (BCP 47 shape, unchecked
 # against the registry).
 _LANGTAG = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:-[A-Za-z0-9]+)*")

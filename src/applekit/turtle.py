@@ -198,9 +198,12 @@ def _lex(text: str, pos: int) -> tuple[_Token, int]:
         else:
             raise _error(text, start, f"unknown directive or language tag '@{word}'")
     elif kind == "blank":
-        if not match[kind]:
+        label = match[kind]
+        if not label:
             raise _error(text, start, "blank node label must be non-empty")
-        token = (kind, match[kind], start)
+        if label[0] in "-.":
+            raise _error(text, start, f"blank node label cannot start with {label[0]!r}")
+        token = (kind, label, start)
     elif kind == "eof":
         token = (kind, None, start)
     else:
@@ -357,7 +360,7 @@ class _Parser:
         """The Term for the raw text of a name, an IRI, a blank node or 'a';
         None where resolving it fails, for the token path to report."""
         if raw.startswith("_:"):
-            if len(raw) == 2:
+            if len(raw) == 2 or raw[2] in "-.":
                 return None
             term = self._terms[raw] = blank(raw[2:])
             return term

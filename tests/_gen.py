@@ -393,7 +393,7 @@ def random_rules(rng: random.Random, classes: list[str], props: list[str], indiv
 def assign_strata(rules: list[Rule]) -> list[Rule]:
     """The rules with the strata :func:`applekit.rules.parse_rules` would
     give them, for rules built programmatically (ids must be unique)."""
-    return _stratify(rules, {rule.id: 0 for rule in rules})
+    return _stratify(rules, {rule.id: 0 for rule in rules}, "")
 
 
 def random_rule_text(rng: random.Random, classes: list[str], props: list[str]) -> str:

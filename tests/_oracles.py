@@ -641,6 +641,8 @@ class CharLexer:
         label, pushed = self._strip_trailing_dots(label)
         if not label:
             raise self.error("blank node label must be non-empty", line, column)
+        if label[0] in "-.":
+            raise self.error(f"blank node label cannot start with {label[0]!r}", line, column)
         self._push_back(pushed)
         return CharToken("blank", label, line, column)
 

@@ -27,6 +27,7 @@ from test_turtle import TestWritersAgainstFlatSort as W  # noqa: E402
 from applekit.assets import asset_dir
 from applekit.graph import Graph
 from applekit.query import LexError, QueryParseError, parse_class_expression, parse_select
+from applekit.query import offsets as query_offsets
 from applekit.query import tokenize as query_tokenize
 from applekit.rules import RuleError, parse_rules
 from applekit.schema import NameCatalog
@@ -112,7 +113,9 @@ def _query_lexer(text):
         tokens = query_tokenize(text)
     except LexError as err:
         return str(err), err.offset
-    return [(token.text, token.offset) for token in tokens]
+    at = query_offsets(text)
+    assert at[-1] == len(text)
+    return list(zip(tokens, at[:-1], strict=True))
 
 
 def _query_oracle(text):
@@ -172,7 +175,8 @@ def test_turtle_lexer_matches_oracle(text):
 # Inputs that random text seldom reaches: escapes cut short or out of range,
 # a fault after an escape, and names, tags and IRIs at the end of the text.
 LEXER_EDGES = ['"\\U0001F60"', '"\\u00e"', '"\\uD800', '"\\UFFFFFFFF\n"', '"ab\\', '"\\q"', '"\\\n"', '"a\\"b',
-               '""""', "ex:a..", "_:.", "@", "@en-", "@en_GB", "a..:x.", "# c", "<a b>", "<a", "+1", "-x", "\u00b2", "^x"]
+               '""""', "ex:a..", "_:.", "@", "@en-", "@en_GB", "a..:x.", "# c", "<a b>", "<a", "+1", "-x", "\u00b2", "^x",
+               "_:-x", "_:.y", "_:-", "_:_.-x"]
 
 
 @pytest.mark.parametrize("text", LEXER_EDGES)

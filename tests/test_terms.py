@@ -66,7 +66,7 @@ class TestTermConstruction:
         with pytest.raises(StructuralError):
             blank("")
 
-    @pytest.mark.parametrize("label", ["a b", "urn:x", "a.", ".", "é", "a\nb"])
+    @pytest.mark.parametrize("label", ["a b", "urn:x", "a.", ".", "é", "a\nb", "-x", ".y", "-"])
     def test_blank_label_must_read_back_after_underscore_colon(self, label):
         with pytest.raises(StructuralError, match="cannot be written after '_:'"):
             blank(label)

@@ -81,6 +81,15 @@ class TestBasics:
         g = parse("_:a ex:p _:b .")
         assert list(g) == [Triple(blank("a"), iri(EX + "p"), blank("b"))]
 
+    @pytest.mark.parametrize(
+        "text,column,first",
+        [("_:-x ex:p ex:o .", 1, "-"), ("ex:s ex:p _:.y .", 11, "."), ("ex:s ex:p ex:o, _:-", 17, "-")],
+    )
+    def test_blank_label_cannot_start_with_a_dash_or_a_dot(self, text, column, first):
+        with pytest.raises(TurtleParseError) as err:
+            parse(text)
+        assert err.value.diagnostic == ParseDiagnostic(2, column, f"blank node label cannot start with {first!r}")
+
     def test_comments_ignored_but_not_inside_iris(self):
         g = parse("# leading comment\nex:s ex:p <http://x.test/page#frag> . # trailing")
         assert objects(g, iri(EX + "s"), iri(EX + "p")) == [iri("http://x.test/page#frag")]
@@ -418,8 +427,9 @@ class TestRoundTrip:
         st.builds(lambda v: literal(v, lang="en"), safe_text),
         st.builds(lambda v: literal(v, datatype=XSD_NS + "date"), safe_text),
     )
-    # Any label the reader takes after '_:', such as '-x', '.x' and 'a.b'.
-    label = st.from_regex(r"[A-Za-z0-9_.\-]*[A-Za-z0-9_\-]", fullmatch=True)
+    # Any label the reader takes after '_:', the ASCII part of Turtle's
+    # BLANK_NODE_LABEL: '0', '_', 'a-', 'a.b', '_.-x'.
+    label = st.from_regex(r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?", fullmatch=True)
     node = st.one_of(local.map(lambda s: iri(EX + s)), label.map(blank))
 
     @given(st.lists(st.builds(Triple, node, local.map(lambda s: iri(EX + s)), term), max_size=20))
