@@ -205,14 +205,15 @@ def syntax_error(text: str, index: int, message: str) -> LexError:
 
 class TokenCursor:
     """A read position in ``tokens``: the tokens of ``text`` from its
-    ``base``-th token on.  Reading stops at a None token, which ends the
-    list."""
+    ``base``-th token on, which a None token ends.  Names resolve through
+    ``catalog``."""
 
-    __slots__ = ("text", "tokens", "base", "index")
+    __slots__ = ("text", "tokens", "catalog", "base", "index")
 
-    def __init__(self, text: str, tokens: list[str | None], base: int = 0) -> None:
+    def __init__(self, text: str, tokens: list[str | None], catalog: NameCatalog, base: int = 0) -> None:
         self.text = text
         self.tokens = tokens
+        self.catalog = catalog
         self.base = base
         self.index = 0
 
@@ -232,19 +233,23 @@ class TokenCursor:
         """The error at ``tokens[index]``."""
         return syntax_error(self.text, self.base + index, message)
 
-    def resolve(
-        self, index: int, catalog: NameCatalog, what: str, categories: tuple[str, ...], refused: frozenset[str] = PUNCTUATION
-    ) -> str:
-        """The IRI that ``tokens[index]`` names, tried in each category in
-        turn.  A token in ``refused``, punctuation by default, is refused as
-        not being ``what``."""
+    def resolve(self, index: int, what: str, categories: tuple[str, ...], refused: frozenset[str] = PUNCTUATION) -> str:
+        """The IRI that ``tokens[index]`` names, tried in each of
+        ``categories`` in turn.  A token in ``refused``, punctuation by
+        default, is refused as not being ``what``."""
         name = self.tokens[index]
         if name in refused:
             raise self.error(f"expected {what}, found {name!r}", index)
         try:
-            return catalog._resolve(name, categories)
+            return self.catalog._resolve(name, categories)
         except KeyError as exc:
             raise self.error(f"cannot resolve name {name!r}: {exc.args[0]}", index) from None
+
+
+# The categories a name is tried in, in turn.  Punned class IRIs may stand
+# for individuals: in nominals, select subjects and objects, and rule
+# arguments.
+CLASSES, PROPERTIES, INDIVIDUALS = ("class",), ("property",), ("individual", "class")
 
 
 def statements(tokens: list[str]) -> list[tuple[int, int]]:
@@ -267,28 +272,17 @@ def statements(tokens: list[str]) -> list[tuple[int, int]]:
 # Expression parsing
 
 
-_KEYWORDS = frozenset({"and", "some", "inverse"})
-_NOT_NAMES = _KEYWORDS | PUNCTUATION
-# The categories a name is tried in, in turn: punned class IRIs may stand
-# for individuals, in nominals, select subjects and objects and rule
-# arguments.
-_CLASS, _PROPERTY, _INDIVIDUAL = ("class",), ("property",), ("individual", "class")
+_NOT_NAMES = frozenset({"and", "some", "inverse"}) | PUNCTUATION  # the keywords, and punctuation
 
 
 class _ExpressionParser(TokenCursor):
-    __slots__ = ("catalog",)
-
-    def __init__(self, text: str, catalog: NameCatalog) -> None:
-        tokens: list[str | None] = tokenize(text)
-        tokens.append(None)
-        super().__init__(text, tokens)
-        self.catalog = catalog
+    __slots__ = ()
 
     def name(self, what: str, categories: tuple[str, ...]) -> str:
         """The IRI the next token names; a keyword is not a name."""
         index = self.index
         self.next()
-        return self.resolve(index, self.catalog, what, categories, _NOT_NAMES)
+        return self.resolve(index, what, categories, _NOT_NAMES)
 
     def parse(self) -> ClassExpression:
         expr = self.parse_expression()
@@ -319,7 +313,7 @@ class _ExpressionParser(TokenCursor):
         inverted = self.tokens[self.index] == "inverse"
         if inverted:
             self.index += 1
-        prop = self.name("a property name", _PROPERTY)
+        prop = self.name("a property name", PROPERTIES)
         self.expect("some")
         filler: ClassExpression = ANYTHING
         if self.tokens[self.index] not in (None, ")", "and", ","):
@@ -336,14 +330,14 @@ class _ExpressionParser(TokenCursor):
         if token == "{":
             self.index += 1
             return self.parse_nominals()
-        return Named(self.name("a class name", _CLASS))
+        return Named(self.name("a class name", CLASSES))
 
     def parse_nominals(self) -> OneOf:
         """The members of a nominal set after its '{', and its '}'."""
-        iris = {self.name("an individual name", _INDIVIDUAL)}
+        iris = {self.name("an individual name", INDIVIDUALS)}
         while self.tokens[self.index] == ",":
             self.index += 1
-            iris.add(self.name("an individual name", _INDIVIDUAL))
+            iris.add(self.name("an individual name", INDIVIDUALS))
         self.expect("}")
         return OneOf(frozenset(iris))
 
@@ -355,7 +349,9 @@ def parse_class_expression(text: str, catalog: NameCatalog | None = None) -> Cla
     if not text.strip():
         raise QueryParseError("empty class expression", 0)
     try:
-        return _ExpressionParser(text, catalog).parse()
+        tokens: list[str | None] = tokenize(text)
+        tokens.append(None)
+        return _ExpressionParser(text, tokens, catalog).parse()
     except LexError as exc:
         raise QueryParseError(str(exc), exc.offset) from None
 
@@ -586,7 +582,7 @@ def parse_select(text: str, catalog: NameCatalog | None = None) -> SelectQuery:
     connected = True  # each pattern shares a variable with those before it, or brings none
     try:
         tokens = tokenize(text)
-        cursor = TokenCursor(text, tokens)  # for resolving names, not for reading
+        cursor = TokenCursor(text, tokens, catalog)  # for resolving names, not for reading
         for start, stop in statements(tokens):
             if stop - start != 3:
                 at = offsets(text)
@@ -594,9 +590,9 @@ def parse_select(text: str, catalog: NameCatalog | None = None) -> SelectQuery:
                 raise LexError(f"pattern must have exactly 3 terms, found {stop - start}: {chunk!r}", at[start])
             s, p, o = tokens[start:stop]
             patterns.append(TriplePattern(
-                s if s[0] == "?" else iri(cursor.resolve(start, catalog, "an individual name", _INDIVIDUAL)),
-                _TYPE if p == "a" else p if p[0] == "?" else iri(cursor.resolve(start + 1, catalog, "a property name", _PROPERTY)),
-                o if o[0] == "?" else iri(cursor.resolve(start + 2, catalog, "an individual name", _INDIVIDUAL)),
+                s if s[0] == "?" else iri(cursor.resolve(start, "an individual name", INDIVIDUALS)),
+                _TYPE if p == "a" else p if p[0] == "?" else iri(cursor.resolve(start + 1, "a property name", PROPERTIES)),
+                o if o[0] == "?" else iri(cursor.resolve(start + 2, "an individual name", INDIVIDUALS)),
             ))
             starts.append(start)
             before = len(variables)

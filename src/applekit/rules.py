@@ -51,7 +51,7 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .graph import Graph
-from .query import _CLASS, _INDIVIDUAL, _PROPERTY, LexError, TokenCursor, TriplePattern, offsets, solutions, statements, syntax_error, tokenize
+from .query import CLASSES, INDIVIDUALS, PROPERTIES, LexError, TokenCursor, TriplePattern, offsets, solutions, statements, syntax_error, tokenize
 from .schema import catalog_or_bundled
 from .terms import RDF_TYPE, RuleError, Term, Triple, VerdictConflictError, iri
 from .vocab import ACTION, UPHOLDS_PRINCIPLE, VERDICT_CLASSES, VIOLATES_PRINCIPLE
@@ -86,11 +86,7 @@ class Firing(NamedTuple):
 class _RuleParser(TokenCursor):
     """A reader of one rule statement: its tokens, then None."""
 
-    __slots__ = ("catalog",)
-
-    def __init__(self, text: str, tokens: list[str | None], base: int, catalog) -> None:
-        super().__init__(text, tokens, base)
-        self.catalog = catalog
+    __slots__ = ()
 
     def rule_id(self) -> str | None:
         """Read the leading 'id:'; 'R1:', 'R1 :' and 'R1:Action' all start
@@ -135,11 +131,11 @@ class _RuleParser(TokenCursor):
         subject = self.parse_arg()
         if self.tokens[self.index] != ",":
             self.expect(")")
-            return TriplePattern(subject, _TYPE, iri(self.resolve(predicate, self.catalog, "a class name", _CLASS)))
+            return TriplePattern(subject, _TYPE, iri(self.resolve(predicate, "a class name", CLASSES)))
         self.index += 1
         obj = self.parse_arg()
         self.expect(")")
-        return TriplePattern(subject, iri(self.resolve(predicate, self.catalog, "a property name", _PROPERTY)), obj)
+        return TriplePattern(subject, iri(self.resolve(predicate, "a property name", PROPERTIES)), obj)
 
     def parse_arg(self) -> Term | str | None:
         token = self.next()
@@ -147,7 +143,7 @@ class _RuleParser(TokenCursor):
             return token[1:]
         if token == "_":
             return None
-        return iri(self.resolve(self.index - 1, self.catalog, "an argument", _INDIVIDUAL))
+        return iri(self.resolve(self.index - 1, "an argument", INDIVIDUALS))
 
 
 def _overlap(a: TriplePattern, b: TriplePattern) -> bool:
@@ -217,7 +213,7 @@ def parse_rules(text: str, catalog=None) -> list[Rule]:
                     raise LexError(*lex_error)
                 at = offsets(lexed)[start]
                 raise LexError(f"rule is missing its terminating '.': {text[at:].strip()[:60]!r}", at)
-            parser = _RuleParser(lexed, [*tokens[start:stop], None], start, catalog)
+            parser = _RuleParser(lexed, [*tokens[start:stop], None], catalog, start)
             rule_id = parser.rule_id()
             if rule_id is None:
                 at = offsets(lexed)

@@ -348,23 +348,23 @@ class NameCatalog:
         each category in turn.  Raises KeyError with a readable message: the
         last category's for a bare name, or why an IRI is not a valid term.
         Raises ValueError for an unknown category, except where a bare name
-        resolves in the first one: the categories are checked only then.
+        resolves in another one: only then are the categories not checked.
         """
         return self._resolve(name, (category, *more))
 
     def _resolve(self, name: str, categories: tuple[str, ...]) -> str:
         """:meth:`resolve`, with the categories in one tuple.  A bare name
-        that resolves in the first category costs an alias probe and a
-        probe of that category's names."""
+        costs an alias probe, then a probe of each category's names until
+        one holds it alone."""
         if ":" in name or name.startswith("<") and name.endswith(">"):
             return self._resolve_iri(name, categories)
         bare = NAME_ALIASES.get(name, name)
-        names = self._by_category.get(categories[0])
-        candidates = names.get(bare, ()) if names is not None else ()
-        if len(candidates) == 1:
-            (value,) = candidates
-            return value
-        return self._resolve_bare(bare, categories)
+        for category in categories:
+            candidates = self._by_category.get(category, {}).get(bare, ())
+            if len(candidates) == 1:
+                (value,) = candidates
+                return value
+        raise self._unresolved(bare, categories)
 
     def _check_categories(self, categories: tuple[str, ...]) -> None:
         for category in categories:
@@ -372,6 +372,7 @@ class NameCatalog:
                 raise ValueError(f"unknown name category: {category!r}")
 
     def _resolve_iri(self, name: str, categories: tuple[str, ...]) -> str:
+        """The IRI of a bracketed or prefixed name, if it is a valid term."""
         self._check_categories(categories)
         if name.startswith("<") and name.endswith(">"):
             value = name[1:-1]
@@ -386,20 +387,15 @@ class NameCatalog:
             raise KeyError(str(exc)) from None
         return value
 
-    def _resolve_bare(self, bare: str, categories: tuple[str, ...]) -> str:
+    def _unresolved(self, bare: str, categories: tuple[str, ...]) -> KeyError:
+        """The error for a bare name that resolves in no category: the last
+        category's."""
         self._check_categories(categories)
-        for category in categories:
-            candidates = self._by_category[category].get(bare, ())
-            if len(candidates) == 1:
-                return next(iter(candidates))
-            if candidates:
-                listed = ", ".join(sorted(candidates))
-                message = f"{category} name {bare!r} is ambiguous between: {listed}"
-            else:
-                message = f"unknown {category} name {bare!r}"
-        # The message, not the exception, is kept in a local: a raising frame
-        # that holds its own exception forms a reference cycle with it.
-        raise KeyError(message)
+        category = categories[-1]
+        candidates = self._by_category[category].get(bare, ())
+        if candidates:
+            return KeyError(f"{category} name {bare!r} is ambiguous between: {', '.join(sorted(candidates))}")
+        return KeyError(f"unknown {category} name {bare!r}")
 
 
 def catalog_or_bundled(catalog: NameCatalog | None) -> NameCatalog:
