@@ -9,15 +9,17 @@ The expression language is a compact Manchester-like grammar::
     primary    := class-name | '{' name (',' name)* '}' | '(' expression ')'
 
 Class expressions, select queries and the rule files of
-:mod:`applekit.rules` share this module's front end: :func:`tokenize`,
-:class:`TokenCursor`, :func:`statements` and :func:`resolve`.  Names
-resolve through a :class:`~applekit.schema.NameCatalog` (bare names,
+:mod:`applekit.rules` share this module's front end.  :func:`tokenize`
+returns the tokens as plain strings, from one pass of one regex;
+:func:`statements` splits them at '.'; :class:`TokenCursor` reads them and
+resolves names through a :class:`~applekit.schema.NameCatalog` (bare names,
 registered aliases, prefixed names, or ``<iri>``); a parser given none uses
-the bundled assets' catalog.  A syntax error is one internal
-:class:`LexError` with an offset, which each public parser converts once,
-to :class:`QueryParseError` or :class:`RuleError`.  :func:`answer` is the
-one path from query text in a mode to sorted rows, for the CLI and the
-competency questions.
+the bundled assets' catalog.  No offset is kept with a token: where an
+error is raised, :func:`offsets` runs the same regex again to find it.  A
+syntax error is one internal :class:`LexError` with an offset, which each
+public parser converts once, to :class:`QueryParseError` or
+:class:`RuleError`.  :func:`answer` is the one path from query text in a
+mode to sorted rows, for the CLI and the competency questions.
 
 Two retrieval modes share the AST.  Instance retrieval is extensional and
 closed-world over a materialized graph: a restriction is satisfied by the

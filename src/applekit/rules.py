@@ -51,7 +51,19 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .graph import Graph
-from .query import CLASSES, INDIVIDUALS, PROPERTIES, LexError, TokenCursor, TriplePattern, offsets, solutions, statements, syntax_error, tokenize
+from .query import (
+    CLASSES,
+    INDIVIDUALS,
+    PROPERTIES,
+    LexError,
+    TokenCursor,
+    TriplePattern,
+    offsets,
+    solutions,
+    statements,
+    syntax_error,
+    tokenize,
+)
 from .schema import catalog_or_bundled
 from .terms import RDF_TYPE, RuleError, Term, Triple, VerdictConflictError, iri
 from .vocab import ACTION, UPHOLDS_PRINCIPLE, VERDICT_CLASSES, VIOLATES_PRINCIPLE
