@@ -160,14 +160,14 @@ class LexError(ValueError):
 PUNCTUATION = frozenset({"(", ")", "{", "}", ",", ".", "->"})
 
 # The regex is searched, so whitespace, where it matches nothing, is
-# skipped.  Each match is a token (group 1), a '#' comment, or, from where
-# no token starts, the rest of the text.  A name may contain '.' but, like
-# a Turtle local name, not end with one, so a '.' after a name ends a rule
-# statement or a select pattern; a '-' in a name never takes the '>' of a
-# following '->'.
+# skipped.  Each match is a token or a '#' comment (group 1), or, from where
+# no token starts, the rest of the text.  No token starts with '#'.  A name
+# may contain '.' but, like a Turtle local name, not end with one, so a '.'
+# after a name ends a rule statement or a select pattern; a '-' in a name
+# never takes the '>' of a following '->'.
 _TOKEN = re.compile(
-    r"(<[^>]*>|\?\w+|[\w:]+(?:(?:-(?!>)|\.+(?=[\w:]|-(?!>)))[\w:]*)*|->|[(){},.])"
-    r"|#[^\n]*|\S[\s\S]*"
+    r"(<[^>]*>|\?\w+|[\w:]+(?:(?:-(?!>)|\.+(?=[\w:]|-(?!>)))[\w:]*)*|->|[(){},.]|#[^\n]*)"
+    r"|\S[\s\S]*"
 )
 _LEX_ERRORS = {"<": "unterminated '<'", "?": "'?' must be followed by a variable name"}
 
@@ -177,8 +177,10 @@ def tokenize(text: str) -> list[str]:
     names, ``->`` and ``( ) { } , .``.  Whitespace and ``#`` comments are
     skipped.  Raises :class:`LexError` where no token starts."""
     tokens = _TOKEN.findall(text)
-    if "" in tokens:  # a comment, or the rest of the text from where no token starts
-        tokens = [match[1] for match in _matches(text)]
+    if "" in tokens:  # the rest of the text, from where no token starts
+        offsets(text)  # raises the LexError there
+    if "#" in text:
+        tokens = [token for token in tokens if token[0] != "#"]
     return tokens
 
 
@@ -192,11 +194,12 @@ def _matches(text: str) -> Iterator[re.Match]:
     """The lexer's token matches; raises :class:`LexError` where no token
     starts."""
     for match in _TOKEN.finditer(text):
-        if match[1] is not None:
-            yield match
-        elif match[0][0] != "#":
+        token = match[1]
+        if token is None:
             bad = match[0][0]
             raise LexError(_LEX_ERRORS.get(bad, f"unexpected character {bad!r}"), match.start())
+        if token[0] != "#":
+            yield match
 
 
 def syntax_error(text: str, index: int, message: str) -> LexError:
@@ -227,9 +230,11 @@ class TokenCursor:
         return token
 
     def expect(self, text: str) -> None:
-        token = self.next()
+        token = self.tokens[self.index]
         if token != text:
-            raise self.error(f"expected {text!r}, found {token!r}", self.index - 1)
+            message = "unexpected end of input" if token is None else f"expected {text!r}, found {token!r}"
+            raise self.error(message, self.index)
+        self.index += 1
 
     def error(self, message: str, index: int) -> LexError:
         """The error at ``tokens[index]``."""

@@ -151,7 +151,7 @@ class _RuleParser(TokenCursor):
 
     def parse_arg(self) -> Term | str | None:
         token = self.next()
-        if token.startswith("?"):
+        if token[0] == "?":
             return token[1:]
         if token == "_":
             return None
@@ -162,7 +162,11 @@ def _overlap(a: TriplePattern, b: TriplePattern) -> bool:
     """Could one triple match both patterns?  Slot by slot, two constants
     must be equal; a variable or wildcard on either side matches anything.
     A repeated variable is not checked, which can only add a dependency."""
-    return all(x == y or not (isinstance(x, Term) and isinstance(y, Term)) for x, y in zip(a, b))
+    for k in (1, 0, 2):  # the predicate first, where most patterns differ
+        x, y = a[k], b[k]
+        if x is not y and isinstance(x, Term) and isinstance(y, Term):  # one Term per value
+            return False
+    return True
 
 
 def _stratify(rules: list[Rule], starts: dict[str, int], text: str) -> list[Rule]:
@@ -172,13 +176,14 @@ def _stratify(rules: list[Rule], starts: dict[str, int], text: str) -> list[Rule
     index of the first token of each rule's statement in the tokens of
     ``text``; a cycle is reported there."""
     # (reading rule, rule read, 1 when read through negation else 0)
-    needs = [
-        (i, j, step)
-        for i, rule in enumerate(rules)
-        for step, patterns in ((0, rule.positives), (1, rule.negatives))
-        for j, other in enumerate(rules)
-        if any(_overlap(pattern, other.head) for pattern in patterns)
-    ]
+    needs = []
+    for i, rule in enumerate(rules):
+        for step, patterns in ((0, rule.positives), (1, rule.negatives)):
+            for j, other in enumerate(rules):
+                for pattern in patterns:
+                    if _overlap(pattern, other.head):
+                        needs.append((i, j, step))
+                        break
     strata = [0] * len(rules)
     changed = True
     while changed:
@@ -249,7 +254,7 @@ def parse_rules(text: str, catalog=None) -> list[Rule]:
 
 def _check_safety(rule: Rule) -> None:
     # The errors are reported on the rule's statement, so their offset is 0.
-    positive_vars = {name for pattern in rule.positives for name in pattern.variables()}
+    positive_vars = {slot for pattern in rule.positives for slot in pattern if isinstance(slot, str)}
     for slot in rule.head:
         if slot is None:
             raise LexError("'_' cannot appear in a rule head", 0)

@@ -132,10 +132,12 @@ def test_query_lexer_matches_oracle(text):
 
 
 # Names that end in or hold '.' and '-', arrows, '<' and '?' with nothing
-# after them, comments and non-ASCII text.
+# after them, comments (one after another, last, or before a fault), a
+# '#' inside an IRI, and non-ASCII text.
 QUERY_LEXER_EDGES = ["->", "a.->b", "<x", "?", "# c", "A.", "a-", "a->b", "a.-b", "a..b.", "a.-", "a-.>b", "?x.y",
                      "?x?y", "?-", "?:", ":", "a:b:c", "<a>b", "<a\nb> c", "x # c\ny", "x #", "", " \t\n", "- >",
-                     "\u00e9t\u00e9", "\u00b2", "x\u2003y", "%", "a %", "{x,y}", "R1:A(?x)->B(?x).", "?x .. ?y"]
+                     "\u00e9t\u00e9", "\u00b2", "x\u2003y", "%", "a %", "{x,y}", "R1:A(?x)->B(?x).", "?x .. ?y",
+                     "<a#b> # c", "a#b\nc", "#c\n#d\nA", "# c\n%", "A # c\n  # d"]
 
 
 @pytest.mark.parametrize("text", QUERY_LEXER_EDGES)
