@@ -57,7 +57,6 @@ p's object map.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -186,20 +185,18 @@ def tokenize(text: str) -> list[str]:
 
 def offsets(text: str) -> list[int]:
     """The offset of each token of ``text``, then ``len(text)``: the lexer's
-    matches found again, for the position of an error."""
-    return [match.start() for match in _matches(text)] + [len(text)]
-
-
-def _matches(text: str) -> Iterator[re.Match]:
-    """The lexer's token matches; raises :class:`LexError` where no token
-    starts."""
+    matches found again, for the position of an error.  Raises
+    :class:`LexError` where no token starts."""
+    at = []
     for match in _TOKEN.finditer(text):
         token = match[1]
         if token is None:
             bad = match[0][0]
             raise LexError(_LEX_ERRORS.get(bad, f"unexpected character {bad!r}"), match.start())
         if token[0] != "#":
-            yield match
+            at.append(match.start())
+    at.append(len(text))
+    return at
 
 
 def syntax_error(text: str, index: int, message: str) -> LexError:

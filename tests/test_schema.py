@@ -278,8 +278,9 @@ class TestNameCatalog:
     def test_unknown_name_and_category(self):
         with pytest.raises(KeyError, match="unknown class name"):
             self.catalog.resolve("Nonexistent", "class")
-        with pytest.raises(ValueError, match="category"):
-            self.catalog.resolve("x", "nope")
+        for name, categories in [("x", ("nope",)), ("nobody", ("individual", "nope")), ("ex:x", ("nope",))]:
+            with pytest.raises(ValueError, match="unknown name category: 'nope'"):
+                self.catalog.resolve(name, *categories)
 
     def test_categories_tried_in_order(self):
         assert self.catalog.resolve("alice", "class", "individual") == EX + "alice"
