@@ -13,6 +13,7 @@ from _oracles import brute_classes, brute_instances, brute_select, brute_solutio
 
 from applekit.assets import load_assets
 from applekit.graph import Graph
+from applekit.materialize import materialize
 from applekit.query import (
     ANYTHING,
     And,
@@ -27,15 +28,16 @@ from applekit.query import (
     answer,
     parse_class_expression,
     parse_select,
+    render_term,
     retrieve_classes,
     retrieve_instances,
     select,
     solutions,
 )
 from applekit.schema import NameCatalog, extract_schema
-from applekit.terms import RDF_TYPE, PrefixMap, Term, Triple, iri, literal
+from applekit.terms import RDF_TYPE, PrefixMap, Term, Triple, blank, iri, literal
 from applekit.turtle import parse_turtle
-from applekit.validate import validate_graph
+from applekit.validate import check_disjointness, check_obligations, validate_graph
 from applekit.vocab import APPLE, UPHOLDS_PRINCIPLE, VIOLATES_PRINCIPLE
 
 EX = "http://example.org/"
@@ -382,8 +384,6 @@ class TestClasses:
                 assert got == brute_classes(expr, schema, graph) == ([] if expr.path.inverted else want), expr
 
     def test_random_schemas_match_oracle(self):
-        from applekit.materialize import materialize
-
         for seed in range(300):
             rng = random.Random(7000 + seed)
             graph, names = class_level_graph(rng)
@@ -636,19 +636,163 @@ class TestJoinGuards:
         assert select(query, graph) == want == brute_select(query, graph)
 
 
+LIT, NODE = literal("lit"), blank("n")
+LOOPED = HEADER + "ex:a ex:p ex:a, ex:b . ex:b ex:p ex:a . ex:c ex:q ex:c .\n"
+
+
+def solved(patterns, graph, start):
+    """The solutions as a sorted list of sorted (variable, value) tuples."""
+    return sorted(tuple(sorted((name, render_term(term)) for name, term in found.items())) for found in solutions(patterns, graph, start))
+
+
+def brute_solved(patterns, graph, start):
+    return sorted({tuple(sorted((name, render_term(term)) for name, term in found.items())) for found in brute_solutions(patterns, graph, start)})
+
+
+class TestProbeShapes:
+    """Each shape of probe a pattern with a constant predicate makes, from
+    a start that binds a subject, an object or both, to an IRI, a literal,
+    a blank node or ex:q, a stored predicate that is no subject."""
+
+    @pytest.mark.parametrize("predicate, start, want", [
+        (P, {"?x": A}, [EX + "b", EX + "q", '"lit"', "_:n"]),
+        (Q, {"?x": B}, [EX + "c"]),
+        (Q, {"?x": NODE}, [EX + "c"]),
+        (P, {"?x": NODE}, []),
+        (P, {"?x": LIT}, []),
+        (Q, {"?x": Q}, []),
+        (P, {"?x": C}, []),
+    ])
+    def test_subject_bound(self, predicate, start, want):
+        graph = parse_turtle(GUARDED)
+        patterns = (TriplePattern("?x", predicate, "?y"),)
+        rows = [(("?x", render_term(start["?x"])), ("?y", y)) for y in want]
+        assert solved(patterns, graph, start) == sorted(rows) == brute_solved(patterns, graph, start)
+
+    @pytest.mark.parametrize("predicate, start, want", [
+        (P, {"?y": LIT}, [EX + "a"]),
+        (P, {"?y": NODE}, [EX + "a"]),
+        (P, {"?y": Q}, [EX + "a"]),
+        (Q, {"?y": C}, [EX + "b", "_:n"]),
+        (Q, {"?y": LIT}, []),
+        (Q, {"?y": Q}, []),
+        (P, {"?y": A}, []),
+    ])
+    def test_object_bound(self, predicate, start, want):
+        graph = parse_turtle(GUARDED)
+        patterns = (TriplePattern("?x", predicate, "?y"),)
+        rows = [(("?x", x), ("?y", render_term(start["?y"]))) for x in want]
+        assert solved(patterns, graph, start) == sorted(rows) == brute_solved(patterns, graph, start)
+
+    @pytest.mark.parametrize("predicate, x, y, holds", [
+        (P, A, LIT, True),
+        (P, A, NODE, True),
+        (P, A, Q, True),
+        (Q, NODE, C, True),
+        (Q, LIT, C, False),
+        (Q, Q, C, False),
+        (P, A, C, False),
+        (P, NODE, LIT, False),
+    ])
+    def test_both_bound(self, predicate, x, y, holds):
+        graph = parse_turtle(GUARDED)
+        patterns = (TriplePattern("?x", predicate, "?y"),)
+        start = {"?x": x, "?y": y}
+        want = [(("?x", render_term(x)), ("?y", render_term(y)))] if holds else []
+        assert solved(patterns, graph, start) == want == brute_solved(patterns, graph, start)
+
+    @pytest.mark.parametrize("start, want", [
+        ({}, [EX + "a"]),
+        ({"?x": A}, [EX + "a"]),
+        ({"?x": B}, []),
+        ({"?x": LIT}, []),
+        ({"?x": Q}, []),
+    ])
+    def test_repeated_variable(self, start, want):
+        graph = parse_turtle(LOOPED)
+        patterns = (TriplePattern("?x", P, "?x"),)
+        assert solved(patterns, graph, start) == [(("?x", x),) for x in want] == brute_solved(patterns, graph, start)
+
+    @pytest.mark.parametrize("start, want", [
+        ({}, [(EX + "b", EX + "q"), ("_:n", EX + "q")]),
+        ({"?q": Q}, [(EX + "b", EX + "q"), ("_:n", EX + "q")]),
+        ({"?q": P}, []),
+        ({"?q": LIT}, []),
+        ({"?x": NODE}, [("_:n", EX + "q")]),
+        ({"?x": LIT}, []),
+    ])
+    def test_variable_predicate(self, start, want):
+        graph = parse_turtle(GUARDED)
+        patterns = (TriplePattern("?x", "?q", C),)
+        rows = sorted((("?q", q), ("?x", x)) for x, q in want)
+        assert solved(patterns, graph, start) == rows == brute_solved(patterns, graph, start)
+
+    @pytest.mark.parametrize("expr", [
+        And((Named(EX + "Empty"), Named(EX + "F"))),
+        And((Named(EX + "F"), Named(EX + "Empty"))),
+        And((Named(EX + "Empty"), OneOf(frozenset({EX + "y"})))),
+        And((Some(PropertyPath(EX + "p"), Named(EX + "F")), Named(EX + "Empty"))),
+        And((ANYTHING, Named(EX + "Empty"))),
+        Some(PropertyPath(EX + "p"), Named(EX + "Empty")),
+        Some(PropertyPath(EX + "p", True), And((Named(EX + "Empty"), Named(EX + "A")))),
+    ])
+    def test_class_without_members(self, micro, expr):
+        graph, _, _ = micro
+        assert retrieve_instances(expr, graph) == [] == brute_instances(expr, graph)
+
+
+def index_snapshot(index):
+    """A deep copy of one of the graph's nested indexes."""
+    return {first: {second: frozenset(third) for second, third in inner.items()} for first, inner in index.items()}
+
+
+class TestReadsNeverWrite:
+    """Queries and checks read the graph's index sets in place; none of
+    them may change one.  ``Graph.__eq__`` compares ``_spo`` alone, so both
+    indexes are compared here."""
+
+    def test_indexes_unchanged(self):
+        answered = 0
+        for seed in range(30):
+            rng = random.Random(9100 + seed)
+            raw = add_obligations(rng, random_graph(rng))
+            schema = extract_schema(raw)
+            graph = materialize(raw, schema)
+            classes, props, inds = graph_vocabulary(graph)
+            spo, pos = index_snapshot(graph._spo), index_snapshot(graph._pos)
+            named = [Named(cls) for cls in classes]
+            some = [Some(PropertyPath(prop, rng.random() < 0.5), rng.choice(named)) for prop in props]
+            nominal = OneOf(frozenset(rng.sample(inds, min(3, len(inds)))))
+            expressions = [
+                *named,
+                *some,
+                nominal,
+                And(tuple(named)) if len(named) > 1 else nominal,
+                And((rng.choice(named), nominal)),
+                *(And((rng.choice(named), part, rng.choice(named))) for part in some),
+                *(random_expression(rng, classes, props, inds) for _ in range(6)),
+            ]
+            for expr in expressions:
+                answered += bool(retrieve_instances(expr, graph))
+                retrieve_classes(expr, schema, graph)
+            for _ in range(6):
+                query = random_select(rng, props, inds, constant_subjects=rng.random() < 0.5)
+                answered += bool(select(query, graph))
+            answered += bool(check_disjointness(graph, schema)) + bool(check_obligations(graph, schema))
+            assert index_snapshot(graph._spo) == spo, seed
+            assert index_snapshot(graph._pos) == pos, seed
+        assert answered
+
+
 class TestBundledQueries:
     def test_agent_query_uses_default_catalog(self):
         assets = load_assets()
-        from applekit.materialize import materialize
-
         graph = materialize(assets.combined(), assets.schema)
         got = retrieve_instances(parse_class_expression("Agent"), graph)
         assert got == [APPLE + "Doctor", APPLE + "Patient"]
 
     def test_inverse_participation(self):
         assets = load_assets()
-        from applekit.materialize import materialize
-
         graph = materialize(assets.combined(), assets.schema)
         expr = parse_class_expression("Agent and (isParticipantIn some {DentalSurgeryAftercare})")
         assert retrieve_instances(expr, graph) == [APPLE + "Doctor", APPLE + "Patient"]
