@@ -43,20 +43,27 @@ forms one connected component.
 patterns through the graph's two indexes.  Each call plans its join once,
 bound-first: it runs next the remaining pattern with the most fixed slots
 (constants and variables already bound), taking ties in text order, and
-extends tuple rows, probing the graph through ``Graph._match`` once per
-row and pattern.  The plan depends only on the patterns and which
-variables are bound; there is no cache, statistics table or option, and
-nothing is kept between calls.  ``select`` projects and renders the rows,
-rule bodies in :mod:`applekit.rules` are matched by it, and the
-validator's checks in :mod:`applekit.validate` are set operations over
-instance-retrieval extensions.  An existential restriction ``p some F``
-is evaluated from whichever side is smaller: the filler's extension or
-p's object map.
+extends tuple rows.  A pattern with a constant predicate and its subject
+or object bound reads the index entries in place, every row in one
+comprehension; any other pattern probes the graph through
+``Graph._match`` once per row.  The plan depends only on the patterns and
+which variables are bound; there is no cache, statistics table or option,
+and nothing is kept between calls.  ``select`` projects the rows and
+renders them a column at a time, rule bodies in :mod:`applekit.rules` are
+matched by it, and the validator's checks in :mod:`applekit.validate` are
+set operations over instance-retrieval extensions.
+
+An extension reads a class name's members in the graph's own index set
+and never copies it: a conjunction intersects, in place, a set it built
+itself (a copy of the smallest members set only when every part is a
+class name).  An existential restriction ``p some F`` is evaluated from
+whichever side is smaller: the filler's extension or p's object map.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -364,41 +371,57 @@ def parse_class_expression(text: str, catalog: NameCatalog | None = None) -> Cla
 # Instance retrieval (extensional, closed world)
 
 
+_NO_MEMBERS: frozenset[Term] = frozenset()
+
+
 def _extension(expr: ClassExpression, graph: Graph) -> set[Term]:
+    """The instances of ``expr``: a new set, which the caller may change."""
     if isinstance(expr, Named):
-        return set(graph._by_object(_TYPE).get(iri(expr.iri), ()))
+        return set(_instances(expr, graph))
     if isinstance(expr, OneOf):
         # Nominals denote their members whether or not the graph mentions them.
         return {iri(value) for value in expr.iris}
     if isinstance(expr, Anything):
         return graph._nodes()
     if isinstance(expr, And):
-        parts = [_extension(part, graph) for part in expr.parts]
-        common = parts[0]
-        for part in parts[1:]:
-            common &= part
+        # Intersect into a set of our own, the extension of a part that is
+        # not a class name, else a copy of the smallest class's members.
+        fresh = [_extension(part, graph) for part in expr.parts if not isinstance(part, Named)]
+        members = [_instances(part, graph) for part in expr.parts if isinstance(part, Named)]
+        common = fresh.pop() if fresh else set(min(members, key=len))
+        common.intersection_update(*fresh, *members)
         return common
     if isinstance(expr, Some):
         p = iri(expr.path.iri)
         edges = graph._by_object(p)
-        targets = None if isinstance(expr.filler, Anything) else _extension(expr.filler, graph)
+        targets = None if isinstance(expr.filler, Anything) else _instances(expr.filler, graph)
         # Walk the smaller side: every edge of p, or the filler's terms.
         if targets is not None and len(targets) < len(edges):
             if expr.path.inverted:
-                return {o for s in targets for _, _, o in graph._match(s, p) if not o.is_literal()}
+                spo, no_edges = graph._spo, {}
+                return {o for s in targets for o in spo.get(s, no_edges).get(p, ()) if o.kind != "literal"}
             return {s for o in targets for s in edges.get(o, ())}
         if expr.path.inverted:
             return {
                 o for o, subjects in edges.items()
-                if not o.is_literal() and (targets is None or not targets.isdisjoint(subjects))
+                if o.kind != "literal" and (targets is None or not targets.isdisjoint(subjects))
             }
         return {s for o, subjects in edges.items() if targets is None or o in targets for s in subjects}
     raise TypeError(f"unknown expression node: {type(expr).__name__}")
 
 
+def _instances(expr: ClassExpression, graph: Graph) -> set[Term] | frozenset[Term]:
+    """The instances of ``expr``, for reading only: a class name's members
+    are the graph's own index set, which the caller must neither change
+    nor keep; any other expression's are its :func:`_extension`."""
+    if isinstance(expr, Named):
+        return graph._by_object(_TYPE).get(iri(expr.iri), _NO_MEMBERS)
+    return _extension(expr, graph)
+
+
 def retrieve_instances(expr: ClassExpression, graph: Graph) -> list[str]:
     """Individuals satisfying the expression, as sorted IRI/blank strings."""
-    return sorted(map(render_term, _extension(expr, graph)))
+    return sorted(_rendered(_instances(expr, graph)))
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +557,14 @@ def _extend(
     """Every row extended by each match of ``pattern``; ``at`` gains the
     position of each variable the pattern binds.
 
-    Each row probes the graph once, through :meth:`Graph._match`, which
-    matches nothing for a literal subject or a predicate that is not a
-    stored predicate.
+    A pattern with a constant predicate, no wildcard and its subject or
+    object bound reads the graph's indexes in place: a bound
+    subject's ``_spo`` entry, or the predicate's ``_pos`` entry, fetched
+    once, at a bound object; with both bound it is a membership test.  Any
+    other pattern probes the graph once per row through
+    :meth:`Graph._match`.  Either way a term that is no key matches
+    nothing, so a literal subject or a predicate that is not stored gives
+    no rows, and the rows come out in the same order.
     """
     fixed = [at.get(slot, 0) for slot in pattern]  # a row position; 0, the leading None, for an open slot
     new: list[int] = []  # the open slots whose terms extend the row, in slot order
@@ -548,21 +576,30 @@ def _extend(
             else:
                 at[slot] = len(at) + 1
                 new.append(k)
+    s, _, o = fixed
+    p = pattern.p
+    # With the predicate constant, a repeated variable here is an open
+    # subject and object, so no bound end: that pattern takes _match.
+    if isinstance(p, Term) and (s or o) and None not in pattern:
+        if o:
+            subjects = graph._by_object(p)
+            if s:
+                return [row for row in rows if row[s] in subjects.get(row[o], ())]
+            return [row + (x,) for row in rows for x in subjects.get(row[o], ())]
+        spo, no_edges = graph._spo, {}
+        return [row + (x,) for row in rows for x in spo.get(row[s], no_edges).get(p, ())]
     probe = itemgetter(*fixed)
     match = graph._match
     if not new:
         return [row for row in rows if match(*probe(row))]
-    out: list[tuple[Term | None, ...]] = []
-    if len(new) == 1 and not repeats:
-        k = new[0]
-        for row in rows:
-            out += [row + (triple[k],) for triple in match(*probe(row))]
-        return out
-    for row in rows:
-        for triple in match(*probe(row)):
-            if all(triple[k] is triple[j] for k, j in repeats):
-                out.append(row + tuple([triple[k] for k in new]))
-    return out
+    # The new slots of a matched triple, as one slice: any one, two or all three.
+    cut = slice(new[0], new[-1] + 1, new[-1] - new[0] if len(new) == 2 else 1)
+    return [
+        row + triple[cut]
+        for row in rows
+        for triple in match(*probe(row))
+        if not repeats or all(triple[k] is triple[j] for k, j in repeats)
+    ]
 
 
 class SelectQuery(NamedTuple):
@@ -641,14 +678,22 @@ def select(query: SelectQuery, graph: Graph) -> list[tuple[str, ...]]:
     holds, and no rows otherwise.
     """
     at, rows = _join(query.patterns, graph, {})
-    positions = [at[var] for var in query.variables]
-    return sorted({tuple([render_term(row[k]) for k in positions]) for row in rows})
+    if not query.variables:
+        return [()] if rows else []
+    # Render a column at a time, then pair the columns up into rows.
+    columns = [_rendered(map(itemgetter(at[var]), rows)) for var in query.variables]
+    return sorted(set(zip(*columns)))
 
 
 def render_term(term: Term) -> str:
     """A term as the package prints it in results: an IRI as its value, a
     blank node as ``_:label``, a literal in N-Triples form."""
-    return term.value if term.is_iri() else term.n3()
+    return term.value if term.kind == "iri" else term.n3()
+
+
+def _rendered(terms: Iterable[Term]) -> list[str]:
+    """Each term as :func:`render_term` prints it, with no call per IRI."""
+    return [term.value if term.kind == "iri" else term.n3() for term in terms]
 
 
 # ---------------------------------------------------------------------------

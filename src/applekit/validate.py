@@ -11,7 +11,9 @@ Two checks, two severities:
 Both are set operations over the class-expression extensions of
 :mod:`applekit.query` on the materialized graph: a clash is a member of
 the extensions of two disjoint classes, and an unsatisfied obligation is a
-member of the extension of ``C`` but not of ``p some D``.
+member of the extension of ``C`` but not of ``p some D``.  A class's
+members are read in the graph's own index set, never copied; each
+operation builds a new set.
 
 Open-world mode reports no obligation warnings at all, since an unseen
 witness may simply be unstated.  Reports are deterministic: violations are
@@ -27,7 +29,7 @@ import json
 from typing import NamedTuple
 
 from .graph import Graph
-from .query import Named, PropertyPath, Some, _extension, render_term
+from .query import Named, PropertyPath, Some, _extension, _instances, render_term
 from .schema import SchemaIndex, extract_schema
 
 SEVERITY_ERROR = "error"
@@ -66,7 +68,7 @@ def check_disjointness(graph: Graph, schema: SchemaIndex) -> list[Violation]:
     """Every individual typed into both classes of a disjoint pair, as one
     violation per pair."""
     members = {cls for pair in schema.disjoint_pairs for cls in pair}
-    holders = {cls: _extension(Named(cls), graph) for cls in members}
+    holders = {cls: _instances(Named(cls), graph) for cls in members}
     violations = [
         Violation("disjointness-clash", SEVERITY_ERROR, render_term(subject), (first, second))
         for first, second in schema.disjoint_pairs
@@ -89,7 +91,7 @@ def check_obligations(graph: Graph, schema: SchemaIndex, mode: str = "closed") -
     violations: list[Violation] = []
     for obligation in schema.obligations:
         filled = _extension(Some(PropertyPath(obligation.property), Named(obligation.filler)), graph)
-        for holder in _extension(Named(obligation.on_class), graph) - filled:
+        for holder in _instances(Named(obligation.on_class), graph) - filled:
             violations.append(
                 Violation(
                     "unsatisfied-obligation",
