@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .schema import NameCatalog, extract_schema
 from .terms import AssetError, PrefixMap
-from .turtle import parse_document
+from .turtle import ParsedDocument, TurtleParseError, parse_document
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -143,6 +143,13 @@ def _read(path: Path, name: str) -> str:
         raise AssetError(f"cannot read bundled asset {target}: {exc}") from exc
 
 
+def _parse(path: Path, name: str) -> ParsedDocument:
+    try:
+        return parse_document(_read(path, name))
+    except TurtleParseError as exc:
+        raise AssetError(f"cannot parse bundled asset {exc.diagnostic.render(str(path / name))}") from exc
+
+
 def load_assets() -> AppleAssets:
     """Load, parse, and integrity-check the asset bundle (cached per directory)."""
     return _cached_assets(asset_dir())
@@ -150,8 +157,8 @@ def load_assets() -> AppleAssets:
 
 @lru_cache(maxsize=8)
 def _cached_assets(path: Path) -> AppleAssets:
-    taxonomy_doc = parse_document(_read(path, TAXONOMY_FILE))
-    scenario_doc = parse_document(_read(path, SCENARIO_FILE))
+    taxonomy_doc = _parse(path, TAXONOMY_FILE)
+    scenario_doc = _parse(path, SCENARIO_FILE)
 
     try:
         counts = json.loads(_read(path, COUNTS_FILE))

@@ -274,7 +274,6 @@ def main(argv: list[str] | None = None) -> int:
         RuleError,
         SchemaError,
         StructuralError,
-        TurtleParseError,
         VerdictConflictError,
     )
 
@@ -290,9 +289,6 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"applekit: {exc}", file=sys.stderr)
         return exc.code
-    except TurtleParseError as exc:
-        print(f"applekit: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (SchemaError, StructuralError) as exc:
         print(f"applekit: {exc}", file=sys.stderr)
         return EXIT_PARSE

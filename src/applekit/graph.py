@@ -26,10 +26,10 @@ The reads skip the sort, so their order is unspecified: a term hashes by
 identity, so a set leaf's order follows where its terms lie in memory.
 ``_match`` returns a new list of ``(s, p, o)`` tuples, a snapshot taken at
 call time, so a caller may insert into the graph while it walks the result.
-The join and the class-expression extensions of :mod:`applekit.query`
-read the index entries in place instead, ``_spo[s]`` and the
-``_by_object`` entry: a set they reach that way is the graph's own, which
-they never change, keep or return.
+The join and the instance reader of :mod:`applekit.query` read the index
+entries in place instead, ``_spo[s]`` and the ``_by_object`` entry: a set
+reached that way is the graph's own, never changed or kept, and handed on
+only for reading.
 """
 
 from __future__ import annotations

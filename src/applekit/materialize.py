@@ -21,9 +21,9 @@ works.  The data graph's own ``rdfs:subClassOf``, ``rdfs:subPropertyOf``,
 ``rdfs:domain``, ``rdfs:range`` and ``owl:inverseOf`` edges between IRIs
 are axioms too, read by :func:`~applekit.schema.axiom_pairs` as
 :func:`~applekit.schema.extract_schema` reads them, and joined with the
-schema's: each closure is computed once over both, so the output is closed
-under its own schema.  Existential obligations are never skolemized; the
-closed-world validator audits them instead.
+schema's: each hierarchy is one cached :func:`~applekit.schema._closure`
+over both, so the output is closed under its own schema.  Existential
+obligations are never skolemized; the closed-world validator audits them.
 
 Evaluation is one loop of two phases:
 
@@ -61,7 +61,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .graph import Graph
-from .schema import SchemaIndex, _cached_closure, _cached_inverse_map, axiom_pairs
+from .schema import SchemaIndex, _closure, axiom_pairs
 from .terms import RDF_TYPE, RDFS_SUBCLASSOF, Term, iri
 
 # Tags naming the closure rule that derived an entry.  An entry that
@@ -90,15 +90,17 @@ def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
     subclass = iri(RDFS_SUBCLASSOF)
 
     data = axiom_pairs(out)
-    superclasses = _cached_closure(schema.sub_class_of | data.sub_class_of)
-    superproperties = _cached_closure(schema.sub_property_of | data.sub_property_of)
-    partners = _cached_inverse_map(schema.inverse_of | data.inverse_of)
+    superclasses = _closure(schema.sub_class_of | data.sub_class_of)
+    superproperties = _closure(schema.sub_property_of | data.sub_property_of)
 
     # Keyed by Term: each class's ancestors, read by both phases, and each
     # property's proper superproperties and inverses.
     ancestors = {iri(c): terms(parents) for c, parents in superclasses.items()}
     superprops = {iri(p): tuple(iri(q) for q in parents if q != p) for p, parents in superproperties.items()}
-    inverses = {iri(p): tuple(map(iri, qs)) for p, qs in partners.items()}
+    inverses: dict[Term, set[Term]] = {}
+    for a, b in schema.inverse_of | data.inverse_of:
+        inverses.setdefault(iri(a), set()).add(iri(b))
+        inverses.setdefault(iri(b), set()).add(iri(a))
     edge_rules = {subclass, *superprops, *inverses}
 
     # Phase 2: each property's domain and range classes, with their ancestors.

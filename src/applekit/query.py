@@ -53,11 +53,12 @@ renders them a column at a time, rule bodies in :mod:`applekit.rules` are
 matched by it, and the validator's checks in :mod:`applekit.validate` are
 set operations over instance-retrieval extensions.
 
-An extension reads a class name's members in the graph's own index set
-and never copies it: a conjunction intersects, in place, a set it built
-itself (a copy of the smallest members set only when every part is a
-class name).  An existential restriction ``p some F`` is evaluated from
-whichever side is smaller: the filler's extension or p's object map.
+Class expressions only read.  :func:`_instances`, the one instance reader,
+reads a class name's members in the graph's own index set; a conjunction
+intersects its parts into a new set from the smallest, and ``p some F``
+walks the smaller side: the filler's instances or p's object map.  Class
+retrieval walks :func:`~applekit.schema._closure` down from a class, and
+from p to the properties below it.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .graph import Graph
-from .schema import NameCatalog, SchemaIndex, catalog_or_bundled
+from .schema import NameCatalog, SchemaIndex, _closure, catalog_or_bundled
 from .terms import RDF_TYPE, QueryParseError, Term, iri
 
 _TYPE = iri(RDF_TYPE)
@@ -374,23 +375,19 @@ def parse_class_expression(text: str, catalog: NameCatalog | None = None) -> Cla
 _NO_MEMBERS: frozenset[Term] = frozenset()
 
 
-def _extension(expr: ClassExpression, graph: Graph) -> set[Term]:
-    """The instances of ``expr``: a new set, which the caller may change."""
+def _instances(expr: ClassExpression, graph: Graph) -> set[Term] | frozenset[Term]:
+    """The instances of ``expr``, for reading only: a class name's members
+    are the graph's own index set, which the caller must neither change
+    nor keep; any other expression's are a set built for this call."""
     if isinstance(expr, Named):
-        return set(_instances(expr, graph))
+        return graph._by_object(_TYPE).get(iri(expr.iri), _NO_MEMBERS)
     if isinstance(expr, OneOf):
         # Nominals denote their members whether or not the graph mentions them.
         return {iri(value) for value in expr.iris}
     if isinstance(expr, Anything):
         return graph._nodes()
     if isinstance(expr, And):
-        # Intersect into a set of our own, the extension of a part that is
-        # not a class name, else a copy of the smallest class's members.
-        fresh = [_extension(part, graph) for part in expr.parts if not isinstance(part, Named)]
-        members = [_instances(part, graph) for part in expr.parts if isinstance(part, Named)]
-        common = fresh.pop() if fresh else set(min(members, key=len))
-        common.intersection_update(*fresh, *members)
-        return common
+        return _common([_instances(part, graph) for part in expr.parts])
     if isinstance(expr, Some):
         p = iri(expr.path.iri)
         edges = graph._by_object(p)
@@ -410,13 +407,10 @@ def _extension(expr: ClassExpression, graph: Graph) -> set[Term]:
     raise TypeError(f"unknown expression node: {type(expr).__name__}")
 
 
-def _instances(expr: ClassExpression, graph: Graph) -> set[Term] | frozenset[Term]:
-    """The instances of ``expr``, for reading only: a class name's members
-    are the graph's own index set, which the caller must neither change
-    nor keep; any other expression's are its :func:`_extension`."""
-    if isinstance(expr, Named):
-        return graph._by_object(_TYPE).get(iri(expr.iri), _NO_MEMBERS)
-    return _extension(expr, graph)
+def _common(sets: list[set | frozenset]) -> set | frozenset:
+    """The members common to ``sets``, a new set, from the smallest one."""
+    first, *rest = sorted(sets, key=len)
+    return first.intersection(*rest)
 
 
 def retrieve_instances(expr: ClassExpression, graph: Graph) -> list[str]:
@@ -428,46 +422,45 @@ def retrieve_instances(expr: ClassExpression, graph: Graph) -> list[str]:
 # Class retrieval (structural, a set at a time)
 
 
-def _classes(expr: ClassExpression, schema: SchemaIndex, graph: Graph, universe: frozenset[str]) -> set[str]:
+def _classes(expr: ClassExpression, schema: SchemaIndex, graph: Graph, universe: frozenset[str]) -> set[str] | frozenset[str]:
     """The classes of ``universe`` that satisfy ``expr`` structurally."""
     if isinstance(expr, Named):
         return _at_or_below({expr.iri}, schema, universe)
     if isinstance(expr, OneOf):
-        return set(universe & expr.iris)
+        return universe & expr.iris
     if isinstance(expr, Anything):
-        return set(universe)
+        return universe
     if isinstance(expr, And):
-        return set.intersection(*[_classes(part, schema, graph, universe) for part in expr.parts])
+        return _common([_classes(part, schema, graph, universe) for part in expr.parts])
     if isinstance(expr, Some):
         p = expr.path.iri
-        edges = [t for t in schema.class_level_triples if schema.is_subproperty(t.p.value, p)]
+        below = {p, *_closure(schema.sub_property_of, down=True).get(p, ())}
+        edges = [t for t in schema.class_level_triples if t.p.value in below]
         accepted = None if isinstance(expr.filler, Anything) else _accepted(expr.filler, schema, graph)
         if expr.path.inverted:
             return {t.o.value for t in edges if t.o.is_iri() and (accepted is None or t.s in accepted)} & universe
         fillers = _classes(expr.filler, schema, graph, universe)
         witnessed = {t.s.value for t in edges if accepted is None or t.o in accepted}
-        witnessed.update(
-            ob.on_class for ob in schema.obligations if ob.filler in fillers and schema.is_subproperty(ob.property, p)
-        )
+        witnessed.update(ob.on_class for ob in schema.obligations if ob.filler in fillers and ob.property in below)
         return _at_or_below(witnessed, schema, universe)
     raise TypeError(f"unknown expression node: {type(expr).__name__}")
 
 
 def _at_or_below(targets: set[str], schema: SchemaIndex, universe: frozenset[str]) -> set[str]:
     """The classes of ``universe`` that are in ``targets`` or below one."""
-    above = schema._superclass_closure()
-    return {c for c in universe if c in targets or not targets.isdisjoint(above.get(c, ()))}
+    below = _closure(schema.sub_class_of, down=True)
+    return set(targets).union(*[below.get(target, ()) for target in targets]) & universe
 
 
-def _accepted(filler: ClassExpression, schema: SchemaIndex, graph: Graph) -> set[Term]:
+def _accepted(filler: ClassExpression, schema: SchemaIndex, graph: Graph) -> set[Term] | frozenset[Term]:
     """The terms a class-level edge may point at to satisfy ``filler``, which
-    is not bare: its extension, where a class name also takes the declared
+    is not bare: its instances, where a class name also takes the declared
     classes below it.  No literal is among them."""
     if isinstance(filler, And):
-        return set.intersection(*[_accepted(part, schema, graph) for part in filler.parts])
-    found = _extension(filler, graph)
+        return _common([_accepted(part, schema, graph) for part in filler.parts])
+    found = _instances(filler, graph)
     if isinstance(filler, Named):
-        found.update(map(iri, _at_or_below({filler.iri}, schema, schema.classes)))
+        return found.union(map(iri, _at_or_below({filler.iri}, schema, schema.classes)))
     return found
 
 

@@ -5,7 +5,9 @@ ranges and inverses, pairwise disjointness, existential obligations
 written as labeled-blank-node restrictions, and class-level statements
 made about class IRIs themselves (punning).  The result is a
 :class:`SchemaIndex`, the single axiom source consulted by the
-materializer, the class-expression engine, and the validator.
+materializer, the class-expression engine, and the validator.  Both of its
+hierarchies are read through one cached :func:`_closure`, walked up for
+its public reads and the materializer, and down for class retrieval.
 
 A :class:`NameCatalog` resolves the names written in class expressions,
 select queries and rule files to IRIs; the lexer and parsers of those
@@ -65,25 +67,6 @@ def _edge_key(edge: tuple[Term, Term, Term]) -> tuple:
     return (edge[0].sort_key(), edge[1].sort_key(), edge[2].sort_key())
 
 
-def _transitive_closure(pairs: frozenset[tuple[str, str]]) -> dict[str, frozenset[str]]:
-    direct: dict[str, set[str]] = {}
-    for child, parent in pairs:
-        if child != parent:
-            direct.setdefault(child, set()).add(parent)
-    closure = {node: set(parents) for node, parents in direct.items()}
-    changed = True
-    while changed:
-        changed = False
-        for parents in closure.values():
-            additions: set[str] = set()
-            for parent in parents:
-                additions |= closure.get(parent, frozenset())
-            if not additions <= parents:
-                parents |= additions
-                changed = True
-    return {node: frozenset(parents) for node, parents in closure.items()}
-
-
 class SchemaIndex(NamedTuple):
     sub_class_of: frozenset[tuple[str, str]]
     sub_property_of: frozenset[tuple[str, str]]
@@ -98,37 +81,42 @@ class SchemaIndex(NamedTuple):
 
     def superclasses(self, cls: str) -> frozenset[str]:
         """Strict superclasses of ``cls`` under the transitive closure."""
-        return self._superclass_closure().get(cls, frozenset())
+        return _closure(self.sub_class_of).get(cls, frozenset())
 
     def is_subclass(self, sub: str, sup: str) -> bool:
         """Reflexive-transitive subclass test."""
         return sub == sup or sup in self.superclasses(sub)
 
     def superproperties(self, prop: str) -> frozenset[str]:
-        return self._superproperty_closure().get(prop, frozenset())
+        return _closure(self.sub_property_of).get(prop, frozenset())
 
     def is_subproperty(self, sub: str, sup: str) -> bool:
         return sub == sup or sup in self.superproperties(sub)
 
-    def _superclass_closure(self) -> dict[str, frozenset[str]]:
-        return _cached_closure(self.sub_class_of)
-
-    def _superproperty_closure(self) -> dict[str, frozenset[str]]:
-        return _cached_closure(self.sub_property_of)
-
 
 @lru_cache(maxsize=64)
-def _cached_closure(pairs: frozenset[tuple[str, str]]) -> dict[str, frozenset[str]]:
-    return _transitive_closure(pairs)
-
-
-@lru_cache(maxsize=64)
-def _cached_inverse_map(pairs: frozenset[tuple[str, str]]) -> dict[str, frozenset[str]]:
-    partners: dict[str, set[str]] = {}
-    for a, b in pairs:
-        partners.setdefault(a, set()).add(b)
-        partners.setdefault(b, set()).add(a)
-    return {p: frozenset(s) for p, s in partners.items()}
+def _closure(pairs: frozenset[tuple[str, str]], down: bool = False) -> dict[str, frozenset[str]]:
+    """Each node of the ``(child, parent)`` pairs mapped to the nodes a walk
+    from it reaches, up or, with ``down``, down.  A walk visits each node
+    once, so it ends; a node is its own ancestor only on a cycle, since a
+    reflexive pair is skipped.  Keyed by the pairs, never by a schema."""
+    step: dict[str, set[str]] = {}
+    for child, parent in pairs:
+        if child != parent:
+            if down:
+                child, parent = parent, child
+            step.setdefault(child, set()).add(parent)
+    closure = {}
+    for node in step:
+        seen: set[str] = set()
+        frontier = [node]
+        while frontier:
+            for nxt in step.get(frontier.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        closure[node] = frozenset(seen)
+    return closure
 
 
 def _detect_subclass_cycle(pairs: frozenset[tuple[str, str]]) -> list[str] | None:

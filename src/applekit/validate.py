@@ -8,10 +8,10 @@ Two checks, two severities:
   instance of a class carrying an obligation ``(C, p, D)`` with no asserted
   or derived ``p`` edge to an individual entailed to be in ``D``.
 
-Both are set operations over the class-expression extensions of
-:mod:`applekit.query` on the materialized graph: a clash is a member of
-the extensions of two disjoint classes, and an unsatisfied obligation is a
-member of the extension of ``C`` but not of ``p some D``.  A class's
+Both are set operations over the instances that
+:func:`applekit.query._instances` reads from the materialized graph: a
+clash is an instance of two disjoint classes, and an unsatisfied
+obligation is an instance of ``C`` but not of ``p some D``.  A class's
 members are read in the graph's own index set, never copied; each
 operation builds a new set.
 
@@ -29,7 +29,7 @@ import json
 from typing import NamedTuple
 
 from .graph import Graph
-from .query import Named, PropertyPath, Some, _extension, _instances, render_term
+from .query import Named, PropertyPath, Some, _instances, render_term
 from .schema import SchemaIndex, extract_schema
 
 SEVERITY_ERROR = "error"
@@ -90,7 +90,7 @@ def check_obligations(graph: Graph, schema: SchemaIndex, mode: str = "closed") -
         return []
     violations: list[Violation] = []
     for obligation in schema.obligations:
-        filled = _extension(Some(PropertyPath(obligation.property), Named(obligation.filler)), graph)
+        filled = _instances(Some(PropertyPath(obligation.property), Named(obligation.filler)), graph)
         for holder in _instances(Named(obligation.on_class), graph) - filled:
             violations.append(
                 Violation(

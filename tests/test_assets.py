@@ -1,5 +1,6 @@
 """Bundled asset integrity, environment override, and the name catalog."""
 
+import re
 import shutil
 import sys
 from itertools import combinations
@@ -15,6 +16,7 @@ from applekit.assets import (
     COUNTS_FILE,
     RULES_FILE,
     SCENARIO_FILE,
+    TAXONOMY_FILE,
     AssetError,
     asset_dir,
     default_catalog,
@@ -78,6 +80,15 @@ class TestIntegrity:
     def test_undecodable_file_reported(self, asset_copy):
         (asset_copy / RULES_FILE).write_bytes("# caf\u00e9\n".encode("latin-1"))
         with pytest.raises(AssetError, match="cannot read bundled asset"):
+            load_assets()
+
+    @pytest.mark.parametrize("name", [TAXONOMY_FILE, SCENARIO_FILE])
+    def test_unparsable_graph_names_file_line_and_column(self, asset_copy, name):
+        target = asset_copy / name
+        text = target.read_text(encoding="utf-8")
+        target.write_text(text + "apple:Broken apple:p 42 .\n", encoding="utf-8")
+        line = text.count("\n") + 1
+        with pytest.raises(AssetError, match=f"^cannot parse bundled asset {re.escape(str(target))}:{line}:22: error: bare numeric"):
             load_assets()
 
     def test_counts_entry_missing(self, asset_copy):

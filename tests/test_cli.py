@@ -27,9 +27,12 @@ from applekit.assets import (
     TAXONOMY_FILE,
     asset_dir,
     load_assets,
+    parse_cq_manifest,
 )
 from applekit.cli import main
+from applekit.cq import run_cq_suite
 from applekit.graph import Graph
+from applekit.materialize import materialize
 from applekit.terms import Triple, blank, iri
 from applekit.turtle import parse_document, parse_turtle, serialize_turtle
 from applekit.validate import inputs_digest
@@ -105,6 +108,24 @@ class TestInputHandling:
         code, out, err = run(capsys, command, "--bundled", "-o", str(path))
         assert (code, out) == (2, "")
         assert err.startswith(f"applekit: cannot write output file {path}: ") and err.count("\n") == 1, err
+
+    def test_schema_error_is_parse_error(self, capsys, tmp_path):
+        cyclic = tmp_path / "cyclic.ttl"
+        cyclic.write_text(HEADER + "ex:A rdfs:subClassOf ex:B . ex:B rdfs:subClassOf ex:A .\n", encoding="utf-8")
+        code, out, err = run(capsys, "reason", "-i", str(cyclic))
+        assert (code, out) == (1, "")
+        assert err.startswith("applekit: subclass cycle detected: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", [("reason",), ("query", "Agent"), ("cq",)])
+    def test_unparsable_bundled_asset_is_config_error(self, capsys, tmp_path, monkeypatch, command):
+        assets = tmp_path / "assets"
+        shutil.copytree(asset_dir(), assets)
+        taxonomy = assets / TAXONOMY_FILE
+        taxonomy.write_text(taxonomy.read_text(encoding="utf-8") + "apple:Broken apple:p 42 .\n", encoding="utf-8")
+        monkeypatch.setenv(ASSET_ENV_VAR, str(assets))
+        code, out, err = run(capsys, *command, "--bundled")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"applekit: cannot parse bundled asset {taxonomy}:") and err.count("\n") == 1, err
 
     def test_parse_error_reports_file_line_column(self, capsys, tmp_path):
         bad = tmp_path / "bad.ttl"
@@ -448,6 +469,28 @@ class TestCq:
         assert "FAIL" in out
         assert "0/1 competency questions passed" in out
         assert "expected" in out and "actual" in out
+
+    def test_select_of_two_variables_joins_each_row_with_a_tab(self, capsys, tmp_path):
+        case = {
+            "id": "X2",
+            "question": "which issue is resolved by which approach",
+            "mode": "select",
+            "query": "?x resolvedBy ?y",
+            "expected": [
+                APPLE + "Deforestation\t" + APPLE + "DeepEcology",
+                APPLE + "Consent\t" + APPLE + "Principlism",
+            ],
+        }
+        manifest = tmp_path / "cq.json"
+        manifest.write_text(json.dumps({"cases": [case]}), encoding="utf-8")
+        cases = parse_cq_manifest(manifest.read_text(encoding="utf-8"))
+        assets = load_assets()
+        graph = materialize(assets.combined(), assets.schema)
+        (result,) = run_cq_suite(cases, graph, assets.schema, assets.catalog)
+        assert result.passed and result.actual == tuple(sorted(case["expected"]))
+        code, out, _ = run(capsys, "cq", "--bundled", "--manifest", str(manifest), "--format", "json")
+        assert code == 0
+        assert json.loads(out) == [result.to_json()]
 
     @pytest.mark.parametrize(
         "payload",

@@ -58,6 +58,13 @@ class TestIndividualRules:
         text = "ex:p rdfs:subPropertyOf ex:q . ex:x ex:p ex:y ."
         assert run(text) == expect(text, "ex:x ex:q ex:y .")
 
+    def test_subproperty_cycle_ends_and_derives_both_ways(self):
+        text = (
+            "ex:p rdfs:subPropertyOf ex:q . ex:q rdfs:subPropertyOf ex:p .\n"
+            "ex:x ex:p ex:y . ex:a ex:q ex:b ."
+        )
+        assert run(text) == expect(text, "ex:x ex:q ex:y . ex:a ex:p ex:b .")
+
     def test_subproperty_carries_literal_objects(self):
         text = 'ex:p rdfs:subPropertyOf ex:q . ex:x ex:p "v" .'
         assert run(text) == expect(text, 'ex:x ex:q "v" .')

@@ -24,7 +24,8 @@ from applekit.query import (
     SelectQuery,
     Some,
     TriplePattern,
-    _extension,
+    _at_or_below,
+    _instances,
     answer,
     parse_class_expression,
     parse_select,
@@ -308,7 +309,7 @@ class TestSomeFromSmallerSide:
     def test_matches_oracle(self, inverted, smaller):
         graph, members = some_graph(inverted, smaller)
         for filler in (Named(EX + "F"), OneOf(members), And((Named(EX + "F"), ANYTHING))):
-            assert (len(_extension(filler, graph)) < len(graph._by_object(iri(EX + "p")))) == smaller
+            assert (len(_instances(filler, graph)) < len(graph._by_object(iri(EX + "p")))) == smaller
             restriction = Some(PropertyPath(EX + "p", inverted), filler)
             for expr in (restriction, And((Named(EX + "A"), restriction))):
                 got = retrieve_instances(expr, graph)
@@ -366,6 +367,31 @@ class TestClasses:
     def test_anything_returns_all_classes(self, micro):
         graph, schema, catalog = micro
         assert retrieve_classes(ANYTHING, schema, graph) == sorted(schema.classes)
+
+    @pytest.mark.parametrize("path", ["p", "linksTo", "inverse linksTo"])
+    def test_filler_conjunct_with_no_members(self, micro, path):
+        # ex:C is neither declared nor typed, so nothing is below it or in
+        # it; in either conjunct order the filler accepts nothing.
+        graph, schema, catalog = micro
+        for filler in (f"(<{EX}C> and B)", f"(B and <{EX}C>)", f"(<{EX}C> and F)"):
+            text = f"{path} some {filler}"
+            expr = parse(text, catalog)
+            assert answer(text, "classes", graph, schema, catalog) == (None, [])
+            assert retrieve_classes(expr, schema, graph) == brute_classes(expr, schema, graph) == [], text
+
+    def test_below_is_the_inverse_of_above(self):
+        # Class retrieval walks the hierarchy down from a class; the
+        # schema's public reads walk it up.
+        for seed in range(200):
+            rng = random.Random(seed)
+            schema = extract_schema(add_meta_axioms(rng, add_obligations(rng, random_graph(rng))))
+            universe = schema.classes
+            for cls in sorted(universe):
+                want = {c for c in universe if schema.is_subclass(c, cls)}
+                assert _at_or_below({cls}, schema, universe) == want, (seed, cls)
+            targets = set(rng.sample(sorted(universe), min(3, len(universe))))
+            want = {c for c in universe if any(schema.is_subclass(c, t) for t in targets)}
+            assert _at_or_below(targets, schema, universe) == want, seed
 
     def test_oneof_in_class_mode_matches_class_iris(self, micro):
         graph, schema, catalog = micro

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+from _gen import add_meta_axioms, add_obligations, random_graph  # noqa: E402
 from _oracles import ambiguous_names  # noqa: E402
 
 from applekit.query import LexError, offsets, tokenize
@@ -14,6 +15,7 @@ from applekit.schema import (
     NameCatalog,
     Obligation,
     SchemaError,
+    _closure,
     extract_schema,
     local_name,
 )
@@ -87,6 +89,11 @@ class TestHierarchies:
         assert self.s.is_subproperty(EX + "p", EX + "r")
         assert self.s.is_subproperty(EX + "p", EX + "p")
 
+    def test_subproperty_cycle_is_its_own_ancestor(self):
+        s = schema_of("ex:p rdfs:subPropertyOf ex:q . ex:q rdfs:subPropertyOf ex:p .")
+        assert s.superproperties(EX + "p") == s.superproperties(EX + "q") == {EX + "p", EX + "q"}
+        assert s.is_subproperty(EX + "p", EX + "q") and s.is_subproperty(EX + "q", EX + "p")
+
     def test_reflexive_subclass_assertion_tolerated(self):
         s = schema_of("ex:A rdfs:subClassOf ex:A .")
         assert not s.superclasses(EX + "A") - {EX + "A"}
@@ -109,6 +116,29 @@ class TestHierarchies:
             "ex:B rdfs:subClassOf ex:D . ex:C rdfs:subClassOf ex:D ."
         )
         assert s.superclasses(EX + "A") == {EX + "B", EX + "C", EX + "D"}
+
+
+class TestClosure:
+    def test_down_is_the_inverse_of_up(self):
+        # The meta axioms can put a property on a cycle through rdf:type or
+        # rdfs:subClassOf.
+        cycles = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            schema = extract_schema(add_meta_axioms(rng, add_obligations(rng, random_graph(rng))))
+            for pairs in (schema.sub_class_of, schema.sub_property_of):
+                up, down = _closure(pairs), _closure(pairs, down=True)
+                upward = {(node, above) for node, aboves in up.items() for above in aboves}
+                assert upward == {(below, node) for node, belows in down.items() for below in belows}, seed
+                cycles += any(node in aboves for node, aboves in up.items())
+        assert cycles
+
+    def test_keyed_by_the_pairs(self):
+        s = schema_of("ex:A rdfs:subClassOf ex:B . ex:B rdfs:subClassOf ex:C .")
+        assert s.superclasses(EX + "A") == {EX + "B", EX + "C"}
+        cut = s._replace(sub_class_of=frozenset({(EX + "A", EX + "B")}))
+        assert cut.superclasses(EX + "A") == {EX + "B"}
+        assert s.superclasses(EX + "A") == {EX + "B", EX + "C"}
 
 
 class TestDomainsRangesInverses:
