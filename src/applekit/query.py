@@ -8,6 +8,9 @@ The expression language is a compact Manchester-like grammar::
     path       := ['inverse'] property-name
     primary    := class-name | '{' name (',' name)* '}' | '(' expression ')'
 
+Parentheses nest at most 100 deep (``_MAX_NESTING``); a deeper text is
+a :class:`~applekit.terms.QueryParseError` at its first '(' past the bound.
+
 Class expressions, select queries and the rule files of
 :mod:`applekit.rules` share this module's front end.  :func:`tokenize`
 returns the tokens as plain strings, from one pass of one regex;
@@ -286,9 +289,14 @@ def statements(tokens: list[str]) -> list[tuple[int, int]]:
 
 _NOT_NAMES = frozenset({"and", "some", "inverse"}) | PUNCTUATION  # the keywords, and punctuation
 
+# The deepest nesting of parentheses a class expression may have.  Each level
+# costs the parser three or four stack frames, so a fixed bound, not the
+# stack the caller has left, decides which texts parse.
+_MAX_NESTING = 100
+
 
 class _ExpressionParser(TokenCursor):
-    __slots__ = ()
+    __slots__ = ("depth",)
 
     def name(self, what: str, categories: tuple[str, ...]) -> str:
         """The IRI the next token names; a keyword is not a name."""
@@ -297,6 +305,7 @@ class _ExpressionParser(TokenCursor):
         return self.resolve(index, what, categories, _NOT_NAMES)
 
     def parse(self) -> ClassExpression:
+        self.depth = 0
         expr = self.parse_expression()
         token = self.tokens[self.index]
         if token is not None:
@@ -335,9 +344,13 @@ class _ExpressionParser(TokenCursor):
     def parse_filler(self) -> ClassExpression:
         token = self.tokens[self.index]
         if token == "(":
+            if self.depth == _MAX_NESTING:
+                raise self.error(f"parentheses nested deeper than {_MAX_NESTING}", self.index)
+            self.depth += 1
             self.index += 1
             inner = self.parse_expression()
             self.expect(")")
+            self.depth -= 1
             return inner
         if token == "{":
             self.index += 1

@@ -8,6 +8,10 @@ made about class IRIs themselves (punning).  The result is a
 materializer, the class-expression engine, and the validator.  Both of its
 hierarchies are read through one cached :func:`_closure`, walked up for
 its public reads and the materializer, and down for class retrieval.
+Subclass cycles are found in the same closure, which
+:func:`extract_schema` builds first: a class is on a cycle exactly when it
+is above itself, and a cycle is named by a walk from the smallest such
+class.
 
 A :class:`NameCatalog` resolves the names written in class expressions,
 select queries and rule files to IRIs; the lexer and parsers of those
@@ -119,35 +123,6 @@ def _closure(pairs: frozenset[tuple[str, str]], down: bool = False) -> dict[str,
     return closure
 
 
-def _detect_subclass_cycle(pairs: frozenset[tuple[str, str]]) -> list[str] | None:
-    direct: dict[str, set[str]] = {}
-    for child, parent in pairs:
-        if child != parent:  # a reflexive assertion is tolerated, not a cycle
-            direct.setdefault(child, set()).add(parent)
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-    def visit(node: str, trail: list[str]) -> list[str] | None:
-        state[node] = 1
-        trail.append(node)
-        for parent in sorted(direct.get(node, ())):
-            if state.get(parent) == 1:
-                return trail[trail.index(parent):] + [parent]
-            if state.get(parent, 0) == 0:
-                cycle = visit(parent, trail)
-                if cycle:
-                    return cycle
-        trail.pop()
-        state[node] = 2
-        return None
-
-    for node in sorted(direct):
-        if state.get(node, 0) == 0:
-            cycle = visit(node, [])
-            if cycle:
-                return cycle
-    return None
-
-
 class AxiomPairs(NamedTuple):
     """The ``(subject, object)`` IRI pairs of a graph's subclass,
     subproperty, domain, range and inverse edges."""
@@ -186,7 +161,10 @@ def extract_schema(graph: Graph) -> SchemaIndex:
 
     The result depends only on the set of triples, never their order.
     Subclass cycles (other than reflexive assertions) and malformed
-    restriction nodes raise :class:`SchemaError`.
+    restriction nodes raise :class:`SchemaError`.  A cycle is found in the
+    subclass closure and named by a walk from the smallest class above
+    itself, each step to the smallest parent on a cycle with the class it
+    leaves, until a class repeats.
     """
     type_iri = iri(RDF_TYPE)
 
@@ -256,9 +234,14 @@ def extract_schema(graph: Graph) -> SchemaIndex:
     classes = {c for c in classes if not _is_builtin(c)}
     properties = {p for p in properties if not _is_builtin(p)}
 
-    cycle = _detect_subclass_cycle(axioms.sub_class_of)
-    if cycle:
-        raise SchemaError("subclass cycle detected: " + " < ".join(cycle))
+    above = _closure(axioms.sub_class_of)
+    on_cycle = [c for c, aboves in above.items() if c in aboves]
+    if on_cycle:
+        trail, seen = [min(on_cycle)], set()
+        while trail[-1] not in seen:
+            seen.add(node := trail[-1])
+            trail.append(min(p for c, p in axioms.sub_class_of if c == node != p and node in above.get(p, ())))
+        raise SchemaError("subclass cycle detected: " + " < ".join(trail[trail.index(trail[-1]):]))
 
     class_level = [Triple(*t) for c in classes for t in graph._match(iri(c)) if not _is_builtin(t[1].value)]
 

@@ -111,10 +111,12 @@ class TestInputHandling:
 
     def test_schema_error_is_parse_error(self, capsys, tmp_path):
         cyclic = tmp_path / "cyclic.ttl"
-        cyclic.write_text(HEADER + "ex:A rdfs:subClassOf ex:B . ex:B rdfs:subClassOf ex:A .\n", encoding="utf-8")
-        code, out, err = run(capsys, "reason", "-i", str(cyclic))
-        assert (code, out) == (1, "")
-        assert err.startswith("applekit: subclass cycle detected: ") and err.count("\n") == 1, err
+        long_cycle = "".join(f"ex:C{i} rdfs:subClassOf ex:C{(i + 1) % 1500} .\n" for i in range(1500))
+        for body in ("ex:A rdfs:subClassOf ex:B . ex:B rdfs:subClassOf ex:A .\n", long_cycle):
+            cyclic.write_text(HEADER + body, encoding="utf-8")
+            code, out, err = run(capsys, "reason", "-i", str(cyclic))
+            assert (code, out) == (1, "")
+            assert err.startswith("applekit: subclass cycle detected: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("command", [("reason",), ("query", "Agent"), ("cq",)])
     def test_unparsable_bundled_asset_is_config_error(self, capsys, tmp_path, monkeypatch, command):

@@ -195,6 +195,7 @@ class TestExpressionParsing:
             ("A <b", "unterminated '<'", 2),
             ("(A) ?", "'?' must be followed by a variable name", 4),
             ("", "empty class expression", 0),
+            pytest.param("(" * 5000 + "A" + ")" * 5000, "parentheses nested deeper than 100", 100, id="nested-5000"),
         ],
     )
     def test_error_message_and_position(self, micro, text, message, position):
@@ -822,6 +823,14 @@ class TestBundledQueries:
         graph = materialize(assets.combined(), assets.schema)
         expr = parse_class_expression("Agent and (isParticipantIn some {DentalSurgeryAftercare})")
         assert retrieve_instances(expr, graph) == [APPLE + "Doctor", APPLE + "Patient"]
+
+    def test_nesting_to_the_bound_answers(self):
+        assets = load_assets()
+        graph = materialize(assets.combined(), assets.schema)
+        for mode in ("instances", "classes"):
+            want = answer("Agent", mode, graph, assets.schema, assets.catalog)
+            assert answer("(" * 100 + "Agent" + ")" * 100, mode, graph, assets.schema, assets.catalog) == want
+            answer("doesAction some (" * 100 + "Action" + ")" * 100, mode, graph, assets.schema, assets.catalog)
 
 
 class TestAnswer:

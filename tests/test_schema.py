@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _gen import add_meta_axioms, add_obligations, random_graph  # noqa: E402
 from _oracles import ambiguous_names  # noqa: E402
 
+from applekit.materialize import materialize
 from applekit.query import LexError, offsets, tokenize
 from applekit.schema import (
     NameCatalog,
@@ -99,8 +100,9 @@ class TestHierarchies:
         assert not s.superclasses(EX + "A") - {EX + "A"}
 
     def test_two_node_cycle_rejected(self):
-        with pytest.raises(SchemaError, match="subclass cycle"):
+        with pytest.raises(SchemaError) as err:
             schema_of("ex:A rdfs:subClassOf ex:B . ex:B rdfs:subClassOf ex:A .")
+        assert str(err.value) == f"subclass cycle detected: {EX}A < {EX}B < {EX}A"
 
     def test_long_cycle_rejected_and_named(self):
         with pytest.raises(SchemaError) as err:
@@ -108,7 +110,35 @@ class TestHierarchies:
                 "ex:A rdfs:subClassOf ex:B . ex:B rdfs:subClassOf ex:C .\n"
                 "ex:C rdfs:subClassOf ex:A ."
             )
-        assert str(err.value).count(EX) >= 3
+        assert str(err.value) == f"subclass cycle detected: {EX}A < {EX}B < {EX}C < {EX}A"
+
+    def test_cycle_is_named_from_its_smallest_class(self):
+        # A0's chain enters the cycle at C, but the walk starts at B.
+        with pytest.raises(SchemaError) as err:
+            schema_of(
+                "ex:A0 rdfs:subClassOf ex:C . ex:B rdfs:subClassOf ex:C .\n"
+                "ex:C rdfs:subClassOf ex:D . ex:D rdfs:subClassOf ex:B ."
+            )
+        assert str(err.value) == f"subclass cycle detected: {EX}B < {EX}C < {EX}D < {EX}B"
+
+    def test_deep_chain_is_extracted(self):
+        s = schema_of("".join(f"ex:C{i} rdfs:subClassOf ex:C{i + 1} .\n" for i in range(1500)))
+        assert len(s.superclasses(EX + "C0")) == 1500
+
+    def test_deep_cycle_is_named(self):
+        with pytest.raises(SchemaError) as err:
+            schema_of("".join(f"ex:C{i} rdfs:subClassOf ex:C{(i + 1) % 1500} .\n" for i in range(1500)))
+        names = [f"{EX}C{i}" for i in range(1500)] + [f"{EX}C0"]
+        assert str(err.value) == "subclass cycle detected: " + " < ".join(names)
+
+    def test_closure_built_once_per_command(self):
+        # extract_schema builds the subclass closure; materialize of the same
+        # graph reads it from the cache and builds only the subproperty one.
+        graph = parse_turtle(HEADER + "ex:A rdfs:subClassOf ex:B . ex:p rdfs:subPropertyOf ex:q . ex:x a ex:A .")
+        _closure.cache_clear()
+        materialize(graph, extract_schema(graph))
+        info = _closure.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
 
     def test_diamond_is_not_a_cycle(self):
         s = schema_of(
