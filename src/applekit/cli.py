@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -130,7 +129,9 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _emit_json(args: argparse.Namespace, payload: object) -> None:
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    from .terms import json_text
+
+    _emit(args, json_text(payload) + "\n")
 
 
 def _cmd_reason(args: argparse.Namespace) -> int:

@@ -12,10 +12,15 @@ shapes scan: ``(s, -, o)`` walks the predicates of ``_spo[s]``, and
 A Triple is built only where one is handed to a caller.  The public reads,
 ``match`` and iteration, build one per result and return them sorted by
 term order, so two graphs holding the same triples behave identically no
-matter how they were built.  Iteration and the writers walk ``_spo``
-through :meth:`Graph._sorted`, which sorts subjects, then each subject's
-predicates, then each group's objects, instead of sorting every triple by
-its nested key.
+matter how they were built.  Iteration and the writers walk ``_spo`` one
+subject at a time through :meth:`Graph._sorted`, which sorts subjects, then
+each subject's predicates, then each group's objects, instead of sorting
+every triple by its nested key.  Each sort takes its key from an
+``attrgetter``, built in C, and gives exactly the order of
+:meth:`Term.sort_key`: subjects and predicates by their value alone, since
+no two nodes share one (an IRI's value holds ':', a blank node label
+cannot), and objects by their four fields, falling back to
+:meth:`Term.sort_key` for a group that key cannot order.
 
 Inside the package, evaluators read through :meth:`Graph._match`,
 :meth:`Graph._has`, :meth:`Graph._by_object` and :meth:`Graph._nodes`
@@ -41,10 +46,17 @@ from operator import attrgetter
 from .terms import Term, Triple, blank
 
 
-# Term.sort_key for subjects and predicates, which are never literals: the
-# kind names sort as the kinds do ("blank" < "iri"), and an attrgetter
-# builds the key without a Python-level call.
-_node_key = attrgetter("value", "kind")
+# Term.sort_key for subjects and predicates, which are never literals: no two
+# nodes share a value, since an IRI's value holds ':' and a blank label cannot.
+_node_key = attrgetter("value")
+# Term.sort_key for objects, wherever two of these keys compare: the kind
+# names sort as the kinds do ("blank" < "iri" < "literal"), and two literals
+# of one value are told apart by a datatype or tag both hold.  Where one
+# holds None and the other a string, the compare raises TypeError and the
+# group is sorted by Term.sort_key instead.  A sort that raises nothing has
+# compared every pair adjacent in its result as Term.sort_key would, so its
+# order is exact.
+_object_key = attrgetter("value", "kind", "datatype", "lang")
 
 
 class Graph:
@@ -253,23 +265,27 @@ class Graph:
     def __len__(self) -> int:
         return self._size
 
-    def _sorted(self) -> Iterator[tuple[Term, Term, Iterable[Term]]]:
-        """Every ``(subject, predicate, objects)`` group in term order.
+    def _sorted(self) -> Iterator[tuple[Term, dict[Term, set[Term]], Iterable[Term]]]:
+        """Each subject in term order, with its index entry (each of its
+        predicates mapped to that predicate's objects) and its predicates in
+        term order.
 
-        ``objects`` holds the group's objects in term order.  Subjects are
-        sorted once and each subject's predicates once; a group with a
-        single object is the index's own set, so callers must not change it.
+        The entry is the index's own, so callers must not change it;
+        :func:`_sorted_objects` puts one predicate's objects in term order.
         """
         spo = self._spo
         for s in sorted(spo, key=_node_key):
             by_p = spo[s]
-            for p in sorted(by_p, key=_node_key) if len(by_p) > 1 else by_p:
-                by_o = by_p[p]
-                yield s, p, by_o if len(by_o) == 1 else sorted(by_o, key=Term.sort_key)
+            yield s, by_p, sorted(by_p, key=_node_key) if len(by_p) > 1 else by_p
 
     def __iter__(self) -> Iterator[Triple]:
         # A snapshot, as match() is, so the caller may insert while walking it.
-        return iter([Triple(s, p, o) for s, p, objects in self._sorted() for o in objects])
+        return iter([
+            Triple(s, p, o)
+            for s, by_p, predicates in self._sorted()
+            for p in predicates
+            for o in _sorted_objects(by_p[p])
+        ])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -278,3 +294,14 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({self._size} triples)"
+
+
+def _sorted_objects(objects: set[Term]) -> Iterable[Term]:
+    """The objects of one subject and predicate in term order: the set
+    itself when it holds one, which callers must not change."""
+    if len(objects) == 1:
+        return objects
+    try:
+        return sorted(objects, key=_object_key)
+    except TypeError:  # two literals of one value, one with a datatype or tag the other lacks
+        return sorted(objects, key=Term.sort_key)

@@ -73,7 +73,7 @@ from typing import NamedTuple
 
 from .graph import Graph
 from .schema import NameCatalog, SchemaIndex, _closure, catalog_or_bundled
-from .terms import RDF_TYPE, QueryParseError, Term, iri
+from .terms import RDF_TYPE, QueryParseError, Term, _Immutable, iri
 
 _TYPE = iri(RDF_TYPE)
 
@@ -120,10 +120,11 @@ class Some(NamedTuple):
     filler: ClassExpression = ANYTHING
 
 
-class And:
+class And(_Immutable):
     """A conjunction of two or more class expressions; it cannot be changed."""
 
     __slots__ = ("parts",)
+    _noun = "an And"
 
     parts: tuple[ClassExpression, ...]
 
@@ -131,12 +132,6 @@ class And:
         if len(parts) < 2:
             raise ValueError("And requires at least two conjuncts")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an And")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an And")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not And:

@@ -65,7 +65,7 @@ from .query import (
     tokenize,
 )
 from .schema import catalog_or_bundled
-from .terms import RDF_TYPE, RuleError, Term, Triple, VerdictConflictError, iri
+from .terms import RDF_TYPE, RuleError, Term, Triple, VerdictConflictError, _Immutable, iri
 from .vocab import ACTION, UPHOLDS_PRINCIPLE, VERDICT_CLASSES, VIOLATES_PRINCIPLE
 
 _TYPE = iri(RDF_TYPE)
@@ -333,11 +333,12 @@ def evaluate_rules(graph: Graph, rules: list[Rule]) -> Graph:
     return out
 
 
-class Verdict:
+class Verdict(_Immutable):
     """An action's verdict class and the rules that derived it.  Two
     verdicts are equal when all but their firings are; it cannot be changed."""
 
     __slots__ = ("action", "verdict_class", "fired_rules", "firings")
+    _noun = "a Verdict"
 
     action: str
     verdict_class: str
@@ -351,12 +352,6 @@ class Verdict:
         object.__setattr__(self, "verdict_class", verdict_class)
         object.__setattr__(self, "fired_rules", fired_rules)
         object.__setattr__(self, "firings", firings)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a Verdict")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a Verdict")
 
     def _compared(self) -> tuple:
         return (self.action, self.verdict_class, self.fired_rules)

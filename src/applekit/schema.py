@@ -305,9 +305,16 @@ class NameCatalog:
             classes.setdefault(local_name(c), set()).add(c)
         for p in schema.properties:
             properties.setdefault(local_name(p), set()).add(p)
-        class_iris = {iri(c) for c in schema.classes}
-        for s, _, o in graph._match(None, iri(RDF_TYPE), None):
-            if s.is_iri() and s not in class_iris and o.is_iri() and not _is_builtin(o.value):
+        # Every IRI typed into an IRI class outside the built-in namespaces
+        # that is not a class itself: each class is tested once, and its
+        # instances are read in the index's own sets.
+        typed = set().union(*(
+            subjects
+            for c, subjects in graph._by_object(iri(RDF_TYPE)).items()
+            if c.kind == "iri" and not _is_builtin(c.value)
+        ))
+        for s in typed:
+            if s.kind == "iri" and s.value not in schema.classes:
                 individuals.setdefault(local_name(s.value), set()).add(s.value)
         return cls(classes, properties, individuals, prefixes)
 

@@ -26,14 +26,17 @@ back every IRI, datatype IRI and namespace a caller can build.
 
 The module also defines the error types the CLI maps to exit codes, so
 that the CLI can catch each of them without importing the layer that
-raises it.  Each layer re-exports its own.
+raises it.  Each layer re-exports its own.  And it holds the one JSON
+writer, :func:`json_text`, which every JSON report goes through.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import weakref
 from _weakref import _remove_dead_weakref
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -196,7 +199,23 @@ def _check(kind: str, value: str, datatype: str | None, lang: str | None) -> Non
         raise StructuralError(f"only literals may carry a datatype or language tag, not {kind}")
 
 
-class Term:
+class _Immutable:
+    """A slots class whose fields cannot be assigned or deleted; each error
+    names the field and the class's ``_noun``.  A class fills its slots
+    past this, through the slot descriptors or ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    _noun: str
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {self._noun}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {self._noun}")
+
+
+class Term(_Immutable):
     """An IRI, a blank node or a literal; one live object per distinct value.
 
     ``Term(...)`` returns the existing object when one with the same four
@@ -205,6 +224,7 @@ class Term:
     """
 
     __slots__ = ("kind", "value", "datatype", "lang", "__weakref__")
+    _noun = "an interned Term"
 
     kind: str  # "iri" | "blank" | "literal"
     value: str
@@ -241,12 +261,6 @@ class Term:
             if other is not None:
                 return other
             _remove_dead_weakref(_interned, key)  # a dead entry whose callback has not run yet
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an interned Term")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an interned Term")
 
     def __repr__(self) -> str:
         return f"Term(kind={self.kind!r}, value={self.value!r}, datatype={self.datatype!r}, lang={self.lang!r})"
@@ -304,7 +318,7 @@ def literal(value: str, datatype: str | None = None, lang: str | None = None) ->
     return Term("literal", value, datatype=datatype, lang=lang)
 
 
-class Triple:
+class Triple(_Immutable):
     """An ``(s, p, o)`` statement, checked and hashed once when built.
 
     Two triples are equal when their terms are; terms are interned, so that
@@ -312,6 +326,7 @@ class Triple:
     """
 
     __slots__ = ("s", "p", "o", "_hash")
+    _noun = "a Triple"
 
     s: Term
     p: Term
@@ -327,12 +342,6 @@ class Triple:
         _set_p(self, p)
         _set_o(self, o)
         _set_hash(self, hash((s, p, o)))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a Triple")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a Triple")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Triple:
@@ -433,3 +442,51 @@ class PrefixMap:
 
     def __len__(self) -> int:
         return len(self._bindings)
+
+
+_escape_json = json.encoder.encode_basestring_ascii
+
+
+def json_text(obj: object) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for a
+    payload of dicts with string keys, lists, tuples and scalars.
+
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder; here the
+    containers are laid out in one recursive walk, strings are escaped by
+    the encoder's own C function, and any other scalar is written by
+    ``json.dumps`` without indent.
+    """
+    parts: list[str] = []
+    _write_json(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(obj: object, newline: str, write: Callable[[str], None]) -> None:
+    """Write ``obj`` through ``write``; ``newline`` is a line break followed
+    by the indent of the line that holds ``obj``."""
+    if isinstance(obj, str):
+        write(_escape_json(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, value in sorted(obj.items()):
+            write(f"{separator}{_escape_json(key)}: ")
+            _write_json(value, inner, write)
+            separator = "," + inner
+        write(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for value in obj:
+            write(separator)
+            _write_json(value, inner, write)
+            separator = "," + inner
+        write(newline + "]")
+    else:
+        write(json.dumps(obj))

@@ -44,19 +44,20 @@ The writer is deterministic: prefixes, subjects, predicates, and objects are
 all emitted in sorted order, with ``rdf:type`` rendered as ``a`` and sorted
 first.  Parsing the output of :func:`serialize_turtle` yields a graph equal
 to the one serialized.  Both writers walk the graph's subject index one
-``(subject, predicate)`` group at a time (``Graph._sorted``), so subjects
-and predicates are sorted once per group, not once per triple.
+subject at a time (``Graph._sorted``), so subjects are sorted once, each
+subject's predicates once, and each group's objects once, never every
+triple by its nested key.  The Turtle writer renders each term once, into a
+dict whose ``__missing__`` renders it, and reads the dict through ``map``,
+so a term written before costs a lookup in C.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import groupby
-from operator import itemgetter
 from typing import NamedTuple
 from urllib.parse import urljoin
 
-from .graph import Graph
+from .graph import Graph, _sorted_objects
 from .terms import (
     _IRI_BODY,
     _LANGTAG,
@@ -526,6 +527,24 @@ def _render_term(term: Term, prefixes: PrefixMap) -> str:
     return term.n3()
 
 
+_TYPE = iri(RDF_TYPE)  # held here, so every rdf:type term is this object
+_NEXT_PART = " ;\n    "  # between the predicate-object parts of a statement
+
+
+class _Rendered(dict):
+    """Each term's Turtle text under ``prefixes``, rendered on its first
+    lookup, so a later lookup through ``__getitem__`` stays in C."""
+
+    __slots__ = ("prefixes",)
+
+    def __init__(self, prefixes: PrefixMap) -> None:
+        self.prefixes = prefixes
+
+    def __missing__(self, term: Term) -> str:
+        text = self[term] = _render_term(term, self.prefixes)
+        return text
+
+
 def serialize_turtle(graph: Graph, prefixes: PrefixMap | None = None) -> str:
     """Write a graph as Turtle with fully deterministic layout.
 
@@ -535,43 +554,27 @@ def serialize_turtle(graph: Graph, prefixes: PrefixMap | None = None) -> str:
     """
     prefixes = prefixes if prefixes is not None else DEFAULT_PREFIXES
     lines = [f"@prefix {prefix}: <{namespace}> ." for prefix, namespace in prefixes.items()]
-    rendered: dict[Term, str] = {}
-
-    def render(term: Term) -> str:
-        text = rendered.get(term)
-        if text is None:
-            text = rendered[term] = _render_term(term, prefixes)
-        return text
-
+    render = _Rendered(prefixes).__getitem__
     # One statement per subject: its predicate-object parts, rdf:type first.
-    for subject, groups in groupby(graph._sorted(), key=itemgetter(0)):
-        parts: list[str] = []
-        for _, predicate, objects in groups:
-            object_text = ", ".join(render(o) for o in objects)
-            if predicate.value == RDF_TYPE:
-                parts.insert(0, f"a {object_text}")
+    for subject, by_p, predicates in graph._sorted():
+        parts = []
+        for predicate in predicates:
+            object_text = ", ".join(map(render, _sorted_objects(by_p[predicate])))
+            if predicate is _TYPE:
+                parts.insert(0, "a " + object_text)
             else:
                 parts.append(f"{render(predicate)} {object_text}")
-        lines.append("")
-        subject_text = render(subject)
-        if len(parts) == 1:
-            lines.append(f"{subject_text} {parts[0]} .")
-        else:
-            lines.append(f"{subject_text} {parts[0]} ;")
-            for part in parts[1:-1]:
-                lines.append(f"    {part} ;")
-            lines.append(f"    {parts[-1]} .")
+        lines.append(f"\n{render(subject)} {_NEXT_PART.join(parts)} .")
     return "\n".join(lines) + "\n"
 
 
 def canonical_ntriples(graph: Graph) -> str:
     """Sorted N-Triples text, the canonical form hashed into report digests."""
     lines = []
-    subject = None
-    for s, p, objects in graph._sorted():
-        if s is not subject:
-            subject, subject_text = s, s.n3()
-        head = f"{subject_text} {p.n3()} "
-        for o in objects:
-            lines.append(f"{head}{o.n3()} .\n")
+    for s, by_p, predicates in graph._sorted():
+        subject_text = s.n3() + " "
+        for p in predicates:
+            head = f"{subject_text}{p.n3()} "
+            for o in _sorted_objects(by_p[p]):
+                lines.append(f"{head}{o.n3()} .\n")
     return "".join(lines)

@@ -25,12 +25,12 @@ checked.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import NamedTuple
 
 from .graph import Graph
 from .query import Named, PropertyPath, Some, _instances, render_term
 from .schema import SchemaIndex, extract_schema
+from .terms import json_text
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -142,7 +142,7 @@ class ValidationReport(NamedTuple):
         }
 
     def render_json(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json()) + "\n"
 
 
 def validate_graph(raw_graph: Graph, schema: SchemaIndex | None = None, mode: str = "closed") -> ValidationReport:

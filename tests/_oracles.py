@@ -16,7 +16,7 @@ from urllib.parse import urljoin
 from applekit.graph import Graph
 from applekit.query import And, Anything, LexError, Named, OneOf, SelectQuery, Some
 from applekit.rules import Rule
-from applekit.schema import NameCatalog, SchemaIndex
+from applekit.schema import NameCatalog, SchemaIndex, local_name
 from applekit.terms import (
     BUILTIN_NAMESPACES,
     OWL_DISJOINT_WITH,
@@ -448,6 +448,32 @@ def flat_ntriples(triples) -> str:
     """Canonical N-Triples text: one line per distinct triple, all three
     terms rendered on every line, in the flat sort's order."""
     return "".join(f"{t.s.n3()} {t.p.n3()} {t.o.n3()} .\n" for t in flat_sorted(triples))
+
+
+def flat_turtle(triples, prefixes: PrefixMap) -> str:
+    """``serialize_turtle``'s text in the flat sort's order: every binding
+    as a ``@prefix`` line, then one statement per subject, its ``rdf:type``
+    objects first after ``a``, then each predicate's objects, with every
+    name that :func:`compress_by_scan` shortens written prefixed."""
+
+    def render(term: Term) -> str:
+        if term.is_iri():
+            return compress_by_scan(prefixes, term.value) or f"<{term.value}>"
+        if term.is_literal() and term.datatype is not None:
+            datatype = compress_by_scan(prefixes, term.datatype)
+            if datatype is not None:
+                return f"{literal(term.value).n3()}^^{datatype}"
+        return term.n3()
+
+    statements: dict[Term, dict[Term, list[str]]] = {}
+    for t in flat_sorted(triples):
+        statements.setdefault(t.s, {}).setdefault(t.p, []).append(render(t.o))
+    out = [f"@prefix {prefix}: <{namespace}> .\n" for prefix, namespace in prefixes.items()]
+    for subject, by_predicate in statements.items():
+        parts = [f"a {', '.join(by_predicate.pop(_TYPE))}"] if _TYPE in by_predicate else []
+        parts += [f"{render(p)} {', '.join(objects)}" for p, objects in by_predicate.items()]
+        out.append(f"\n{render(subject)} " + " ;\n    ".join(parts) + " .\n")
+    return "".join(out) or "\n"  # an empty document is one line break
 
 
 # ---------------------------------------------------------------------------
@@ -998,3 +1024,20 @@ def ambiguous_names(catalog: NameCatalog) -> dict[str, set[str]]:
             if len(iris) > 1:
                 out.setdefault(name, set()).update(iris)
     return out
+
+
+def catalog_by_scan(graph: Graph, schema: SchemaIndex) -> dict[str, dict[str, set[str]]]:
+    """``NameCatalog.from_graph``'s name tables, built one ``rdf:type``
+    triple at a time: every class and property by local name, and every IRI
+    subject typed into an IRI class outside the built-in namespaces that is
+    not itself a class."""
+    tables: dict[str, dict[str, set[str]]] = {"class": {}, "property": {}, "individual": {}}
+    for category, values in (("class", schema.classes), ("property", schema.properties)):
+        for value in values:
+            tables[category].setdefault(local_name(value), set()).add(value)
+    for t in graph.match(None, _TYPE, None):
+        if not t.s.is_iri() or t.s.value in schema.classes or not t.o.is_iri():
+            continue
+        if not any(t.o.value.startswith(ns) for ns in BUILTIN_NAMESPACES):
+            tables["individual"].setdefault(local_name(t.s.value), set()).add(t.s.value)
+    return tables

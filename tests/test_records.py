@@ -192,3 +192,23 @@ class TestRule:
         raised = rule._replace(stratum=2)
         assert raised == Rule("R", self.BODY, (), self.HEAD, 2)
         assert rule.stratum == 0 and raised is not rule
+
+
+@pytest.mark.parametrize(
+    "record, noun",
+    [
+        (iri(EX + "a"), "an interned Term"),
+        (Triple(iri(EX + "s"), iri(EX + "p"), iri(EX + "o")), "a Triple"),
+        (And((Named(EX + "A"), Named(EX + "B"))), "an And"),
+        (Verdict(EX + "a", EX + "Wrong", ("R1",)), "a Verdict"),
+    ],
+)
+def test_frozen_slots_records_name_field_and_class(record, noun):
+    # The slots records share one refusal; each names its own class.
+    for name in ("unknown", *record.__slots__[:1]):
+        with pytest.raises(AttributeError) as assigned:
+            setattr(record, name, None)
+        assert str(assigned.value) == f"cannot assign to field {name!r} of {noun}"
+        with pytest.raises(AttributeError) as deleted:
+            delattr(record, name)
+        assert str(deleted.value) == f"cannot delete field {name!r} of {noun}"

@@ -7,9 +7,17 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _gen import add_meta_axioms, add_obligations, random_graph  # noqa: E402
-from _oracles import ambiguous_names  # noqa: E402
+from _gen import (  # noqa: E402
+    add_literals,
+    add_meta_axioms,
+    add_obligations,
+    random_graph,
+    renamed_scenario_copies,
+    typing_graph,
+)
+from _oracles import ambiguous_names, catalog_by_scan  # noqa: E402
 
+from applekit.assets import load_assets
 from applekit.materialize import materialize
 from applekit.query import LexError, offsets, tokenize
 from applekit.schema import (
@@ -356,11 +364,13 @@ class TestNameCatalog:
             self.catalog.resolve(name, "class")
 
     def test_punned_class_not_listed_as_individual(self):
-        graph = parse_turtle(HEADER + "ex:C a owl:Class ; ex:p ex:D .\nex:i a ex:C .")
+        # ex:C is a class even where it is typed into another user class.
+        graph = parse_turtle(HEADER + "ex:C a owl:Class, ex:Meta ; ex:p ex:D .\nex:Meta a owl:Class .\nex:i a ex:C .")
         catalog = NameCatalog.from_graph(graph)
         with pytest.raises(KeyError):
             catalog.resolve("C", "individual")
         assert catalog.resolve("C", "class") == EX + "C"
+        assert catalog.resolve("i", "individual") == EX + "i"
 
     def test_ambiguous_names_report(self):
         assert ambiguous_names(self.catalog) == {
@@ -378,6 +388,28 @@ class TestNameCatalog:
         # The alias table has no entry for this name.
         with pytest.raises(KeyError):
             catalog.resolve("People", "class")
+
+
+class TestCatalogAgainstScan:
+    """``NameCatalog.from_graph`` reads each class's instances in the index;
+    its tables must equal one pass over the type triples."""
+
+    def test_bundled_assets(self):
+        assets = load_assets()
+        graph = assets.combined()
+        schema = extract_schema(graph)
+        assert NameCatalog.from_graph(graph, schema)._by_category == catalog_by_scan(graph, schema)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_generated_graphs(self, seed):
+        rng = random.Random(seed)
+        for graph in (
+            add_meta_axioms(rng, random_graph(rng)),
+            add_literals(rng, typing_graph(rng)),
+            renamed_scenario_copies(load_assets().taxonomy, load_assets().scenario, 1 + seed % 3),
+        ):
+            schema = extract_schema(graph)
+            assert NameCatalog.from_graph(graph, schema)._by_category == catalog_by_scan(graph, schema)
 
 
 class TestTokenize:

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import json
 import os
 import pickle
 import subprocess
@@ -25,6 +26,7 @@ from applekit.terms import (
     blank,
     escape_literal_value,
     iri,
+    json_text,
     literal,
     valid_local_name,
 )
@@ -417,3 +419,34 @@ class TestPrefixMap:
             assert prefixes.compress(value) == compress_by_scan(prefixes, value), (bindings, value)
             rebound = data.draw(st.sampled_from(["", "a", "z"]))
             prefixes.bind(rebound, data.draw(namespace))
+
+
+# Strings that exercise every escape: quotes, backslashes, control
+# characters, non-ASCII text and lone surrogates.
+json_strings = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€😀'),
+    st.characters(blacklist_categories=()),
+), max_size=8)
+json_payloads = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), json_strings),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_strings, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    @given(json_payloads)
+    def test_equals_indented_sorted_dumps(self, payload):
+        assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    def test_empty_containers_and_nesting(self):
+        payload = {"b": [], "a": {}, "c": [{}, [[]], ("x", 1, None, True)], "": {"z": 1.5, "y": False}}
+        assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    def test_unwritable_value_is_refused_as_json_does(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json_text({"a": [object()]})

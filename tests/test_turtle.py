@@ -28,7 +28,7 @@ from applekit.turtle import (
     serialize_turtle,
 )
 
-from _oracles import flat_ntriples, flat_sorted, parsed, reference_parse
+from _oracles import flat_ntriples, flat_sorted, flat_turtle, parsed, reference_parse
 from test_graph import triples_built
 
 EX = "http://example.org/"
@@ -499,21 +499,34 @@ class TestWritersAgainstFlatSort:
     @given(st.lists(st.builds(Triple, subject, predicate, obj), max_size=30))
     def test_agree_with_the_flat_sort(self, triples):
         g = Graph(triples)
+        pm = PrefixMap({"ex": EX})
         assert list(g) == flat_sorted(triples)
         assert canonical_ntriples(g) == flat_ntriples(triples)
-        assert parse_turtle(serialize_turtle(g, PrefixMap({"ex": EX}))) == g
+        assert serialize_turtle(g, pm) == flat_turtle(triples, pm)
+        assert parse_turtle(serialize_turtle(g, pm)) == g
         assert parse_turtle(canonical_ntriples(g)) == g
 
     def test_equal_values_order_by_kind(self):
-        # Term order breaks a tie on the value by kind: a blank node or an
-        # IRI before a literal.
+        # Term order breaks a tie on the value by kind, a blank node or an
+        # IRI before a literal, then by datatype and language tag, where a
+        # missing one comes first.
         s, p = iri(EX + "s"), iri(EX + "p")
-        triples = [Triple(s, p, literal("x")), Triple(s, p, blank("x")),
-                   Triple(s, p, literal("urn:x")), Triple(s, p, iri("urn:x"))]
-        for ordered in (triples, triples[::-1]):
+        triples = [Triple(s, p, o) for o in (
+            iri("urn:x"),
+            literal("urn:x"),
+            blank("x"),
+            literal("x"),
+            literal("x", lang="de"),
+            literal("x", lang="en"),
+            literal("x", datatype=EX + "dt"),
+            literal("x", datatype=XSD_NS + "date"),
+        )]
+        pm = PrefixMap({"ex": EX})
+        for ordered in (triples, triples[::-1], triples[1::2] + triples[::2]):
             g = Graph(ordered)
-            assert list(g) == flat_sorted(triples) == [triples[3], triples[2], triples[1], triples[0]]
+            assert list(g) == flat_sorted(triples) == triples
             assert canonical_ntriples(g) == flat_ntriples(triples)
+            assert serialize_turtle(g, pm) == flat_turtle(triples, pm)
 
     def test_xsd_string_literal_is_one_triple(self):
         s, p = iri(EX + "s"), iri(EX + "p")
