@@ -19,12 +19,15 @@ prefix the inputs declare.
 
 The module imports only the standard library.  Each command imports the
 layers it runs when it runs, so ``reason`` loads no rule, query,
-competency-question or validation code.
+competency-question or validation code.  :func:`main` reads its arguments
+with one parser built per process, and runs the module's
+``_cmd_<command>`` as it finds it at that call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 from pathlib import Path
@@ -234,12 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     reason = sub.add_parser("reason", help="materialize schema entailments, write Turtle")
     _add_io_options(reason)
-    reason.set_defaults(handler=_cmd_reason)
 
     classify = sub.add_parser("classify", help="run verdict rules, report verdicts as JSON")
     _add_io_options(classify)
     classify.add_argument("--rules", metavar="FILE", help="rule file (default: bundled rules with --bundled)")
-    classify.set_defaults(handler=_cmd_classify)
 
     query = sub.add_parser("query", help="evaluate a class expression or select query")
     query.add_argument("expression", help="query text")
@@ -249,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("instances", "classes", "select"), default="instances",
         help="retrieval mode (default: instances)",
     )
-    query.set_defaults(handler=_cmd_query)
 
     validate = sub.add_parser("validate", help="consistency report (JSON)")
     _add_io_options(validate)
@@ -257,15 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--world", choices=("open", "closed"), default="closed",
         help="closed world audits existential obligations; open world skips them",
     )
-    validate.set_defaults(handler=_cmd_validate)
 
     cq = sub.add_parser("cq", help="run the competency-question suite")
     _add_io_options(cq)
     cq.add_argument("--format", choices=("text", "json"), default="text", help="output format (default: text)")
     cq.add_argument("--manifest", metavar="FILE", help="alternative competency-question manifest")
-    cq.set_defaults(handler=_cmd_cq)
 
     return parser
+
+
+# One parser per process: argparse copies an option's default list before it
+# appends to it, so the parser keeps no state from one command to the next.
+_parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -278,15 +281,14 @@ def main(argv: list[str] | None = None) -> int:
         VerdictConflictError,
     )
 
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # A command builds many long-lived containers and frees them together,
     # so cyclic collections would walk an ever larger heap for nothing: no
     # command leaves cyclic garbage that grows with its input.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.handler(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except CliError as exc:
         print(f"applekit: {exc}", file=sys.stderr)
         return exc.code

@@ -144,6 +144,9 @@ class And(_Immutable):
     def __repr__(self) -> str:
         return f"And(parts={self.parts!r})"
 
+    def __reduce__(self) -> tuple:
+        return (And, (self.parts,))
+
 
 ClassExpression = Named | OneOf | Anything | Some | And
 

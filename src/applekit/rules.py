@@ -370,6 +370,9 @@ class Verdict(_Immutable):
             f"fired_rules={self.fired_rules!r}, firings={self.firings!r})"
         )
 
+    def __reduce__(self) -> tuple:
+        return (Verdict, (self.action, self.verdict_class, self.fired_rules, self.firings))
+
 
 def _firing_order(firing: Firing) -> tuple:
     return (firing.rule_id, tuple(term.sort_key() for _, term in firing.bindings))

@@ -8,9 +8,9 @@ made about class IRIs themselves (punning).  The result is a
 materializer, the class-expression engine, and the validator.  Both of its
 hierarchies are read through one cached :func:`_closure`, walked up for
 its public reads and the materializer, and down for class retrieval.
-Subclass cycles are found in the same closure, which
-:func:`extract_schema` builds first: a class is on a cycle exactly when it
-is above itself, and a cycle is named by a walk from the smallest such
+Subclass cycles are found before that closure is built, by one cached
+strongly-connected-components pass (:func:`_cycle`) in time and memory
+linear in the pairs, and a cycle is named by a walk from its smallest
 class.
 
 A :class:`NameCatalog` resolves the names written in class expressions,
@@ -123,6 +123,64 @@ def _closure(pairs: frozenset[tuple[str, str]], down: bool = False) -> dict[str,
     return closure
 
 
+@lru_cache(maxsize=64)
+def _cycle(pairs: frozenset[tuple[str, str]]) -> tuple[str, ...]:
+    """A cycle of the ``(child, parent)`` pairs as the walk that names it,
+    its first class repeated at the end; empty when there is none.
+
+    One iterative pass of Tarjan's algorithm labels each node with its
+    strongly connected component; a component of two or more nodes is a
+    cycle, as a reflexive pair is skipped.  The walk starts at the smallest
+    node on a cycle and steps to the smallest parent in the component of
+    the node it leaves until a node repeats.  Time and memory are linear in
+    the pairs.  Keyed by the pairs, as :func:`_closure` is."""
+    parents: dict[str, list[str]] = {}
+    for child, parent in pairs:
+        if child != parent:
+            parents.setdefault(child, []).append(parent)
+    index: dict[str, int] = {}  # each node's visit order
+    low: dict[str, int] = {}  # the least visit order a walk from it reaches on the stack
+    component: dict[str, int] = {}  # each node's component, named by its root's visit order
+    on_cycle: list[str] = []
+    stack: list[str] = []
+    for root in parents:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(parents[root]))]
+        while work:
+            node, todo = work[-1]
+            for nxt in todo:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    work.append((nxt, iter(parents.get(nxt, ()))))
+                    break
+                if nxt not in component:  # still on the stack
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    above = work[-1][0]
+                    low[above] = min(low[above], low[node])
+                if low[node] == index[node]:  # node roots a component: pop it off the stack
+                    cyclic = stack[-1] != node
+                    member = None
+                    while member != node:
+                        member = stack.pop()
+                        component[member] = index[node]
+                        if cyclic:
+                            on_cycle.append(member)
+    if not on_cycle:
+        return ()
+    trail, seen = [min(on_cycle)], set()
+    while trail[-1] not in seen:
+        seen.add(node := trail[-1])
+        trail.append(min(p for p in parents[node] if component[p] == component[node]))
+    return tuple(trail[trail.index(trail[-1]) :])
+
+
 class AxiomPairs(NamedTuple):
     """The ``(subject, object)`` IRI pairs of a graph's subclass,
     subproperty, domain, range and inverse edges."""
@@ -161,10 +219,10 @@ def extract_schema(graph: Graph) -> SchemaIndex:
 
     The result depends only on the set of triples, never their order.
     Subclass cycles (other than reflexive assertions) and malformed
-    restriction nodes raise :class:`SchemaError`.  A cycle is found in the
-    subclass closure and named by a walk from the smallest class above
-    itself, each step to the smallest parent on a cycle with the class it
-    leaves, until a class repeats.
+    restriction nodes raise :class:`SchemaError`.  A cycle is named by a
+    walk from the smallest class on one, each step to the smallest parent on
+    a cycle with the class it leaves, until a class repeats.  The subclass
+    closure is built only once no cycle is found.
     """
     type_iri = iri(RDF_TYPE)
 
@@ -234,14 +292,10 @@ def extract_schema(graph: Graph) -> SchemaIndex:
     classes = {c for c in classes if not _is_builtin(c)}
     properties = {p for p in properties if not _is_builtin(p)}
 
-    above = _closure(axioms.sub_class_of)
-    on_cycle = [c for c, aboves in above.items() if c in aboves]
-    if on_cycle:
-        trail, seen = [min(on_cycle)], set()
-        while trail[-1] not in seen:
-            seen.add(node := trail[-1])
-            trail.append(min(p for c, p in axioms.sub_class_of if c == node != p and node in above.get(p, ())))
-        raise SchemaError("subclass cycle detected: " + " < ".join(trail[trail.index(trail[-1]):]))
+    cycle = _cycle(axioms.sub_class_of)
+    if cycle:
+        raise SchemaError("subclass cycle detected: " + " < ".join(cycle))
+    _closure(axioms.sub_class_of)  # built for the schema's readers once the check passes
 
     class_level = [Triple(*t) for c in classes for t in graph._match(iri(c)) if not _is_builtin(t[1].value)]
 

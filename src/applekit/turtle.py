@@ -12,11 +12,15 @@ anonymous blank nodes ``[ ]``, collections ``( )``, quoted triples ``<< >>``,
 triple-quoted strings, single-quoted strings, and bare numeric or boolean
 literals.
 
-One loop reads the text, one triple per pass.  A statement's subject is
-one ``_TOKEN`` match.  After a subject or ';' the step pattern
-``_VERB_OBJECT`` takes a verb, an object and the '.', ';' or ',' that ends
-the triple; after ',' the step pattern ``_OBJECT`` takes an object and its
-end.  The raw text of each term (``ex:a``, ``<iri>``, ``_:b``, ``a``)
+One loop reads the text, one triple per pass.  At the start of a
+statement the step pattern ``_SUBJECT_VERB_OBJECT`` takes a subject, a
+verb, an object and the '.', ';' or ',' that ends the triple, so an
+N-Triples line is one match.  After a subject or ';' the step pattern
+``_VERB_OBJECT`` takes a verb, an object and its end; after ',' the step
+pattern ``_OBJECT`` takes an object and its end.  Where the statement step
+does not match, or a term in it does not resolve, the subject is one
+``_TOKEN`` match and the other steps go on from there.  The raw text of
+each term (``ex:a``, ``<iri>``, ``_:b``, ``a``)
 resolves through one dict per document, emptied by every ``@prefix`` or
 ``@base``.  The steps are built from the sub-patterns of ``_TOKEN``, the
 master regex of the lexer, so they take the same tokens, and a name in a
@@ -150,8 +154,14 @@ _OBJECT_END = (
     r"(?:@(" + _LANGTAG.pattern + r")" + _NAME_END + r"|\^\^(" + _PNAME + r"|" + _IRI + r"))?)"
     + _SPACE + r"([.;,])"
 )
+_VERB = r"(" + _PNAME + r"|" + _IRI + r"|a(?!:|" + _NAME_CHAR + r"))"
+# At the start of a statement: a subject (group 1), a verb, an object and its
+# end.
+_SUBJECT_VERB_OBJECT = re.compile(
+    _WS + r"(" + _PNAME + r"|" + _IRI + r"|_:" + _NAME + _NAME_END + r")" + _SPACE + _VERB + _SPACE + _OBJECT_END
+)
 # After a subject or ';': a verb (group 1), an object and its end.
-_VERB_OBJECT = re.compile(_WS + r"(" + _PNAME + r"|" + _IRI + r"|a(?!:|" + _NAME_CHAR + r"))" + _SPACE + _OBJECT_END)
+_VERB_OBJECT = re.compile(_WS + _VERB + _SPACE + _OBJECT_END)
 # After ',': an object and its end.
 _OBJECT = re.compile(_WS + _OBJECT_END)
 
@@ -275,7 +285,9 @@ class _Parser:
     """One loop that reads a triple per pass: by a step, or from tokens.
 
     The loop keeps a statement's subject, and its predicate after ',', in
-    locals.  Where no step matches, or a term in one cannot be resolved
+    locals.  A statement's first triple is one step, subject included,
+    where that step matches and its terms resolve; otherwise its subject is
+    one token.  Where no step matches, or a term in one cannot be resolved
     without an error, that pass reads the triple from tokens, one token at
     a time from where the step started, and the next pass tries the steps
     again.  A run of ';' may be followed by a verb or by '.'.  Directives
@@ -295,44 +307,55 @@ class _Parser:
 
     def parse(self) -> ParsedDocument:
         text, terms, add, node = self.text, self._terms, self.graph._add, self._node
-        token_at, verb_object_at, object_at = _TOKEN.match, _VERB_OBJECT.match, _OBJECT.match
+        token_at, statement_at = _TOKEN.match, _SUBJECT_VERB_OBJECT.match
+        verb_object_at, object_at = _VERB_OBJECT.match, _OBJECT.match
         pos = 0
         subject = None
         while True:
-            if subject is None:  # a statement starts
-                match = token_at(text, pos)
-                if match.lastgroup in ("pname", "iriref", "blank"):
-                    raw = text[match.end(1) : match.end()]
-                    subject = terms.get(raw) or node(raw)
-                if subject is None:  # a directive, the end of the text, or an error
-                    self._seek(pos)
-                    kind = self._peek()[0]
-                    if kind == "eof":
-                        return ParsedDocument(self.graph, self.prefixes, self.base)
-                    if kind == "prefix_kw":
-                        self._parse_prefix_directive()
-                    elif kind == "base_kw":
-                        self._parse_base_directive()
-                    else:
-                        self._parse_term(_SUBJECT_KINDS, _SUBJECT_WHAT)  # raises: no subject resolves here
-                    pos = self.pos
-                    continue
-                pos = match.end()
-                predicate, after_semi = None, False
-            # One triple: by a step, where one matches and its terms resolve.
-            if predicate is None:
-                match = verb_object_at(text, pos)
-                if match is not None:
-                    verb, name, body, lang, datatype, end = match.groups()
-                    p = terms.get(verb) or node(verb)
-            else:
-                match = object_at(text, pos)
-                if match is not None:
-                    name, body, lang, datatype, end = match.groups()
-                p = predicate
             o = None
-            if match is not None and p is not None:
-                o = (terms.get(name) or node(name)) if name is not None else self._literal(body, lang, datatype)
+            if subject is None:  # a statement starts: its first triple by one step, where its terms resolve
+                match = statement_at(text, pos)
+                if match is not None:
+                    raw, verb, name, body, lang, datatype, end = match.groups()
+                    subject = terms.get(raw) or node(raw)
+                    if subject is not None:
+                        p = terms.get(verb) or node(verb)
+                        if p is not None:
+                            o = (terms.get(name) or node(name)) if name is not None else self._literal(body, lang, datatype)
+                if o is None:  # otherwise the subject is one token
+                    match = token_at(text, pos)
+                    subject = None
+                    if match.lastgroup in ("pname", "iriref", "blank"):
+                        raw = text[match.end(1) : match.end()]
+                        subject = terms.get(raw) or node(raw)
+                    if subject is None:  # a directive, the end of the text, or an error
+                        self._seek(pos)
+                        kind = self._peek()[0]
+                        if kind == "eof":
+                            return ParsedDocument(self.graph, self.prefixes, self.base)
+                        if kind == "prefix_kw":
+                            self._parse_prefix_directive()
+                        elif kind == "base_kw":
+                            self._parse_base_directive()
+                        else:
+                            self._parse_term(_SUBJECT_KINDS, _SUBJECT_WHAT)  # raises: no subject resolves here
+                        pos = self.pos
+                        continue
+                    pos = match.end()
+                    predicate, after_semi = None, False
+            if o is None:  # one triple: by a step, where one matches and its terms resolve
+                if predicate is None:
+                    match = verb_object_at(text, pos)
+                    if match is not None:
+                        verb, name, body, lang, datatype, end = match.groups()
+                        p = terms.get(verb) or node(verb)
+                else:
+                    match = object_at(text, pos)
+                    if match is not None:
+                        name, body, lang, datatype, end = match.groups()
+                    p = predicate
+                if match is not None and p is not None:
+                    o = (terms.get(name) or node(name)) if name is not None else self._literal(body, lang, datatype)
             if o is not None:
                 pos = match.end()
             else:  # otherwise from tokens, where the step started

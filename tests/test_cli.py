@@ -641,6 +641,7 @@ class TestCollectorPause:
         rules = tmp_path / "unknown-class.rules"
         rules.write_text("R: Action(?a) -> NoSuchClass(?a) .\n", encoding="utf-8")
         argv = [arg.format(unknown_class_rules=rules) for arg in argv]
+        cli._parser()  # built once per process, and argparse leaves cycles behind as it builds
         found = []
         for path in scenario_inputs:
             gc.collect()
@@ -679,6 +680,45 @@ class TestCollectorPause:
         with pytest.raises(RuntimeError):
             main(["reason", "-i", str(micro_ttl)])
         assert gc.isenabled()
+
+
+class TestOneParserPerProcess:
+    COMMANDS = (("reason",), ("classify",), ("query", "Agent"), ("validate",), ("cq",))
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser() is not cli.build_parser()
+
+    def test_back_to_back_commands_write_what_fresh_processes_write(self, tmp_path, micro_ttl):
+        obligation = tmp_path / "obligation.ttl"
+        obligation.write_text(
+            HEADER + "ex:has a owl:ObjectProperty .\nex:B a owl:Class .\n"
+            "ex:A a owl:Class ; rdfs:subClassOf _:r .\n"
+            "_:r a owl:Restriction ; owl:onProperty ex:has ; owl:someValuesFrom ex:B .\n"
+            "ex:i a ex:A .\n",
+            encoding="utf-8",
+        )
+        runs = [
+            ("validate", "--world", "closed", "-i", str(obligation)),
+            ("validate", "--world", "open", "-i", str(obligation)),
+            ("reason", "-i", str(micro_ttl), "-i", str(obligation)),
+            ("reason", "-i", str(obligation)),
+            ("validate", "-i", str(micro_ttl)),
+        ]
+        # argparse sets a list default on the namespace as it is; an append
+        # that did not copy it first would change every later command's.
+        defaults = [cli._parser().parse_args(command).input for command in self.COMMANDS]
+        written = set()
+        for k, argv in enumerate(runs):
+            here, fresh = tmp_path / f"in-process-{k}", tmp_path / f"fresh-{k}"
+            code = main([*argv, "-o", str(here)])
+            result = _run_in_process([*argv, "-o", str(fresh)], {}, tmp_path)
+            assert code == result.returncode == 0, result.stderr
+            assert here.read_bytes() == fresh.read_bytes(), argv
+            written.add(here.read_bytes())
+            assert defaults == [[]] * len(self.COMMANDS)
+            assert all(cli._parser().parse_args(c).input is d for c, d in zip(self.COMMANDS, defaults))
+        assert len(written) == len(runs)  # each run's options took effect
 
 
 def _read_pyproject():

@@ -6,6 +6,9 @@ fields are equal, hashes consistently with that equality, and prints as
 equality and hashing, but not out of its ``repr``.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from applekit.query import (
@@ -212,3 +215,17 @@ def test_frozen_slots_records_name_field_and_class(record, noun):
         with pytest.raises(AttributeError) as deleted:
             delattr(record, name)
         assert str(deleted.value) == f"cannot delete field {name!r} of {noun}"
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        And((Named(EX + "A"), Some(PropertyPath(EX + "p", True), Named(EX + "B")))),
+        Verdict(EX + "a", EX + "Wrong", ("R1", "R2"), (firing(), firing("R2"))),
+    ],
+    ids=["And", "Verdict"],
+)
+def test_slots_records_copy_and_pickle(record):
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and repr(twin) == repr(record)  # a Verdict's firings are in its repr
+        assert_frozen(twin, *record.__slots__)

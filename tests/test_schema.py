@@ -1,7 +1,10 @@
 """Schema extraction: hierarchies, disjoint pairs, obligations, names."""
 
+import os
 import random
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,7 @@ from applekit.schema import (
     Obligation,
     SchemaError,
     _closure,
+    _cycle,
     extract_schema,
     local_name,
 )
@@ -44,6 +48,26 @@ HEADER = (
 
 def schema_of(text):
     return extract_schema(parse_turtle(HEADER + text))
+
+
+def cycle_text(n):
+    """A subclass cycle of ``n`` classes, ex:C0 to ex:C{n-1}."""
+    return "".join(f"ex:C{i} rdfs:subClassOf ex:C{(i + 1) % n} .\n" for i in range(n))
+
+
+def cycle_by_closure(pairs):
+    """The cycle naming rule read off the full closure: start at the
+    smallest node above itself, step to the smallest parent the node is
+    above, stop at a repeat."""
+    above = _closure(pairs)
+    on_cycle = [c for c, aboves in above.items() if c in aboves]
+    if not on_cycle:
+        return ()
+    trail, seen = [min(on_cycle)], set()
+    while trail[-1] not in seen:
+        seen.add(node := trail[-1])
+        trail.append(min(p for c, p in pairs if c == node != p and node in above.get(p, ())))
+    return tuple(trail[trail.index(trail[-1]) :])
 
 
 class TestDetection:
@@ -138,6 +162,55 @@ class TestHierarchies:
             schema_of("".join(f"ex:C{i} rdfs:subClassOf ex:C{(i + 1) % 1500} .\n" for i in range(1500)))
         names = [f"{EX}C{i}" for i in range(1500)] + [f"{EX}C0"]
         assert str(err.value) == "subclass cycle detected: " + " < ".join(names)
+
+    def test_cycle_named_as_the_closure_names_it(self):
+        found = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            nodes = [f"n{k}" for k in range(rng.randint(1, 12))]
+            pairs = frozenset((rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 20)))
+            assert _cycle(pairs) == cycle_by_closure(pairs), seed
+            found += bool(_cycle(pairs))
+        assert 50 < found < 350
+
+    def test_cycle_check_is_cached_by_the_pairs(self):
+        text = "ex:A rdfs:subClassOf ex:B . ex:B rdfs:subClassOf ex:C ."
+        _cycle.cache_clear()
+        schema_of(text)
+        schema_of(text)
+        info = _cycle.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_very_long_cycle_is_named_in_linear_time(self):
+        graph = parse_turtle(HEADER + cycle_text(20000))
+        _cycle.cache_clear()
+        started = time.perf_counter()
+        with pytest.raises(SchemaError) as err:
+            extract_schema(graph)
+        elapsed = time.perf_counter() - started
+        assert str(err.value).startswith(f"subclass cycle detected: {EX}C0 < {EX}C1 < {EX}C2 < ")
+        assert str(err.value).count(" < ") == 20000
+        assert elapsed < 1.0, elapsed
+
+    def test_long_cycle_exits_in_bounded_memory(self, tmp_path):
+        # A cycle's closure holds a class per class pair: over 300 MB for
+        # this input, which the child's address space does not allow.
+        resource = pytest.importorskip("resource")
+        limit = resource.getrlimit(resource.RLIMIT_AS)
+        path = tmp_path / "cycle.ttl"
+        path.write_text(HEADER + cycle_text(3000), encoding="utf-8")
+        child = (
+            "import resource, sys\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, hard))\n"
+            "from applekit.cli import main\n"
+            "sys.exit(main(['reason', '-i', sys.argv[1], '-o', sys.argv[1] + '.out']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        result = subprocess.run([sys.executable, "-c", child, str(path)], capture_output=True, text=True, timeout=120, env=env)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith(f"applekit: subclass cycle detected: {EX}C0 < {EX}C1 < ")
+        assert resource.getrlimit(resource.RLIMIT_AS) == limit  # the cap acted on the child alone
 
     def test_closure_built_once_per_command(self):
         # extract_schema builds the subclass closure; materialize of the same

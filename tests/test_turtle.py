@@ -1,5 +1,7 @@
 """Turtle parsing, named unsupported-feature errors, and round-trip stability."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from applekit.terms import (
     iri,
     literal,
 )
+from applekit import turtle
 from applekit.turtle import (
     ParseDiagnostic,
     TurtleParseError,
@@ -28,6 +31,7 @@ from applekit.turtle import (
     serialize_turtle,
 )
 
+from _gen import add_literals, random_graph
 from _oracles import flat_ntriples, flat_sorted, flat_turtle, parsed, reference_parse
 from test_graph import triples_built
 
@@ -175,6 +179,25 @@ STEP_EDGES = {
     "escape-then-steps": HEADER + 'ex:s ex:p "a\\nb" , ex:o ; ex:q ex:r , ex:t ; a ex:C .',
     "escape-mid-statement": HEADER + 'ex:s ex:p ex:o , "a\\"b" , ex:o2 ; ex:q "c" @en ; ex:u ex:v .',
     "error-after-a-token-read-triple": HEADER + 'ex:s ex:p "a\\tb" , ex:o ; ex:q ex:r ex:t .',
+    # Where a statement starts: the statement step, or a subject token.
+    "undeclared-subject-prefix": HEADER + "ex:s ex:p ex:o .\nno:s ex:p ex:o .",
+    "relative-subject": HEADER + "<s> ex:p ex:o .",
+    "undeclared-verb-after-subject": HEADER + "ex:s no:p ex:o .",
+    "undeclared-object-after-subject": HEADER + "ex:s ex:p no:o .",
+    "undeclared-datatype-after-subject": HEADER + 'ex:s ex:p "x"^^no:t .',
+    "relative-verb-after-subject": HEADER + "ex:s <p> ex:o .",
+    "blank-dash-subject": HEADER + "_:-x ex:p ex:o .",
+    "blank-dot-subject": HEADER + "_:.x ex:p ex:o .",
+    "empty-blank-subject": HEADER + "_: ex:p ex:o .",
+    "a-as-subject": HEADER + "a ex:p ex:o .",
+    "two-term-statement": HEADER + "ex:s ex:p .",
+    "comma-before-object": HEADER + "ex:s ex:p , ex:o .",
+    "comment-between-subject-and-verb": HEADER + "ex:s # c\n ex:p ex:o .\nex:t ex:p ex:o , ex:u .",
+    "escaped-first-object": HEADER + 'ex:s ex:p "a\\"b" ; ex:q ex:r .',
+    "spaced-tag-first-object": HEADER + 'ex:s ex:p "x" @en , ex:o .\nex:t ex:p "y" ^^ ex:d ; ex:q ex:r .',
+    "prefix-rebound-before-use": HEADER + "ex:s ex:p ex:o .\n@prefix ex: <http://two.test/> .ex:s ex:p ex:o.",
+    "blank-subjects": HEADER + "_:b ex:p _:c .\n_:c ex:p _:b ; ex:q ex:o , _:b .",
+    "ntriples-forms": '<http://x.test/s> <http://x.test/p> "v"@en-GB .\n_:b0 <http://x.test/p> "1"^^<http://x.test/t> .',
 }
 
 
@@ -231,6 +254,36 @@ class TestStepEdges:
         monkeypatch.setattr(_Parser, "_parse_term", counting)
         g = parse('ex:s ex:p "a\\nb" ; ex:q ex:r ; ex:u ex:v .')
         assert len(g) == 3 and read == [iri(EX + "p"), literal("a\nb")]
+
+    def test_an_ntriples_document_is_read_by_the_statement_step_alone(self, monkeypatch):
+        class Counting:
+            def __init__(self, pattern):
+                self.pattern, self.matched = pattern, 0
+
+            def match(self, text, pos):
+                found = self.pattern.match(text, pos)
+                self.matched += found is not None
+                return found
+
+        step = Counting(turtle._SUBJECT_VERB_OBJECT)
+        lexed = []
+        lex = turtle._lex
+
+        def counting_lex(text, pos):
+            token, end = lex(text, pos)
+            lexed.append(token[0])
+            return token, end
+
+        monkeypatch.setattr(turtle, "_SUBJECT_VERB_OBJECT", step)
+        monkeypatch.setattr(turtle, "_lex", counting_lex)
+        rng = random.Random(5)
+        graph = add_literals(rng, random_graph(rng, max_triples=200))
+        graph.insert(Triple(blank("b1"), iri(EX + "p"), blank("b2")))
+        graph.insert(Triple(blank("b2"), iri(RDF_TYPE), iri(EX + "C")))
+        text = canonical_ntriples(graph)
+        assert parse_turtle(text) == graph
+        assert step.matched == text.count("\n") == len(graph)
+        assert lexed == ["eof"]
 
     def test_base_rebound_gives_new_iris(self):
         g = parse_turtle(STEP_EDGES["base-rebound"])
