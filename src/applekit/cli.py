@@ -8,9 +8,9 @@ Subcommands::
     applekit validate  closed/open-world consistency report as JSON
     applekit cq        run the bundled competency-question suite
 
-Exit codes: 0 success, 1 parse or data-structure errors (and failing
-competency questions), 2 configuration or rule errors, 3 query errors,
-4 consistency errors (disjointness clashes, contradictory verdicts).
+Exit codes: 0 success, 1 parse or data-structure errors (and failing competency
+questions), 2 configuration or rule errors, 3 query errors, 4 consistency
+errors (disjointness clashes, contradictory verdicts), 5 out of memory.
 
 All commands are deterministic: given the same inputs they produce byte
 identical output.  ``query`` and ``cq`` answer each question through
@@ -43,6 +43,7 @@ EXIT_PARSE = 1
 EXIT_CONFIG = 2
 EXIT_QUERY = 3
 EXIT_CONSISTENCY = 4
+EXIT_MEMORY = 5
 
 
 class CliError(Exception):
@@ -304,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     except QueryParseError as exc:
         print(f"applekit: {exc}", file=sys.stderr)
         return EXIT_QUERY
+    except MemoryError:
+        print("applekit: out of memory", file=sys.stderr)
+        return EXIT_MEMORY
     finally:
         if enabled:
             gc.enable()

@@ -22,8 +22,10 @@ works.  The data graph's own ``rdfs:subClassOf``, ``rdfs:subPropertyOf``,
 are axioms too, read by :func:`~applekit.schema.axiom_pairs` as
 :func:`~applekit.schema.extract_schema` reads them, and joined with the
 schema's: each hierarchy is one cached :func:`~applekit.schema._closure`
-over both, so the output is closed under its own schema.  Existential
-obligations are never skolemized; the closed-world validator audits them.
+over both, so the output is closed under its own schema, and each of its
+distinct sets (a cycle's nodes share one) becomes Terms once per call.
+Existential obligations are never skolemized; the closed-world validator
+audits them.
 
 Evaluation is one loop of two phases:
 
@@ -58,7 +60,8 @@ it in place.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
+from functools import cache
 
 from .graph import Graph
 from .schema import SchemaIndex, _closure, axiom_pairs
@@ -83,8 +86,9 @@ def materialize(graph: Graph, schema: SchemaIndex) -> Graph:
 def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
     """:func:`materialize` on a graph the caller owns: the entailments are
     inserted into ``out`` itself, which is returned."""
-    def terms(values: Iterable[str]) -> frozenset[Term]:
-        return frozenset(map(iri, values))
+    @cache  # per call, so the table dies with it; a cycle's nodes share one set
+    def terms(values: frozenset[str], kind: type = frozenset) -> Collection[Term]:
+        return kind(map(iri, values))
 
     rdf_type = iri(RDF_TYPE)
     subclass = iri(RDFS_SUBCLASSOF)
@@ -94,9 +98,10 @@ def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
     superproperties = _closure(schema.sub_property_of | data.sub_property_of)
 
     # Keyed by Term: each class's ancestors, read by both phases, and each
-    # property's proper superproperties and inverses.
+    # property's superproperties (itself on a cycle: its step derives the
+    # stored triple) and inverses.
     ancestors = {iri(c): terms(parents) for c, parents in superclasses.items()}
-    superprops = {iri(p): tuple(iri(q) for q in parents if q != p) for p, parents in superproperties.items()}
+    superprops = {iri(p): terms(parents, tuple) for p, parents in superproperties.items()}
     inverses: dict[Term, set[Term]] = {}
     for a, b in schema.inverse_of | data.inverse_of:
         inverses.setdefault(iri(a), set()).add(iri(b))
@@ -108,7 +113,7 @@ def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
         classes: dict[str, set[str]] = {}
         for p, c in pairs:
             classes.setdefault(p, set()).update((c, *superclasses.get(c, ())))
-        return {iri(p): terms(cs) for p, cs in classes.items()}
+        return {iri(p): terms(frozenset(cs)) for p, cs in classes.items()}
 
     schema_domains = ((p, c) for p, cs in schema.domain_of.items() for c in cs)
     schema_ranges = ((p, c) for p, cs in schema.range_of.items() for c in cs)

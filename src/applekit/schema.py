@@ -8,10 +8,10 @@ made about class IRIs themselves (punning).  The result is a
 materializer, the class-expression engine, and the validator.  Both of its
 hierarchies are read through one cached :func:`_closure`, walked up for
 its public reads and the materializer, and down for class retrieval.
-Subclass cycles are found before that closure is built, by one cached
-strongly-connected-components pass (:func:`_cycle`) in time and memory
-linear in the pairs, and a cycle is named by a walk from its smallest
-class.
+That closure is one strongly-connected-components pass whose components
+each share one set, so a cycle costs memory linear in its length, and
+:func:`_cycle` reads a subclass cycle off it, named by a walk from its
+smallest class.
 
 A :class:`NameCatalog` resolves the names written in class expressions,
 select queries and rule files to IRIs; the lexer and parsers of those
@@ -100,64 +100,41 @@ class SchemaIndex(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _closure(pairs: frozenset[tuple[str, str]], down: bool = False) -> dict[str, frozenset[str]]:
-    """Each node of the ``(child, parent)`` pairs mapped to the nodes a walk
-    from it reaches, up or, with ``down``, down.  A walk visits each node
-    once, so it ends; a node is its own ancestor only on a cycle, since a
-    reflexive pair is skipped.  Keyed by the pairs, never by a schema."""
-    step: dict[str, set[str]] = {}
+    """Each node with a step in the ``(child, parent)`` pairs, up or, with
+    ``down``, down, mapped to the nodes a walk from it reaches; a node is
+    its own ancestor only on a cycle, since a reflexive pair is skipped.
+    Keyed by the pairs, never by a schema.
+
+    One iterative Tarjan pass pops each strongly connected component after
+    those it reaches and gives it one set, shared by its members: their
+    steps (the component itself, if it has two members or more) and the
+    steps' sets.  A cycle so costs memory linear in its length."""
+    step: dict[str, list[str]] = {}
     for child, parent in pairs:
         if child != parent:
             if down:
                 child, parent = parent, child
-            step.setdefault(child, set()).add(parent)
-    closure = {}
-    for node in step:
-        seen: set[str] = set()
-        frontier = [node]
-        while frontier:
-            for nxt in step.get(frontier.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        closure[node] = frozenset(seen)
-    return closure
-
-
-@lru_cache(maxsize=64)
-def _cycle(pairs: frozenset[tuple[str, str]]) -> tuple[str, ...]:
-    """A cycle of the ``(child, parent)`` pairs as the walk that names it,
-    its first class repeated at the end; empty when there is none.
-
-    One iterative pass of Tarjan's algorithm labels each node with its
-    strongly connected component; a component of two or more nodes is a
-    cycle, as a reflexive pair is skipped.  The walk starts at the smallest
-    node on a cycle and steps to the smallest parent in the component of
-    the node it leaves until a node repeats.  Time and memory are linear in
-    the pairs.  Keyed by the pairs, as :func:`_closure` is."""
-    parents: dict[str, list[str]] = {}
-    for child, parent in pairs:
-        if child != parent:
-            parents.setdefault(child, []).append(parent)
-    index: dict[str, int] = {}  # each node's visit order
+            step.setdefault(child, []).append(parent)
+    index: dict[str, int] = {}  # each node's visit order; a node without steps is never visited
     low: dict[str, int] = {}  # the least visit order a walk from it reaches on the stack
-    component: dict[str, int] = {}  # each node's component, named by its root's visit order
-    on_cycle: list[str] = []
+    closure: dict[str, frozenset[str]] = {}
     stack: list[str] = []
-    for root in parents:
+    for root in step:
         if root in index:
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
-        work = [(root, iter(parents[root]))]
+        work = [(root, iter(step[root]))]
         while work:
             node, todo = work[-1]
             for nxt in todo:
                 if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
-                    stack.append(nxt)
-                    work.append((nxt, iter(parents.get(nxt, ()))))
-                    break
-                if nxt not in component:  # still on the stack
+                    if nxt in step:
+                        index[nxt] = low[nxt] = len(index)
+                        stack.append(nxt)
+                        work.append((nxt, iter(step[nxt])))
+                        break
+                elif nxt not in closure:  # still on the stack
                     low[node] = min(low[node], index[nxt])
             else:
                 work.pop()
@@ -165,19 +142,34 @@ def _cycle(pairs: frozenset[tuple[str, str]]) -> tuple[str, ...]:
                     above = work[-1][0]
                     low[above] = min(low[above], low[node])
                 if low[node] == index[node]:  # node roots a component: pop it off the stack
-                    cyclic = stack[-1] != node
-                    member = None
-                    while member != node:
-                        member = stack.pop()
-                        component[member] = index[node]
-                        if cyclic:
-                            on_cycle.append(member)
-    if not on_cycle:
+                    members = [stack.pop()]
+                    while members[-1] != node:
+                        members.append(stack.pop())
+                    steps = {nxt for member in members for nxt in step[member]}
+                    shared = frozenset().union(steps, *[closure.get(nxt, ()) for nxt in steps])
+                    closure.update(dict.fromkeys(members, shared))
+    return closure
+
+
+def _cycle(pairs: frozenset[tuple[str, str]]) -> tuple[str, ...]:
+    """A cycle of the ``(child, parent)`` pairs as the walk that names it,
+    its first class repeated at the end; empty when there is none.
+
+    Read off :func:`_closure`.  A node is in its own set exactly when one
+    scan of the pairs finds it a parent ``p`` whose set holds it, a parent
+    on a cycle with it.  The walk starts at the smallest such node and steps
+    to the smallest such parent until a node repeats."""
+    closure = _closure(pairs)
+    smallest: dict[str, str] = {}  # each node on a cycle: its smallest parent on one with it
+    for child, parent in pairs:
+        if child != parent and child in closure.get(parent, ()):
+            smallest[child] = min(parent, smallest.get(child, parent))
+    if not smallest:
         return ()
-    trail, seen = [min(on_cycle)], set()
+    trail, seen = [min(smallest)], set()
     while trail[-1] not in seen:
         seen.add(node := trail[-1])
-        trail.append(min(p for p in parents[node] if component[p] == component[node]))
+        trail.append(smallest[node])
     return tuple(trail[trail.index(trail[-1]) :])
 
 
@@ -221,8 +213,8 @@ def extract_schema(graph: Graph) -> SchemaIndex:
     Subclass cycles (other than reflexive assertions) and malformed
     restriction nodes raise :class:`SchemaError`.  A cycle is named by a
     walk from the smallest class on one, each step to the smallest parent on
-    a cycle with the class it leaves, until a class repeats.  The subclass
-    closure is built only once no cycle is found.
+    a cycle with the class it leaves, until a class repeats.  The check
+    reads the cached subclass closure that the schema's readers use.
     """
     type_iri = iri(RDF_TYPE)
 
@@ -295,7 +287,6 @@ def extract_schema(graph: Graph) -> SchemaIndex:
     cycle = _cycle(axioms.sub_class_of)
     if cycle:
         raise SchemaError("subclass cycle detected: " + " < ".join(cycle))
-    _closure(axioms.sub_class_of)  # built for the schema's readers once the check passes
 
     class_level = [Triple(*t) for c in classes for t in graph._match(iri(c)) if not _is_builtin(t[1].value)]
 

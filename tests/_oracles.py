@@ -134,6 +134,18 @@ def _ancestors(node: str, pairs) -> set[str]:
     return seen
 
 
+def brute_closure(pairs, down: bool = False) -> dict[str, frozenset[str]]:
+    """``schema._closure``: each node with a step, up or, with ``down``,
+    down, mapped to everything above each of its steps (the step itself
+    included), reflexive pairs skipped, by one :func:`_ancestors` walk
+    per step."""
+    steps = {(parent, child) if down else (child, parent) for child, parent in pairs if child != parent}
+    reach: dict[str, set[str]] = {}
+    for node, nxt in steps:
+        reach.setdefault(node, set()).update(_ancestors(nxt, steps))
+    return {node: frozenset(found) for node, found in reach.items()}
+
+
 def brute_classes(expr, schema: SchemaIndex, graph: Graph) -> list[str]:
     """``query.retrieve_classes`` by testing each declared class against the
     definition in the ``query`` module docstring, over closures this oracle

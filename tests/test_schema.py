@@ -18,7 +18,7 @@ from _gen import (  # noqa: E402
     renamed_scenario_copies,
     typing_graph,
 )
-from _oracles import ambiguous_names, catalog_by_scan  # noqa: E402
+from _oracles import ambiguous_names, brute_closure, catalog_by_scan  # noqa: E402
 
 from applekit.assets import load_assets
 from applekit.materialize import materialize
@@ -56,10 +56,10 @@ def cycle_text(n):
 
 
 def cycle_by_closure(pairs):
-    """The cycle naming rule read off the full closure: start at the
+    """The cycle naming rule read off the oracle's closure: start at the
     smallest node above itself, step to the smallest parent the node is
     above, stop at a repeat."""
-    above = _closure(pairs)
+    above = brute_closure(pairs)
     on_cycle = [c for c, aboves in above.items() if c in aboves]
     if not on_cycle:
         return ()
@@ -68,6 +68,40 @@ def cycle_by_closure(pairs):
         seen.add(node := trail[-1])
         trail.append(min(p for c, p in pairs if c == node != p and node in above.get(p, ())))
     return tuple(trail[trail.index(trail[-1]) :])
+
+
+def random_pairs(rng):
+    """``(child, parent)`` pairs over one or two disjoint node sets, with
+    self-loops, cycles and, about half the time per part, a diamond."""
+    pairs = set()
+    for part in "ab"[: rng.randint(1, 2)]:
+        nodes = [f"{part}{k}" for k in range(rng.randint(1, 10))]
+        pairs |= {(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 14))}
+        if len(nodes) >= 4 and rng.random() < 0.5:
+            top, left, right, bottom = rng.sample(nodes, 4)
+            pairs |= {(bottom, left), (bottom, right), (left, top), (right, top)}
+    return frozenset(pairs)
+
+
+def reason_capped(tmp_path, text, megabytes):
+    """``applekit reason -i`` on ``text`` in a child whose address space is
+    capped at ``megabytes``: the child's result and its output file."""
+    resource = pytest.importorskip("resource")
+    limit = resource.getrlimit(resource.RLIMIT_AS)
+    path = tmp_path / "input.ttl"
+    path.write_text(HEADER + text, encoding="utf-8")
+    child = (
+        "import resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[2]) * 2**20, hard))\n"
+        "from applekit.cli import main\n"
+        "sys.exit(main(['reason', '-i', sys.argv[1], '-o', sys.argv[1] + '.out']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    argv = [sys.executable, "-c", child, str(path), str(megabytes)]
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+    assert resource.getrlimit(resource.RLIMIT_AS) == limit  # the cap acted on the child alone
+    return result, tmp_path / "input.ttl.out"
 
 
 class TestDetection:
@@ -174,16 +208,17 @@ class TestHierarchies:
         assert 50 < found < 350
 
     def test_cycle_check_is_cached_by_the_pairs(self):
+        # The check reads the closure, which is cached by the pair set.
         text = "ex:A rdfs:subClassOf ex:B . ex:B rdfs:subClassOf ex:C ."
-        _cycle.cache_clear()
+        _closure.cache_clear()
         schema_of(text)
         schema_of(text)
-        info = _cycle.cache_info()
+        info = _closure.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
     def test_very_long_cycle_is_named_in_linear_time(self):
         graph = parse_turtle(HEADER + cycle_text(20000))
-        _cycle.cache_clear()
+        _closure.cache_clear()
         started = time.perf_counter()
         with pytest.raises(SchemaError) as err:
             extract_schema(graph)
@@ -193,24 +228,29 @@ class TestHierarchies:
         assert elapsed < 1.0, elapsed
 
     def test_long_cycle_exits_in_bounded_memory(self, tmp_path):
-        # A cycle's closure holds a class per class pair: over 300 MB for
-        # this input, which the child's address space does not allow.
-        resource = pytest.importorskip("resource")
-        limit = resource.getrlimit(resource.RLIMIT_AS)
-        path = tmp_path / "cycle.ttl"
-        path.write_text(HEADER + cycle_text(3000), encoding="utf-8")
-        child = (
-            "import resource, sys\n"
-            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, hard))\n"
-            "from applekit.cli import main\n"
-            "sys.exit(main(['reason', '-i', sys.argv[1], '-o', sys.argv[1] + '.out']))\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-        result = subprocess.run([sys.executable, "-c", child, str(path)], capture_output=True, text=True, timeout=120, env=env)
+        # A cycle's classes share one closure set, so the check needs memory
+        # linear in the cycle; a set per class would hold 3,000 x 3,000
+        # entries, over 300 MB, which the child's address space does not allow.
+        result, _ = reason_capped(tmp_path, cycle_text(3000), 300)
         assert result.returncode == 1, result.stderr
         assert result.stderr.startswith(f"applekit: subclass cycle detected: {EX}C0 < {EX}C1 < ")
-        assert resource.getrlimit(resource.RLIMIT_AS) == limit  # the cap acted on the child alone
+
+    def test_long_subproperty_cycle_reasons_in_bounded_memory(self, tmp_path):
+        # A subproperty cycle is accepted, and its properties share one
+        # closure set: a set per property would not fit under the cap.
+        text = "".join(f"ex:p{i} rdfs:subPropertyOf ex:p{(i + 1) % 3000} .\n" for i in range(3000))
+        result, out = reason_capped(tmp_path, text + "ex:a ex:p7 ex:b .\n", 300)
+        assert result.returncode == 0, result.stderr
+        graph = parse_turtle(out.read_text(encoding="utf-8"))
+        edges = graph.match(iri(EX + "a"), None, iri(EX + "b"))
+        assert {t.p.value for t in edges} == {f"{EX}p{i}" for i in range(3000)}
+
+    def test_out_of_memory_is_its_own_exit_code(self, tmp_path):
+        # A valid 1,500-class chain materializes about a million subclass
+        # triples, more than 200 MB: exit 5 with one line, no traceback.
+        text = "".join(f"ex:C{i} rdfs:subClassOf ex:C{i + 1} .\n" for i in range(1500))
+        result, _ = reason_capped(tmp_path, text, 200)
+        assert (result.returncode, result.stderr) == (5, "applekit: out of memory\n")
 
     def test_closure_built_once_per_command(self):
         # extract_schema builds the subclass closure; materialize of the same
@@ -230,6 +270,39 @@ class TestHierarchies:
 
 
 class TestClosure:
+    def test_matches_the_walk_oracle(self):
+        kinds = {"cycle": 0, "self-loop": 0, "diamond": 0, "two parts": 0}
+        for seed in range(400):
+            pairs = random_pairs(random.Random(seed))
+            for down in (False, True):
+                assert _closure(pairs, down) == brute_closure(pairs, down), (seed, down)
+            up = brute_closure(pairs)
+            kinds["cycle"] += any(node in above for node, above in up.items())
+            kinds["diamond"] += any(
+                {a, *up.get(a, ())} & {b, *up.get(b, ())}
+                for child, a in pairs for other, b in pairs if child == other and child not in (a, b) and a < b
+            )
+            kinds["self-loop"] += any(child == parent for child, parent in pairs)
+            kinds["two parts"] += len({node[0] for pair in pairs for node in pair}) == 2
+        assert all(50 < count < 350 for count in kinds.values()), kinds
+
+    def test_a_component_shares_one_set(self):
+        # Two cycles, one above the other, with a tail below each.
+        pairs = frozenset(
+            [(f"a{i}", f"a{(i + 1) % 50}") for i in range(50)]
+            + [(f"b{i}", f"b{(i + 1) % 30}") for i in range(30)]
+            + [("a3", "b0"), ("tail", "a0"), ("b7", "top")]
+        )
+        for down in (False, True):
+            closure = _closure(pairs, down)
+            for prefix in "ab":
+                shared = {id(above) for node, above in closure.items() if node[0] == prefix}
+                assert len(shared) == 1, (prefix, down)
+            assert closure["a0"] is not closure["b0"]
+        up = _closure(pairs)
+        assert up["a0"] == {f"a{i}" for i in range(50)} | {f"b{i}" for i in range(30)} | {"top"}
+        assert up["tail"] == up["a0"] and up["tail"] is not up["a0"]
+
     def test_down_is_the_inverse_of_up(self):
         # The meta axioms can put a property on a cycle through rdf:type or
         # rdfs:subClassOf.
