@@ -24,6 +24,8 @@ are axioms too, read by :func:`~applekit.schema.axiom_pairs` as
 schema's: each hierarchy is one cached :func:`~applekit.schema._closure`
 over both, so the output is closed under its own schema, and each of its
 distinct sets (a cycle's nodes share one) becomes Terms once per call.
+Superproperty sets become Terms only for the predicates whose
+superproperties an entry reads, never for every property of the closure.
 Existential obligations are never skolemized; the closed-world validator
 audits them.
 
@@ -97,15 +99,34 @@ def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
     superclasses = _closure(schema.sub_class_of | data.sub_class_of)
     superproperties = _closure(schema.sub_property_of | data.sub_property_of)
 
-    # Keyed by Term: each class's ancestors, read by both phases, and each
-    # property's superproperties (itself on a cycle: its step derives the
-    # stored triple) and inverses.
-    ancestors = {iri(c): terms(parents) for c, parents in superclasses.items()}
-    superprops = {iri(p): terms(parents, tuple) for p, parents in superproperties.items()}
-    inverses: dict[Term, set[Term]] = {}
+    partners: dict[str, set[str]] = {}
     for a, b in schema.inverse_of | data.inverse_of:
-        inverses.setdefault(iri(a), set()).add(iri(b))
-        inverses.setdefault(iri(b), set()).add(iri(a))
+        partners.setdefault(a, set()).add(b)
+        partners.setdefault(b, set()).add(a)
+
+    # The predicates whose superproperties edges() reads: those of entries
+    # not derived by subproperty-propagation, that is the graph's,
+    # rdfs:subClassOf, rdf:type, and each inverse partner of a predicate an
+    # entry can carry, which is one of these or a superproperty of one.  Only
+    # these get their superproperties as Terms, not every property of the
+    # closure.
+    read: set[str] = set()
+    carried: set[str] = set()
+    todo = [RDFS_SUBCLASSOF, RDF_TYPE] + [p.value for p in out._pos]
+    while todo:
+        p = todo.pop()
+        if p not in read:
+            read.add(p)
+            for q in {p, *superproperties.get(p, ())} - carried:
+                carried.add(q)
+                todo += partners.get(q, ())
+
+    # Keyed by Term: each class's ancestors, read by both phases, and the
+    # superproperties (itself on a cycle: its step derives the stored
+    # triple) and inverses of each property that needs them.
+    ancestors = {iri(c): terms(parents) for c, parents in superclasses.items()}
+    superprops = {iri(p): terms(superproperties[p], tuple) for p in read if p in superproperties}
+    inverses = {iri(p): {iri(q) for q in qs} for p, qs in partners.items()}
     edge_rules = {subclass, *superprops, *inverses}
 
     # Phase 2: each property's domain and range classes, with their ancestors.

@@ -14,6 +14,14 @@ a term no caller holds is freed and its entry removed, and the table never
 grows beyond the terms alive.  Pickling, ``copy`` and ``deepcopy`` give back
 the interned object.
 
+Each field is checked once.  The public constructors (``Term``, ``iri``,
+``blank``, ``literal``) check every term they build.  The Turtle reader,
+whose patterns have already proved a field, builds its term through
+:func:`_intern_checked`, which interns it the same way without the second
+check.  A term is rendered once too: it keeps its N-Triples text in a
+private slot, filled when it is built, which :meth:`Term.n3` returns and
+the N-Triples writer reads directly.
+
 A triple is a slots class like a term, but not interned.  It hashes its
 three terms once, at construction, into a private ``_hash`` slot that takes
 no part in equality or ``repr``, and none of its attributes can be set.
@@ -220,16 +228,18 @@ class Term(_Immutable):
 
     ``Term(...)`` returns the existing object when one with the same four
     fields is alive, so equality is identity and hashing is the object's
-    own, both in C.  The fields cannot be set.
+    own, both in C.  A term keeps its N-Triples text, rendered once when it
+    is built, which :meth:`n3` returns.  The fields cannot be set.
     """
 
-    __slots__ = ("kind", "value", "datatype", "lang", "__weakref__")
+    __slots__ = ("kind", "value", "datatype", "lang", "_n3", "__weakref__")
     _noun = "an interned Term"
 
     kind: str  # "iri" | "blank" | "literal"
     value: str
     datatype: str | None
     lang: str | None
+    _n3: str  # the N-Triples text, rendered once when the term is built
 
     def __new__(cls, kind: str, value: str, datatype: str | None = None, lang: str | None = None) -> "Term":
         if datatype == XSD_STRING and lang is None and kind == "literal":
@@ -244,23 +254,7 @@ class Term(_Immutable):
             if term is not None:
                 return term
         _check(kind, value, datatype, lang)
-        term = object.__new__(cls)
-        _set_kind(term, kind)
-        _set_value(term, value)
-        _set_datatype(term, datatype)
-        _set_lang(term, lang)
-        entry = _Entry(term, _forget)
-        entry.key = key
-        while True:
-            # setdefault is one atomic step, so of two threads building the
-            # same term, the second gets the first's object.
-            stored = _interned.setdefault(key, entry)
-            if stored is entry:
-                return term
-            other = stored()
-            if other is not None:
-                return other
-            _remove_dead_weakref(_interned, key)  # a dead entry whose callback has not run yet
+        return _store(key, kind, value, datatype, lang)
 
     def __repr__(self) -> str:
         return f"Term(kind={self.kind!r}, value={self.value!r}, datatype={self.datatype!r}, lang={self.lang!r})"
@@ -288,22 +282,65 @@ class Term(_Immutable):
 
     def n3(self) -> str:
         """Canonical N-Triples style rendering, used for digests and messages."""
-        if self.kind == "iri":
-            return f"<{self.value}>"
-        if self.kind == "blank":
-            return f"_:{self.value}"
-        quoted = f'"{escape_literal_value(self.value)}"'
-        if self.lang is not None:
-            return f"{quoted}@{self.lang}"
-        if self.datatype is not None:
-            return f"{quoted}^^<{self.datatype}>"
-        return quoted
+        return self._n3
 
-# The slots' own setters: Term.__new__ fills a new term through them, past
+# The slots' own setters: _store fills a new term through them, past
 # Term.__setattr__, at about half the cost of object.__setattr__.
-_set_kind, _set_value, _set_datatype, _set_lang = (
-    Term.__dict__[name].__set__ for name in ("kind", "value", "datatype", "lang")
+_set_kind, _set_value, _set_datatype, _set_lang, _set_n3 = (
+    Term.__dict__[name].__set__ for name in ("kind", "value", "datatype", "lang", "_n3")
 )
+
+
+def _ntriples(kind: str, value: str, datatype: str | None, lang: str | None) -> str:
+    """The N-Triples text of a term's fields."""
+    if kind == "iri":
+        return f"<{value}>"
+    if kind == "blank":
+        return f"_:{value}"
+    quoted = f'"{escape_literal_value(value)}"'
+    if lang is not None:
+        return f"{quoted}@{lang}"
+    if datatype is not None:
+        return f"{quoted}^^<{datatype}>"
+    return quoted
+
+
+def _store(key: str | tuple, kind: str, value: str, datatype: str | None, lang: str | None) -> Term:
+    """Build the term of checked fields and intern it under ``key``; return
+    the live term of ``key``, which another thread may have stored first."""
+    term = object.__new__(Term)
+    _set_kind(term, kind)
+    _set_value(term, value)
+    _set_datatype(term, datatype)
+    _set_lang(term, lang)
+    _set_n3(term, _ntriples(kind, value, datatype, lang))
+    entry = _Entry(term, _forget)
+    entry.key = key
+    while True:
+        # setdefault is one atomic step, so of two threads building the
+        # same term, the second gets the first's object.
+        stored = _interned.setdefault(key, entry)
+        if stored is entry:
+            return term
+        other = stored()
+        if other is not None:
+            return other
+        _remove_dead_weakref(_interned, key)  # a dead entry whose callback has not run yet
+
+
+def _intern_checked(kind: str, value: str, datatype: str | None = None, lang: str | None = None) -> Term:
+    """``Term(kind, value, datatype, lang)`` for fields the caller has
+    already proved to pass ``_check``, as the Turtle reader's patterns do;
+    every public constructor checks its fields."""
+    if datatype == XSD_STRING:
+        datatype = None  # as in Term.__new__: one Term for both spellings
+    key = value if kind == "iri" else (kind, value, datatype, lang)
+    entry = _interned.get(key)
+    if entry is not None:
+        term = entry()
+        if term is not None:
+            return term
+    return _store(key, kind, value, datatype, lang)
 
 
 def iri(value: str) -> Term:
@@ -361,7 +398,7 @@ class Triple(_Immutable):
         return (self.s.sort_key(), self.p.sort_key(), self.o.sort_key())
 
     def n3(self) -> str:
-        return f"{self.s.n3()} {self.p.n3()} {self.o.n3()} ."
+        return f"{self.s._n3} {self.p._n3} {self.o._n3} ."
 
 # As for Term: Triple.__init__ fills its slots past Triple.__setattr__.
 _set_s, _set_p, _set_o, _set_hash = (Triple.__dict__[name].__set__ for name in ("s", "p", "o", "_hash"))

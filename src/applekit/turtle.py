@@ -29,6 +29,16 @@ a step runs to the end of its line (``#[^\\n]*(?=\\n|\\Z)``), so a step that
 fails after a comment cannot backtrack into it and match its text; Python
 3.10 has no atomic groups to say so.
 
+The reader builds each new term once, and checks it once: its patterns
+are the term check.  A prefixed name's namespace was checked when its
+``@prefix`` was bound and its local part matched the name pattern; an
+``<iri>`` body matched the IRI body pattern and holds ':'; a blank node
+label matched the name pattern and its first character is tested; a
+language tag matched the tag pattern; a datatype is an IRI term already
+built.  Those terms are interned through ``terms._intern_checked``, which
+skips the public constructors' check.  An IRI resolved against ``@base``,
+and a literal read from tokens, go through the public constructors.
+
 Where no step matches, or a term in the match does not resolve, the same
 pass reads that one triple from tokens: the verb and the object, then the
 '.', ';' or ',' that ends it; the steps resume at the next triple.  That
@@ -52,7 +62,8 @@ subject at a time (``Graph._sorted``), so subjects are sorted once, each
 subject's predicates once, and each group's objects once, never every
 triple by its nested key.  The Turtle writer renders each term once, into a
 dict whose ``__missing__`` renders it, and reads the dict through ``map``,
-so a term written before costs a lookup in C.
+so a term written before costs a lookup in C.  The N-Triples writer reads
+the text each term stored when it was built, with no call per term.
 """
 
 from __future__ import annotations
@@ -72,7 +83,7 @@ from .terms import (
     StructuralError,
     Term,
     TurtleParseError,
-    blank,
+    _intern_checked,
     escape_literal_value,
     iri,
     literal,
@@ -382,31 +393,43 @@ class _Parser:
 
     def _node(self, raw: str) -> Term | None:
         """The Term for the raw text of a name, an IRI, a blank node or 'a';
-        None where resolving it fails, for the token path to report."""
+        None where resolving it fails, for the token path to report.
+
+        ``raw`` is a match of the token patterns, so a Term built from it
+        needs no second check, except an IRI resolved against ``@base``.
+        """
         if raw.startswith("_:"):
+            # The label matched _NAME, which leaves only its first character to check.
             if len(raw) == 2 or raw[2] in "-.":
                 return None
-            term = self._terms[raw] = blank(raw[2:])
-            return term
-        if raw[0] == "<":
+            term = _intern_checked("blank", raw[2:])
+        elif raw[0] == "<":
             value = self._resolved(raw[1:-1])
+            if value is None:
+                return None
+            # Unresolved, the value is the body, which matched _IRI_BODY and holds ':'.
+            term = _intern_checked("iri", value) if self.base is None else iri(value)
         elif raw == "a":
-            value = RDF_TYPE
+            term = _TYPE
         else:
             prefix, _, local = raw.partition(":")
-            value = self.prefixes.expand(prefix, local)
-        if value is None:
-            return None
-        term = self._terms[raw] = iri(value)
+            namespace = self.prefixes.namespace(prefix)
+            if namespace is None:
+                return None
+            # PrefixMap.bind checked the namespace, and the local part matched _NAME.
+            term = _intern_checked("iri", namespace + local)
+        self._terms[raw] = term
         return term
 
     def _literal(self, body: str, lang: str | None, datatype: str | None) -> Term | None:
+        """The literal of a step: its body holds no escape, a tag matched
+        _LANGTAG, and a datatype is an IRI Term already built."""
         if lang is not None:  # '@prefix' and '@base' are directives, for the token path to report
-            return None if lang in ("prefix", "base") else literal(body, lang=lang)
+            return None if lang in ("prefix", "base") else _intern_checked("literal", body, None, lang)
         if datatype is None:
-            return literal(body)
+            return _intern_checked("literal", body)
         dt = self._terms.get(datatype) or self._node(datatype)
-        return None if dt is None else literal(body, datatype=dt.value)  # an xsd:string is a simple literal
+        return None if dt is None else _intern_checked("literal", body, dt.value)  # an xsd:string is a simple literal
 
     # The token path
 
@@ -547,7 +570,7 @@ def _render_term(term: Term, prefixes: PrefixMap) -> str:
         dt = prefixes.compress(term.datatype)
         if dt is not None:
             return f'"{escape_literal_value(term.value)}"^^{dt}'
-    return term.n3()
+    return term._n3
 
 
 _TYPE = iri(RDF_TYPE)  # held here, so every rdf:type term is this object
@@ -595,9 +618,9 @@ def canonical_ntriples(graph: Graph) -> str:
     """Sorted N-Triples text, the canonical form hashed into report digests."""
     lines = []
     for s, by_p, predicates in graph._sorted():
-        subject_text = s.n3() + " "
+        subject_text = s._n3 + " "
         for p in predicates:
-            head = f"{subject_text}{p.n3()} "
+            head = f"{subject_text}{p._n3} "
             for o in _sorted_objects(by_p[p]):
-                lines.append(f"{head}{o.n3()} .\n")
+                lines.append(f"{head}{o._n3} .\n")
     return "".join(lines)

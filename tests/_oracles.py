@@ -26,6 +26,7 @@ from applekit.terms import (
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
+    XSD_STRING,
     PrefixMap,
     StructuralError,
     Term,
@@ -41,12 +42,39 @@ _TYPE = iri(RDF_TYPE)
 _SUBCLASS = iri(RDFS_SUBCLASSOF)
 
 
-def render_node(term: Term) -> str:
+# The characters N-Triples writes as a two-character escape in a literal.
+_NAMED_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def ntriples_term(term: Term) -> str:
+    """A term's N-Triples text, written out from the rule rather than read
+    from the term: ``<v>`` for an IRI, ``_:v`` for a blank node, and for a
+    literal its quoted value, where a backslash, a quote, a line feed, a
+    carriage return and a tab take a two-character escape and every other
+    character below U+0020 ``\\uXXXX``, then ``@tag``, or ``^^<dt>`` for a
+    datatype other than ``xsd:string``."""
     if term.is_iri():
-        return term.value
+        return f"<{term.value}>"
     if term.is_blank():
         return f"_:{term.value}"
-    return term.n3()
+    quoted = ['"']
+    for ch in term.value:
+        if ch in _NAMED_ESCAPES:
+            quoted.append(_NAMED_ESCAPES[ch])
+        elif ord(ch) < 0x20:
+            quoted.append("\\u%04X" % ord(ch))
+        else:
+            quoted.append(ch)
+    quoted.append('"')
+    if term.lang is not None:
+        quoted.append("@" + term.lang)
+    elif term.datatype is not None and term.datatype != XSD_STRING:
+        quoted.append(f"^^<{term.datatype}>")
+    return "".join(quoted)
+
+
+def render_node(term: Term) -> str:
+    return term.value if term.is_iri() else ntriples_term(term)
 
 
 def compress_by_scan(prefixes: PrefixMap, iri_value: str) -> str | None:
@@ -459,7 +487,7 @@ def flat_sorted(triples) -> list[Triple]:
 def flat_ntriples(triples) -> str:
     """Canonical N-Triples text: one line per distinct triple, all three
     terms rendered on every line, in the flat sort's order."""
-    return "".join(f"{t.s.n3()} {t.p.n3()} {t.o.n3()} .\n" for t in flat_sorted(triples))
+    return "".join(f"{ntriples_term(t.s)} {ntriples_term(t.p)} {ntriples_term(t.o)} .\n" for t in flat_sorted(triples))
 
 
 def flat_turtle(triples, prefixes: PrefixMap) -> str:
@@ -474,8 +502,8 @@ def flat_turtle(triples, prefixes: PrefixMap) -> str:
         if term.is_literal() and term.datatype is not None:
             datatype = compress_by_scan(prefixes, term.datatype)
             if datatype is not None:
-                return f"{literal(term.value).n3()}^^{datatype}"
-        return term.n3()
+                return f"{ntriples_term(literal(term.value))}^^{datatype}"
+        return ntriples_term(term)
 
     statements: dict[Term, dict[Term, list[str]]] = {}
     for t in flat_sorted(triples):

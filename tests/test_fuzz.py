@@ -12,6 +12,7 @@ graphs, and on those texts cut or spliced with a fuzz token.
 """
 
 import importlib.util
+import random
 import re
 import sys
 from pathlib import Path
@@ -21,9 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _oracles import CharLexer, QueryCharLexer, parsed, reference_parse, tokenize  # noqa: E402
+from _gen import NS, add_literals, random_graph  # noqa: E402
+from _oracles import CharLexer, QueryCharLexer, ntriples_term, parsed, reference_parse, tokenize  # noqa: E402
 from test_turtle import TestWritersAgainstFlatSort as W  # noqa: E402
 
+from applekit import terms
 from applekit.assets import asset_dir
 from applekit.graph import Graph
 from applekit.query import LexError, QueryParseError, parse_class_expression, parse_select
@@ -31,7 +34,7 @@ from applekit.query import offsets as query_offsets
 from applekit.query import tokenize as query_tokenize
 from applekit.rules import RuleError, parse_rules
 from applekit.schema import NameCatalog
-from applekit.terms import XSD_NS, PrefixMap, Triple
+from applekit.terms import XSD_NS, XSD_STRING, PrefixMap, Triple
 from applekit.turtle import TurtleParseError, canonical_ntriples, parse_document, parse_turtle, serialize_turtle
 from applekit.vocab import DEFAULT_PREFIXES
 
@@ -276,3 +279,84 @@ def test_turtle_parser_matches_oracle_on_written_graphs(triples, data):
 def test_turtle_parser_matches_oracle_on_documents(text, data):
     text = _spliced(data, text)
     assert parsed(text) == reference_parse(text)
+
+
+# ---------------------------------------------------------------------------
+# Every term the reader builds passes the check it does not repeat
+
+
+def _checked_graph(text):
+    """The graph of ``text``, or None where the reader rejects it.  Every
+    term of an accepted graph passes ``terms._check``, holds no xsd:string
+    datatype, and stores the N-Triples text the rule gives."""
+    try:
+        graph = parse_document(text).graph
+    except TurtleParseError:
+        return None
+    for triple in graph._match():
+        for term in triple:
+            terms._check(term.kind, term.value, term.datatype, term.lang)
+            assert term.datatype != XSD_STRING
+            assert term.n3() == ntriples_term(term)
+    return graph
+
+
+@FUZZ
+@given(st.sampled_from(["", f"@prefix ex: <{EX}> .\n@prefix xsd: <{XSD_NS}> .\n"]), texts(TURTLE))
+def test_reader_terms_pass_the_check(header, text):
+    _checked_graph(header + text)
+
+
+@FUZZ
+@given(statements, st.data())
+def test_reader_terms_pass_the_check_on_statements(text, data):
+    _checked_graph(_spliced(data, f"@prefix ex: <{EX}> .\n@prefix xsd: <{XSD_NS}> .\n" + text))
+
+
+def _written(seed, prefixes):
+    """Both writers' text for a random graph with literals; the graph dies
+    on return, so reading the text back builds its terms again."""
+    rng = random.Random(seed)
+    graph = add_literals(rng, random_graph(rng), count=20)
+    return serialize_turtle(graph, prefixes), canonical_ntriples(graph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([PrefixMap({"gen": NS, "xsd": XSD_NS}), DEFAULT_PREFIXES, PrefixMap()]))
+def test_reader_terms_pass_the_check_on_written_graphs(seed, prefixes):
+    turtle, ntriples = _written(seed, prefixes)
+    for text in (turtle, ntriples):
+        assert canonical_ntriples(_checked_graph(text)) == ntriples
+
+
+# Bases and relative references, resolved by urljoin: paths, fragments,
+# queries, network paths, an absolute IRI, and a scheme urljoin does not
+# resolve against (urn:).
+BASES = [EX, "http://b.test/d/e", "http://b.test", "file:///a/b/", "urn:x:y"]
+RELATIVE = ["a", "../b", "./c.d", "#f", "?q", "/g", "", "//h.test/i", "j/k-l", "..", f"{EX}m", "n:o"]
+relative = st.sampled_from(RELATIVE)
+based = st.tuples(st.sampled_from(BASES), relative, relative, relative, relative, relative).map(
+    lambda t: f"@base <{t[0]}> .\n@prefix r: <{t[1]}> .\n<{t[2]}> r:p <{t[3]}> ; <{t[4]}> r:x , \"v\"^^<{t[5]}> .\n"
+)
+
+
+@FUZZ
+@given(based)
+def test_reader_terms_pass_the_check_with_a_base(text):
+    _checked_graph(text)
+
+
+# Blank node labels, language tags and datatypes, well-formed or not.
+label = st.text(alphabet="aZ09_-.", max_size=5)
+tag = st.text(alphabet="enGB1x-_.", max_size=6)
+datatype = st.sampled_from(["ex:dt", "xsd:string", "xsd:", f"<{EX}dt>", f"<{XSD_STRING}>", "<dt>", "zz:dt"])
+literal_text = st.one_of(tag.map(lambda t: f'"v"@{t}'), datatype.map(lambda d: f'"v"^^{d}'), st.just('"v"'))
+labelled = st.tuples(st.sampled_from(["", f"@base <{EX}> .\n"]), label, literal_text, label, literal_text).map(
+    lambda t: f"{t[0]}@prefix ex: <{EX}> .\n@prefix xsd: <{XSD_NS}> .\n_:{t[1]} ex:p {t[2]} , _:{t[3]} ; ex:q {t[4]} .\n"
+)
+
+
+@FUZZ
+@given(labelled)
+def test_reader_terms_pass_the_check_on_labels_and_literals(text):
+    _checked_graph(text)

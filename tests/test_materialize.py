@@ -16,7 +16,7 @@ from applekit.assets import load_assets
 from applekit.graph import Graph
 from applekit.materialize import materialize
 from applekit.schema import extract_schema
-from applekit.terms import OWL_INVERSE_OF, RDF_TYPE, RDFS_SUBCLASSOF, Triple, iri
+from applekit.terms import OWL_INVERSE_OF, RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, Triple, iri
 from applekit.turtle import parse_turtle
 from applekit.vocab import DOES_ACTION, IS_PARTICIPANT_IN
 
@@ -30,6 +30,7 @@ HEADER = (
 )
 TYPE = iri(RDF_TYPE)
 SUBCLASS = iri(RDFS_SUBCLASSOF)
+SUBPROPERTY = iri(RDFS_SUBPROPERTYOF)
 
 
 def run(text):
@@ -248,6 +249,32 @@ class TestDeriveOnce:
                 assert sum(count for count, _ in offered) == derived == len(out) - len(chain)
                 for k in range(individuals):
                     assert len(out._match(iri(f"{EX}x{k}"), TYPE, None)) == depth + 1
+
+    def test_superproperties_become_terms_only_where_read(self, monkeypatch):
+        # On a chain p0 < p1 < ... < p<n> with one edge over p0, only p0's
+        # superproperties are read; building each chain property's own set
+        # as Terms would build n(n + 1)/2 of them.
+        n = 600
+        graph = Graph()
+        for k in range(n):
+            graph.insert(Triple(iri(f"{EX}p{k}"), SUBPROPERTY, iri(f"{EX}p{k + 1}")))
+        graph.insert(Triple(iri(EX + "a"), iri(EX + "p0"), iri(EX + "b")))
+        schema = extract_schema(graph)
+        built = 0
+
+        def counting_iri(value):
+            nonlocal built
+            built += 1
+            return iri(value)
+
+        # The package's name 'materialize' is the function, so the module is
+        # reached through sys.modules.
+        monkeypatch.setattr(sys.modules["applekit.materialize"], "iri", counting_iri)
+        out = materialize(graph, schema)
+        assert built < 2 * n, built
+        for k in range(1, n + 1):
+            assert out._has(iri(EX + "a"), iri(f"{EX}p{k}"), iri(EX + "b"))
+        assert len(out) == len(graph) + n
 
 
 class TestEntails:

@@ -33,7 +33,7 @@ from applekit.terms import (
 from applekit.turtle import ParseDiagnostic, TurtleParseError, parse_turtle
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _oracles import compress_by_scan  # noqa: E402
+from _oracles import compress_by_scan, ntriples_term  # noqa: E402
 
 EX = "http://example.org/"
 # What Turtle's IRIREF excludes besides '<', '>', '"', space, '\n' and '\t'.
@@ -196,6 +196,33 @@ def normalised(args):
     return {key: value for key, value in args.items() if (key, value) != ("datatype", XSD_STRING)}
 
 
+# Literal text made of the characters the N-Triples rule escapes, and some it does not.
+escaped_text = st.text(alphabet='ab"\\\n\r\t\x00\x08\x1f\x7f \u00e9\u2028', max_size=8)
+rendered_args = (
+    term_args
+    | st.builds(dict, kind=st.just("blank"), value=st.from_regex(r"[A-Za-z0-9_]([A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?", fullmatch=True))
+    | st.builds(dict, kind=st.just("literal"), value=escaped_text)
+    | st.builds(dict, kind=st.just("literal"), value=escaped_text, lang=st.sampled_from(["en", "en-GB", "x-private1"]))
+    | st.builds(
+        dict,
+        kind=st.just("literal"),
+        value=escaped_text,
+        datatype=st.sampled_from([XSD_STRING, XSD_NS + "date", EX + "dt", "urn:x"]),
+    )
+)
+
+
+class TestStoredText:
+    @given(rendered_args)
+    def test_n3_is_the_ntriples_rule(self, args):
+        # The text a term stores when it is built is the one the rule gives,
+        # for every kind, and an xsd:string literal is the simple literal.
+        term = Term(**args)
+        assert term.n3() == ntriples_term(term)
+        if args.get("datatype") == XSD_STRING:
+            assert term.n3() == ntriples_term(literal(args["value"]))
+
+
 class TestHashContract:
     @given(term_args, term_args)
     def test_equal_terms_hash_equal(self, a, b):
@@ -228,13 +255,14 @@ class TestHashContract:
     @pytest.mark.parametrize("value", [iri(EX + "a"), Triple(iri(EX + "s"), iri(EX + "p"), literal("v"))])
     def test_every_field_is_frozen(self, value):
         # Terms and Triples are plain slots classes holding their fields
-        # only, and no attribute of either can be set or deleted.
+        # and what is derived from them once (a Term's N-Triples text, a
+        # Triple's hash), and no attribute of either can be set or deleted.
         if isinstance(value, Triple):
             assert Triple.__slots__ == ("s", "p", "o", "_hash")
             names = ["s", "p", "o", "_hash", "unknown"]
         else:
-            assert Term.__slots__ == ("kind", "value", "datatype", "lang", "__weakref__")
-            names = ["kind", "value", "datatype", "lang", "unknown"]
+            assert Term.__slots__ == ("kind", "value", "datatype", "lang", "_n3", "__weakref__")
+            names = ["kind", "value", "datatype", "lang", "_n3", "unknown"]
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(value, name, getattr(value, name, None))
