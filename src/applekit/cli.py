@@ -152,17 +152,20 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     from .rules import _classify, parse_rules
     from .validate import inputs_digest
 
+    # The rule source is checked, and a rule file read, before any input is loaded.
+    if args.rules:
+        rule_text = _read_text(args.rules, "rules file")
+    elif not args.bundled:
+        raise CliError("classify needs --rules FILE or --bundled", EXIT_CONFIG)
     graph, prefixes = _load_inputs(args)
     digest = inputs_digest(graph)  # of the inputs, before they are extended
     _, catalog = _reason(graph, prefixes, names=bool(args.rules))
     if args.rules:
-        rules = parse_rules(_read_text(args.rules, "rules file"), catalog)
-    elif args.bundled:
+        rules = parse_rules(rule_text, catalog)  # names resolve against the inputs' catalog
+    else:
         from .assets import load_assets
 
         rules = load_assets().rules
-    else:
-        raise CliError("classify needs --rules FILE or --bundled", EXIT_CONFIG)
     verdicts = _classify(graph, rules)
     payload = {
         "inputs_digest": digest,
@@ -215,12 +218,10 @@ def _cmd_cq(args: argparse.Namespace) -> int:
     from .assets import load_assets, parse_cq_manifest
     from .cq import format_cq_table, run_cq_suite
 
+    # The questions are read and parsed before any input is loaded.
+    cases = parse_cq_manifest(_read_text(args.manifest, "manifest")) if args.manifest else load_assets().cq_cases
     graph, prefixes = _load_inputs(args)
     schema, catalog = _reason(graph, prefixes, names=True)
-    if args.manifest:
-        cases = parse_cq_manifest(_read_text(args.manifest, "manifest"))
-    else:
-        cases = load_assets().cq_cases
     results = run_cq_suite(cases, graph, schema, catalog)
     if args.format == "json":
         _emit_json(args, [r.to_json() for r in results])

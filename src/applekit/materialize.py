@@ -24,8 +24,8 @@ are axioms too, read by :func:`~applekit.schema.axiom_pairs` as
 schema's: each hierarchy is one cached :func:`~applekit.schema._closure`
 over both, so the output is closed under its own schema, and each of its
 distinct sets (a cycle's nodes share one) becomes Terms once per call.
-Superproperty sets become Terms only for the predicates whose
-superproperties an entry reads, never for every property of the closure.
+A predicate's superproperties become Terms the first time an entry over
+it reads them, never for every property of the closure.
 Existential obligations are never skolemized; the closed-world validator
 audits them.
 
@@ -104,30 +104,19 @@ def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
         partners.setdefault(a, set()).add(b)
         partners.setdefault(b, set()).add(a)
 
-    # The predicates whose superproperties edges() reads: those of entries
-    # not derived by subproperty-propagation, that is the graph's,
-    # rdfs:subClassOf, rdf:type, and each inverse partner of a predicate an
-    # entry can carry, which is one of these or a superproperty of one.  Only
-    # these get their superproperties as Terms, not every property of the
-    # closure.
-    read: set[str] = set()
-    carried: set[str] = set()
-    todo = [RDFS_SUBCLASSOF, RDF_TYPE] + [p.value for p in out._pos]
-    while todo:
-        p = todo.pop()
-        if p not in read:
-            read.add(p)
-            for q in {p, *superproperties.get(p, ())} - carried:
-                carried.add(q)
-                todo += partners.get(q, ())
+    # A property's superproperties, built the first time an entry over it
+    # reads them; itself among them on a cycle, whose step derives the
+    # stored triple.
+    @cache
+    def superprops(p: Term) -> tuple[Term, ...]:
+        parents = superproperties.get(p.value)
+        return terms(parents, tuple) if parents else ()
 
-    # Keyed by Term: each class's ancestors, read by both phases, and the
-    # superproperties (itself on a cycle: its step derives the stored
-    # triple) and inverses of each property that needs them.
+    # Keyed by Term: each class's ancestors, read by both phases, and each
+    # property's inverses.
     ancestors = {iri(c): terms(parents) for c, parents in superclasses.items()}
-    superprops = {iri(p): terms(superproperties[p], tuple) for p in read if p in superproperties}
     inverses = {iri(p): {iri(q) for q in qs} for p, qs in partners.items()}
-    edge_rules = {subclass, *superprops, *inverses}
+    edge_rules = {subclass, *inverses, *(p for p in (rdf_type, *out._pos) if p.value in superproperties)}
 
     # Phase 2: each property's domain and range classes, with their ancestors.
     def with_ancestors(pairs: Iterable[tuple[str, str]]) -> dict[Term, frozenset[Term]]:
@@ -158,7 +147,7 @@ def _materialize(out: Graph, schema: SchemaIndex) -> Graph:
                 if ancestor is not s:
                     derived.append((s, subclass, ancestor, _TRANSITIVITY))
         if origin is not _SUBPROPERTY:
-            for parent in superprops.get(p, ()):
+            for parent in superprops(p):
                 derived.append((s, parent, o, _SUBPROPERTY))
         if o.kind != "literal":
             for partner in inverses.get(p, ()):

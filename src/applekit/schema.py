@@ -66,11 +66,6 @@ def _is_builtin(iri_value: str) -> bool:
     return iri_value.startswith(BUILTIN_NAMESPACES)
 
 
-def _edge_key(edge: tuple[Term, Term, Term]) -> tuple:
-    """Triple.sort_key of an ``(s, p, o)`` tuple."""
-    return (edge[0].sort_key(), edge[1].sort_key(), edge[2].sort_key())
-
-
 class SchemaIndex(NamedTuple):
     sub_class_of: frozenset[tuple[str, str]]
     sub_property_of: frozenset[tuple[str, str]]
@@ -253,12 +248,12 @@ def extract_schema(graph: Graph) -> SchemaIndex:
 
     restriction_supers: dict[Term, list[str]] = {}
     edges = graph._match(None, iri(RDFS_SUBCLASSOF), None)
-    restricted = [edge for edge in edges if edge[0].kind == "iri" and edge[2].kind == "blank"]
-    for s, _, o in sorted(restricted, key=_edge_key):  # sorted: decides the first error
-        if o not in restriction_nodes:
-            raise SchemaError(f"blank node _:{o.value} is used as a superclass but is not typed owl:Restriction")
-        restriction_supers.setdefault(o, []).append(s.value)
-        classes.add(s.value)
+    restricted = [Triple(s, p, o) for s, p, o in edges if s.kind == "iri" and o.kind == "blank"]
+    for edge in sorted(restricted, key=Triple.sort_key):  # sorted: decides the first error
+        if edge.o not in restriction_nodes:
+            raise SchemaError(f"blank node _:{edge.o.value} is used as a superclass but is not typed owl:Restriction")
+        restriction_supers.setdefault(edge.o, []).append(edge.s.value)
+        classes.add(edge.s.value)
 
     disjoint_pairs: set[tuple[str, str]] = set()
     for s, _, o in graph._match(None, iri(OWL_DISJOINT_WITH), None):

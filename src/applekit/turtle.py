@@ -18,16 +18,16 @@ verb, an object and the '.', ';' or ',' that ends the triple, so an
 N-Triples line is one match.  After a subject or ';' the step pattern
 ``_VERB_OBJECT`` takes a verb, an object and its end; after ',' the step
 pattern ``_OBJECT`` takes an object and its end.  Where the statement step
-does not match, or a term in it does not resolve, the subject is one
-``_TOKEN`` match and the other steps go on from there.  The raw text of
-each term (``ex:a``, ``<iri>``, ``_:b``, ``a``)
-resolves through one dict per document, emptied by every ``@prefix`` or
-``@base``.  The steps are built from the sub-patterns of ``_TOKEN``, the
-master regex of the lexer, so they take the same tokens, and a name in a
-step is followed by no character that could lengthen it.  A comment before
-a step runs to the end of its line (``#[^\\n]*(?=\\n|\\Z)``), so a step that
-fails after a comment cannot backtrack into it and match its text; Python
-3.10 has no atomic groups to say so.
+does not match, or a term in it does not resolve, the subject is read from
+tokens and the other steps go on from there.  The raw text of each term
+(``ex:a``, ``<iri>``, ``_:b``, ``a``) resolves through one dict per
+document, emptied by every ``@prefix`` or ``@base``.  The steps are built
+from the sub-patterns of ``_TOKEN``, the master regex of the lexer, so they
+take the same tokens, and a name in a step is followed by no character that
+could lengthen it.  A comment before a step runs to the end of its line
+(``#[^\\n]*(?=\\n|\\Z)``), so a step that fails after a comment cannot
+backtrack into it and match its text; Python 3.10 has no atomic groups to
+say so.
 
 The reader builds each new term once, and checks it once: its patterns
 are the term check.  A prefixed name's namespace was checked when its
@@ -45,14 +45,14 @@ pass reads that one triple from tokens: the verb and the object, then the
 covers a comment inside a triple, a string with an escape, a language tag
 or datatype set apart from its string by whitespace, and every error.  A
 run of ';' may be followed by a verb or by the '.' that ends the statement,
-and is read from tokens too.  At the start of a statement, a directive,
-the end of the text and a subject that does not resolve are read from
-tokens as well.  Tokens are read lazily, one ``_TOKEN`` match at a time,
-and carry only their offset; a line and column are counted only when an
-error is reported.  Where no token starts, a second look at that spot names
-the malformed or unsupported construct.  Before a grammar error is reported
-the rest of the text is lexed, so that a lexical error anywhere is reported
-first, as when the whole text was lexed ahead of the parse.
+and is read from tokens too.  Where the statement step does not take a
+statement's first triple, the end of the text, a directive or the subject
+is read from tokens as well.  Tokens are read lazily, one ``_TOKEN`` match
+at a time, and carry only their offset; a line and column are counted only
+when an error is reported.  Where no token starts, a second look at that
+spot names the malformed or unsupported construct.  Before a grammar error
+is reported the rest of the text is lexed, so that a lexical error anywhere
+is reported first, as when the whole text was lexed ahead of the parse.
 
 The writer is deterministic: prefixes, subjects, predicates, and objects are
 all emitted in sorted order, with ``rdf:type`` rendered as ``a`` and sorted
@@ -297,12 +297,12 @@ class _Parser:
 
     The loop keeps a statement's subject, and its predicate after ',', in
     locals.  A statement's first triple is one step, subject included,
-    where that step matches and its terms resolve; otherwise its subject is
-    one token.  Where no step matches, or a term in one cannot be resolved
-    without an error, that pass reads the triple from tokens, one token at
-    a time from where the step started, and the next pass tries the steps
-    again.  A run of ';' may be followed by a verb or by '.'.  Directives
-    and the end of the text are read from tokens at the start of a pass.
+    where that step matches and its terms resolve; otherwise the end of the
+    text, a directive or the subject is read from tokens.  Where no step
+    matches, or a term in one cannot be resolved without an error, that
+    pass reads the triple from tokens, one token at a time from where the
+    step started, and the next pass tries the steps again.  A run of ';'
+    may be followed by a verb or by '.'.
     """
 
     def __init__(self, text: str) -> None:
@@ -318,7 +318,7 @@ class _Parser:
 
     def parse(self) -> ParsedDocument:
         text, terms, add, node = self.text, self._terms, self.graph._add, self._node
-        token_at, statement_at = _TOKEN.match, _SUBJECT_VERB_OBJECT.match
+        statement_at = _SUBJECT_VERB_OBJECT.match
         verb_object_at, object_at = _VERB_OBJECT.match, _OBJECT.match
         pos = 0
         subject = None
@@ -333,27 +333,21 @@ class _Parser:
                         p = terms.get(verb) or node(verb)
                         if p is not None:
                             o = (terms.get(name) or node(name)) if name is not None else self._literal(body, lang, datatype)
-                if o is None:  # otherwise the subject is one token
-                    match = token_at(text, pos)
-                    subject = None
-                    if match.lastgroup in ("pname", "iriref", "blank"):
-                        raw = text[match.end(1) : match.end()]
-                        subject = terms.get(raw) or node(raw)
-                    if subject is None:  # a directive, the end of the text, or an error
-                        self._seek(pos)
-                        kind = self._peek()[0]
-                        if kind == "eof":
-                            return ParsedDocument(self.graph, self.prefixes, self.base)
-                        if kind == "prefix_kw":
-                            self._parse_prefix_directive()
-                        elif kind == "base_kw":
-                            self._parse_base_directive()
-                        else:
-                            self._parse_term(_SUBJECT_KINDS, _SUBJECT_WHAT)  # raises: no subject resolves here
-                        pos = self.pos
+                if o is None:  # otherwise from tokens: the end of the text, a directive, or the subject
+                    self._seek(pos)
+                    kind = self._peek()[0]
+                    if kind == "eof":
+                        return ParsedDocument(self.graph, self.prefixes, self.base)
+                    if kind == "prefix_kw":
+                        self._parse_prefix_directive()
+                    elif kind == "base_kw":
+                        self._parse_base_directive()
+                    else:
+                        subject = self._parse_term(_SUBJECT_KINDS, _SUBJECT_WHAT)
+                        predicate, after_semi = None, False
+                    pos = self.pos
+                    if subject is None:  # a directive, where no step matched: the next pass starts a statement
                         continue
-                    pos = match.end()
-                    predicate, after_semi = None, False
             if o is None:  # one triple: by a step, where one matches and its terms resolve
                 if predicate is None:
                     match = verb_object_at(text, pos)

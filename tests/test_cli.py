@@ -101,6 +101,24 @@ class TestInputHandling:
         assert (code, out) == (2, "")
         assert err.startswith(f"applekit: cannot read {what} {path}: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["classify"], "classify needs --rules FILE or --bundled"),
+            (["classify", "--rules", "{missing}"], "cannot read rules file {missing}: "),
+            (["cq", "--manifest", "{missing}"], "cannot read manifest {missing}: "),
+        ],
+        ids=["no-rule-source", "missing-rules", "missing-manifest"],
+    )
+    def test_rule_source_is_checked_before_any_input(self, capsys, tmp_path, argv, message):
+        # Loading the input would fail with exit 1: it is a subclass cycle.
+        cyclic = tmp_path / "cyclic.ttl"
+        cyclic.write_text(HEADER + "ex:A rdfs:subClassOf ex:B . ex:B rdfs:subClassOf ex:A .\n", encoding="utf-8")
+        missing = tmp_path / "missing"
+        code, out, err = run(capsys, *(arg.format(missing=missing) for arg in argv), "-i", str(cyclic))
+        assert (code, out) == (2, "")
+        assert err.startswith("applekit: " + message.format(missing=missing)) and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("target", ["missing-parent", "directory"])
     @pytest.mark.parametrize("command", ["reason", "classify", "validate"])
     def test_unwritable_output_is_config_error(self, capsys, tmp_path, command, target):

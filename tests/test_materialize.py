@@ -4,6 +4,7 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -275,6 +276,42 @@ class TestDeriveOnce:
         for k in range(1, n + 1):
             assert out._has(iri(EX + "a"), iri(f"{EX}p{k}"), iri(EX + "b"))
         assert len(out) == len(graph) + n
+
+    def test_superproperties_reached_only_through_an_inverse(self, monkeypatch):
+        # The one edge is over p0, whose inverse q0 heads the chain: q0's
+        # superproperties are first read from the inverse-derived triple.
+        n = 600
+        graph = inverse_then_subproperties(n)
+        schema = extract_schema(graph)
+        built = []
+        monkeypatch.setattr(sys.modules["applekit.materialize"], "iri", lambda value: built.append(value) or iri(value))
+        out = materialize(graph, schema)
+        assert len(built) < 2 * n, len(built)
+        for k in range(n + 1):
+            assert out._has(iri(EX + "b"), iri(f"{EX}q{k}"), iri(EX + "a"))
+        assert len(out) == len(graph) + n + 1
+
+    # The naive oracle takes one step of the chain per pass, so the chain is
+    # shorter than above.
+    @pytest.mark.parametrize("cycle", [False, True], ids=["chain", "cycle"])
+    def test_superproperties_through_an_inverse_agree_with_naive(self, cycle):
+        graph = inverse_then_subproperties(100, cycle)
+        schema = extract_schema(graph)
+        out = materialize(graph, schema)
+        assert out == naive_materialize(graph, schema)
+        assert len(out) == len(graph) + (100 if cycle else 101)
+
+
+def inverse_then_subproperties(n, cycle=False):
+    """p0 inverseOf q0, q0 < q1 < ... < q<n> (or q<n - 1> < q0 on a cycle),
+    and one edge a p0 b."""
+    graph = Graph()
+    graph.insert(Triple(iri(EX + "p0"), iri(OWL_INVERSE_OF), iri(EX + "q0")))
+    for k in range(n):
+        parent = k + 1 if not cycle else (k + 1) % n
+        graph.insert(Triple(iri(f"{EX}q{k}"), SUBPROPERTY, iri(f"{EX}q{parent}")))
+    graph.insert(Triple(iri(EX + "a"), iri(EX + "p0"), iri(EX + "b")))
+    return graph
 
 
 class TestEntails:

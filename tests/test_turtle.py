@@ -197,6 +197,11 @@ STEP_EDGES = {
     "spaced-tag-first-object": HEADER + 'ex:s ex:p "x" @en , ex:o .\nex:t ex:p "y" ^^ ex:d ; ex:q ex:r .',
     "prefix-rebound-before-use": HEADER + "ex:s ex:p ex:o .\n@prefix ex: <http://two.test/> .ex:s ex:p ex:o.",
     "blank-subjects": HEADER + "_:b ex:p _:c .\n_:c ex:p _:b ; ex:q ex:o , _:b .",
+    # Subjects read from tokens, where the statement step cannot start.
+    "base-subject-then-comment": '@base <http://x.test/> .\n<s> # c\n <p> <o> .',
+    "subject-at-the-end": HEADER + "ex:s ex:p ex:o .\nex:s",
+    "numeric-verb-after-subject": HEADER + "ex:s 42 ex:o .",
+    "blank-subject-then-comment": HEADER + "_:b # c\n ex:p ex:o .",
     "ntriples-forms": '<http://x.test/s> <http://x.test/p> "v"@en-GB .\n_:b0 <http://x.test/p> "1"^^<http://x.test/t> .',
 }
 
@@ -253,7 +258,8 @@ class TestStepEdges:
 
         monkeypatch.setattr(_Parser, "_parse_term", counting)
         g = parse('ex:s ex:p "a\\nb" ; ex:q ex:r ; ex:u ex:v .')
-        assert len(g) == 3 and read == [iri(EX + "p"), literal("a\nb")]
+        # The statement step cannot start this statement, so its subject is read from tokens too.
+        assert len(g) == 3 and read == [iri(EX + "s"), iri(EX + "p"), literal("a\nb")]
 
     def test_an_ntriples_document_is_read_by_the_statement_step_alone(self, monkeypatch):
         class Counting:
